@@ -15,9 +15,8 @@ from .convergence import Schedule, SweepResult, aitken, fit_power_law, sweep
 from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw,
                      integrate_body, integrate_double, sphere_body_identity_check,
                      sphere_constant, sphere_quadrature)
-from .functionals import (FunctionalSpec, bbm_centered, bbm_taylor, evaluate,
-                          local_limit, nguyen_centered, nguyen_taylor,
-                          shared_local_integral, theorem_constant, uniform_bound_check)
+from .functionals import (FunctionalSpec, evaluate, local_limit, shared_local_integral,
+                          theorem_constant, uniform_bound_check)
 from .functions import TestFunction, list_functions, make_function, polynomial_function
 from .mollifiers import CertificationError, MollifierFamily, certify, make_mollifier
 

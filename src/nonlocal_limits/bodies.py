@@ -15,6 +15,9 @@ import numpy as np
 
 Array = np.ndarray
 
+#: body kinds with a tensor Gauss-Legendre rule (``engine.body_quadrature_nodes``)
+TENSOR_QUADRATURE_KINDS = ("ball", "box", "ellipsoid")
+
 _EUCLID_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi ** 2 / 2.0}
 
 
@@ -284,7 +287,7 @@ def zpm_norm(body: ConvexBody, coeffs, m: int, p: float, plan=None) -> float:
 
         ((dim + m p) / (m^(m p + 1) p) * integral_K |form(y)|^p dy)^(1/p).
     """
-    from .calculus import multi_indices, multinomial
+    from .calculus import monomial, multi_indices, multinomial
     from .engine import IntegrationPlan, integrate_body
 
     if p < 1.0:
@@ -300,15 +303,11 @@ def zpm_norm(body: ConvexBody, coeffs, m: int, p: float, plan=None) -> float:
     def form_p(y: Array) -> Array:
         acc = 0.0
         for w, c, alpha in zip(weights, coeffs, alphas):
-            mono = np.ones(y.shape[:-1])
-            for i, a in enumerate(alpha):
-                if a:
-                    mono = mono * y[..., i] ** a
-            acc = acc + w * c * mono
+            acc = acc + w * c * monomial(y, alpha)
         return np.abs(acc) ** p
 
     if plan is None:
-        if body.kind in ("ball", "box", "ellipsoid"):
+        if body.kind in TENSOR_QUADRATURE_KINDS:
             plan = IntegrationPlan.quadrature(x_nodes=64)
         else:
             plan = IntegrationPlan.monte_carlo(samples=200_000, seed=0)

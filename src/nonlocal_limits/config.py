@@ -176,13 +176,24 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if not P_RANGE[0] < job["p"] <= P_RANGE[1]:
             raise ConfigError(
                 f"{label}: p={job['p']} violates the constraint p > 1 (and p <= {P_RANGE[1]})")
-        body = from_descriptor(job["body"])
+        try:
+            body = from_descriptor(job["body"])
+        except ValueError as exc:
+            raise ConfigError(f"{label}: invalid body: {exc}") from exc
         fname = job["function"]
         if fname not in list_functions():
             raise ConfigError(f"{label}: unknown test function {fname!r}")
         func = make_function(fname, body.dim)
         if not func.integrable:
             raise ConfigError(f"{label}: function {fname!r} is identity-test only")
+        plan_raw = job["plan"]
+        if plan_raw["method"] == "tensor_quadrature" and body.dim != 1:
+            raise ConfigError(f"{label}: tensor_quadrature needs a 1-D body, got dim "
+                              f"{body.dim}; use monte_carlo")
+        box_radius = plan_raw.get("outer_box_radius")
+        if box_radius is not None and box_radius < func.support_radius:
+            raise ConfigError(f"{label}: outer_box_radius {box_radius} is below the "
+                              f"support radius {func.support_radius} of {fname!r}")
         moll_kind = job.get("mollifier", {}).get("kind")
         if job["theorem"].startswith("bbm") and moll_kind is None:
             raise ConfigError(f"{label}: mollified functionals require a mollifier block")
@@ -192,7 +203,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
                             fit_points=sched_raw.get("fit_points"))
         # decorrelate jobs while keeping runs reproducible for fixed config
         job_seed = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
-        plan = _build_plan(job["plan"], job_seed, workers)
+        plan = _build_plan(plan_raw, job_seed, workers)
         jobs.append(JobConfig(name=label, theorem=job["theorem"], function=func,
                               body=body, m=job["m"], p=float(job["p"]),
                               schedule=schedule, plan=plan,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bodies import TENSOR_QUADRATURE_KINDS
 from .engine import IntegrationPlan
 from .functionals import FunctionalSpec, evaluate, local_limit
 from .mollifiers import make_mollifier
@@ -166,7 +167,7 @@ def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
             moll0 = make_mollifier(kind, body.dim, params[0],
                                    p if kind == "fractional" else None)
         spec0 = FunctionalSpec(theorem, f, body, m, p, params[0], moll0)
-        if body.kind in ("ball", "box", "ellipsoid"):
+        if body.kind in TENSOR_QUADRATURE_KINDS:
             target = local_limit(spec0)
         else:
             # bodies without tensor quadrature: seeded Monte Carlo target

@@ -2,9 +2,12 @@
 
 Double integrals over pairs (x, y) are computed in polar form y = x + t*sigma:
 x ranges over a truncation box, sigma over the Euclidean unit sphere, and the
-radial variable t is drawn from a pluggable importance law.  Both the Monte
-Carlo and the deterministic (dim = 1) paths divide the integrand by the law's
-density, so a law matched to the kernel's radial profile gives low variance.
+radial variable t is drawn from a pluggable importance law.  Kernels return
+the per-sample payoff in closed form: the pair integrand times t^(dim-1),
+divided by the law's unnormalised radial shape.  Both the Monte Carlo and the
+deterministic (dim = 1) paths multiply that payoff by the law's closed-form
+mass, so a law matched to the kernel's radial profile gives low variance and
+no density is evaluated on the hot path.
 
 Monte Carlo runs are deterministic for a fixed (seed, worker count): shard i
 derives its stream from SeedSequence((seed, i)) and shard results merge in
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bodies import ConvexBody, sample_in_body
+from .bodies import TENSOR_QUADRATURE_KINDS, ConvexBody, sample_in_body
 
 Array = np.ndarray
 
@@ -43,11 +46,12 @@ def sphere_measure(dim: int) -> float:
 class PowerLaw:
     """Density proportional to t^exponent on [t_min(sigma), t_max].
 
-    With exponent = -(1 + m p) this matches the radial weight of the level-set
-    kernels exactly, so their per-sample payoff is flat in t.  The lower bound
-    may be a callable of the direction batch (per-direction exact cutoffs);
-    directions whose cutoff reaches t_max keep a degenerate-free interval and
-    rely on the kernel vanishing there.
+    The unnormalised radial shape is t^exponent.  With exponent = -(1 + m p)
+    this matches the radial weight of the level-set kernels exactly, so their
+    per-sample payoff is flat in t.  The lower bound may be a callable of the
+    direction batch (per-direction exact cutoffs); directions whose cutoff
+    reaches t_max keep a degenerate-free interval and rely on the kernel
+    vanishing there.
     """
 
     def __init__(self, exponent: float, t_min, t_max: float):
@@ -73,12 +77,14 @@ class PowerLaw:
         b_s = self.t_max ** self._s
         return (a_s + v * (b_s - a_s)) ** (1.0 / self._s)
 
-    def pdf(self, t: Array, lo) -> Array:
+    def mass(self, lo):
+        """Integral of the shape t^exponent over [lo, t_max]."""
         if self._log:
-            mass = np.log(self.t_max / lo)
-        else:
-            mass = (self.t_max ** self._s - lo ** self._s) / self._s
-        return np.asarray(t, dtype=float) ** self.exponent / mass
+            return np.log(self.t_max / lo)
+        return (self.t_max ** self._s - lo ** self._s) / self._s
+
+    def pdf(self, t: Array, lo) -> Array:
+        return np.asarray(t, dtype=float) ** self.exponent / self.mass(lo)
 
 
 class MollifierRadial:
@@ -86,9 +92,12 @@ class MollifierRadial:
 
     Draws the gauge radius u from the profile's own unit radial mass measure
     (restricted to the mass quantile [mass_floor, 1]) and converts to the
-    Euclidean radius t = u / ||sigma||_K.  The floor removes the u -> 0 region
-    where finite differences cancel below double precision; the discarded true
-    mass fraction is exactly ``mass_floor`` and is surfaced by the callers.
+    Euclidean radius t = u / ||sigma||_K.  The unnormalised radial shape in t
+    is u^(dim-1) rho(u) ||sigma||_K, whose mass over the drawn range is
+    1 - mass_floor; a kernel's payoff therefore carries neither rho nor the
+    Jacobian.  The floor removes the u -> 0 region where finite differences
+    cancel below double precision; the discarded true mass fraction is exactly
+    ``mass_floor`` and is surfaced by the callers.
     """
 
     def __init__(self, family, gauge, mass_floor: float = 1e-4):
@@ -105,9 +114,13 @@ class MollifierRadial:
         u = self.family.inverse_mass(self.mass_floor + v * (1.0 - self.mass_floor))
         return u / gauge_sigma
 
+    def mass(self, gauge_sigma) -> float:
+        """Mass of the radial shape over the drawn quantile range."""
+        return 1.0 - self.mass_floor
+
     def pdf(self, t: Array, gauge_sigma: Array) -> Array:
         u = np.asarray(t, dtype=float) * gauge_sigma
-        return self.family.radial_mass_density(u) * gauge_sigma / (1.0 - self.mass_floor)
+        return self.family.radial_mass_density(u) * gauge_sigma / self.mass(gauge_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -216,54 +229,33 @@ def _check_finite(values: Array, x: Array, sigma: Array, t: Array) -> None:
             f"t={float(t[i])!r}")
 
 
-def _weighted(num: Array, density: Array, x: Array, sigma: Array, t: Array) -> Array:
-    """num / density with the 0/0 = 0 convention at the law's support edge.
-
-    A radius can round one ulp past the support boundary; there both the
-    kernel and the density vanish and the true contribution is zero.  A
-    nonzero kernel where the density vanishes is a real error.
-    """
-    num = np.asarray(num, dtype=float)
-    density = np.asarray(density, dtype=float)
-    out = np.zeros_like(num)
-    live = density > 0.0
-    out[live] = num[live] / density[live]
-    dead = ~live
-    if np.any(dead & (num != 0.0)):
-        i = int(np.argmax(dead & (num != 0.0)))
-        raise EngineError(
-            f"kernel nonzero outside the radial law support at x={x[i].tolist()}, "
-            f"sigma={sigma[i].tolist()}, t={float(t[i])!r}")
-    return out
-
-
 def integrate_double(kernel, plan: IntegrationPlan, dim: int, law) -> IntegralEstimate:
     """Estimate the polar-form double integral of ``kernel`` over box x sphere x radius.
 
     Parameters
     ----------
     kernel : callable(x, sigma, t) -> values
-        Vectorized integrand over batches: x, sigma of shape (n, dim), t of
-        shape (n,).  The engine supplies the extra radial factor t^(dim-1),
-        so ``kernel`` is exactly the pair integrand F(x, x + t sigma).
+        Vectorized per-sample payoff over batches: x, sigma of shape (n, dim),
+        t of shape (n,).  The payoff is the pair integrand F(x, x + t sigma)
+        times t^(dim-1), divided by the law's unnormalised radial shape.
     law : PowerLaw | MollifierRadial
-        Radial importance law; the estimate divides by its density, MC and
-        quadrature alike.  ``law.prepare(sigma)`` supplies any per-direction
-        state (gauge values or cutoffs).
+        Radial importance law.  ``law.prepare(sigma)`` supplies any
+        per-direction state (gauge values or cutoffs); the estimate multiplies
+        each payoff by ``law.mass`` of that state, MC and quadrature alike.
     """
     if dim not in _SPHERE_MEASURE:
         raise ValueError("dim must be 1, 2 or 3")
     if plan.outer_box_radius is None:
         raise ValueError("plan.outer_box_radius must be resolved by the caller")
     box_radius = float(plan.outer_box_radius)
-    measure = (2.0 * box_radius) ** dim * sphere_measure(dim)
 
     if plan.method == "tensor_quadrature":
-        return _integrate_double_quadrature(kernel, plan, dim, law, box_radius, measure)
+        return _integrate_double_quadrature(kernel, plan, dim, law, box_radius)
     if plan.method != "monte_carlo":
         raise ValueError(f"unknown integration method {plan.method!r}")
     if plan.samples <= 0:
         raise ValueError("empty plan: samples must be positive")
+    measure = (2.0 * box_radius) ** dim * sphere_measure(dim)
 
     def run_shard(shard: int, count: int) -> _Welford:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, shard))))
@@ -276,9 +268,7 @@ def integrate_double(kernel, plan: IntegrationPlan, dim: int, law) -> IntegralEs
             aux = law.prepare(sigma)
             v = _stratified_uniform(rng, n, plan.stratification, done)
             t = law.sample(v, aux)
-            density = law.pdf(t, aux)
-            num = kernel(x, sigma, t) * t ** (dim - 1) * measure
-            vals = _weighted(num, density, x, sigma, t)
+            vals = kernel(x, sigma, t) * (law.mass(aux) * measure)
             _check_finite(vals, x, sigma, t)
             acc.add(vals)
             done += n
@@ -300,7 +290,7 @@ def integrate_double(kernel, plan: IntegrationPlan, dim: int, law) -> IntegralEs
                                   "method": "monte_carlo"})
 
 
-def _integrate_double_quadrature(kernel, plan, dim, law, box_radius, measure):
+def _integrate_double_quadrature(kernel, plan, dim, law, box_radius):
     if dim != 1:
         raise ValueError("tensor quadrature for pair integrals is dim=1 only")
     xg, wx = np.polynomial.legendre.leggauss(plan.x_nodes)
@@ -315,13 +305,11 @@ def _integrate_double_quadrature(kernel, plan, dim, law, box_radius, measure):
         aux = law.prepare(np.array([[s]]))
         aux = aux[0] if isinstance(aux, np.ndarray) else aux
         t = law.sample(v, aux)
-        density = law.pdf(t, aux)
         # full tensor batch (x_i, t_j)
         xx = np.repeat(x, t.size)[:, np.newaxis]
         tt = np.tile(t, x.size)
         ss = np.full((xx.size, 1), s)
-        num = kernel(xx, ss, tt) * tt ** (dim - 1)
-        vals = _weighted(num, np.tile(density, x.size), xx, ss, tt)
+        vals = kernel(xx, ss, tt) * law.mass(aux)
         _check_finite(vals, xx, ss, tt)
         total += float(wx @ vals.reshape(x.size, t.size) @ wv)
     return IntegralEstimate(total, 0.0, info={"method": "tensor_quadrature",
@@ -333,47 +321,38 @@ def _integrate_double_quadrature(kernel, plan, dim, law, box_radius, measure):
 # Integrals over a convex body
 # ---------------------------------------------------------------------------
 
+def tensor_grid(axes) -> tuple[Array, Array]:
+    """Tensor product of per-axis ``(nodes, weights)``: points (n, d) and weights (n,)."""
+    grids = np.meshgrid(*[nodes for nodes, _ in axes], indexing="ij")
+    weights = np.ones_like(grids[0])
+    for wgrid in np.meshgrid(*[w for _, w in axes], indexing="ij"):
+        weights = weights * wgrid
+    return np.stack([g.ravel() for g in grids], axis=-1), weights.ravel()
+
+
 def body_quadrature_nodes(body: ConvexBody, radial_nodes: int = 48,
                           angular_nodes: int = 64) -> tuple[Array, Array]:
     """Nodes and weights with sum w_i f(y_i) ~ integral_K f; ball/box/ellipsoid only."""
-    if body.kind == "box":
-        axes = []
-        for w in body.params:
-            xg, wg = np.polynomial.legendre.leggauss(radial_nodes)
-            axes.append((w * xg, w * wg))
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        weights = np.ones_like(grids[0])
-        for wgrid in np.meshgrid(*[a[1] for a in axes], indexing="ij"):
-            weights = weights * wgrid
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        return pts, weights.ravel()
-    if body.kind in ("ball", "ellipsoid"):
-        semi = np.asarray(body.params if body.kind == "ellipsoid"
-                          else [body.params[0]] * body.dim)
-        if body.dim == 1:
-            xg, wg = np.polynomial.legendre.leggauss(radial_nodes)
-            return (semi[0] * xg)[:, np.newaxis], semi[0] * wg
-        rg, wr = np.polynomial.legendre.leggauss(radial_nodes)
-        r = 0.5 * (rg + 1.0)
-        wr = 0.5 * wr
-        theta = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
-        wt = np.full(angular_nodes, 2.0 * math.pi / angular_nodes)
-        if body.dim == 2:
-            rr, tt = np.meshgrid(r, theta, indexing="ij")
-            w1, w2 = np.meshgrid(wr, wt, indexing="ij")
-            unit = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=-1)
-            wgt = (w1 * w2 * rr).ravel()
-            return unit * semi, wgt * float(np.prod(semi))
-        cg, wc = np.polynomial.legendre.leggauss(radial_nodes)
-        rr, cc, tt = np.meshgrid(r, cg, theta, indexing="ij")
-        w1, w2, w3 = np.meshgrid(wr, wc, wt, indexing="ij")
-        sphi = np.sqrt(np.maximum(0.0, 1.0 - cc ** 2))
-        unit = np.stack([(rr * sphi * np.cos(tt)).ravel(),
-                         (rr * sphi * np.sin(tt)).ravel(),
-                         (rr * cc).ravel()], axis=-1)
-        wgt = (w1 * w2 * w3 * rr ** 2).ravel()
-        return unit * semi, wgt * float(np.prod(semi))
-    raise ValueError(f"no tensor quadrature for body kind {body.kind!r}; use Monte Carlo")
+    if body.kind not in TENSOR_QUADRATURE_KINDS:
+        raise ValueError(f"no tensor quadrature for body kind {body.kind!r}; use Monte Carlo")
+    semi = np.asarray([body.params[0]] * body.dim if body.kind == "ball" else body.params)
+    xg, wg = np.polynomial.legendre.leggauss(radial_nodes)
+    if body.kind == "box" or body.dim == 1:
+        return tensor_grid([(a * xg, a * wg) for a in semi])
+    r = 0.5 * (xg + 1.0)
+    wr = 0.5 * wg
+    theta = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    wt = np.full(angular_nodes, 2.0 * math.pi / angular_nodes)
+    if body.dim == 2:
+        pts, w = tensor_grid([(r, wr), (theta, wt)])
+        rr, tt = pts.T
+        unit = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
+        return unit * semi, w * rr * float(np.prod(semi))
+    pts, w = tensor_grid([(r, wr), (xg, wg), (theta, wt)])
+    rr, cc, tt = pts.T
+    sphi = np.sqrt(np.maximum(0.0, 1.0 - cc ** 2))
+    unit = np.stack([rr * sphi * np.cos(tt), rr * sphi * np.sin(tt), rr * cc], axis=-1)
+    return unit * semi, w * rr ** 2 * float(np.prod(semi))
 
 
 def integrate_body(f_inner, body: ConvexBody, plan: IntegrationPlan) -> IntegralEstimate:
@@ -430,12 +409,10 @@ def sphere_quadrature(dim: int, nodes: int = 2048) -> tuple[Array, Array]:
         nt = 2 * nc
         cg, wc = np.polynomial.legendre.leggauss(nc)
         theta = 2.0 * math.pi * np.arange(nt) / nt
-        cc, tt = np.meshgrid(cg, theta, indexing="ij")
-        ww = np.meshgrid(wc, np.full(nt, 2.0 * math.pi / nt), indexing="ij")
+        pts, w = tensor_grid([(cg, wc), (theta, np.full(nt, 2.0 * math.pi / nt))])
+        cc, tt = pts.T
         sphi = np.sqrt(np.maximum(0.0, 1.0 - cc ** 2))
-        dirs = np.stack([(sphi * np.cos(tt)).ravel(), (sphi * np.sin(tt)).ravel(),
-                         cc.ravel()], axis=-1)
-        return dirs, (ww[0] * ww[1]).ravel()
+        return np.stack([sphi * np.cos(tt), sphi * np.sin(tt), cc], axis=-1), w
     raise ValueError("dim must be 1, 2 or 3")
 
 

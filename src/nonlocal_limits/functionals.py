@@ -27,10 +27,11 @@ from functools import lru_cache
 import numpy as np
 
 from .bodies import ConvexBody, sample_in_body
-from .calculus import (centered_remainder, direction_bound, m_form_tableau,
-                       multi_indices, taylor_remainder)
+from .calculus import (centered_remainder, direction_bound, directional_m_form,
+                       m_form_tableau, multi_indices, taylor_remainder)
 from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw,
-                     integrate_double, sphere_measure)
+                     body_quadrature_nodes, integrate_double, sphere_measure,
+                     tensor_grid)
 from .functions import TestFunction
 from .mollifiers import MollifierFamily, ensure_certified
 
@@ -184,12 +185,12 @@ def _evaluate_level_set(spec: FunctionalSpec, plan: IntegrationPlan) -> Integral
     power = body.dim + m * p
 
     def kernel(x, sigma, t):
+        # delta^p (t g)^-(N+mp) t^(N-1) over the law's shape t^-(1+mp)
         y = x + t[:, np.newaxis] * sigma
         fires = np.abs(remainder(f, x, y, m)) > delta
         out = np.zeros_like(t)
         if np.any(fires):
-            tg = t[fires] * body.gauge(sigma[fires])
-            out[fires] = delta ** p * tg ** (-power)
+            out[fires] = delta ** p * body.gauge(sigma[fires]) ** (-power)
         return out
 
     law = PowerLaw(-(1.0 + m * p), _directional_cutoff(spec), t_max)
@@ -219,13 +220,13 @@ def _evaluate_mollified(spec: FunctionalSpec, plan: IntegrationPlan) -> Integral
     mp = m * p
 
     def kernel(x, sigma, t):
-        g = body.gauge(sigma)
-        u = t * g
-        rho = moll.evaluate(u)
+        # |R|^p (t g)^-mp rho t^(N-1) over the law's shape (t g)^(N-1) rho g;
+        # R = 0 is skipped because (t g)^-mp can overflow where R underflows
         vals = np.abs(remainder(f, x, x + t[:, np.newaxis] * sigma, m))
         out = np.zeros_like(t)
-        live = (rho > 0.0) & (vals > 0.0)
-        out[live] = vals[live] ** p * u[live] ** (-mp) * rho[live]
+        live = vals > 0.0
+        g = body.gauge(sigma[live])
+        out[live] = vals[live] ** p * (t[live] * g) ** (-mp) * g ** (-body.dim)
         return out
 
     law = MollifierRadial(moll, body.gauge, mass_floor=MASS_FLOOR)
@@ -249,30 +250,6 @@ def evaluate(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
     return _evaluate_mollified(spec, plan)
 
 
-def nguyen_centered(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
-    if spec.theorem != "nguyen_centered":
-        raise SpecError("spec.theorem must be 'nguyen_centered'")
-    return evaluate(spec, plan)
-
-
-def bbm_centered(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
-    if spec.theorem != "bbm_centered":
-        raise SpecError("spec.theorem must be 'bbm_centered'")
-    return evaluate(spec, plan)
-
-
-def nguyen_taylor(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
-    if spec.theorem != "nguyen_taylor":
-        raise SpecError("spec.theorem must be 'nguyen_taylor'")
-    return evaluate(spec, plan)
-
-
-def bbm_taylor(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
-    if spec.theorem != "bbm_taylor":
-        raise SpecError("spec.theorem must be 'bbm_taylor'")
-    return evaluate(spec, plan)
-
-
 # ---------------------------------------------------------------------------
 # Local limits
 # ---------------------------------------------------------------------------
@@ -281,22 +258,15 @@ _OUTER_NODES_DEFAULT = {1: 160, 2: 96, 3: 40}
 
 
 def _outer_grid(f: TestFunction, nodes: int):
+    """Tensor Gauss-Legendre grid on the support box of f."""
     xg, wg = np.polynomial.legendre.leggauss(nodes)
-    half = f.support_radius
-    axes = [(half * xg, half * wg)] * f.dim
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    weights = np.ones_like(grids[0])
-    for wgrid in np.meshgrid(*[a[1] for a in axes], indexing="ij"):
-        weights = weights * wgrid
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return pts, weights.ravel()
+    return tensor_grid([(f.support_radius * xg, f.support_radius * wg)] * f.dim)
 
 
 @lru_cache(maxsize=None)
 def _shared_integral_quadrature(f: TestFunction, body: ConvexBody, m: int, p: float,
                                 outer_nodes: int, body_radial: int,
                                 body_angular: int) -> float:
-    from .engine import body_quadrature_nodes
     xs, wx = _outer_grid(f, outer_nodes)
     ys, wy = body_quadrature_nodes(body, radial_nodes=body_radial,
                                    angular_nodes=body_angular)
@@ -330,12 +300,12 @@ def shared_local_integral(f: TestFunction, body: ConvexBody, m: int, p: float,
         if vol is not None:
             ys = sample_in_body(body, rng, n)
             scale = box_vol * vol
-            vals = scale * np.abs(_diag_form_rows(f, m, xs, ys)) ** p
+            vals = scale * np.abs(directional_m_form(f, xs, ys, m)) ** p
         else:
             bound = body.outer_radius
             ys = rng.uniform(-bound, bound, size=(n, f.dim))
             scale = box_vol * (2.0 * bound) ** f.dim
-            vals = (scale * np.abs(_diag_form_rows(f, m, xs, ys)) ** p
+            vals = (scale * np.abs(directional_m_form(f, xs, ys, m)) ** p
                     * body.contains(ys))
         return IntegralEstimate(float(vals.mean()),
                                 float(vals.std(ddof=1) / math.sqrt(n)),
@@ -348,11 +318,6 @@ def shared_local_integral(f: TestFunction, body: ConvexBody, m: int, p: float,
     value = _shared_integral_quadrature(f, body, m, float(p), nodes,
                                         body_radial, body_angular)
     return IntegralEstimate(value, 0.0, info={"method": "tensor_quadrature"})
-
-
-def _diag_form_rows(f: TestFunction, m: int, xs, ys):
-    from .calculus import directional_m_form
-    return directional_m_form(f, xs, ys, m)
 
 
 def local_limit(spec: FunctionalSpec, outer_nodes: int | None = None,

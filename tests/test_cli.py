@@ -1,4 +1,7 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -120,6 +123,22 @@ def test_parse_config_requires_mollifier_for_bbm():
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("job_update", [
+    {"body": {"kind": "box", "half_widths": [1.0, 1.0]},
+     "plan": {"method": "tensor_quadrature"}},
+    {"plan": {"method": "monte_carlo", "samples": 20000, "outer_box_radius": 1.0}},
+    {"body": {"kind": "polytope", "normals": [[1, 0], [-1, 0]], "offsets": [1, 1]}},
+], ids=["quadrature-2d", "box-below-support", "unbounded-polytope"])
+def test_run_rejects_semantically_bad_config(tmp_path, capsys, job_update):
+    cfg = base_config()
+    cfg["jobs"][0].update(job_update)
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+    assert cli.run(write_config(tmp_path, cfg), {}) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: demo: ")
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -149,9 +168,11 @@ def test_certify_mollifiers_from_config(tmp_path):
     assert cli.certify_mollifiers(write_config(tmp_path, cfg)) == 0
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
 def test_bundled_acceptance_config(tmp_path):
-    import pathlib
-    bundled = pathlib.Path(__file__).resolve().parents[1] / "configs" / "acceptance.json"
+    bundled = ROOT / "configs" / "acceptance.json"
     out = tmp_path / "acceptance.csv"
     code = cli.run(str(bundled), {"output": str(out), "timestamp": False})
     assert code == 0
@@ -167,3 +188,13 @@ def test_main_entry(tmp_path):
                      "--no-timestamp", "--seed", "5"])
     assert code == 0
     assert out.exists()
+
+
+def test_traced_benchmark_child_runs():
+    # the traced benchmark wraps package names; renaming one of them breaks this run
+    spec = {"root": str(ROOT), "argv": ["check-identities", "--quick"], "trace": True}
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["code"] == 0 and "layers" in record

@@ -25,10 +25,10 @@ def test_constant_kernel_box_measure():
 
 
 def test_matched_importance_has_zero_variance():
-    # kernel 1/t^2 with density prop to t^-2: per-sample payoff is constant
+    # integrand 1/t^2 over the law's shape t^-2: per-sample payoff is constant
     plan = IntegrationPlan.monte_carlo(samples=5_000, seed=2, outer_box_radius=1.0)
     law = PowerLaw(-2.0, 0.25, 2.0)
-    est = integrate_double(lambda x, s, t: t ** -2.0, plan, 1, law)
+    est = integrate_double(lambda x, s, t: np.ones_like(t), plan, 1, law)
     expected = 2.0 * 2.0 * (1.0 / 0.25 - 1.0 / 2.0)  # box x sphere x int t^-2
     assert est.value == pytest.approx(expected, rel=1e-12)
     assert est.stderr <= 1e-12 * expected
@@ -104,7 +104,7 @@ def test_importance_sampling_unbiased_over_repetitions():
     # closed-form radial integral oracle; mean over 50 independent estimates
     # must sit within the 1% critical value of its standard error
     law = PowerLaw(-2.0, 0.5, 4.0)
-    kernel = lambda x, s, t: (1.0 + x[:, 0] ** 2) / t ** 2
+    kernel = lambda x, s, t: 1.0 + x[:, 0] ** 2  # integrand (1 + x^2) / t^2
     truth = 2.0 * (1.0 + 1.0 / 3.0) * 2.0 * (1.0 / 0.5 - 1.0 / 4.0)
     values = []
     for rep in range(50):
@@ -117,17 +117,12 @@ def test_importance_sampling_unbiased_over_repetitions():
 
 
 def test_mollifier_radial_law_normalizes():
-    # with kernel = rho-free payoff 1, the matched law integrates the profile mass
+    # payoff 1 integrates the law's own radial shape, i.e. the unit profile mass
     moll = make_mollifier("shell", 1, 0.3)
     body = ConvexBody.box([1.0])
     law = MollifierRadial(moll, body.gauge, mass_floor=0.0)
-
-    def kernel(x, s, t):
-        u = t * body.gauge(s)
-        return moll.radial_mass_density(u) * body.gauge(s)
-
     plan = IntegrationPlan.monte_carlo(samples=20_000, seed=4, outer_box_radius=1.0)
-    est = integrate_double(kernel, plan, 1, law)
+    est = integrate_double(ones_kernel, plan, 1, law)
     assert est.value == pytest.approx(4.0, rel=1e-12)  # box 2 x sphere 2 x mass 1
 
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from nonlocal_limits import functionals
 from nonlocal_limits.bodies import ConvexBody
-from nonlocal_limits.engine import IntegrationPlan
+from nonlocal_limits.calculus import centered_remainder
+from nonlocal_limits.engine import IntegralEstimate, IntegrationPlan
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_norm_p,
                                          evaluate, local_limit, shared_local_integral,
                                          theorem_constant, uniform_bound_check)
@@ -300,3 +302,47 @@ def test_uniform_bound_check_empty_grid():
         moll = make_mollifier("shell", 1, 0.1)
         uniform_bound_check(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0,
                                            0.1, moll), [0.1], mc_plan(samples=100))
+
+
+@pytest.mark.parametrize("theorem", ["nguyen_centered", "bbm_centered"])
+def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
+    # reference: payoff x law.mass = pair integrand x t^(N-1) / law.pdf
+    body, m, p, par = ConvexBody.ellipsoid([2.0, 1.0]), 2, 2.5, 0.05
+    moll = make_mollifier("shell", 2, par) if theorem.startswith("bbm") else None
+    captured = {}
+
+    def capture(kernel, plan, dim, law):
+        captured.update(kernel=kernel, law=law)
+        return IntegralEstimate(0.0, 0.0)
+
+    monkeypatch.setattr(functionals, "integrate_double", capture)
+    evaluate(FunctionalSpec(theorem, GAUSS2, body, m, p, par, moll), mc_plan(samples=1))
+    kernel, law = captured["kernel"], captured["law"]
+
+    rng = np.random.default_rng(11)
+    n = 20_000
+    x = rng.uniform(-3.0, 3.0, size=(n, 2))
+    sigma = rng.normal(size=(n, 2))
+    sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+    aux = law.prepare(sigma)
+    t = law.sample(rng.random(n), aux)
+    payoff = kernel(x, sigma, t) * law.mass(aux)
+
+    remainder = centered_remainder(GAUSS2, x, x + t[:, np.newaxis] * sigma, m)
+    gauge = body.gauge(t[:, np.newaxis] * sigma)
+    if moll is None:
+        integrand = (np.abs(remainder) > par) * par ** p * gauge ** (-(2 + m * p))
+    else:
+        integrand = np.abs(remainder) ** p * gauge ** (-m * p) * moll.evaluate(gauge)
+    reference = integrand * t / law.pdf(t, aux)  # t^(N-1) with N = 2
+    assert np.count_nonzero(payoff) > 100
+    np.testing.assert_allclose(payoff, reference, rtol=1e-12, atol=0.0)
+
+
+def test_fractional_profile_at_small_index_is_finite():
+    # gauge radii reach ~1e-252 here: (t g)^-mp overflows where the remainder is 0
+    eps = 0.00625
+    spec = FunctionalSpec("bbm_centered", make_function("poly_bump", 1), INTERVAL, 1, 2.0,
+                          eps, make_mollifier("fractional", 1, eps, 2.0))
+    est = evaluate(spec, IntegrationPlan.quadrature(x_nodes=200, t_nodes=48))
+    assert math.isfinite(est.value)
