@@ -198,9 +198,12 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if job["theorem"].startswith("bbm") and moll_kind is None:
             raise ConfigError(f"{label}: mollified functionals require a mollifier block")
         sched_raw = job["schedule"]
-        schedule = Schedule(start=sched_raw["start"], ratio=sched_raw.get("ratio", 0.5),
-                            points=sched_raw.get("points", 7),
-                            fit_points=sched_raw.get("fit_points"))
+        try:
+            schedule = Schedule(start=sched_raw["start"], ratio=sched_raw.get("ratio", 0.5),
+                                points=sched_raw.get("points", 7),
+                                fit_points=sched_raw.get("fit_points"))
+        except ValueError as exc:
+            raise ConfigError(f"{label}: invalid schedule: {exc}") from exc
         # decorrelate jobs while keeping runs reproducible for fixed config
         job_seed = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
         plan = _build_plan(plan_raw, job_seed, workers)

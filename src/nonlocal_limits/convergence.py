@@ -38,6 +38,9 @@ class Schedule:
             raise ValueError("schedule ratio must be in (0, 1)")
         if self.points < 4:
             raise ValueError("schedule needs at least 4 points")
+        if self.fit_points is not None and self.fit_points > self.points:
+            raise ValueError(f"fit_points {self.fit_points} exceeds the "
+                             f"{self.points} schedule points")
 
     def values(self) -> list[float]:
         return [self.start * self.ratio ** i for i in range(self.points)]

@@ -30,8 +30,8 @@ from .bodies import ConvexBody, sample_in_body
 from .calculus import (centered_remainder, direction_bound, directional_m_form,
                        m_form_tableau, multi_indices, taylor_remainder)
 from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw,
-                     body_quadrature_nodes, integrate_double, sphere_measure,
-                     tensor_grid)
+                     accumulate, body_quadrature_nodes, integrate_double, outer_points,
+                     sphere_measure, tensor_grid)
 from .functions import TestFunction
 from .mollifiers import MollifierFamily, ensure_certified
 
@@ -194,7 +194,7 @@ def _evaluate_level_set(spec: FunctionalSpec, plan: IntegrationPlan) -> Integral
         return out
 
     law = PowerLaw(-(1.0 + m * p), _directional_cutoff(spec), t_max)
-    est = integrate_double(kernel, plan.with_box(box_radius), body.dim, law)
+    est = integrate_double(kernel, plan.with_box(box_radius), body.dim, law, f.proposal)
     est.info.update(_level_set_tail_bounds(spec, box_radius, t_max, t_min))
     est.info["radial_bounds"] = (t_min, t_max)
     return est
@@ -230,7 +230,7 @@ def _evaluate_mollified(spec: FunctionalSpec, plan: IntegrationPlan) -> Integral
         return out
 
     law = MollifierRadial(moll, body.gauge, mass_floor=MASS_FLOOR)
-    est = integrate_double(kernel, plan.with_box(box_radius), body.dim, law)
+    est = integrate_double(kernel, plan.with_box(box_radius), body.dim, law, f.proposal)
     a = 1.0 / body.outer_radius
     floor_bias = (MASS_FLOOR * (2.0 * box_radius) ** body.dim * sphere_measure(body.dim)
                   * f.m_form_bound(m) ** p * m ** (-mp) * a ** (-(mp + body.dim)))
@@ -289,27 +289,25 @@ def shared_local_integral(f: TestFunction, body: ConvexBody, m: int, p: float,
     ``mc`` Monte Carlo plan for other bodies or for statistical cross-checks.
     """
     if mc is not None:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((mc.seed, 1))))
-        n = mc.samples
-        if n <= 0:
+        if mc.samples <= 0:
             raise ValueError("empty plan: samples must be positive")
-        half = f.support_radius
-        box_vol = (2.0 * half) ** f.dim
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((mc.seed, 1))))
         vol = body.volume
-        xs = rng.uniform(-half, half, size=(n, f.dim))
-        if vol is not None:
-            ys = sample_in_body(body, rng, n)
-            scale = box_vol * vol
-            vals = scale * np.abs(directional_m_form(f, xs, ys, m)) ** p
-        else:
-            bound = body.outer_radius
-            ys = rng.uniform(-bound, bound, size=(n, f.dim))
-            scale = box_vol * (2.0 * bound) ** f.dim
-            vals = (scale * np.abs(directional_m_form(f, xs, ys, m)) ** p
-                    * body.contains(ys))
-        return IntegralEstimate(float(vals.mean()),
-                                float(vals.std(ddof=1) / math.sqrt(n)),
-                                info={"method": "monte_carlo", "samples": n})
+        bound = body.outer_radius
+
+        def chunk(n: int, done: int) -> np.ndarray:
+            xs, wx = outer_points(rng, n, f.dim, f.support_radius, f.proposal, 1.0)
+            if vol is not None:
+                ys = sample_in_body(body, rng, n)
+                wy = vol
+            else:
+                ys = rng.uniform(-bound, bound, size=(n, f.dim))
+                wy = (2.0 * bound) ** f.dim * body.contains(ys)
+            return wx * wy * np.abs(directional_m_form(f, xs, ys, m)) ** p
+
+        acc = accumulate(mc.samples, chunk)
+        return IntegralEstimate(acc.mean, acc.stderr,
+                                info={"method": "monte_carlo", "samples": mc.samples})
     nodes = outer_nodes if outer_nodes is not None else _OUTER_NODES_DEFAULT[f.dim]
     if body_radial is None:
         body_radial = 32 if body.dim <= 2 else 12

@@ -1,8 +1,9 @@
 """Registry of smooth test functions with exact analytic partial derivatives.
 
 Every registered function is a tensor product of 1-D profiles, so an arbitrary
-partial derivative factors into exact 1-D derivatives.  Functions are vectorized
-over point batches of shape ``(..., dim)``.
+partial derivative factors into exact 1-D derivatives, and the Monte Carlo
+proposal for the outer point factors into per-axis laws.  Functions are
+vectorized over point batches of shape ``(..., dim)``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ class Profile1D:
     def derivative(self, k: int, u: Array) -> Array:
         raise NotImplementedError
 
+    def proposal(self) -> UniformAxis | None:
+        """Sampling law for this axis of the outer point: uniform on the support."""
+        return UniformAxis(self.support) if self.support is not None else None
+
     def sup_derivative(self, k: int) -> float:
         """Upper bound for sup |d^k profile| over the support.
 
@@ -63,8 +68,13 @@ class GaussianProfile(Profile1D):
     support = None
     bound_range = 8.0
 
+    def proposal(self) -> NormalAxis:
+        return NormalAxis()
+
     def derivative(self, k: int, u: Array) -> Array:
         u = np.asarray(u, dtype=float)
+        if k == 0:
+            return np.exp(-u * u)
         h_prev = np.zeros_like(u)
         h = np.ones_like(u)
         for j in range(k):
@@ -198,6 +208,65 @@ class ProductProfile(Profile1D):
 
 
 # ---------------------------------------------------------------------------
+# Outer-point proposals
+# ---------------------------------------------------------------------------
+
+class NormalAxis:
+    """Standard normal law on one axis (Gaussian profiles)."""
+
+    def sample(self, rng: np.random.Generator, n: int) -> Array:
+        return rng.standard_normal(n)
+
+
+class UniformAxis:
+    """Uniform law on [-half, half] (compactly supported profiles)."""
+
+    def __init__(self, half: float):
+        self.half = float(half)
+
+    def sample(self, rng: np.random.Generator, n: int) -> Array:
+        return rng.uniform(-self.half, self.half, size=n)
+
+
+class OuterProposal:
+    """Product of per-axis laws, concentrated where the test function varies.
+
+    The engine draws most outer points x from it and mixes in the uniform
+    truncation box (see ``engine.outer_points``).
+    """
+
+    def __init__(self, axes):
+        self.axes = tuple(axes)
+        self.dim = len(self.axes)
+        self._normal = [i for i, a in enumerate(self.axes) if isinstance(a, NormalAxis)]
+        self._uniform = [(i, a.half) for i, a in enumerate(self.axes)
+                         if isinstance(a, UniformAxis)]
+        self._peak = ((2.0 * math.pi) ** (-0.5 * len(self._normal))
+                      * math.prod(0.5 / half for _, half in self._uniform))
+
+    def sample(self, rng: np.random.Generator, n: int) -> Array:
+        out = np.empty((n, self.dim))
+        for i, axis in enumerate(self.axes):
+            out[:, i] = axis.sample(rng, n)
+        return out
+
+    def pdf(self, x: Array) -> Array:
+        """Density at the rows of x; one exponential covers all normal axes."""
+        if self._normal:
+            quad = x[:, self._normal[0]] * x[:, self._normal[0]]
+            for i in self._normal[1:]:
+                quad += x[:, i] * x[:, i]
+            quad *= -0.5
+            dens = np.exp(quad, out=quad)
+            dens *= self._peak
+        else:
+            dens = np.full(x.shape[0], self._peak)
+        for i, half in self._uniform:
+            dens *= np.abs(x[:, i]) <= half
+        return dens
+
+
+# ---------------------------------------------------------------------------
 # Tensor-product test functions
 # ---------------------------------------------------------------------------
 
@@ -212,6 +281,10 @@ class TestFunction:
     integrable : bool
         False for polynomial registry entries, which exist only for algebraic
         identity tests and are rejected by the functional evaluators.
+    proposal : OuterProposal | None
+        Law for the outer point of Monte Carlo pair integrals, built from the
+        profiles' own axis laws; None when some profile has none, in which
+        case outer points stay uniform on the truncation box.
     """
 
     def __init__(self, name: str, profiles: list[Profile1D], support_radius: float,
@@ -224,6 +297,8 @@ class TestFunction:
         self.tail_tol = tail_tol
         self.smoothness_order = smoothness_order
         self.integrable = integrable
+        axes = [prof.proposal() for prof in profiles]
+        self.proposal = None if None in axes else OuterProposal(axes)
         self._bound_cache: dict[int, float] = {}
         self._sup_cache: dict[tuple[int, ...], float] = {}
 
@@ -232,9 +307,9 @@ class TestFunction:
 
     def eval(self, x) -> Array:
         pts = as_points(x, self.dim)
-        out = np.ones(pts.shape[:-1])
-        for i, prof in enumerate(self.profiles):
-            out = out * prof.value(pts[..., i])
+        out = self.profiles[0].value(pts[..., 0])
+        for i in range(1, self.dim):
+            out = out * self.profiles[i].value(pts[..., i])
         return out
 
     def partial(self, alpha, x) -> Array:
@@ -246,9 +321,9 @@ class TestFunction:
             raise ValueError(f"derivative order {sum(alpha)} exceeds "
                              f"smoothness_order {self.smoothness_order}")
         pts = as_points(x, self.dim)
-        out = np.ones(pts.shape[:-1])
-        for i, prof in enumerate(self.profiles):
-            out = out * prof.derivative(alpha[i], pts[..., i])
+        out = self.profiles[0].derivative(alpha[0], pts[..., 0])
+        for i in range(1, self.dim):
+            out = out * self.profiles[i].derivative(alpha[i], pts[..., i])
         return out
 
     def sup_partial(self, alpha) -> float:

@@ -24,6 +24,41 @@ def test_gauge_examples():
     assert ConvexBody.lp_ball(1.0, 1.0, 2).gauge([0.5, 0.5]) == pytest.approx(1.0)
 
 
+def _axis_reduction_gauge(body, pts):
+    # the gauge formulas as axis reductions, the reference for the column loops
+    if body.kind == "box":
+        return np.max(np.abs(pts) / np.asarray(body.params), axis=-1)
+    if body.kind == "ellipsoid":
+        return np.sqrt(np.sum((pts / np.asarray(body.params)) ** 2, axis=-1))
+    if body.kind == "lp_ball":
+        q, radius = body.params
+        return np.sum(np.abs(pts) ** q, axis=-1) ** (1.0 / q) / radius
+    nm = np.asarray(body._normals)
+    return np.max((pts @ nm.T) / np.asarray(body._offsets), axis=-1)
+
+
+@pytest.mark.parametrize("body", [
+    ConvexBody.box([1.0]), ConvexBody.box([1.0, 0.5]), ConvexBody.box([1.0, 0.5, 2.0]),
+    ConvexBody.ellipsoid([0.7]), ConvexBody.ellipsoid([2.0, 1.0]),
+    ConvexBody.ellipsoid([2.0, 1.0, 0.3]),
+    ConvexBody.lp_ball(3.0, 1.0, 1), ConvexBody.lp_ball(4.0, 1.0, 2),
+    ConvexBody.lp_ball(1.5, 2.0, 3),
+    ConvexBody.polytope([[1.0], [-1.0]], [0.5, 0.5]),
+    ConvexBody.polytope([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.8660254037844386],
+                         [-0.5, -0.8660254037844386], [-0.5, 0.8660254037844386],
+                         [0.5, -0.8660254037844386]], [1.0] * 6),
+    ConvexBody.polytope([[1, 1, 1], [-1, -1, -1], [1, 0, 0], [-1, 0, 0],
+                         [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [2, 2, 1, 1, 1, 1, 1, 1]),
+], ids=lambda b: f"{b.kind}-{b.dim}d")
+def test_gauge_column_loop_is_bitwise_the_axis_reduction(body, rng):
+    for shape in ((5000, body.dim), (7, 3, body.dim)):
+        pts = rng.normal(size=shape) * 2.0
+        got = body.gauge(pts)
+        ref = _axis_reduction_gauge(body, pts)
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 def test_gauge_zero_only_at_origin(rng):
     for body in BODIES:
         assert body.gauge(np.zeros(2)) == 0.0

@@ -90,6 +90,40 @@ def test_centered_remainder_small_orders(rng):
     assert r2 == pytest.approx(expected, abs=1e-15)
 
 
+def _node_formula_remainder(f, x, y, m):
+    # every node from ((m - j) x + j y) / m, the reference for the end-node shortcut
+    out = 0.0
+    for j in range(m + 1):
+        out = out + (-1.0) ** j * math.comb(m, j) * f.eval(((m - j) * x + j * y) / m)
+    return out
+
+
+@pytest.mark.parametrize("name,dim", [("gaussian", 1), ("gaussian", 2), ("sine_bump", 2)])
+def test_centered_remainder_end_nodes(rng, name, dim):
+    f = make_function(name, dim)
+    x = rng.uniform(-2.5, 2.5, size=(3000, dim))
+    y = x + rng.normal(size=(3000, dim))
+    for m in (1, 2, 4):
+        got = calculus.centered_remainder(f, x, y, m)
+        ref = _node_formula_remainder(f, x, y, m)
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    # m = 3: the end nodes are now exact, so only rounding separates the two
+    np.testing.assert_allclose(calculus.centered_remainder(f, x, y, 3),
+                               _node_formula_remainder(f, x, y, 3), rtol=0, atol=1e-14)
+
+
+def test_monomial_is_bitwise_the_ones_seeded_product(rng):
+    y = rng.normal(size=(500, 3))
+    for order in range(4):
+        for alpha in calculus.multi_indices(3, order):
+            reference = np.ones(y.shape[:-1])
+            for i, a in enumerate(alpha):
+                if a:
+                    reference = reference * y[..., i] ** a
+            got = calculus.monomial(y, alpha)
+            np.testing.assert_array_equal(got.view(np.uint64), reference.view(np.uint64))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4),
        st.lists(st.floats(-2, 2), min_size=2, max_size=2),

@@ -128,7 +128,8 @@ def test_parse_config_requires_mollifier_for_bbm():
      "plan": {"method": "tensor_quadrature"}},
     {"plan": {"method": "monte_carlo", "samples": 20000, "outer_box_radius": 1.0}},
     {"body": {"kind": "polytope", "normals": [[1, 0], [-1, 0]], "offsets": [1, 1]}},
-], ids=["quadrature-2d", "box-below-support", "unbounded-polytope"])
+    {"schedule": {"start": 0.2, "ratio": 0.5, "points": 4, "fit_points": 9}},
+], ids=["quadrature-2d", "box-below-support", "unbounded-polytope", "fit-points-above-points"])
 def test_run_rejects_semantically_bad_config(tmp_path, capsys, job_update):
     cfg = base_config()
     cfg["jobs"][0].update(job_update)

@@ -58,6 +58,8 @@ def test_schedule_validation():
         Schedule(start=0.1, ratio=1.5)
     with pytest.raises(ValueError):
         Schedule(start=0.1, points=3)
+    with pytest.raises(ValueError, match="fit_points"):
+        Schedule(start=0.1, points=4, fit_points=9)
     vals = Schedule(start=0.4, ratio=0.5, points=4).values()
     assert vals == pytest.approx([0.4, 0.2, 0.1, 0.05])
     assert all(a > b for a, b in zip(vals, vals[1:]))

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from nonlocal_limits import engine
 from nonlocal_limits.bodies import ConvexBody
-from nonlocal_limits.engine import (EngineError, IntegrationPlan, MollifierRadial,
-                                    PowerLaw, integrate_body, integrate_double,
+from nonlocal_limits.engine import (PROPOSAL_SHARE, EngineError, IntegrationPlan,
+                                    MollifierRadial, PowerLaw, integrate_body,
+                                    integrate_double, outer_points,
                                     sphere_body_identity_check, sphere_constant,
                                     sphere_quadrature)
+from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import make_mollifier
+
+GAUSS2_PROPOSAL = make_function("gaussian", 2).proposal
 
 
 def ones_kernel(x, sigma, t):
@@ -179,3 +184,129 @@ def test_sphere_body_identity_examples():
     assert lhs == pytest.approx(math.pi, rel=1e-9) and gap <= 1e-3
     lhs, rhs, gap = sphere_body_identity_check(lambda s: np.zeros(s.shape[:-1]), ConvexBody.ball(1.0, 2), 1, 2.0)
     assert (lhs, rhs, gap) == (0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# defensive-mixture proposal for the outer point
+# ---------------------------------------------------------------------------
+
+# payoff (1 + x0^2) over the law's shape t^-2 on the box [-2, 2]^2: most of the
+# integrand sits where the N(0, 1) proposal is thin, and 4.6% of proposal
+# coordinates land outside the box
+MIXTURE_LAW = PowerLaw(-2.0, 0.5, 4.0)
+MIXTURE_TRUTH = (112.0 / 3.0) * 2.0 * math.pi * (1.0 / 0.5 - 1.0 / 4.0)
+
+
+def mixture_kernel(x, sigma, t):
+    return 1.0 + x[:, 0] ** 2
+
+
+def _repeated_z(samples, workers, reps, seed0):
+    values = []
+    for rep in range(reps):
+        plan = IntegrationPlan.monte_carlo(samples=samples, seed=seed0 + rep, workers=workers,
+                                           outer_box_radius=2.0, stratification=1)
+        values.append(integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW,
+                                       GAUSS2_PROPOSAL).value)
+    values = np.asarray(values)
+    return abs(values.mean() - MIXTURE_TRUTH) / (values.std(ddof=1) / math.sqrt(reps))
+
+
+def test_mixture_unbiased_over_repetitions():
+    assert _repeated_z(2_000, 1, 50, 3000) <= 2.576
+
+
+def test_mixture_unbiased_for_odd_shard_sizes():
+    # shards of 3, 2 and 2 rows draw 2, 1 and 1 proposal rows: only the
+    # realised shares 2/3 and 1/2 keep these estimates unbiased (a fixed 0.8
+    # is off by about a quarter of the truth here)
+    assert _repeated_z(7, 3, 600, 5000) <= 2.576
+
+
+@pytest.mark.parametrize("n", [2, 7, 1001, 32768])
+def test_mixture_weights_bounded_and_exact(n):
+    rng = np.random.default_rng(n)
+    radius, mass = 8.5, 2.0 * math.pi
+    x, w = outer_points(rng, n, 2, radius, GAUSS2_PROPOSAL, mass)
+    k = min(round(PROPOSAL_SHARE * n), n - 1)
+    uniform = mass * (2.0 * radius) ** 2
+    assert x.shape == (n, 2) and np.all(np.abs(x) <= radius)
+    assert np.all(w > 0.0)
+    # the box share n - k caps every weight at n / (n - k) uniform weights
+    assert np.all(w <= uniform * n / (n - k) * (1.0 + 1e-12))
+    if n >= 1000:
+        assert w.max() <= 5.01 * uniform
+    q = k / n * GAUSS2_PROPOSAL.pdf(x) + (1.0 - k / n) / (2.0 * radius) ** 2
+    np.testing.assert_allclose(w, mass / q, rtol=1e-15)
+
+
+def test_single_row_chunk_is_a_box_row():
+    x, w = outer_points(np.random.default_rng(1), 1, 2, 8.5, GAUSS2_PROPOSAL, 1.0)
+    assert x.shape == (1, 2) and w == 17.0 ** 2
+
+
+def test_out_of_box_proposal_draw_gets_zero_weight():
+    rng = np.random.default_rng(4)
+    n, radius = 4000, 0.5
+    x, w = outer_points(rng, n, 2, radius, GAUSS2_PROPOSAL, 1.0)
+    k = round(PROPOSAL_SHARE * n)
+    outside = np.any(np.abs(x) > radius, axis=1)
+    assert outside[:k].sum() > 1000 and not outside[k:].any()
+    assert np.all(w[outside] == 0.0) and np.all(w[~outside] > 0.0)
+
+
+def test_no_proposal_keeps_the_uniform_box():
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    x, w = outer_points(rng_a, 100, 2, 3.0, None, 2.0)
+    np.testing.assert_array_equal(x, rng_b.uniform(-3.0, 3.0, size=(100, 2)))
+    assert w == 2.0 * 36.0
+
+
+def test_stratified_uniform_is_bitwise_the_modular_index(rng):
+    for strata, offset, n in ((16, 0, 1000), (16, 32768 + 5, 777), (7, 3, 50), (1, 0, 9)):
+        got = engine._stratified_uniform(np.random.default_rng(1), n, strata, offset)
+        u = np.random.default_rng(1).random(n)
+        if strata > 1:
+            idx = (np.arange(offset, offset + n) % strata).astype(float)
+            u = (idx + u) / strata
+        np.testing.assert_array_equal(got.view(np.uint64), u.view(np.uint64))
+
+
+def test_two_dimensional_directions_are_unit_and_uniform():
+    sigma = engine._sample_sphere(np.random.default_rng(8), 200_000, 2)
+    np.testing.assert_allclose(np.hypot(sigma[:, 0], sigma[:, 1]), 1.0, rtol=0, atol=2e-16)
+    counts, _ = np.histogram(np.arctan2(sigma[:, 1], sigma[:, 0]), bins=8,
+                             range=(-math.pi, math.pi))
+    assert np.all(np.abs(counts / 25_000 - 1.0) < 0.03)
+
+
+class _RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records the request, runs serially."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_threads_capped_at_cpu_count(monkeypatch):
+    plan = IntegrationPlan.monte_carlo(samples=5_000, seed=9, workers=6, outer_box_radius=2.0)
+    reference = integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    _RecordingExecutor.requested = []
+    capped = integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+    assert _RecordingExecutor.requested == [2]
+    assert (capped.value, capped.stderr) == (reference.value, reference.stderr)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+    integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+    assert _RecordingExecutor.requested == [2, 1]

@@ -311,7 +311,7 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     moll = make_mollifier("shell", 2, par) if theorem.startswith("bbm") else None
     captured = {}
 
-    def capture(kernel, plan, dim, law):
+    def capture(kernel, plan, dim, law, proposal):
         captured.update(kernel=kernel, law=law)
         return IntegralEstimate(0.0, 0.0)
 

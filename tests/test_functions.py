@@ -5,7 +5,8 @@ import pytest
 
 from conftest import fd_partial
 from nonlocal_limits.calculus import multi_indices
-from nonlocal_limits.functions import list_functions, make_function, polynomial_function
+from nonlocal_limits.functions import (GaussianProfile, NormalAxis, UniformAxis, list_functions,
+                                       make_function, polynomial_function)
 
 SMOOTH = [("gaussian", 1), ("gaussian", 2), ("poly_bump", 1), ("poly_bump", 2),
           ("sine_bump", 1), ("exp_bump", 1)]
@@ -16,6 +17,46 @@ def test_zero_multi_index_is_eval(rng):
         f = make_function(name, dim)
         x = rng.uniform(-2, 2, size=(16, dim))
         np.testing.assert_allclose(f.partial((0,) * dim, x), f.eval(x), rtol=0, atol=0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_gaussian_value_is_bitwise_the_hermite_formula(rng):
+    u = rng.normal(size=4000) * 3.0
+    h = np.ones_like(u)  # Hermite polynomial of order 0
+    reference = (-1.0) ** 0 * h * np.exp(-u * u)
+    np.testing.assert_array_equal(_bits(GaussianProfile().derivative(0, u)), _bits(reference))
+
+
+def test_product_over_axes_is_bitwise_the_ones_seeded_product(rng):
+    for name, dim in SMOOTH:
+        f = make_function(name, dim)
+        x = rng.uniform(-2.5, 2.5, size=(300, dim))
+        for alpha in [(0,) * dim] + list(multi_indices(dim, 2)):
+            reference = np.ones(x.shape[:-1])
+            for i, prof in enumerate(f.profiles):
+                reference = reference * prof.derivative(alpha[i], x[..., i])
+            np.testing.assert_array_equal(_bits(f.partial(alpha, x)), _bits(reference))
+        np.testing.assert_array_equal(_bits(f.eval(x)), _bits(f.partial((0,) * dim, x)))
+
+
+def test_proposals_follow_the_profiles(rng):
+    gauss = make_function("gaussian", 2).proposal
+    assert all(isinstance(a, NormalAxis) for a in gauss.axes)
+    bump = make_function("poly_bump", 2).proposal
+    assert all(isinstance(a, UniformAxis) and a.half == 2.0 for a in bump.axes)
+    assert make_function("quadratic", 2).proposal is None
+    # densities match the closed forms
+    x = rng.uniform(-3.0, 3.0, size=(200, 2))
+    np.testing.assert_allclose(gauss.pdf(x), np.exp(-0.5 * (x ** 2).sum(axis=1)) / (2 * math.pi),
+                               rtol=1e-14)
+    np.testing.assert_array_equal(bump.pdf(x), np.all(np.abs(x) <= 2.0, axis=1) / 16.0)
+    draws = gauss.sample(rng, 200_000)
+    assert draws.shape == (200_000, 2)
+    assert np.abs(draws.mean(axis=0)).max() < 0.01 and np.abs(draws.var(axis=0) - 1).max() < 0.02
+    assert np.abs(bump.sample(rng, 1000)).max() <= 2.0
 
 
 def test_partials_match_finite_differences(rng):
