@@ -50,11 +50,11 @@ def multinomial(m: int, alpha) -> float:
 
 def monomial(y: Array, alpha) -> Array:
     """y^alpha over the last axis of a point batch."""
-    mono = None
+    mono = np.ones(y.shape[:-1])
     for i, a in enumerate(alpha):
         if a:
-            mono = y[..., i] ** a if mono is None else mono * y[..., i] ** a
-    return np.ones(y.shape[:-1]) if mono is None else mono
+            mono = mono * y[..., i] ** a
+    return mono
 
 
 def directional_m_form(f: TestFunction, x, y, m: int) -> Array:

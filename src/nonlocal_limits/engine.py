@@ -255,13 +255,6 @@ def outer_points(rng: np.random.Generator, n: int, dim: int, radius: float,
 def _sample_sphere(rng: np.random.Generator, n: int, dim: int) -> Array:
     if dim == 1:
         return (rng.integers(0, 2, size=(n, 1)) * 2 - 1).astype(float)
-    if dim == 2:
-        angle = rng.random(n)
-        angle *= 2.0 * math.pi
-        out = np.empty((n, 2))
-        np.cos(angle, out=out[:, 0])
-        np.sin(angle, out=out[:, 1])
-        return out
     vec = rng.normal(size=(n, dim))
     norms = np.linalg.norm(vec, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -271,8 +264,7 @@ def _sample_sphere(rng: np.random.Generator, n: int, dim: int) -> Array:
 def _stratified_uniform(rng: np.random.Generator, n: int, strata: int, offset: int) -> Array:
     if strata <= 1:
         return rng.random(n)
-    start = offset % strata
-    idx = np.tile(np.arange(strata, dtype=float), (start + n) // strata + 1)[start:start + n]
+    idx = (np.arange(offset, offset + n) % strata).astype(float)
     return (idx + rng.random(n)) / strata
 
 

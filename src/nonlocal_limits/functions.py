@@ -15,6 +15,9 @@ import numpy as np
 
 Array = np.ndarray
 
+#: ``Profile1D.proposal`` value of an axis whose outer-point law is N(0, 1)
+NORMAL = "normal"
+
 
 def as_points(x, dim: int) -> Array:
     """Coerce ``x`` to a float array whose last axis has length ``dim``.
@@ -47,9 +50,10 @@ class Profile1D:
     def derivative(self, k: int, u: Array) -> Array:
         raise NotImplementedError
 
-    def proposal(self) -> UniformAxis | None:
-        """Sampling law for this axis of the outer point: uniform on the support."""
-        return UniformAxis(self.support) if self.support is not None else None
+    def proposal(self) -> float | str | None:
+        """Outer-point law for this axis: the half-width of a uniform law on the
+        support, ``NORMAL`` for N(0, 1), or None when there is none."""
+        return self.support
 
     def sup_derivative(self, k: int) -> float:
         """Upper bound for sup |d^k profile| over the support.
@@ -68,8 +72,8 @@ class GaussianProfile(Profile1D):
     support = None
     bound_range = 8.0
 
-    def proposal(self) -> NormalAxis:
-        return NormalAxis()
+    def proposal(self) -> str:
+        return NORMAL
 
     def derivative(self, k: int, u: Array) -> Array:
         u = np.asarray(u, dtype=float)
@@ -211,23 +215,6 @@ class ProductProfile(Profile1D):
 # Outer-point proposals
 # ---------------------------------------------------------------------------
 
-class NormalAxis:
-    """Standard normal law on one axis (Gaussian profiles)."""
-
-    def sample(self, rng: np.random.Generator, n: int) -> Array:
-        return rng.standard_normal(n)
-
-
-class UniformAxis:
-    """Uniform law on [-half, half] (compactly supported profiles)."""
-
-    def __init__(self, half: float):
-        self.half = float(half)
-
-    def sample(self, rng: np.random.Generator, n: int) -> Array:
-        return rng.uniform(-self.half, self.half, size=n)
-
-
 class OuterProposal:
     """Product of per-axis laws, concentrated where the test function varies.
 
@@ -236,18 +223,18 @@ class OuterProposal:
     """
 
     def __init__(self, axes):
+        """``axes``: per-axis ``Profile1D.proposal`` values, none of them None."""
         self.axes = tuple(axes)
         self.dim = len(self.axes)
-        self._normal = [i for i, a in enumerate(self.axes) if isinstance(a, NormalAxis)]
-        self._uniform = [(i, a.half) for i, a in enumerate(self.axes)
-                         if isinstance(a, UniformAxis)]
+        self._normal = [i for i, a in enumerate(self.axes) if a == NORMAL]
+        self._uniform = [(i, float(a)) for i, a in enumerate(self.axes) if a != NORMAL]
         self._peak = ((2.0 * math.pi) ** (-0.5 * len(self._normal))
                       * math.prod(0.5 / half for _, half in self._uniform))
 
     def sample(self, rng: np.random.Generator, n: int) -> Array:
         out = np.empty((n, self.dim))
         for i, axis in enumerate(self.axes):
-            out[:, i] = axis.sample(rng, n)
+            out[:, i] = rng.standard_normal(n) if axis == NORMAL else rng.uniform(-axis, axis, n)
         return out
 
     def pdf(self, x: Array) -> Array:
@@ -307,9 +294,9 @@ class TestFunction:
 
     def eval(self, x) -> Array:
         pts = as_points(x, self.dim)
-        out = self.profiles[0].value(pts[..., 0])
-        for i in range(1, self.dim):
-            out = out * self.profiles[i].value(pts[..., i])
+        out = np.ones(pts.shape[:-1])
+        for i, prof in enumerate(self.profiles):
+            out = out * prof.value(pts[..., i])
         return out
 
     def partial(self, alpha, x) -> Array:
@@ -321,9 +308,9 @@ class TestFunction:
             raise ValueError(f"derivative order {sum(alpha)} exceeds "
                              f"smoothness_order {self.smoothness_order}")
         pts = as_points(x, self.dim)
-        out = self.profiles[0].derivative(alpha[0], pts[..., 0])
-        for i in range(1, self.dim):
-            out = out * self.profiles[i].derivative(alpha[i], pts[..., i])
+        out = np.ones(pts.shape[:-1])
+        for i, prof in enumerate(self.profiles):
+            out = out * prof.derivative(alpha[i], pts[..., i])
         return out
 
     def sup_partial(self, alpha) -> float:

@@ -112,18 +112,6 @@ def test_centered_remainder_end_nodes(rng, name, dim):
                                _node_formula_remainder(f, x, y, 3), rtol=0, atol=1e-14)
 
 
-def test_monomial_is_bitwise_the_ones_seeded_product(rng):
-    y = rng.normal(size=(500, 3))
-    for order in range(4):
-        for alpha in calculus.multi_indices(3, order):
-            reference = np.ones(y.shape[:-1])
-            for i, a in enumerate(alpha):
-                if a:
-                    reference = reference * y[..., i] ** a
-            got = calculus.monomial(y, alpha)
-            np.testing.assert_array_equal(got.view(np.uint64), reference.view(np.uint64))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4),
        st.lists(st.floats(-2, 2), min_size=2, max_size=2),

@@ -262,24 +262,6 @@ def test_no_proposal_keeps_the_uniform_box():
     assert w == 2.0 * 36.0
 
 
-def test_stratified_uniform_is_bitwise_the_modular_index(rng):
-    for strata, offset, n in ((16, 0, 1000), (16, 32768 + 5, 777), (7, 3, 50), (1, 0, 9)):
-        got = engine._stratified_uniform(np.random.default_rng(1), n, strata, offset)
-        u = np.random.default_rng(1).random(n)
-        if strata > 1:
-            idx = (np.arange(offset, offset + n) % strata).astype(float)
-            u = (idx + u) / strata
-        np.testing.assert_array_equal(got.view(np.uint64), u.view(np.uint64))
-
-
-def test_two_dimensional_directions_are_unit_and_uniform():
-    sigma = engine._sample_sphere(np.random.default_rng(8), 200_000, 2)
-    np.testing.assert_allclose(np.hypot(sigma[:, 0], sigma[:, 1]), 1.0, rtol=0, atol=2e-16)
-    counts, _ = np.histogram(np.arctan2(sigma[:, 1], sigma[:, 0]), bins=8,
-                             range=(-math.pi, math.pi))
-    assert np.all(np.abs(counts / 25_000 - 1.0) < 0.03)
-
-
 class _RecordingExecutor:
     """Stands in for ThreadPoolExecutor: records the request, runs serially."""
 
