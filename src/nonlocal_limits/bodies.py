@@ -16,6 +16,7 @@ import numpy as np
 Array = np.ndarray
 
 #: body kinds with a tensor Gauss-Legendre rule (``engine.body_quadrature_nodes``)
+#: and an exact uniform sampler (``sample_in_body``)
 TENSOR_QUADRATURE_KINDS = ("ball", "box", "ellipsoid")
 
 _EUCLID_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi ** 2 / 2.0}
@@ -250,47 +251,40 @@ def equivalence_constants(body: ConvexBody, samples: int = 512,
     return a, b
 
 
-def sample_in_body(body: ConvexBody, rng: np.random.Generator, size: int,
-                   method: str = "auto") -> Array:
-    """Uniform points in K.
+def sample_in_body(body: ConvexBody, rng: np.random.Generator, size: int) -> Array:
+    """Uniform points in K, for the kinds with an exact sampler (ball, box, ellipsoid).
 
-    ``auto`` uses exact polar sampling for balls/ellipsoids and direct uniform
-    sampling for boxes; other kinds (or ``method='rejection'``) fall back to
-    rejection from the bounding box of half-width ``outer_radius``, whose
-    expected trial count per point is (2 outer_radius)^dim / vol(K).
+    Boxes are drawn directly, balls and ellipsoids in polar form.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
-    if method not in ("auto", "rejection"):
-        raise ValueError("method must be 'auto' or 'rejection'")
-    if method == "auto":
-        if body.kind == "box":
-            hw = np.asarray(body.params)
-            return rng.uniform(-1.0, 1.0, size=(size, body.dim)) * hw
-        if body.kind in ("ball", "ellipsoid"):
-            normals = rng.normal(size=(size, body.dim))
-            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-            radii = rng.random(size) ** (1.0 / body.dim)
-            unit = normals * radii[:, np.newaxis]
-            if body.kind == "ball":
-                return unit * body.params[0]
-            return unit * np.asarray(body.params)
-    out = np.empty((size, body.dim))
-    have = 0
+    if body.kind not in TENSOR_QUADRATURE_KINDS:
+        raise ValueError(f"no exact uniform sampler for body kind {body.kind!r}")
+    if body.kind == "box":
+        hw = np.asarray(body.params)
+        return rng.uniform(-1.0, 1.0, size=(size, body.dim)) * hw
+    normals = rng.normal(size=(size, body.dim))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    radii = rng.random(size) ** (1.0 / body.dim)
+    unit = normals * radii[:, np.newaxis]
+    if body.kind == "ball":
+        return unit * body.params[0]
+    return unit * np.asarray(body.params)
+
+
+def body_points(body: ConvexBody, rng: np.random.Generator,
+                n: int) -> tuple[Array, Array | float]:
+    """n points and weights w with mean(w f(y)) an unbiased estimate of the integral of f over K.
+
+    Ball, box and ellipsoid points are uniform in K with weight vol(K); other
+    kinds are uniform on the bounding box of half-width ``outer_radius``, with
+    weight vol(box) on the points inside K and 0 outside.
+    """
+    if body.kind in TENSOR_QUADRATURE_KINDS:
+        return sample_in_body(body, rng, n), body.volume
     half = body.outer_radius
-    max_rounds = 10000
-    for _ in range(max_rounds):
-        if have >= size:
-            break
-        n_draw = max(2 * (size - have), 64)
-        cand = rng.uniform(-half, half, size=(n_draw, body.dim))
-        keep = cand[body.contains(cand)]
-        take = min(size - have, keep.shape[0])
-        out[have:have + take] = keep[:take]
-        have += take
-    if have < size:
-        raise RuntimeError("rejection sampling failed to fill the request")
-    return out
+    pts = rng.uniform(-half, half, size=(n, body.dim))
+    return pts, (2.0 * half) ** body.dim * body.contains(pts)
 
 
 def zpm_norm(body: ConvexBody, coeffs, m: int, p: float, plan=None) -> float:

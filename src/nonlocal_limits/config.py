@@ -164,6 +164,11 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"config invalid at '{path}': {exc.message}") from exc
 
     overrides = overrides or {}
+    for key, value in overrides.items():
+        try:
+            jsonschema.validate(value, CONFIG_SCHEMA["properties"][key])
+        except jsonschema.ValidationError as exc:
+            raise ConfigError(f"override {key}={value!r} invalid: {exc.message}") from exc
     seed = overrides.get("seed", raw.get("seed", 0))
     workers = overrides.get("workers", raw.get("workers", 1))
     output = overrides.get("output", raw.get("output"))

@@ -148,34 +148,31 @@ def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
     local limit.
     """
     params = schedule.values()
-    points: list[SweepPoint] = []
-    infos = []
-    for value in params:
+
+    def spec_at(value: float) -> FunctionalSpec:
         moll = None
         if theorem.startswith("bbm"):
             kind = mollifier_kind or "shell"
-            moll = make_mollifier(kind, body.dim, value,
-                                  p if kind == "fractional" else None)
-        spec = FunctionalSpec(theorem, f, body, m, p, value, moll)
-        est = evaluate(spec, plan)
+            moll = make_mollifier(kind, body.dim, value, p if kind == "fractional" else None)
+        return FunctionalSpec(theorem, f, body, m, p, value, moll)
+
+    points: list[SweepPoint] = []
+    infos = []
+    for value in params:
+        est = evaluate(spec_at(value), plan)
         if not math.isfinite(est.value):
             raise RuntimeError(f"nonfinite sweep value at parameter {value}")
         points.append(SweepPoint(value, est.value, est.stderr))
         infos.append(est.info)
 
     if target is None:
-        moll0 = None
-        if theorem.startswith("bbm"):
-            kind = mollifier_kind or "shell"
-            moll0 = make_mollifier(kind, body.dim, params[0],
-                                   p if kind == "fractional" else None)
-        spec0 = FunctionalSpec(theorem, f, body, m, p, params[0], moll0)
         if body.kind in TENSOR_QUADRATURE_KINDS:
-            target = local_limit(spec0)
+            target = local_limit(spec_at(params[0]))
         else:
             # bodies without tensor quadrature: seeded Monte Carlo target
-            mc = IntegrationPlan.monte_carlo(samples=2_000_000, seed=plan.seed)
-            target = local_limit(spec0, mc=mc)
+            mc = IntegrationPlan.monte_carlo(samples=2_000_000, seed=plan.seed,
+                                             workers=plan.workers)
+            target = local_limit(spec_at(params[0]), mc=mc)
 
     limit, _, rate, rss = fit_power_law(params, [pt.value for pt in points],
                                         schedule.fit_points)

@@ -10,19 +10,21 @@ mass, so a law matched to the kernel's radial profile gives low variance and
 no density is evaluated on the hot path.
 
 Monte Carlo draws the outer point x from a defensive mixture (Hesterberg
-1995): in each chunk of n rows, k = round(0.8 n) rows (at most n - 1) come
+1995): in each block of n rows, k = round(0.8 n) rows (at most n - 1) come
 from the test function's own proposal p (standard normal per Gaussian axis,
 uniform on the support per compactly supported axis) and the rest are
 uniform on the box.  Each row is weighted by the sphere measure over the
-realised mixture density q = (k/n) p + (1 - k/n) / vol(box), so every chunk
+realised mixture density q = (k/n) p + (1 - k/n) / vol(box), so every block
 is exactly unbiased, and the uniform share caps each weight at n / (n - k),
 about 5, times the plain uniform weight.  Proposal rows outside the box get
 weight 0.  A function without a proposal keeps uniform x on the box.
 
-Monte Carlo runs are deterministic for a fixed (seed, worker count): shard i
-derives its stream from SeedSequence((seed, i)) and shard results merge in
-index order.  Threads are capped at the CPU count; that maps shards to
-threads and leaves every stream unchanged.
+Every Monte Carlo integral runs through ``monte_carlo``, which splits the
+samples into blocks of _CHUNK rows.  Block i draws from
+SeedSequence((seed, stream, i)), with one stream tag per kind of integral, and
+block results merge in index order (keyed per-block streams, Salmon et al.
+2011).  The numbers therefore depend on (seed, stream, samples) only; the
+worker count just sets how many threads run the blocks.
 """
 
 from __future__ import annotations
@@ -34,14 +36,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bodies import TENSOR_QUADRATURE_KINDS, ConvexBody, sample_in_body
+from .bodies import TENSOR_QUADRATURE_KINDS, ConvexBody, body_points
 
 Array = np.ndarray
 
 _CHUNK = 1 << 15
 
-#: share of each chunk's outer points drawn from the test function's proposal
+#: share of each block's outer points drawn from the test function's proposal
 PROPOSAL_SHARE = 0.8
+
+#: stream tags keeping the random numbers of the three kinds of integral apart
+PAIR_STREAM, BODY_STREAM, TARGET_STREAM = 0, 1, 2
 
 _SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -80,26 +85,27 @@ class PowerLaw:
         self._log = abs(self._s) < 1e-12
 
     def prepare(self, sigma: Array):
+        """The lower bound raised to exponent + 1 (the bound itself on the log branch)."""
         if callable(self.t_min):
-            lo = np.asarray(self.t_min(sigma), dtype=float)
-            return np.minimum(lo, 0.5 * self.t_max)
-        return float(self.t_min)
+            lo = np.minimum(np.asarray(self.t_min(sigma), dtype=float), 0.5 * self.t_max)
+        else:
+            lo = float(self.t_min)
+        return lo if self._log else lo ** self._s
 
-    def sample(self, v: Array, lo) -> Array:
+    def sample(self, v: Array, lo_s) -> Array:
         if self._log:
-            return lo * (self.t_max / lo) ** v
-        a_s = lo ** self._s
+            return lo_s * (self.t_max / lo_s) ** v
         b_s = self.t_max ** self._s
-        return (a_s + v * (b_s - a_s)) ** (1.0 / self._s)
+        return (lo_s + v * (b_s - lo_s)) ** (1.0 / self._s)
 
-    def mass(self, lo):
+    def mass(self, lo_s):
         """Integral of the shape t^exponent over [lo, t_max]."""
         if self._log:
-            return np.log(self.t_max / lo)
-        return (self.t_max ** self._s - lo ** self._s) / self._s
+            return np.log(self.t_max / lo_s)
+        return (self.t_max ** self._s - lo_s) / self._s
 
-    def pdf(self, t: Array, lo) -> Array:
-        return np.asarray(t, dtype=float) ** self.exponent / self.mass(lo)
+    def pdf(self, t: Array, lo_s) -> Array:
+        return np.asarray(t, dtype=float) ** self.exponent / self.mass(lo_s)
 
 
 class MollifierRadial:
@@ -183,7 +189,7 @@ class IntegralEstimate:
 
 
 class _Welford:
-    """Streaming mean/variance, mergeable across chunks and shards."""
+    """Streaming mean/variance, mergeable across blocks."""
 
     __slots__ = ("count", "mean", "m2")
 
@@ -219,15 +225,37 @@ class _Welford:
         return math.sqrt(self.m2 / (self.count - 1) / self.count)
 
 
-def accumulate(count: int, chunk) -> _Welford:
-    """Stream ``chunk(n, offset)`` batches of at most _CHUNK values into one accumulator."""
-    acc = _Welford()
-    done = 0
-    while done < count:
-        n = min(_CHUNK, count - done)
-        acc.add(chunk(n, done))
-        done += n
-    return acc
+def monte_carlo(plan: IntegrationPlan, stream: int, chunk) -> IntegralEstimate:
+    """Mean of the payoffs ``chunk(rng, n, offset)`` over ``plan.samples`` rows.
+
+    Block i covers rows [i _CHUNK, (i + 1) _CHUNK), cut at ``plan.samples``,
+    and ``chunk`` returns its payoffs from ``rng``, seeded by
+    SeedSequence((plan.seed, stream, i)); ``offset`` is the block's first row.
+    Blocks run on min(workers, blocks, cpu count) threads and merge in block
+    order, so the estimate is the same for every worker count.
+    """
+    if plan.samples <= 0:
+        raise ValueError("empty plan: samples must be positive")
+    offsets = range(0, plan.samples, _CHUNK)
+
+    def block(i: int) -> _Welford:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, stream, i))))
+        acc = _Welford()
+        acc.add(chunk(rng, min(_CHUNK, plan.samples - offsets[i]), offsets[i]))
+        return acc
+
+    threads = min(plan.workers, len(offsets), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(block, range(len(offsets))))
+    else:
+        blocks = map(block, range(len(offsets)))
+    total = _Welford()
+    for acc in blocks:
+        total.merge(acc)
+    return IntegralEstimate(total.mean, total.stderr,
+                            info={"method": "monte_carlo", "samples": plan.samples,
+                                  "workers": plan.workers})
 
 
 def outer_points(rng: np.random.Generator, n: int, dim: int, radius: float,
@@ -305,40 +333,19 @@ def integrate_double(kernel, plan: IntegrationPlan, dim: int, law,
         return _integrate_double_quadrature(kernel, plan, dim, law, box_radius)
     if plan.method != "monte_carlo":
         raise ValueError(f"unknown integration method {plan.method!r}")
-    if plan.samples <= 0:
-        raise ValueError("empty plan: samples must be positive")
     sphere = sphere_measure(dim)
 
-    def run_shard(shard: int, count: int) -> _Welford:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, shard))))
+    def chunk(rng: np.random.Generator, n: int, offset: int) -> Array:
+        x, weight = outer_points(rng, n, dim, box_radius, proposal, sphere)
+        sigma = _sample_sphere(rng, n, dim)
+        aux = law.prepare(sigma)
+        v = _stratified_uniform(rng, n, plan.stratification, offset)
+        t = law.sample(v, aux)
+        vals = kernel(x, sigma, t) * (law.mass(aux) * weight)
+        _check_finite(vals, x, sigma, t)
+        return vals
 
-        def chunk(n: int, done: int) -> Array:
-            x, weight = outer_points(rng, n, dim, box_radius, proposal, sphere)
-            sigma = _sample_sphere(rng, n, dim)
-            aux = law.prepare(sigma)
-            v = _stratified_uniform(rng, n, plan.stratification, done)
-            t = law.sample(v, aux)
-            vals = kernel(x, sigma, t) * (law.mass(aux) * weight)
-            _check_finite(vals, x, sigma, t)
-            return vals
-
-        return accumulate(count, chunk)
-
-    counts = [plan.samples // plan.workers + (1 if i < plan.samples % plan.workers else 0)
-              for i in range(plan.workers)]
-    counts = [c for c in counts if c > 0]
-    if len(counts) > 1:
-        threads = min(len(counts), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(run_shard, range(len(counts)), counts))
-    else:
-        shards = [run_shard(0, counts[0])]
-    total = _Welford()
-    for acc in shards:
-        total.merge(acc)
-    return IntegralEstimate(total.mean, total.stderr,
-                            info={"samples": plan.samples, "workers": plan.workers,
-                                  "method": "monte_carlo"})
+    return monte_carlo(plan, PAIR_STREAM, chunk)
 
 
 def _integrate_double_quadrature(kernel, plan, dim, law, box_radius):
@@ -409,9 +416,9 @@ def body_quadrature_nodes(body: ConvexBody, radial_nodes: int = 48,
 def integrate_body(f_inner, body: ConvexBody, plan: IntegrationPlan) -> IntegralEstimate:
     """Integral of ``f_inner`` over the body K.
 
-    Monte Carlo uses vol(K) * mean over uniform samples when the volume has a
-    closed form; polytopes use the unbiased bounding-box indicator estimator.
-    Quadrature maps tensor Gauss-Legendre grids onto ball/box/ellipsoid.
+    Monte Carlo averages ``f_inner`` at ``bodies.body_points`` times their
+    weights.  Quadrature maps tensor Gauss-Legendre grids onto
+    ball/box/ellipsoid.
     """
     if plan.method == "tensor_quadrature":
         pts, w = body_quadrature_nodes(body, radial_nodes=plan.x_nodes,
@@ -421,23 +428,12 @@ def integrate_body(f_inner, body: ConvexBody, plan: IntegrationPlan) -> Integral
                                 info={"method": "tensor_quadrature", "nodes": len(w)})
     if plan.method != "monte_carlo":
         raise ValueError(f"unknown integration method {plan.method!r}")
-    if plan.samples <= 0:
-        raise ValueError("empty plan: samples must be positive")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, 0))))
-    vol = body.volume
 
-    def chunk(n: int, done: int) -> Array:
-        if vol is not None:
-            pts = sample_in_body(body, rng, n)
-            return vol * np.asarray(f_inner(pts), dtype=float)
-        half = body.outer_radius
-        pts = rng.uniform(-half, half, size=(n, body.dim))
-        inside = body.contains(pts)
-        return (2.0 * half) ** body.dim * np.asarray(f_inner(pts), dtype=float) * inside
+    def chunk(rng: np.random.Generator, n: int, offset: int) -> Array:
+        pts, weight = body_points(body, rng, n)
+        return weight * np.asarray(f_inner(pts), dtype=float)
 
-    acc = accumulate(plan.samples, chunk)
-    return IntegralEstimate(acc.mean, acc.stderr,
-                            info={"method": "monte_carlo", "samples": plan.samples})
+    return monte_carlo(plan, BODY_STREAM, chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bodies import ConvexBody, sample_in_body
+from .bodies import ConvexBody, body_points
 from .calculus import (centered_remainder, direction_bound, directional_m_form,
                        m_form_tableau, multi_indices, taylor_remainder)
-from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw,
-                     accumulate, body_quadrature_nodes, integrate_double, outer_points,
-                     sphere_measure, tensor_grid)
+from .engine import (TARGET_STREAM, IntegralEstimate, IntegrationPlan, MollifierRadial,
+                     PowerLaw, body_quadrature_nodes, integrate_double, monte_carlo,
+                     outer_points, sphere_measure, tensor_grid)
 from .functions import TestFunction
 from .mollifiers import MollifierFamily, ensure_certified
 
@@ -289,25 +289,12 @@ def shared_local_integral(f: TestFunction, body: ConvexBody, m: int, p: float,
     ``mc`` Monte Carlo plan for other bodies or for statistical cross-checks.
     """
     if mc is not None:
-        if mc.samples <= 0:
-            raise ValueError("empty plan: samples must be positive")
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((mc.seed, 1))))
-        vol = body.volume
-        bound = body.outer_radius
-
-        def chunk(n: int, done: int) -> np.ndarray:
+        def chunk(rng: np.random.Generator, n: int, offset: int) -> np.ndarray:
             xs, wx = outer_points(rng, n, f.dim, f.support_radius, f.proposal, 1.0)
-            if vol is not None:
-                ys = sample_in_body(body, rng, n)
-                wy = vol
-            else:
-                ys = rng.uniform(-bound, bound, size=(n, f.dim))
-                wy = (2.0 * bound) ** f.dim * body.contains(ys)
+            ys, wy = body_points(body, rng, n)
             return wx * wy * np.abs(directional_m_form(f, xs, ys, m)) ** p
 
-        acc = accumulate(mc.samples, chunk)
-        return IntegralEstimate(acc.mean, acc.stderr,
-                                info={"method": "monte_carlo", "samples": mc.samples})
+        return monte_carlo(mc, TARGET_STREAM, chunk)
     nodes = outer_nodes if outer_nodes is not None else _OUTER_NODES_DEFAULT[f.dim]
     if body_radial is None:
         body_radial = 32 if body.dim <= 2 else 12

@@ -216,17 +216,17 @@ def test_criterion_12_reproducibility(tmp_path):
             "body": {"kind": "box", "half_widths": [1.0]},
             "m": 1, "p": 2.0,
             "schedule": {"start": 0.2, "ratio": 0.5, "points": 4},
-            "plan": {"method": "monte_carlo", "samples": 30000},
+            "plan": {"method": "monte_carlo", "samples": 70000},  # three blocks
             "tolerance": 0.05,
         }],
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     blobs = []
-    for name in ("r1.csv", "r2.csv"):
+    for name, overrides in (("r1.csv", {}), ("r2.csv", {}), ("r3.csv", {"workers": 1})):
         out = tmp_path / name
-        code = cli.run(str(path), {"output": str(out), "timestamp": False})
+        code = cli.run(str(path), {"output": str(out), "timestamp": False, **overrides})
         assert code == 0
         blobs.append(out.read_bytes())
-    _report(12, "identical config/seed/workers give byte-identical reports",
-            blobs[0] == blobs[1], f"{len(blobs[0])} bytes compared")
+    _report(12, "identical config/seed give byte-identical reports at 2 and 1 workers",
+            blobs[0] == blobs[1] == blobs[2], f"{len(blobs[0])} bytes compared")

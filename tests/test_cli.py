@@ -140,6 +140,15 @@ def test_run_rejects_semantically_bad_config(tmp_path, capsys, job_update):
     assert len(err) == 1 and err[0].startswith("error: demo: ")
 
 
+@pytest.mark.parametrize("argv", [["--workers", "0"], ["--workers", "-2"], ["--seed", "-1"]],
+                         ids=["workers-0", "workers-negative", "seed-negative"])
+def test_main_rejects_out_of_range_overrides(tmp_path, capsys, argv):
+    code = cli.main(["run", "--config", write_config(tmp_path, base_config())] + argv)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: override {argv[0][2:]}=")
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -216,11 +216,12 @@ def test_mixture_unbiased_over_repetitions():
     assert _repeated_z(2_000, 1, 50, 3000) <= 2.576
 
 
-def test_mixture_unbiased_for_odd_shard_sizes():
-    # shards of 3, 2 and 2 rows draw 2, 1 and 1 proposal rows: only the
-    # realised shares 2/3 and 1/2 keep these estimates unbiased (a fixed 0.8
-    # is off by about a quarter of the truth here)
-    assert _repeated_z(7, 3, 600, 5000) <= 2.576
+def test_mixture_unbiased_for_odd_block_sizes(monkeypatch):
+    # blocks of 3, 3 and 1 rows draw 2, 2 and 0 proposal rows: only the
+    # realised share 2/3 keeps these estimates unbiased (a fixed 0.8 is off
+    # by about a quarter of the truth here)
+    monkeypatch.setattr(engine, "_CHUNK", 3)
+    assert _repeated_z(7, 1, 600, 5000) <= 2.576
 
 
 @pytest.mark.parametrize("n", [2, 7, 1001, 32768])
@@ -281,7 +282,9 @@ class _RecordingExecutor:
 
 
 def test_threads_capped_at_cpu_count(monkeypatch):
-    plan = IntegrationPlan.monte_carlo(samples=5_000, seed=9, workers=6, outer_box_radius=2.0)
+    # four blocks, so the cap is the CPU count and not the block count
+    plan = IntegrationPlan.monte_carlo(samples=3 * engine._CHUNK + 1, seed=9, workers=6,
+                                       outer_box_radius=2.0)
     reference = integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
@@ -289,6 +292,78 @@ def test_threads_capped_at_cpu_count(monkeypatch):
     capped = integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
     assert _RecordingExecutor.requested == [2]
     assert (capped.value, capped.stderr) == (reference.value, reference.stderr)
+    # one thread runs the blocks in the calling thread, without a pool
     monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
     integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
-    assert _RecordingExecutor.requested == [2, 1]
+    assert _RecordingExecutor.requested == [2]
+
+
+# ---------------------------------------------------------------------------
+# one seeded block driver: the worker count never changes the numbers
+# ---------------------------------------------------------------------------
+
+# three full blocks and a partial fourth
+BLOCKED_SAMPLES = 3 * engine._CHUNK + 1001
+
+
+def _assert_same_at_workers(run, monkeypatch):
+    # a large CPU count, so that workers 1, 2 and 3 really run 1, 2 and 3 threads
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    results = set()
+    for workers in (1, 2, 3):
+        est = run(IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31,
+                                              workers=workers, outer_box_radius=2.0))
+        results.add((est.value, est.stderr))
+    assert len(results) == 1
+
+
+def test_integrate_double_bitwise_across_workers(monkeypatch):
+    _assert_same_at_workers(lambda plan: integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW,
+                                                          GAUSS2_PROPOSAL), monkeypatch)
+
+
+def test_integrate_body_bitwise_across_workers(monkeypatch):
+    for body in (ConvexBody.ellipsoid([2.0, 1.0]), ConvexBody.lp_ball(4.0, 1.0, 2)):
+        _assert_same_at_workers(lambda plan: integrate_body(lambda y: y[..., 0] ** 2, body, plan),
+                                monkeypatch)
+
+
+def test_block_streams_and_offsets():
+    # block i draws from SeedSequence((seed, stream, i)) and starts at row i * _CHUNK
+    seen = []
+
+    def chunk(rng, n, offset):
+        seen.append((n, offset, rng.random()))
+        return np.zeros(n)
+
+    plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31, workers=1)
+    engine.monte_carlo(plan, 5, chunk)
+    expected = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((31, 5, i)))).random()
+                for i in range(4)]
+    assert seen == [(engine._CHUNK, 0, expected[0]),
+                    (engine._CHUNK, engine._CHUNK, expected[1]),
+                    (engine._CHUNK, 2 * engine._CHUNK, expected[2]),
+                    (1001, 3 * engine._CHUNK, expected[3])]
+
+
+def test_power_law_bitwise_against_unprepared_formulas():
+    # prepare() returns lo ** (exponent + 1); t and mass must equal the
+    # formulas that raise lo themselves, bit for bit
+    rng = np.random.default_rng(17)
+    sigma = rng.normal(size=(1000, 2))
+    v = rng.random(1000)
+    cutoff = lambda s: 0.05 + np.abs(s[:, 0])
+    for exponent in (-3.0, -1.0, -2.5, 0.0):
+        law = PowerLaw(exponent, cutoff, 2.0)
+        lo = np.minimum(cutoff(sigma), 0.5 * 2.0)
+        s1 = exponent + 1.0
+        aux = law.prepare(sigma)
+        if s1 == 0.0:
+            t_old = lo * (2.0 / lo) ** v
+            mass_old = np.log(2.0 / lo)
+        else:
+            a_s = lo ** s1
+            t_old = (a_s + v * (2.0 ** s1 - a_s)) ** (1.0 / s1)
+            mass_old = (2.0 ** s1 - lo ** s1) / s1
+        np.testing.assert_array_equal(law.sample(v, aux), t_old)
+        np.testing.assert_array_equal(law.mass(aux), mass_old)
