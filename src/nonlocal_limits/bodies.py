@@ -15,8 +15,9 @@ import numpy as np
 
 Array = np.ndarray
 
-#: body kinds with a tensor Gauss-Legendre rule (``engine.body_quadrature_nodes``)
-#: and an exact uniform sampler (``sample_in_body``)
+#: body kinds with a tensor Gauss-Legendre volume rule (``engine.body_quadrature_nodes``,
+#: used by ``integrate_body``) and an exact uniform sampler (``sample_in_body``).
+#: Local-limit targets and ``zpm_norm`` use ``engine.cone_nodes``, which covers every kind.
 TENSOR_QUADRATURE_KINDS = ("ball", "box", "ellipsoid")
 
 _EUCLID_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi ** 2 / 2.0}
@@ -98,7 +99,7 @@ class ConvexBody:
             if not matched:
                 raise ValueError("polytope facet set is not closed under negation")
         inner = float(np.min(off / np.linalg.norm(nm, axis=1)))
-        outer = _polytope_outer_radius(nm, off)
+        outer = max(float(np.linalg.norm(v)) for v in _polytope_vertices(nm, off))
         return ConvexBody(
             "polytope", dim, (tuple(map(tuple, nm.tolist())), tuple(off.tolist())),
             inner, outer,
@@ -197,24 +198,34 @@ def _column_max(cols: Array, scales) -> Array:
     return best
 
 
-def _polytope_outer_radius(normals: Array, offsets: Array) -> float:
-    """Max vertex norm by enumerating facet intersections (small dims only)."""
+def _polytope_vertices(normals: Array, offsets: Array) -> Array:
+    """Distinct vertices of {x : normals x <= offsets}, by enumerating facet intersections.
+
+    Small dims only: every choice of ``dim`` facets is solved and kept when
+    the solve is accurate (it is not for near-parallel or overflowing facets)
+    and the point satisfies all facet inequalities.
+    """
     facets, dim = normals.shape
     if dim > 3:
         raise ValueError("polytope bodies supported for dim <= 3")
-    best = 0.0
+    vertices: list[Array] = []
     for idx in itertools.combinations(range(facets), dim):
-        a = normals[list(idx)]
-        b = offsets[list(idx)]
+        a, b = normals[list(idx)], offsets[list(idx)]
         try:
             v = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
             continue
-        if np.all(normals @ v <= offsets * (1.0 + 1e-9)):
-            best = max(best, float(np.linalg.norm(v)))
-    if best == 0.0:
+        if (np.all(np.abs(a @ v - b) <= 1e-9 * b)
+                and np.all(normals @ v <= offsets * (1.0 + 1e-9))
+                and all(np.abs(v - u).max() > 1e-9 * np.abs(u).max() for u in vertices)):
+            vertices.append(v)
+    if not vertices:
         raise ValueError("polytope vertex enumeration found no vertices")
-    return best
+    # a bounded symmetric body has vertex pairs +-v spanning R^dim
+    if len(vertices) < 2 * dim or np.linalg.matrix_rank(np.array(vertices)) < dim:
+        raise ValueError(f"polytope vertex enumeration found {len(vertices)} vertices, "
+                         f"too few for a bounded {dim}-D body")
+    return np.array(vertices)
 
 
 def from_descriptor(desc: dict) -> ConvexBody:
@@ -287,7 +298,7 @@ def body_points(body: ConvexBody, rng: np.random.Generator,
     return pts, (2.0 * half) ** body.dim * body.contains(pts)
 
 
-def zpm_norm(body: ConvexBody, coeffs, m: int, p: float, plan=None) -> float:
+def zpm_norm(body: ConvexBody, coeffs, m: int, p: float) -> float:
     """Norm of a symmetric m-form coefficient vector induced by the body.
 
     Coefficients are indexed by the lexicographic multi-index order of
@@ -295,10 +306,13 @@ def zpm_norm(body: ConvexBody, coeffs, m: int, p: float, plan=None) -> float:
     multinomial weight m!/a!, so feeding the order-m partial derivatives of f
     makes the integrand equal the diagonal m-form of f.  The value is
 
-        ((dim + m p) / (m^(m p + 1) p) * integral_K |form(y)|^p dy)^(1/p).
+        ((dim + m p) / (m^(m p + 1) p) * integral_K |form(y)|^p dy)^(1/p),
+
+    where the integrand is homogeneous of degree m p, so the cone-measure
+    rule ``engine.cone_nodes`` gives (dim + m p) times the integral.
     """
     from .calculus import monomial, multi_indices, multinomial
-    from .engine import IntegrationPlan, integrate_body
+    from .engine import cone_nodes
 
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -308,19 +322,9 @@ def zpm_norm(body: ConvexBody, coeffs, m: int, p: float, plan=None) -> float:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (len(alphas),):
         raise ValueError(f"expected {len(alphas)} coefficients for dim={body.dim}, m={m}")
-    weights = np.array([multinomial(m, a) for a in alphas])
-
-    def form_p(y: Array) -> Array:
-        acc = 0.0
-        for w, c, alpha in zip(weights, coeffs, alphas):
-            acc = acc + w * c * monomial(y, alpha)
-        return np.abs(acc) ** p
-
-    if plan is None:
-        if body.kind in TENSOR_QUADRATURE_KINDS:
-            plan = IntegrationPlan.quadrature(x_nodes=64)
-        else:
-            plan = IntegrationPlan.monte_carlo(samples=200_000, seed=0)
-    integral = integrate_body(form_p, body, plan).value
-    constant = (body.dim + m * p) / (m ** (m * p + 1) * p)
-    return float((constant * integral) ** (1.0 / p))
+    z, w = cone_nodes(body)
+    form = 0.0
+    for alpha, c in zip(alphas, coeffs):
+        form = form + multinomial(m, alpha) * c * monomial(z, alpha)
+    constant = 1.0 / (m ** (m * p + 1) * p)
+    return float((constant * float(np.dot(w, np.abs(form) ** p))) ** (1.0 / p))

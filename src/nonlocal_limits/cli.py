@@ -6,6 +6,8 @@ Subcommands:
   certify-mollifiers  concentration-profile certification
 
 Exit codes: 0 all checks/verdicts pass, 1 config or IO error, 2 any failure.
+A job that stops on a numerical error gets verdict ``error`` (exit 2); the
+other jobs of the config still run.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from . import calculus
 from .bodies import ConvexBody
 from .config import ConfigError, load_config
 from .convergence import sweep
-from .engine import sphere_body_identity_check
+from .engine import EngineError, sphere_body_identity_check
 from .functions import make_function, polynomial_function
 from .mollifiers import CertificationError, certify, default_epsilon_grid
-from .report import render_csv, render_json
+from .report import JobError, render_csv, render_json
 
 ALGEBRAIC_TOL = 1e-12
 QUADRATURE_TOL = 1e-7
@@ -73,9 +75,18 @@ def run(config_path: str, overrides: dict | None = None) -> int:
 
     results = []
     for job in config.jobs:
-        res = sweep(job.theorem, job.function, job.body, job.m, job.p,
-                    job.schedule, job.plan, mollifier_kind=job.mollifier_kind,
-                    tolerance=job.tolerance)
+        try:
+            res = sweep(job.theorem, job.function, job.body, job.m, job.p,
+                        job.schedule, job.plan, mollifier_kind=job.mollifier_kind,
+                        tolerance=job.tolerance)
+        except (EngineError, CertificationError, ArithmeticError,
+                np.linalg.LinAlgError) as exc:
+            # a numerical failure ends this job only; the others still run
+            message = f"{type(exc).__name__}: {exc}"
+            results.append(JobError(job.theorem, job.function.name, job.m, job.p,
+                                    job.body.descriptor(), message))
+            print(f"{job.name}: error: {message}", file=sys.stderr)
+            continue
         results.append(res)
         print(f"{job.name}: {job.theorem} m={job.m} p={job.p} "
               f"limit={res.extrapolated_limit:.6g} target={res.target:.6g} "

@@ -188,7 +188,10 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         fname = job["function"]
         if fname not in list_functions():
             raise ConfigError(f"{label}: unknown test function {fname!r}")
-        func = make_function(fname, body.dim)
+        try:
+            func = make_function(fname, body.dim)
+        except ValueError as exc:
+            raise ConfigError(f"{label}: {exc}") from exc
         if not func.integrable:
             raise ConfigError(f"{label}: function {fname!r} is identity-test only")
         plan_raw = job["plan"]

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import TENSOR_QUADRATURE_KINDS
-from .engine import IntegrationPlan
+from .engine import EngineError, IntegrationPlan
 from .functionals import FunctionalSpec, evaluate, local_limit
 from .mollifiers import make_mollifier
 
@@ -41,6 +40,10 @@ class Schedule:
         if self.fit_points is not None and self.fit_points > self.points:
             raise ValueError(f"fit_points {self.fit_points} exceeds the "
                              f"{self.points} schedule points")
+        vals = self.values()
+        if not vals[-1] > 0.0 or not all(a > b for a, b in zip(vals, vals[1:])):
+            raise ValueError("schedule values must stay positive and strictly decreasing "
+                             f"in floating point; got {vals}")
 
     def values(self) -> list[float]:
         return [self.start * self.ratio ** i for i in range(self.points)]
@@ -92,7 +95,11 @@ def fit_power_law(parameters, values, fit_points: int | None = None):
         raise ValueError("need at least 3 points to fit")
 
     def solve(q):
-        design = np.stack([np.ones_like(params), params ** q], axis=-1)
+        with np.errstate(over="ignore"):
+            powers = params ** q
+        if not np.all(np.isfinite(powers)):
+            raise FloatingPointError(f"power-law fit overflows: parameter^{q:.3g} is not finite")
+        design = np.stack([np.ones_like(params), powers], axis=-1)
         coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
         resid = vals - design @ coef
         return float(resid @ resid), coef
@@ -144,8 +151,8 @@ def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
     """Run one functional along the schedule and extrapolate to parameter -> 0.
 
     All points reuse the same plan (and seed: common random numbers), which
-    stabilizes the fitted differences.  The target defaults to the quadrature
-    local limit.
+    stabilizes the fitted differences.  The target defaults to the local
+    limit, computed by deterministic quadrature for every body.
     """
     params = schedule.values()
 
@@ -161,18 +168,12 @@ def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
     for value in params:
         est = evaluate(spec_at(value), plan)
         if not math.isfinite(est.value):
-            raise RuntimeError(f"nonfinite sweep value at parameter {value}")
+            raise EngineError(f"nonfinite sweep value at parameter {value}")
         points.append(SweepPoint(value, est.value, est.stderr))
         infos.append(est.info)
 
     if target is None:
-        if body.kind in TENSOR_QUADRATURE_KINDS:
-            target = local_limit(spec_at(params[0]))
-        else:
-            # bodies without tensor quadrature: seeded Monte Carlo target
-            mc = IntegrationPlan.monte_carlo(samples=2_000_000, seed=plan.seed,
-                                             workers=plan.workers)
-            target = local_limit(spec_at(params[0]), mc=mc)
+        target = local_limit(spec_at(params[0]))
 
     limit, _, rate, rss = fit_power_law(params, [pt.value for pt in points],
                                         schedule.fit_points)

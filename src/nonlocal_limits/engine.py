@@ -25,10 +25,18 @@ SeedSequence((seed, stream, i)), with one stream tag per kind of integral, and
 block results merge in index order (keyed per-block streams, Salmon et al.
 2011).  The numbers therefore depend on (seed, stream, samples) only; the
 worker count just sets how many threads run the blocks.
+
+Integrals over a body K of integrands positively homogeneous in y (the
+local-limit targets, ``bodies.zpm_norm``) use ``cone_nodes``: the radial
+direction is integrated in closed form, leaving a quadrature on the boundary
+of K weighted by the cone measure (Lasserre 1998).  The tensor volume rule
+``body_quadrature_nodes`` remains for general integrands over ball, box and
+ellipsoid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bodies import TENSOR_QUADRATURE_KINDS, ConvexBody, body_points
+from .bodies import TENSOR_QUADRATURE_KINDS, ConvexBody, _polytope_vertices, body_points
 
 Array = np.ndarray
 
@@ -437,6 +445,128 @@ def integrate_body(f_inner, body: ConvexBody, plan: IntegrationPlan) -> Integral
 
 
 # ---------------------------------------------------------------------------
+# Cone-measure (boundary) rule for homogeneous integrands
+# ---------------------------------------------------------------------------
+
+#: Gauss-Legendre nodes per quadrant (2-D) and per axis of an octant cell (3-D)
+_CONE_SPHERE_NODES = {2: 48, 3: 20}
+#: Gauss-Legendre nodes per facet edge (2-D) and per axis of a facet triangle (3-D)
+_CONE_FACET_NODES = {2: 16, 3: 10}
+
+
+def _sphere_points(cos_polar: Array, azimuth: Array) -> Array:
+    """Points of the unit sphere in 3-D from the cosine of the polar angle and the azimuth."""
+    sphi = np.sqrt(np.maximum(0.0, 1.0 - cos_polar ** 2))
+    return np.stack([sphi * np.cos(azimuth), sphi * np.sin(azimuth), cos_polar], axis=-1)
+
+
+def _graded_gauss(n: int) -> tuple[Array, Array]:
+    """n Gauss-Legendre nodes and weights on [0, 1], pulled through u -> 3u^2 - 2u^3.
+
+    The map flattens both ends, where the sphere rule meets a coordinate
+    plane.  There the gauge of an lp ball with a non-even exponent q has a
+    |angle|^q term, which the map turns into a smoother u^(2q+1) one.
+    """
+    g, w = np.polynomial.legendre.leggauss(n)
+    u = 0.5 * (g + 1.0)
+    return u * u * (3.0 - 2.0 * u), 3.0 * w * u * (1.0 - u)
+
+
+def _sphere_cells(dim: int) -> tuple[Array, Array]:
+    """Unit-sphere rule split at the coordinate planes.
+
+    Graded Gauss-Legendre in the angle per quadrant (2-D), and in the
+    cosine of the polar angle times the azimuth per octant cell (3-D); the
+    sphere's area element is d(cos) d(azimuth).  In 1-D the sphere is {-1, 1}.
+    """
+    if dim == 1:
+        return np.array([[-1.0], [1.0]]), np.ones(2)
+    t, wt = _graded_gauss(_CONE_SPHERE_NODES[dim])
+    theta = 0.5 * math.pi * np.concatenate([t + k for k in range(4)])
+    wtheta = np.tile(0.5 * math.pi * wt, 4)
+    if dim == 2:
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1), wtheta
+    pts, w = tensor_grid([(np.concatenate([t, -t]), np.tile(wt, 2)), (theta, wtheta)])
+    return _sphere_points(*pts.T), w
+
+
+def _facet_cells(on: Array, unit: Array) -> tuple[Array, Array]:
+    """Gauss points and area weights on the convex facet with vertices ``on``.
+
+    A point in 1-D, an edge in 2-D, and in 3-D a fan of triangles from the
+    vertex centroid, each with the collapsed (Duffy) tensor Gauss rule.
+    """
+    dim = on.shape[1]
+    if dim == 1:
+        return on[:1], np.ones(1)
+    g, wg = np.polynomial.legendre.leggauss(_CONE_FACET_NODES[dim])
+    s, ws = 0.5 * (g + 1.0), 0.5 * wg
+    center = on.mean(axis=0)
+    rel = on - center
+    if dim == 2:
+        along = rel @ np.array([-unit[1], unit[0]])
+        a, b = on[np.argmin(along)], on[np.argmax(along)]
+        return a + s[:, np.newaxis] * (b - a), float(np.linalg.norm(b - a)) * ws
+    e1 = rel[np.argmax(np.linalg.norm(rel, axis=1))]
+    e2 = np.cross(unit, e1)
+    ring = on[np.argsort(np.arctan2(rel @ e2, rel @ e1))]
+    uv, wuv = tensor_grid([(s, ws), (s, ws)])
+    u, v = uv[:, :1], uv[:, 1:]
+    pts, wts = [], []
+    for p1, p2 in zip(ring, np.roll(ring, -1, axis=0)):
+        pts.append(center + u * ((1.0 - v) * (p1 - center) + v * (p2 - center)))
+        wts.append(float(np.linalg.norm(np.cross(p1 - center, p2 - center))) * u[:, 0] * wuv)
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def cone_nodes(body: ConvexBody) -> tuple[Array, Array]:
+    """Boundary points z_j and weights w_j of the cone-measure rule of K.
+
+    For every h positively homogeneous of degree d,
+
+        sum_j w_j h(z_j) = (dim + d) * integral_K h,
+
+    because integrating along each ray from 0 to the boundary of K is done in
+    closed form (Lasserre 1998); in particular sum_j w_j = dim * vol(K).
+    Ball, ellipsoid and lp ball are K = A B_q (B_q the unit lp ball, q = 2
+    for the first two): a sphere rule (omega, w_omega) maps to
+    z = A omega / |omega|_q with w = det(A) w_omega |omega|_q^-dim.  Boxes and
+    polytopes use their facets: facet F_i at distance b_i/|n_i| from the
+    origin contributes Gauss points on F_i with weight (b_i/|n_i|) dA.
+    """
+    dim = body.dim
+    if body.kind in ("ball", "ellipsoid", "lp_ball"):
+        omega, w = _sphere_cells(dim)
+        q = body.params[0] if body.kind == "lp_ball" else 2.0
+        semi = (np.asarray(body.params) if body.kind == "ellipsoid"
+                else np.full(dim, body.params[-1]))
+        norm = np.sum(np.abs(omega) ** q, axis=1) ** (1.0 / q)
+        return semi * omega / norm[:, np.newaxis], float(np.prod(semi)) * w * norm ** (-dim)
+    if body.kind == "box":
+        half = np.asarray(body.params)
+        normals = np.concatenate([np.eye(dim), -np.eye(dim)])
+        offsets = np.concatenate([half, half])
+        vertices = np.array(list(itertools.product(*[(-h, h) for h in half])))
+    else:
+        normals, offsets = np.asarray(body._normals), np.asarray(body._offsets)
+        vertices = _polytope_vertices(normals, offsets)
+    pts, wts, seen = [], [], set()
+    for normal, offset in zip(normals, offsets):
+        scale = np.abs(vertices) @ np.abs(normal) + offset
+        on = tuple(np.flatnonzero(np.abs(vertices @ normal - offset) <= 1e-9 * scale))
+        # fewer than dim vertices: the inequality touches K in a lower-dimensional
+        # face; a vertex set seen before: the facet is listed twice
+        if len(on) < dim or on in seen:
+            continue
+        seen.add(on)
+        length = float(np.linalg.norm(normal))
+        z, area = _facet_cells(vertices[list(on)], normal / length)
+        pts.append(z)
+        wts.append(offset / length * area)
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+# ---------------------------------------------------------------------------
 # Sphere quadrature and the sphere-to-body reduction check
 # ---------------------------------------------------------------------------
 
@@ -454,9 +584,7 @@ def sphere_quadrature(dim: int, nodes: int = 2048) -> tuple[Array, Array]:
         cg, wc = np.polynomial.legendre.leggauss(nc)
         theta = 2.0 * math.pi * np.arange(nt) / nt
         pts, w = tensor_grid([(cg, wc), (theta, np.full(nt, 2.0 * math.pi / nt))])
-        cc, tt = pts.T
-        sphi = np.sqrt(np.maximum(0.0, 1.0 - cc ** 2))
-        return np.stack([sphi * np.cos(tt), sphi * np.sin(tt), cc], axis=-1), w
+        return _sphere_points(*pts.T), w
     raise ValueError("dim must be 1, 2 or 3")
 
 

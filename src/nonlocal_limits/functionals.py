@@ -15,7 +15,11 @@ All four share the same local limit integral
 
     I = integral_x integral_K |diagonal m-form of f at x in direction y|^p dy dx
 
-and differ only in the constant in front of it.
+and differ only in the constant in front of it.  The inner integrand is
+positively homogeneous of degree m p in y, so ``local_limit`` computes I by
+deterministic quadrature for every body: a tensor Gauss-Legendre grid in x
+times the cone-measure boundary rule ``engine.cone_nodes`` in y, divided by
+dim + m p.  No target depends on the seed or the worker count.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .bodies import ConvexBody, body_points
 from .calculus import (centered_remainder, direction_bound, directional_m_form,
                        m_form_tableau, multi_indices, taylor_remainder)
 from .engine import (TARGET_STREAM, IntegralEstimate, IntegrationPlan, MollifierRadial,
-                     PowerLaw, body_quadrature_nodes, integrate_double, monte_carlo,
-                     outer_points, sphere_measure, tensor_grid)
+                     PowerLaw, cone_nodes, integrate_double, monte_carlo, outer_points,
+                     sphere_measure, tensor_grid)
 from .functions import TestFunction
 from .mollifiers import MollifierFamily, ensure_certified
 
@@ -265,28 +269,27 @@ def _outer_grid(f: TestFunction, nodes: int):
 
 @lru_cache(maxsize=None)
 def _shared_integral_quadrature(f: TestFunction, body: ConvexBody, m: int, p: float,
-                                outer_nodes: int, body_radial: int,
-                                body_angular: int) -> float:
+                                outer_nodes: int) -> float:
+    # |m-form(x)[y]|^p is homogeneous of degree m p in y: the cone rule integrates it over K
     xs, wx = _outer_grid(f, outer_nodes)
-    ys, wy = body_quadrature_nodes(body, radial_nodes=body_radial,
-                                   angular_nodes=body_angular)
+    zs, wz = cone_nodes(body)
     total = 0.0
-    block = max(1, (1 << 22) // max(1, len(wy)))
+    block = max(1, (1 << 22) // len(wz))
     for start in range(0, len(wx), block):
-        tab = m_form_tableau(f, m, xs[start:start + block], ys)
-        total += float(wx[start:start + block] @ (np.abs(tab) ** p) @ wy)
-    return total
+        tab = m_form_tableau(f, m, xs[start:start + block], zs)
+        total += float(wx[start:start + block] @ (np.abs(tab) ** p) @ wz)
+    return total / (body.dim + m * p)
 
 
 def shared_local_integral(f: TestFunction, body: ConvexBody, m: int, p: float,
                           outer_nodes: int | None = None,
-                          body_radial: int | None = None,
-                          body_angular: int | None = None,
                           mc: IntegrationPlan | None = None) -> IntegralEstimate:
     """The double integral shared by all four local limits.
 
-    Quadrature (default, cached) needs a ball/box/ellipsoid body; pass an
-    ``mc`` Monte Carlo plan for other bodies or for statistical cross-checks.
+    Deterministic and cached by default: a tensor Gauss-Legendre grid in x
+    times the cone-measure rule ``engine.cone_nodes`` of K in y, for every
+    body kind.  An ``mc`` Monte Carlo plan gives an independent statistical
+    cross-check instead.
     """
     if mc is not None:
         def chunk(rng: np.random.Generator, n: int, offset: int) -> np.ndarray:
@@ -296,22 +299,15 @@ def shared_local_integral(f: TestFunction, body: ConvexBody, m: int, p: float,
 
         return monte_carlo(mc, TARGET_STREAM, chunk)
     nodes = outer_nodes if outer_nodes is not None else _OUTER_NODES_DEFAULT[f.dim]
-    if body_radial is None:
-        body_radial = 32 if body.dim <= 2 else 12
-    if body_angular is None:
-        body_angular = 64 if body.dim <= 2 else 24
-    value = _shared_integral_quadrature(f, body, m, float(p), nodes,
-                                        body_radial, body_angular)
-    return IntegralEstimate(value, 0.0, info={"method": "tensor_quadrature"})
+    value = _shared_integral_quadrature(f, body, m, float(p), nodes)
+    return IntegralEstimate(value, 0.0, info={"method": "cone_quadrature"})
 
 
 def local_limit(spec: FunctionalSpec, outer_nodes: int | None = None,
-                body_radial: int | None = None, body_angular: int | None = None,
                 mc: IntegrationPlan | None = None) -> float:
     """Closed-form limit target: theorem constant times the shared integral."""
     shared = shared_local_integral(spec.f, spec.body, spec.m, spec.p,
-                                   outer_nodes=outer_nodes, body_radial=body_radial,
-                                   body_angular=body_angular, mc=mc)
+                                   outer_nodes=outer_nodes, mc=mc)
     return theorem_constant(spec.theorem, spec.m, spec.p, spec.body.dim) * shared.value
 
 

@@ -5,12 +5,27 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .convergence import SweepResult
 
 CSV_COLUMNS = ["job_id", "theorem", "m", "p", "body", "function", "parameter",
                "value", "stderr", "limit", "rate", "target", "rel_gap", "verdict"]
+
+
+@dataclass
+class JobError:
+    """A job stopped by a numerical error: reported with verdict ``error`` and no numbers."""
+
+    theorem: str
+    function: str
+    m: int
+    p: float
+    body: dict
+    message: str
+    verdict = "error"
+    passed = False
 
 
 def _num(x: float) -> str:
@@ -22,7 +37,7 @@ def _body_str(body: dict) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
-def render_csv(results: list[SweepResult], timestamp: bool = True) -> str:
+def render_csv(results: list[SweepResult | JobError], timestamp: bool = True) -> str:
     buf = io.StringIO()
     if timestamp:
         buf.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
@@ -31,6 +46,9 @@ def render_csv(results: list[SweepResult], timestamp: bool = True) -> str:
     for job_id, res in enumerate(results):
         head = [str(job_id), res.theorem, str(res.m), _num(res.p),
                 _body_str(res.body), res.function]
+        if isinstance(res, JobError):
+            writer.writerow(head + [""] * 7 + [res.verdict])
+            continue
         for pt in res.points:
             writer.writerow(head + [_num(pt.parameter), _num(pt.value),
                                     _num(pt.stderr), "", "", "", "", ""])
@@ -40,7 +58,10 @@ def render_csv(results: list[SweepResult], timestamp: bool = True) -> str:
     return buf.getvalue()
 
 
-def result_dict(res: SweepResult) -> dict:
+def result_dict(res: SweepResult | JobError) -> dict:
+    if isinstance(res, JobError):
+        return {"theorem": res.theorem, "function": res.function, "m": res.m, "p": res.p,
+                "body": res.body, "verdict": res.verdict, "error": res.message}
     return {
         "theorem": res.theorem,
         "function": res.function,
@@ -62,7 +83,7 @@ def result_dict(res: SweepResult) -> dict:
     }
 
 
-def render_json(results: list[SweepResult], meta: dict | None = None,
+def render_json(results: list[SweepResult | JobError], meta: dict | None = None,
                 timestamp: bool = True) -> str:
     doc: dict = {}
     if timestamp:

@@ -89,9 +89,9 @@ def test_criterion_04_constant_ratio_m_times_p():
                 f = make_function("gaussian", body.dim)
                 moll = make_mollifier("shell", body.dim, 0.1)
                 num = local_limit(FunctionalSpec("bbm_centered", f, body, m, p, 0.1, moll),
-                                  outer_nodes=24, body_radial=12, body_angular=16)
+                                  outer_nodes=24)
                 den = local_limit(FunctionalSpec("nguyen_centered", f, body, m, p, 0.1),
-                                  outer_nodes=24, body_radial=12, body_angular=16)
+                                  outer_nodes=24)
                 worst = max(worst, abs(num / den - m * p) / (m * p))
     _report(4, "mollified/level-set limit ratio equals m*p (shared factor)",
             worst <= 1e-13, f"max relative deviation {worst:.2e}")

@@ -241,6 +241,19 @@ def test_zpm_norm_ellipse_anisotropy():
     assert zpm_norm(ellipse, [1.0, 0.0], 1, 2.0) == pytest.approx(expected, rel=1e-10)
 
 
+def test_zpm_norm_polytope_and_lp_ball():
+    # ((2 + 2) / 2 * int_K y1^2 dy)^(1/2), with int y1^2 = 5 sqrt(3) / 9 on the
+    # unit-inradius hexagon and pi sqrt(2) / 4 on the unit l4 ball
+    hexagon = ConvexBody.polytope([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.8660254037844386],
+                                   [-0.5, -0.8660254037844386], [-0.5, 0.8660254037844386],
+                                   [0.5, -0.8660254037844386]], [1.0] * 6)
+    expected = math.sqrt(2.0 * 5.0 * math.sqrt(3.0) / 9.0)
+    assert zpm_norm(hexagon, [1.0, 0.0], 1, 2.0) == pytest.approx(expected, rel=1e-12)
+    expected = math.sqrt(2.0 * math.pi * math.sqrt(2.0) / 4.0)
+    l4 = ConvexBody.lp_ball(4.0, 1.0, 2)
+    assert zpm_norm(l4, [1.0, 0.0], 1, 2.0) == pytest.approx(expected, rel=1e-12)
+
+
 def test_zpm_norm_rejects_bad_p():
     with pytest.raises(ValueError):
         zpm_norm(ConvexBody.box([1.0]), [1.0], 1, 0.5)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nonlocal_limits import cli
 from nonlocal_limits.config import ConfigError, load_config, parse_config
@@ -129,7 +133,10 @@ def test_parse_config_requires_mollifier_for_bbm():
     {"plan": {"method": "monte_carlo", "samples": 20000, "outer_box_radius": 1.0}},
     {"body": {"kind": "polytope", "normals": [[1, 0], [-1, 0]], "offsets": [1, 1]}},
     {"schedule": {"start": 0.2, "ratio": 0.5, "points": 4, "fit_points": 9}},
-], ids=["quadrature-2d", "box-below-support", "unbounded-polytope", "fit-points-above-points"])
+    {"function": "exp_bump", "body": {"kind": "box", "half_widths": [1.0, 1.0]}},
+    {"schedule": {"start": 1e-300, "ratio": 1e-10, "points": 4}},
+], ids=["quadrature-2d", "box-below-support", "unbounded-polytope", "fit-points-above-points",
+        "function-wrong-dim", "schedule-underflow"])
 def test_run_rejects_semantically_bad_config(tmp_path, capsys, job_update):
     cfg = base_config()
     cfg["jobs"][0].update(job_update)
@@ -208,3 +215,128 @@ def test_traced_benchmark_child_runs():
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["code"] == 0 and "layers" in record
+
+
+# ---------------------------------------------------------------------------
+# per-job isolation of numerical failures, and fuzzed configs
+# ---------------------------------------------------------------------------
+
+def numeric_failure_job(**update):
+    """A 2-D level-set Monte Carlo job; ``update`` makes its numbers fail."""
+    job = {"name": "broken", "theorem": "nguyen_centered", "function": "gaussian",
+           "body": {"kind": "box", "half_widths": [1.0, 1.0]}, "m": 1, "p": 2.0,
+           "schedule": {"start": 0.2, "points": 4},
+           "plan": {"method": "monte_carlo", "samples": 64}}
+    for key, value in update.items():
+        if isinstance(value, dict):
+            job[key] = {**job[key], **value}
+        else:
+            job[key] = value
+    return job
+
+
+NUMERIC_FAILURES = {
+    "huge-box": numeric_failure_job(body={"half_widths": [1e300, 1e300]}),
+    "tiny-start": numeric_failure_job(schedule={"start": 1e-300}),
+    "huge-start": numeric_failure_job(schedule={"start": 1e300}),
+    "tiny-t-max": numeric_failure_job(plan={"t_max": 1e-300}),
+    "huge-outer-box": numeric_failure_job(plan={"outer_box_radius": 1e300}),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("broken", NUMERIC_FAILURES.values(), ids=NUMERIC_FAILURES.keys())
+def test_numeric_failure_ends_only_its_job(tmp_path, capsys, broken):
+    cfg = base_config()
+    cfg["jobs"] = [broken] + cfg["jobs"]
+    out = tmp_path / "r.csv"
+    assert cli.run(write_config(tmp_path, cfg), {"output": str(out), "timestamp": False}) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "DLASCL" not in err
+    assert any(line.startswith("broken: error: ") for line in err.splitlines())
+    assert any(line.startswith("demo: ") and line.endswith("[pass]") for line in err.splitlines())
+    rows = out.read_text().splitlines()
+    assert rows[1].startswith("0,nguyen_centered,1,2,") and rows[1].endswith(",,,,,,,,error")
+    assert len(rows) == 1 + 1 + 4 + 1 and rows[-1].startswith("1,") and rows[-1].endswith("pass")
+
+    assert cli.run(write_config(tmp_path, cfg), {"output": str(out), "format": "json",
+                                                 "timestamp": False}) == 2
+    failed, passed = json.loads(out.read_text())["jobs"]
+    assert failed["verdict"] == "error" and failed["error"] and "points" not in failed
+    assert passed["verdict"] == "pass"
+
+
+_POSITIVE = st.one_of(st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+                      st.sampled_from([5e-324, 1e-300, 1e300, 1.7976931348623157e308]))
+
+
+def _vector(dim):
+    return st.lists(_POSITIVE, min_size=dim, max_size=dim)
+
+
+@st.composite
+def _bodies(draw):
+    kind = draw(st.sampled_from(["ball", "box", "ellipsoid", "lp_ball", "polytope"]))
+    dim = draw(st.integers(1, 2))
+    if kind == "ball":
+        return {"kind": kind, "radius": draw(_POSITIVE), "dim": dim}
+    if kind == "box":
+        return {"kind": kind, "half_widths": draw(_vector(dim))}
+    if kind == "ellipsoid":
+        return {"kind": kind, "semi_axes": draw(_vector(dim))}
+    if kind == "lp_ball":
+        exponent = draw(st.one_of(st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+                                  st.floats(min_value=1.0, max_value=1e300)))
+        return {"kind": kind, "exponent": exponent, "radius": draw(_POSITIVE), "dim": dim}
+    normals, offsets = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        normal = draw(st.lists(st.floats(-1e300, 1e300), min_size=dim, max_size=dim))
+        offset = draw(_POSITIVE)
+        normals += [normal, [-c for c in normal]]
+        offsets += [offset, offset]
+    return {"kind": kind, "normals": normals, "offsets": offsets}
+
+
+@st.composite
+def _one_job_configs(draw):
+    theorem = draw(st.sampled_from(["nguyen_centered", "bbm_centered", "nguyen_taylor",
+                                    "bbm_taylor"]))
+    if draw(st.booleans()):
+        plan = {"method": "monte_carlo", "samples": draw(st.integers(1, 64)),
+                "stratification": draw(st.integers(1, 64))}
+    else:
+        plan = {"method": "tensor_quadrature", "x_nodes": draw(st.integers(4, 16)),
+                "t_nodes": draw(st.integers(4, 16))}
+    for key in ("outer_box_radius", "t_max"):
+        if draw(st.booleans()):
+            plan[key] = draw(_POSITIVE)
+    job = {"theorem": theorem,
+           "function": draw(st.sampled_from(["gaussian", "poly_bump", "sine_bump",
+                                             "exp_bump", "cross", "zero", "quadratic"])),
+           "body": draw(_bodies()), "m": draw(st.integers(1, 3)),
+           "p": draw(st.sampled_from([2.0, 3.0])),
+           "schedule": {"start": draw(_POSITIVE),
+                        "ratio": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                        "points": 4},
+           "plan": plan, "tolerance": draw(_POSITIVE)}
+    if theorem.startswith("bbm"):
+        job["mollifier"] = {"kind": draw(st.sampled_from(["shell", "fractional"]))}
+    return {"seed": draw(st.integers(0, 2 ** 64)), "workers": 1, "jobs": [job]}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_one_job_configs())
+@example({"seed": 7, "jobs": [NUMERIC_FAILURES["huge-box"]]})
+@example({"seed": 7, "jobs": [NUMERIC_FAILURES["tiny-start"]]})
+@example({"seed": 7, "jobs": [NUMERIC_FAILURES["huge-start"]]})
+@example({"seed": 7, "jobs": [NUMERIC_FAILURES["tiny-t-max"]]})
+@example({"seed": 7, "jobs": [NUMERIC_FAILURES["huge-outer-box"]]})
+def test_fuzzed_config_never_raises(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", "--config", str(path), "--no-timestamp"])
+    assert code in (0, 1, 2)

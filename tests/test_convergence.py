@@ -40,6 +40,12 @@ def test_fit_needs_three_points():
         fit_power_law([0.1, 0.05], [1.0, 1.0])
 
 
+def test_fit_overflow_raises_floating_point_error():
+    # parameter^rate overflows for rates above 1 at 1e300: a clean error, not a LAPACK failure
+    with pytest.raises(FloatingPointError, match="overflows"):
+        fit_power_law([1e300, 5e299, 2.5e299, 1.25e299], [1.0, 1.0, 1.0, 1.0])
+
+
 def test_aitken_geometric_exact():
     values = [1.0 + 2.0 ** (-i) for i in range(6)]
     limit, fallback = aitken(values)
@@ -60,6 +66,10 @@ def test_schedule_validation():
         Schedule(start=0.1, points=3)
     with pytest.raises(ValueError, match="fit_points"):
         Schedule(start=0.1, points=4, fit_points=9)
+    # values that underflow to 0, or round to equal subnormals, are no schedule
+    for start, ratio in ((1e-300, 1e-10), (5e-324, 0.9)):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            Schedule(start=start, ratio=ratio, points=4)
     vals = Schedule(start=0.4, ratio=0.5, points=4).values()
     assert vals == pytest.approx([0.4, 0.2, 0.1, 0.05])
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -92,14 +102,34 @@ def test_sweep_mollified_quadrature():
     assert res.target == pytest.approx(3 * math.sqrt(math.pi / 2) / 8, rel=1e-9)
 
 
-def test_sweep_polytope_body_uses_sampled_target():
+def test_sweep_polytope_body_uses_quadrature_target():
+    # l1 unit ball: int |y|^2 = 2/3, so the target is 2 (pi/2) (2/3) for the 2-D Gaussian
     diamond = ConvexBody.polytope([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1, 1, 1, 1])
     f = make_function("gaussian", 2)
     plan = IntegrationPlan.monte_carlo(samples=150_000, seed=2)
     res = sweep("nguyen_centered", f, diamond, 1, 2.0, Schedule(0.1, 0.5, 4), plan,
                 tolerance=0.2)
-    assert res.target > 0.0
+    assert res.target == pytest.approx(2.0 * math.pi / 3.0, rel=1e-10)
     assert math.isfinite(res.extrapolated_limit)
+
+
+@pytest.mark.parametrize("body, theorem, target", [
+    (ConvexBody.polytope([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.8660254037844386],
+                          [-0.5, -0.8660254037844386], [-0.5, 0.8660254037844386],
+                          [0.5, -0.8660254037844386]], [1.0] * 6),
+     "bbm_centered", 20.0 * math.sqrt(3.0) * math.pi / 9.0),
+    (ConvexBody.lp_ball(4.0, 1.0, 2), "nguyen_centered", math.pi ** 2 / math.sqrt(2.0)),
+], ids=["hexagon", "l4-ball"])
+def test_sweep_target_does_not_depend_on_the_seed(body, theorem, target):
+    f = make_function("gaussian", 2)
+    targets = set()
+    for seed in (1311, 703):
+        plan = IntegrationPlan.monte_carlo(samples=2_000, seed=seed)
+        res = sweep(theorem, f, body, 1, 2.0, Schedule(0.4, 0.5, 4), plan,
+                    mollifier_kind="shell")
+        targets.add(res.target)
+    assert len(targets) == 1
+    assert targets.pop() == pytest.approx(target, rel=1e-10)
 
 
 def test_sweep_points_strictly_decreasing():

@@ -5,11 +5,12 @@ import pytest
 
 from nonlocal_limits import engine
 from nonlocal_limits.bodies import ConvexBody
+from nonlocal_limits.calculus import monomial, multi_indices
 from nonlocal_limits.engine import (PROPOSAL_SHARE, EngineError, IntegrationPlan,
-                                    MollifierRadial, PowerLaw, integrate_body,
-                                    integrate_double, outer_points,
-                                    sphere_body_identity_check, sphere_constant,
-                                    sphere_quadrature)
+                                    MollifierRadial, PowerLaw, body_quadrature_nodes,
+                                    cone_nodes, integrate_body, integrate_double,
+                                    outer_points, sphere_body_identity_check,
+                                    sphere_constant, sphere_quadrature)
 from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import make_mollifier
 
@@ -184,6 +185,77 @@ def test_sphere_body_identity_examples():
     assert lhs == pytest.approx(math.pi, rel=1e-9) and gap <= 1e-3
     lhs, rhs, gap = sphere_body_identity_check(lambda s: np.zeros(s.shape[:-1]), ConvexBody.ball(1.0, 2), 1, 2.0)
     assert (lhs, rhs, gap) == (0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# cone-measure rule: sum w h(z) = (N + d) integral_K h for h homogeneous of degree d
+# ---------------------------------------------------------------------------
+
+HEXAGON = ConvexBody.polytope([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.8660254037844386],
+                               [-0.5, -0.8660254037844386], [-0.5, 0.8660254037844386],
+                               [0.5, -0.8660254037844386]], [1.0] * 6)
+# the cube [-1, 1]^3 with the corners x + y + z >= 2 and <= -2 cut off
+CUT_CUBE = ConvexBody.polytope([[1, 1, 1], [-1, -1, -1], [1, 0, 0], [-1, 0, 0],
+                                [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+                               [2, 2, 1, 1, 1, 1, 1, 1])
+TENSOR_BODIES = [body for dim in (1, 2, 3) for body in (
+    ConvexBody.ball(1.3, dim), ConvexBody.box([1.0, 0.5, 2.0][:dim]),
+    ConvexBody.ellipsoid([2.0, 1.0, 0.3][:dim]))]
+
+
+CONE_VOLUMES = {f"{b.kind}-{b.dim}d": (b, b.volume) for b in TENSOR_BODIES}
+CONE_VOLUMES.update({f"lp{q}-2d": (ConvexBody.lp_ball(q, 1.2, 2),
+                                   ConvexBody.lp_ball(q, 1.2, 2).volume)
+                     for q in (1.0, 1.5, 3.0, 4.0)})
+CONE_VOLUMES.update({"hexagon": (HEXAGON, 2.0 * math.sqrt(3.0)),
+                     "cut-cube": (CUT_CUBE, 23.0 / 3.0),
+                     "polytope-1d": (ConvexBody.polytope([[2.0], [-2.0]], [1.0, 1.0]), 1.0),
+                     # the square [-1, 1]^2 with a facet listed twice (scaled), and
+                     # with an inequality that touches it only at a corner
+                     "square-doubled-facet": (ConvexBody.polytope(
+                         [[1, 0], [-1, 0], [0, 1], [0, -1], [2, 0], [-2, 0]],
+                         [1, 1, 1, 1, 2, 2]), 4.0),
+                     "square-corner-facet": (ConvexBody.polytope(
+                         [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]],
+                         [1, 1, 1, 1, 2, 2]), 4.0)})
+
+
+@pytest.mark.parametrize("body, volume", CONE_VOLUMES.values(), ids=CONE_VOLUMES.keys())
+def test_cone_weights_sum_to_dim_times_volume(body, volume):
+    z, w = cone_nodes(body)
+    assert abs(w.sum() - body.dim * volume) <= 1e-10
+    np.testing.assert_allclose(body.gauge(z), 1.0, rtol=1e-12)  # boundary points
+
+
+def test_cone_nodes_box_with_extreme_half_widths():
+    # box vertices are the sign patterns of the half-widths, exact at any scale
+    box = ConvexBody.box([2.0e16, 5e-324])
+    z, w = cone_nodes(box)
+    assert w.sum() == pytest.approx(2.0 * box.volume, rel=1e-12)
+    assert np.all(np.abs(z) <= np.array([2.0e16, 5e-324]))
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_cone_weights_lp_ball_3d(q):
+    # non-even exponents are only |angle|^q smooth at the coordinate planes;
+    # measured relative errors: 7.9e-9 (q = 1.5), 4.4e-15 (q = 2), 1.4e-9 (q = 3)
+    body = ConvexBody.lp_ball(q, 1.0, 3)
+    _, w = cone_nodes(body)
+    assert abs(w.sum() / (3.0 * body.volume) - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("body", TENSOR_BODIES, ids=lambda b: f"{b.kind}-{b.dim}d")
+def test_cone_rule_matches_volume_rule_on_monomials(body):
+    # y^alpha is homogeneous of degree |alpha|: the cone sum over (N + |alpha|)
+    # against the tensor volume rule, exact for these degrees
+    z, w = cone_nodes(body)
+    ys, wy = body_quadrature_nodes(body, radial_nodes=8, angular_nodes=16)
+    for degree in range(7):
+        for alpha in multi_indices(body.dim, degree):
+            got = w @ monomial(z, alpha) / (body.dim + degree)
+            ref = wy @ monomial(ys, alpha)
+            scale = np.abs(wy) @ np.abs(monomial(ys, alpha))  # odd monomials integrate to 0
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-13 * scale)
 
 
 # ---------------------------------------------------------------------------

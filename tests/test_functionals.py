@@ -87,9 +87,9 @@ def test_local_limit_ratio_shared_factor():
                 f = make_function("gaussian", body.dim)
                 a = local_limit(FunctionalSpec("bbm_centered", f, body, m, p, 0.1,
                                                make_mollifier("shell", body.dim, 0.1)),
-                                outer_nodes=24, body_radial=12, body_angular=16)
+                                outer_nodes=24)
                 b = local_limit(FunctionalSpec("nguyen_centered", f, body, m, p, 0.1),
-                                outer_nodes=24, body_radial=12, body_angular=16)
+                                outer_nodes=24)
                 assert a / b == pytest.approx(m * p, rel=1e-13)
 
 
@@ -124,6 +124,24 @@ def test_gauge_scaling_covariance():
             base = shared_local_integral(f, body, m, 2.0).value
             scaled = shared_local_integral(f, body.scaled(lam), m, 2.0).value
             assert scaled / base == pytest.approx(lam ** (body.dim + 2 * m), rel=0.01)
+
+
+# Gaussian f = exp(-|x|^2) in 2-D, m = 1, p = 2: int grad f grad f^T dx = (pi/2) I, so the
+# shared integral is (pi/2) int_K |y|^2 dy, and the constant is 4 (bbm) or 2 (nguyen)
+HEXAGON = ConvexBody.polytope([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.8660254037844386],
+                               [-0.5, -0.8660254037844386], [-0.5, 0.8660254037844386],
+                               [0.5, -0.8660254037844386]], [1.0] * 6)
+L4_BALL = ConvexBody.lp_ball(4.0, 1.0, 2)
+
+
+def test_local_limit_polytope_and_lp_ball_closed_forms():
+    # unit-inradius hexagon: int |y|^2 = 10 sqrt(3) / 9
+    spec = FunctionalSpec("bbm_centered", GAUSS2, HEXAGON, 1, 2.0, 0.4,
+                          make_mollifier("shell", 2, 0.4))
+    assert local_limit(spec) == pytest.approx(20.0 * math.sqrt(3.0) * math.pi / 9.0, rel=1e-10)
+    # unit l4 ball: int y1^2 = Gamma(3/4) Gamma(1/4) / 4 = pi sqrt(2) / 4
+    spec = FunctionalSpec("nguyen_centered", GAUSS2, L4_BALL, 1, 2.0, 0.2)
+    assert local_limit(spec) == pytest.approx(math.pi ** 2 / math.sqrt(2.0), rel=1e-10)
 
 
 def test_local_limit_monte_carlo_agrees():
