@@ -24,7 +24,7 @@ from .config import ConfigError, load_config
 from .convergence import sweep
 from .engine import EngineError, sphere_body_identity_check
 from .functions import make_function, polynomial_function
-from .mollifiers import CertificationError, certify, default_epsilon_grid
+from .mollifiers import CertificationError, certification_grids, certify
 from .report import JobError, render_csv, render_json
 
 ALGEBRAIC_TOL = 1e-12
@@ -227,9 +227,6 @@ def check_identities(seed: int = 20260810, quick: bool = False,
 # certify-mollifiers
 # ---------------------------------------------------------------------------
 
-_CERT_DELTAS = (0.05, 0.1, 0.25, 0.5)
-
-
 def certify_mollifiers(config_path: str | None = None, broken: bool = False) -> int:
     families: list[tuple[str, int, float | None]] = []
     if config_path is not None:
@@ -251,7 +248,7 @@ def certify_mollifiers(config_path: str | None = None, broken: bool = False) -> 
     status = 0
     for kind, dim, p in families:
         try:
-            report = certify(kind, dim, _CERT_DELTAS, default_epsilon_grid(kind), p)
+            report = certify(kind, dim, *certification_grids(kind, p), p)
         except CertificationError as exc:
             print(f"{kind} (dim={dim}): FAILED: {exc}")
             status = 2
@@ -267,21 +264,17 @@ def certify_mollifiers(config_path: str | None = None, broken: bool = False) -> 
         from . import mollifiers as _m
 
         class _Broken(_m.MollifierFamily):
-            def evaluate(self, r):
-                return 0.93 * super().evaluate(r)
-
             def radial_mass_density_mp(self, r):
                 return 0.93 * super().radial_mass_density_mp(r)
 
         original = _m.make_mollifier
         _m.make_mollifier = lambda kind, dim, eps, p=None: _Broken(kind, dim, eps, p)
+        status = 2
         try:
-            certify("shell", 1, _CERT_DELTAS, default_epsilon_grid("shell"))
+            certify("shell", 1, *certification_grids("shell"))
             print("broken fixture: certification unexpectedly passed")
-            status = 2
         except CertificationError as exc:
             print(f"broken fixture correctly rejected: {exc}")
-            status = 2
         finally:
             _m.make_mollifier = original
     return status

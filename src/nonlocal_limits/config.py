@@ -7,6 +7,7 @@ work starts, so a malformed experiment fails fast with a readable message.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -140,19 +141,11 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _build_plan(raw: dict, seed: int, workers: int) -> IntegrationPlan:
-    method = raw["method"]
-    if method == "monte_carlo":
-        if "samples" not in raw:
-            raise ConfigError("monte_carlo plans require 'samples'")
-        return IntegrationPlan(
-            "monte_carlo", samples=raw["samples"], seed=seed, workers=workers,
-            stratification=raw.get("stratification", 16),
-            outer_box_radius=raw.get("outer_box_radius"), t_max=raw.get("t_max"))
-    return IntegrationPlan(
-        "tensor_quadrature", x_nodes=raw.get("x_nodes", 200),
-        t_nodes=raw.get("t_nodes", 64),
-        outer_box_radius=raw.get("outer_box_radius"), t_max=raw.get("t_max"))
+def _overflows(base: float, exponent: float) -> bool:
+    try:
+        return not math.isfinite(float(base) ** exponent)
+    except OverflowError:
+        return True
 
 
 def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -195,6 +188,8 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if not func.integrable:
             raise ConfigError(f"{label}: function {fname!r} is identity-test only")
         plan_raw = job["plan"]
+        if plan_raw["method"] == "monte_carlo" and "samples" not in plan_raw:
+            raise ConfigError(f"{label}: monte_carlo plans require 'samples'")
         if plan_raw["method"] == "tensor_quadrature" and body.dim != 1:
             raise ConfigError(f"{label}: tensor_quadrature needs a 1-D body, got dim "
                               f"{body.dim}; use monte_carlo")
@@ -202,6 +197,11 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if box_radius is not None and box_radius < func.support_radius:
             raise ConfigError(f"{label}: outer_box_radius {box_radius} is below the "
                               f"support radius {func.support_radius} of {fname!r}")
+        if box_radius is not None and _overflows(2 * box_radius, body.dim):
+            raise ConfigError(f"{label}: plan.outer_box_radius {box_radius} overflows "
+                              f"the box volume (2 r)^{body.dim}")
+        if "t_max" in plan_raw and _overflows(plan_raw["t_max"], -job["m"] * job["p"]):
+            raise ConfigError(f"{label}: plan.t_max {plan_raw['t_max']} overflows t_max^-(m p)")
         moll_kind = job.get("mollifier", {}).get("kind")
         if job["theorem"].startswith("bbm") and moll_kind is None:
             raise ConfigError(f"{label}: mollified functionals require a mollifier block")
@@ -214,7 +214,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{label}: invalid schedule: {exc}") from exc
         # decorrelate jobs while keeping runs reproducible for fixed config
         job_seed = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
-        plan = _build_plan(plan_raw, job_seed, workers)
+        plan = IntegrationPlan(**plan_raw, seed=job_seed, workers=workers)
         jobs.append(JobConfig(name=label, theorem=job["theorem"], function=func,
                               body=body, m=job["m"], p=float(job["p"]),
                               schedule=schedule, plan=plan,

@@ -120,36 +120,30 @@ class MollifierRadial:
     """Radial law matched to a concentration profile evaluated at gauge radii.
 
     Draws the gauge radius u from the profile's own unit radial mass measure
-    (restricted to the mass quantile [mass_floor, 1]) and converts to the
-    Euclidean radius t = u / ||sigma||_K.  The unnormalised radial shape in t
-    is u^(dim-1) rho(u) ||sigma||_K, whose mass over the drawn range is
-    1 - mass_floor; a kernel's payoff therefore carries neither rho nor the
-    Jacobian.  The floor removes the u -> 0 region where finite differences
-    cancel below double precision; the discarded true mass fraction is exactly
-    ``mass_floor`` and is surfaced by the callers.
+    and converts to the Euclidean radius t = u / ||sigma||_K.  The
+    unnormalised radial shape in t is u^(dim-1) rho(u) ||sigma||_K, whose
+    mass is 1; a kernel's payoff therefore carries neither rho nor the
+    Jacobian.  At small profile indices u can underflow to 0, so a kernel
+    must give a finite payoff at t = 0.
     """
 
-    def __init__(self, family, gauge, mass_floor: float = 1e-4):
-        if not 0.0 <= mass_floor < 1.0:
-            raise ValueError("mass_floor must be in [0, 1)")
+    def __init__(self, family, gauge):
         self.family = family
         self.gauge = gauge
-        self.mass_floor = float(mass_floor)
 
     def prepare(self, sigma: Array):
         return self.gauge(sigma)
 
     def sample(self, v: Array, gauge_sigma: Array) -> Array:
-        u = self.family.inverse_mass(self.mass_floor + v * (1.0 - self.mass_floor))
-        return u / gauge_sigma
+        return self.family.inverse_mass(v) / gauge_sigma
 
     def mass(self, gauge_sigma) -> float:
-        """Mass of the radial shape over the drawn quantile range."""
-        return 1.0 - self.mass_floor
+        """Mass of the radial shape: the profile's unit radial mass."""
+        return 1.0
 
     def pdf(self, t: Array, gauge_sigma: Array) -> Array:
         u = np.asarray(t, dtype=float) * gauge_sigma
-        return self.family.radial_mass_density(u) * gauge_sigma / self.mass(gauge_sigma)
+        return self.family.radial_mass_density(u) * gauge_sigma
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Level-set (threshold) variants integrate delta^p / gauge^(dim + m p) over the
 pair region where a remainder exceeds delta; mollified variants integrate
 |remainder|^p / gauge^(m p) against a concentration profile of the gauge
-distance.  Each has a centered-remainder and a Taylor-remainder form, giving
+distance, using the leading term c_m t^m d^m f(x)[sigma] of the remainder
+below the radius t_c = eps^(1/(m+1)), where rounding swamps it.  Each
+functional has a centered-remainder and a Taylor-remainder form, giving
 the four theorem tags used throughout configs and reports:
 
     nguyen_centered   level set,  centered remainder
@@ -44,9 +46,6 @@ THEOREMS = ("nguyen_centered", "bbm_centered", "nguyen_taylor", "bbm_taylor")
 MAX_M = 3
 MAX_DIM = 3
 P_RANGE = (1.0, 8.0)
-
-#: discarded radial mass fraction for mollified kernels (see MollifierRadial)
-MASS_FLOOR = 1e-4
 
 
 class SpecError(ValueError):
@@ -208,6 +207,31 @@ def _evaluate_level_set(spec: FunctionalSpec, plan: IntegrationPlan) -> Integral
 # Mollified functionals
 # ---------------------------------------------------------------------------
 
+def _small_radius_bias(spec: FunctionalSpec, box_radius: float, t_c: float,
+                       c_m: float) -> float:
+    """Bound on how much the leading-term payoff below t_c moves the estimate.
+
+    Let M_k = ``f.m_form_bound(k)`` and D = d^m f(x)[sigma].  Along the
+    segment every derivative is diagonal in sigma, so the integral forms of R
+    (centered: d^m f(x + S h)[h] averaged over the m-cube, h = t sigma / m,
+    E[S] = m/2; Taylor: kernel (1-s)^(m-1)/(m-1)!) give
+    |R -+ c_m t^m D| <= c_m t^(m+1) M_(m+1).  So for t < t_c,
+    a = |R| / (c_m t^m) and b = |D| differ by at most delta = t_c M_(m+1) and
+    are at most M_m + delta; with g = gauge(sigma) >= 1/outer_radius, the
+    payoffs c_m^p {a, b}^p g^-(mp+N) differ by at most
+    c_m^p p (M_m + delta)^(p-1) delta outer_radius^(mp+N).  Rows below t_c
+    have gauge radius below t_c / inner_radius, of probability at most
+    mass_below(t_c / inner_radius); the box volume (2 box_radius)^N and the
+    sphere measure complete the bound.
+    """
+    f, body, m, p = spec.f, spec.body, spec.m, spec.p
+    delta = t_c * f.m_form_bound(m + 1)
+    row = (c_m ** p * p * (f.m_form_bound(m) + delta) ** (p - 1.0) * delta
+           * body.outer_radius ** (m * p + body.dim))
+    return ((2.0 * box_radius) ** body.dim * sphere_measure(body.dim)
+            * spec.mollifier.mass_below(t_c / body.inner_radius) * row)
+
+
 def _evaluate_mollified(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
     f, body, m, p = spec.f, spec.body, spec.m, spec.p
     moll = spec.mollifier
@@ -222,23 +246,23 @@ def _evaluate_mollified(spec: FunctionalSpec, plan: IntegrationPlan) -> Integral
         # pairs contribute only when a node of the remainder is in the support
         box_radius = f.support_radius + moll.support_upper * body.outer_radius + 0.5
     mp = m * p
+    # relative errors: about eps / t^m from rounding in R, about t in its leading term
+    t_c = float(np.finfo(float).eps) ** (1.0 / (m + 1))
+    c_m = float(m) ** -m if spec.theorem.endswith("centered") else 1.0 / math.factorial(m)
 
     def kernel(x, sigma, t):
-        # |R|^p (t g)^-mp rho t^(N-1) over the law's shape (t g)^(N-1) rho g;
-        # R = 0 is skipped because (t g)^-mp can overflow where R underflows
+        # |R|^p (t g)^-mp rho t^(N-1) over the law's shape (t g)^(N-1) rho g
+        g = body.gauge(sigma)
         vals = np.abs(remainder(f, x, x + t[:, np.newaxis] * sigma, m))
-        out = np.zeros_like(t)
-        live = vals > 0.0
-        g = body.gauge(sigma[live])
-        out[live] = vals[live] ** p * (t[live] * g) ** (-mp) * g ** (-body.dim)
+        out = vals ** p * (np.maximum(t, t_c) * g) ** (-mp) * g ** (-body.dim)
+        small = t < t_c
+        form = np.abs(directional_m_form(f, x[small], sigma[small], m))
+        out[small] = (c_m * form) ** p * g[small] ** (-mp - body.dim)
         return out
 
-    law = MollifierRadial(moll, body.gauge, mass_floor=MASS_FLOOR)
+    law = MollifierRadial(moll, body.gauge)
     est = integrate_double(kernel, plan.with_box(box_radius), body.dim, law, f.proposal)
-    a = 1.0 / body.outer_radius
-    floor_bias = (MASS_FLOOR * (2.0 * box_radius) ** body.dim * sphere_measure(body.dim)
-                  * f.m_form_bound(m) ** p * m ** (-mp) * a ** (-(mp + body.dim)))
-    est.info["radial_floor_bias"] = floor_bias
+    est.info["small_radius_bias"] = _small_radius_bias(spec, box_radius, t_c, c_m)
     return est
 
 

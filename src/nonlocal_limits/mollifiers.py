@@ -121,28 +121,13 @@ class CertificationReport:
     max_final_tail: float
 
 
-def _numeric_normalization(family: MollifierFamily) -> float:
-    """Independent normalization check via quadrature in log radius.
+def _numeric_mass(family: MollifierFamily, delta: float = 0.0) -> float:
+    """Radial mass above ``delta`` by log-radius quadrature: the normalization at 0.
 
     Substituting r = exp(-y) turns the endpoint singularity into exponential
     decay on [0, inf), which tanh-sinh integrates to full precision whatever
     the singularity strength.
     """
-    def integrand(y):
-        r = mpmath.exp(-y)
-        return family.radial_mass_density_mp(r) * r
-
-    with mpmath.workdps(40):
-        support_edge = -mpmath.log(mpmath.mpf(family.support_upper))
-        points = [0, mpmath.inf]
-        if support_edge > 0:
-            points = [0, support_edge, mpmath.inf]
-        val = mpmath.quad(integrand, points)
-    return float(val)
-
-
-def _numeric_tail(family: MollifierFamily, delta: float) -> float:
-    """Tail mass above ``delta`` by the same log-radius quadrature."""
     if delta >= family.support_upper:
         return 0.0
 
@@ -152,7 +137,7 @@ def _numeric_tail(family: MollifierFamily, delta: float) -> float:
 
     with mpmath.workdps(40):
         lo = -mpmath.log(mpmath.mpf(family.support_upper))
-        hi = mpmath.log(1.0 / mpmath.mpf(delta))
+        hi = mpmath.log(1.0 / mpmath.mpf(delta)) if delta > 0 else mpmath.inf
         val = mpmath.quad(integrand, [lo, hi])
     return float(val)
 
@@ -179,7 +164,7 @@ def certify(kind: str, dim: int, delta_grid, epsilon_grid, p: float | None = Non
     tail_residuals: dict[tuple[float, float], float] = {}
     for eps in epsilons:
         family = make_mollifier(kind, dim, eps, p)
-        resid = abs(_numeric_normalization(family) - 1.0)
+        resid = abs(_numeric_mass(family) - 1.0)
         residuals[eps] = resid
         if resid > norm_tol:
             raise CertificationError(
@@ -188,7 +173,7 @@ def certify(kind: str, dim: int, delta_grid, epsilon_grid, p: float | None = Non
         for delta in deltas:
             closed = family.tail_mass(delta)
             tails[(delta, eps)] = closed
-            gap = abs(_numeric_tail(family, delta) - closed)
+            gap = abs(_numeric_mass(family, delta) - closed)
             tail_residuals[(delta, eps)] = gap
             if gap > tail_match_tol:
                 raise CertificationError(
@@ -225,8 +210,13 @@ _DEFAULT_EPSILONS = {
 _certified: set[tuple] = set()
 
 
-def default_epsilon_grid(kind: str) -> tuple[float, ...]:
-    return _DEFAULT_EPSILONS[kind]
+def certification_grids(kind: str, p: float | None = None) -> tuple[tuple[float, ...], ...]:
+    """The delta grid and the epsilon grid a family is certified on."""
+    epsilons = _DEFAULT_EPSILONS[kind]
+    if kind == "fractional" and p > 2.0:
+        # the profile depends on eps p only: keep the p = 2 values of eps p
+        epsilons = tuple(eps * 2.0 / p for eps in epsilons)
+    return _DEFAULT_DELTAS, epsilons
 
 
 def ensure_certified(family: MollifierFamily) -> None:
@@ -234,6 +224,5 @@ def ensure_certified(family: MollifierFamily) -> None:
     key = (family.kind, family.dim, family.p)
     if key in _certified:
         return
-    certify(family.kind, family.dim, _DEFAULT_DELTAS,
-            _DEFAULT_EPSILONS[family.kind], family.p)
+    certify(family.kind, family.dim, *certification_grids(family.kind, family.p), family.p)
     _certified.add(key)

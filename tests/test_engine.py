@@ -126,7 +126,7 @@ def test_mollifier_radial_law_normalizes():
     # payoff 1 integrates the law's own radial shape, i.e. the unit profile mass
     moll = make_mollifier("shell", 1, 0.3)
     body = ConvexBody.box([1.0])
-    law = MollifierRadial(moll, body.gauge, mass_floor=0.0)
+    law = MollifierRadial(moll, body.gauge)
     plan = IntegrationPlan.monte_carlo(samples=20_000, seed=4, outer_box_radius=1.0)
     est = integrate_double(ones_kernel, plan, 1, law)
     assert est.value == pytest.approx(4.0, rel=1e-12)  # box 2 x sphere 2 x mass 1

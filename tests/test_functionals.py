@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -357,8 +358,51 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     np.testing.assert_allclose(payoff, reference, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("theorem", ["bbm_centered", "bbm_taylor"])
+def test_leading_term_payoff_matches_exact_remainder(theorem, m, monkeypatch):
+    # below t_c the kernel pays for the leading term of R; from t_c/2 to 2 t_c it must
+    # agree with the exact payoff, R in 50 digits, within the per-row share of
+    # small_radius_bias, which grows at most like (t/t_c)^p above t_c
+    p, eps, box = 2.0, 0.05, 7.0
+    moll = make_mollifier("shell", 1, eps)
+    captured = {}
+
+    def capture(kernel, plan, dim, law, proposal):
+        captured["kernel"] = kernel
+        return IntegralEstimate(0.0, 0.0)
+
+    monkeypatch.setattr(functionals, "integrate_double", capture)
+    spec = FunctionalSpec(theorem, GAUSS1, INTERVAL, m, p, eps, moll)
+    bias = evaluate(spec, IntegrationPlan.quadrature(outer_box_radius=box)).info["small_radius_bias"]
+    t_c = np.finfo(float).eps ** (1.0 / (m + 1))
+    per_row = bias / (2.0 * box * 2.0 * moll.mass_below(t_c))
+
+    x = np.linspace(-2.5, 2.5, 41)
+    xs = np.concatenate([x, x])[:, np.newaxis]
+    sigma = np.repeat([[1.0], [-1.0]], x.size, axis=0)
+    lead = captured["kernel"](xs, sigma, np.full(2 * x.size, 0.25 * t_c))
+
+    def f(u):
+        return mpmath.exp(-u * u)
+
+    def exact_remainder(x0, y0):
+        if theorem == "bbm_centered":
+            return sum((-1) ** j * math.comb(m, j) * f(x0 + j * (y0 - x0) / m)
+                       for j in range(m + 1))
+        return f(x0) - sum(mpmath.diff(f, y0, k) * (x0 - y0) ** k / math.factorial(k)
+                           for k in range(m))
+
+    with mpmath.workdps(50):
+        for t in np.geomspace(0.5 * t_c, 2.0 * t_c, 5):
+            for x0, s0, payoff in zip(xs[:, 0], sigma[:, 0], lead):
+                x0, h = mpmath.mpf(float(x0)), mpmath.mpf(float(t * s0))
+                exact = abs(exact_remainder(x0, x0 + h)) ** p * mpmath.mpf(float(t)) ** (-m * p)
+                assert abs(float(exact) - payoff) <= per_row * max(1.0, t / t_c) ** p
+
+
 def test_fractional_profile_at_small_index_is_finite():
-    # gauge radii reach ~1e-252 here: (t g)^-mp overflows where the remainder is 0
+    # gauge radii underflow to 0 here; below t_c the payoff does not depend on t
     eps = 0.00625
     spec = FunctionalSpec("bbm_centered", make_function("poly_bump", 1), INTERVAL, 1, 2.0,
                           eps, make_mollifier("fractional", 1, eps, 2.0))

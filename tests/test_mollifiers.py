@@ -8,8 +8,8 @@ from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.engine import IntegrationPlan
 from nonlocal_limits.functionals import FunctionalSpec, evaluate
 from nonlocal_limits.functions import make_function
-from nonlocal_limits.mollifiers import (CertificationError, certify,
-                                        default_epsilon_grid, make_mollifier)
+from nonlocal_limits.mollifiers import (CertificationError, certification_grids, certify,
+                                        make_mollifier)
 
 
 def test_shell_evaluate():
@@ -53,11 +53,21 @@ def test_certification_passes_builtins():
     for kind in ("shell", "fractional"):
         for dim in (1, 2):
             p = 2.0 if kind == "fractional" else None
-            report = certify(kind, dim, (0.05, 0.1, 0.25, 0.5),
-                             default_epsilon_grid(kind), p)
+            report = certify(kind, dim, *certification_grids(kind, p), p)
             assert max(report.normalization_residuals.values()) <= 1e-10
             assert max(report.tail_residuals.values()) <= 1e-10
             assert report.max_final_tail <= 1e-3
+
+
+@pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+def test_fractional_certifies_above_p2(p):
+    # the profile depends on eps p only: the scaled grid keeps the p = 2 tails
+    deltas, epsilons = certification_grids("fractional", p)
+    assert [eps * p for eps in epsilons] == pytest.approx(
+        [eps * 2.0 for eps in certification_grids("fractional", 2.0)[1]], rel=1e-15)
+    report = certify("fractional", 2, deltas, epsilons, p)
+    assert report.max_final_tail == pytest.approx(1.0 - 0.05 ** 2e-4, rel=1e-12)
+    assert report.max_final_tail <= 1e-3
 
 
 def test_certification_rejects_broken_normalization():
