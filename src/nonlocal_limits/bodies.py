@@ -1,8 +1,9 @@
-"""Origin-symmetric convex bodies: gauge norms, membership, sampling support.
+"""Origin-symmetric convex bodies: gauge norms, membership, volumes, m-form norms.
 
 A body K defines the gauge ||x||_K = inf{lam > 0 : x/lam in K}, which is a norm
 whose unit ball is K.  Supported kinds: ball, box, ellipsoid, lp_ball, and
-facet-represented symmetric polytopes.
+facet-represented symmetric polytopes.  Integrals over K are quadrature rules
+in ``engine``; nothing here draws random points in K.
 """
 
 from __future__ import annotations
@@ -13,12 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-Array = np.ndarray
+from .functions import as_points
 
-#: body kinds with a tensor Gauss-Legendre volume rule (``engine.body_quadrature_nodes``,
-#: used by ``integrate_body``) and an exact uniform sampler (``sample_in_body``).
-#: Local-limit targets and ``zpm_norm`` use ``engine.cone_nodes``, which covers every kind.
-TENSOR_QUADRATURE_KINDS = ("ball", "box", "ellipsoid")
+Array = np.ndarray
 
 _EUCLID_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi ** 2 / 2.0}
 
@@ -108,14 +106,6 @@ class ConvexBody:
 
     # -- geometry ------------------------------------------------------------
 
-    def _pts(self, x) -> Array:
-        pts = np.asarray(x, dtype=float)
-        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
-        if pts.shape[-1] != self.dim:
-            raise ValueError(f"expected dimension {self.dim}, got shape {pts.shape}")
-        return pts
-
     def gauge(self, x) -> Array:
         """Minkowski gauge ||x||_K, vectorized over the leading axes of x.
 
@@ -123,7 +113,7 @@ class ConvexBody:
         short last axis is many times slower); sums keep the axis order, so
         the values are bitwise those of the axis reductions.
         """
-        pts = self._pts(x)
+        pts = as_points(x, self.dim)
         if self.kind == "ball":
             return np.linalg.norm(pts, axis=-1) / self.params[0]
         if self.kind == "box":
@@ -162,7 +152,7 @@ class ConvexBody:
 
     @property
     def volume(self) -> float | None:
-        """Closed-form volume, or None (polytope) when only sampling estimates exist."""
+        """Closed-form volume, or None for a polytope."""
         if self.kind == "ball":
             return _EUCLID_BALL_VOLUME[self.dim] * self.params[0] ** self.dim
         if self.kind == "box":
@@ -260,42 +250,6 @@ def equivalence_constants(body: ConvexBody, samples: int = 512,
     if np.any(g < a * (1.0 - slack) - slack) or np.any(g > b * (1.0 + slack) + slack):
         raise AssertionError("sandwich constants violated on sampled directions")
     return a, b
-
-
-def sample_in_body(body: ConvexBody, rng: np.random.Generator, size: int) -> Array:
-    """Uniform points in K, for the kinds with an exact sampler (ball, box, ellipsoid).
-
-    Boxes are drawn directly, balls and ellipsoids in polar form.
-    """
-    if size < 0:
-        raise ValueError("size must be nonnegative")
-    if body.kind not in TENSOR_QUADRATURE_KINDS:
-        raise ValueError(f"no exact uniform sampler for body kind {body.kind!r}")
-    if body.kind == "box":
-        hw = np.asarray(body.params)
-        return rng.uniform(-1.0, 1.0, size=(size, body.dim)) * hw
-    normals = rng.normal(size=(size, body.dim))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    radii = rng.random(size) ** (1.0 / body.dim)
-    unit = normals * radii[:, np.newaxis]
-    if body.kind == "ball":
-        return unit * body.params[0]
-    return unit * np.asarray(body.params)
-
-
-def body_points(body: ConvexBody, rng: np.random.Generator,
-                n: int) -> tuple[Array, Array | float]:
-    """n points and weights w with mean(w f(y)) an unbiased estimate of the integral of f over K.
-
-    Ball, box and ellipsoid points are uniform in K with weight vol(K); other
-    kinds are uniform on the bounding box of half-width ``outer_radius``, with
-    weight vol(box) on the points inside K and 0 outside.
-    """
-    if body.kind in TENSOR_QUADRATURE_KINDS:
-        return sample_in_body(body, rng, n), body.volume
-    half = body.outer_radius
-    pts = rng.uniform(-half, half, size=(n, body.dim))
-    return pts, (2.0 * half) ** body.dim * body.contains(pts)
 
 
 def zpm_norm(body: ConvexBody, coeffs, m: int, p: float) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -58,7 +59,6 @@ _PLAN_SCHEMA = {
     "properties": {
         "method": {"enum": ["monte_carlo", "tensor_quadrature"]},
         "samples": {"type": "integer", "minimum": 1},
-        "stratification": {"type": "integer", "minimum": 1},
         "x_nodes": {"type": "integer", "minimum": 4},
         "t_nodes": {"type": "integer", "minimum": 4},
         "outer_box_radius": {"type": "number", "exclusiveMinimum": 0},
@@ -141,6 +141,14 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
+def _huge_integers(node, path: str = "") -> list[str]:
+    """Paths of the integers in ``node`` that no float holds (JSON integers are unbounded)."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [hit for key, child in items for hit in _huge_integers(child, f"{path}/{key}")]
+    return [path.lstrip("/")] if isinstance(node, int) and abs(node) > sys.float_info.max else []
+
+
 def _overflows(base: float, exponent: float) -> bool:
     try:
         return not math.isfinite(float(base) ** exponent)
@@ -171,6 +179,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     jobs: list[JobConfig] = []
     for idx, job in enumerate(raw["jobs"]):
         label = job.get("name", f"job{idx}")
+        huge = _huge_integers(job)
+        if huge:
+            raise ConfigError(f"{label}: {huge[0]} is an integer too large for a float")
         if not P_RANGE[0] < job["p"] <= P_RANGE[1]:
             raise ConfigError(
                 f"{label}: p={job['p']} violates the constraint p > 1 (and p <= {P_RANGE[1]})")

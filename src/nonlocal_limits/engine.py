@@ -19,19 +19,21 @@ is exactly unbiased, and the uniform share caps each weight at n / (n - k),
 about 5, times the plain uniform weight.  Proposal rows outside the box get
 weight 0.  A function without a proposal keeps uniform x on the box.
 
-Every Monte Carlo integral runs through ``monte_carlo``, which splits the
+The Monte Carlo pair integral runs through ``monte_carlo``, which splits the
 samples into blocks of _CHUNK rows.  Block i draws from
-SeedSequence((seed, stream, i)), with one stream tag per kind of integral, and
-block results merge in index order (keyed per-block streams, Salmon et al.
-2011).  The numbers therefore depend on (seed, stream, samples) only; the
-worker count just sets how many threads run the blocks.
+SeedSequence((seed, 0, i)) and block results merge in index order (keyed
+per-block streams, Salmon et al. 2011).  The numbers therefore depend on
+(seed, samples) only; the worker count just sets how many threads run the
+blocks.
 
-Integrals over a body K of integrands positively homogeneous in y (the
-local-limit targets, ``bodies.zpm_norm``) use ``cone_nodes``: the radial
-direction is integrated in closed form, leaving a quadrature on the boundary
-of K weighted by the cone measure (Lasserre 1998).  The tensor volume rule
-``body_quadrature_nodes`` remains for general integrands over ball, box and
-ellipsoid.
+Everything else is deterministic quadrature.  ``sphere_quadrature`` is the
+one unit-sphere rule.  Integrals over a body K of integrands positively
+homogeneous in y (the local-limit targets, ``bodies.zpm_norm``) use
+``cone_nodes``: the radial direction is integrated in closed form, leaving a
+quadrature on the boundary of K weighted by the cone measure (Lasserre 1998).
+The tensor volume rule ``body_quadrature_nodes`` of ball, box and ellipsoid
+is the reference the sphere-to-body check and the cone-rule tests compare
+against.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bodies import TENSOR_QUADRATURE_KINDS, ConvexBody, _polytope_vertices, body_points
+from .bodies import ConvexBody, _polytope_vertices
 
 Array = np.ndarray
 
@@ -53,8 +55,11 @@ _CHUNK = 1 << 15
 #: share of each block's outer points drawn from the test function's proposal
 PROPOSAL_SHARE = 0.8
 
-#: stream tags keeping the random numbers of the three kinds of integral apart
-PAIR_STREAM, BODY_STREAM, TARGET_STREAM = 0, 1, 2
+#: radial strata: row r draws its radial uniform from [r mod S, r mod S + 1) / S
+_STRATA = 16
+
+#: body kinds with a tensor Gauss-Legendre volume rule (``body_quadrature_nodes``)
+TENSOR_QUADRATURE_KINDS = ("ball", "box", "ellipsoid")
 
 _SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -158,7 +163,6 @@ class IntegrationPlan:
     samples: int = 0
     seed: int = 0
     workers: int = 1
-    stratification: int = 16
     x_nodes: int = 200
     t_nodes: int = 64
     outer_box_radius: float | None = None
@@ -166,10 +170,9 @@ class IntegrationPlan:
 
     @staticmethod
     def monte_carlo(samples: int, seed: int = 0, workers: int = 1,
-                    stratification: int = 16, outer_box_radius: float | None = None,
+                    outer_box_radius: float | None = None,
                     t_max: float | None = None) -> "IntegrationPlan":
-        return IntegrationPlan("monte_carlo", samples=samples, seed=seed,
-                               workers=workers, stratification=stratification,
+        return IntegrationPlan("monte_carlo", samples=samples, seed=seed, workers=workers,
                                outer_box_radius=outer_box_radius, t_max=t_max)
 
     @staticmethod
@@ -227,12 +230,12 @@ class _Welford:
         return math.sqrt(self.m2 / (self.count - 1) / self.count)
 
 
-def monte_carlo(plan: IntegrationPlan, stream: int, chunk) -> IntegralEstimate:
+def monte_carlo(plan: IntegrationPlan, chunk) -> IntegralEstimate:
     """Mean of the payoffs ``chunk(rng, n, offset)`` over ``plan.samples`` rows.
 
     Block i covers rows [i _CHUNK, (i + 1) _CHUNK), cut at ``plan.samples``,
     and ``chunk`` returns its payoffs from ``rng``, seeded by
-    SeedSequence((plan.seed, stream, i)); ``offset`` is the block's first row.
+    SeedSequence((plan.seed, 0, i)); ``offset`` is the block's first row.
     Blocks run on min(workers, blocks, cpu count) threads and merge in block
     order, so the estimate is the same for every worker count.
     """
@@ -241,7 +244,7 @@ def monte_carlo(plan: IntegrationPlan, stream: int, chunk) -> IntegralEstimate:
     offsets = range(0, plan.samples, _CHUNK)
 
     def block(i: int) -> _Welford:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, stream, i))))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, 0, i))))
         acc = _Welford()
         acc.add(chunk(rng, min(_CHUNK, plan.samples - offsets[i]), offsets[i]))
         return acc
@@ -291,11 +294,9 @@ def _sample_sphere(rng: np.random.Generator, n: int, dim: int) -> Array:
     return vec / norms
 
 
-def _stratified_uniform(rng: np.random.Generator, n: int, strata: int, offset: int) -> Array:
-    if strata <= 1:
-        return rng.random(n)
-    idx = (np.arange(offset, offset + n) % strata).astype(float)
-    return (idx + rng.random(n)) / strata
+def _stratified_uniform(rng: np.random.Generator, n: int, offset: int) -> Array:
+    idx = (np.arange(offset, offset + n) % _STRATA).astype(float)
+    return (idx + rng.random(n)) / _STRATA
 
 
 def _check_finite(values: Array, x: Array, sigma: Array, t: Array) -> None:
@@ -341,13 +342,13 @@ def integrate_double(kernel, plan: IntegrationPlan, dim: int, law,
         x, weight = outer_points(rng, n, dim, box_radius, proposal, sphere)
         sigma = _sample_sphere(rng, n, dim)
         aux = law.prepare(sigma)
-        v = _stratified_uniform(rng, n, plan.stratification, offset)
+        v = _stratified_uniform(rng, n, offset)
         t = law.sample(v, aux)
         vals = kernel(x, sigma, t) * (law.mass(aux) * weight)
         _check_finite(vals, x, sigma, t)
         return vals
 
-    return monte_carlo(plan, PAIR_STREAM, chunk)
+    return monte_carlo(plan, chunk)
 
 
 def _integrate_double_quadrature(kernel, plan, dim, law, box_radius):
@@ -394,7 +395,7 @@ def body_quadrature_nodes(body: ConvexBody, radial_nodes: int = 48,
                           angular_nodes: int = 64) -> tuple[Array, Array]:
     """Nodes and weights with sum w_i f(y_i) ~ integral_K f; ball/box/ellipsoid only."""
     if body.kind not in TENSOR_QUADRATURE_KINDS:
-        raise ValueError(f"no tensor quadrature for body kind {body.kind!r}; use Monte Carlo")
+        raise ValueError(f"no tensor quadrature for body kind {body.kind!r}")
     semi = np.asarray([body.params[0]] * body.dim if body.kind == "ball" else body.params)
     xg, wg = np.polynomial.legendre.leggauss(radial_nodes)
     if body.kind == "box" or body.dim == 1:
@@ -415,43 +416,14 @@ def body_quadrature_nodes(body: ConvexBody, radial_nodes: int = 48,
     return unit * semi, w * rr ** 2 * float(np.prod(semi))
 
 
-def integrate_body(f_inner, body: ConvexBody, plan: IntegrationPlan) -> IntegralEstimate:
-    """Integral of ``f_inner`` over the body K.
-
-    Monte Carlo averages ``f_inner`` at ``bodies.body_points`` times their
-    weights.  Quadrature maps tensor Gauss-Legendre grids onto
-    ball/box/ellipsoid.
-    """
-    if plan.method == "tensor_quadrature":
-        pts, w = body_quadrature_nodes(body, radial_nodes=plan.x_nodes,
-                                       angular_nodes=plan.t_nodes)
-        vals = f_inner(pts)
-        return IntegralEstimate(float(np.dot(w, vals)), 0.0,
-                                info={"method": "tensor_quadrature", "nodes": len(w)})
-    if plan.method != "monte_carlo":
-        raise ValueError(f"unknown integration method {plan.method!r}")
-
-    def chunk(rng: np.random.Generator, n: int, offset: int) -> Array:
-        pts, weight = body_points(body, rng, n)
-        return weight * np.asarray(f_inner(pts), dtype=float)
-
-    return monte_carlo(plan, BODY_STREAM, chunk)
-
-
 # ---------------------------------------------------------------------------
-# Cone-measure (boundary) rule for homogeneous integrands
+# The unit-sphere rule and the cone-measure (boundary) rule for homogeneous integrands
 # ---------------------------------------------------------------------------
 
 #: Gauss-Legendre nodes per quadrant (2-D) and per axis of an octant cell (3-D)
-_CONE_SPHERE_NODES = {2: 48, 3: 20}
+_SPHERE_NODES = {2: 48, 3: 20}
 #: Gauss-Legendre nodes per facet edge (2-D) and per axis of a facet triangle (3-D)
-_CONE_FACET_NODES = {2: 16, 3: 10}
-
-
-def _sphere_points(cos_polar: Array, azimuth: Array) -> Array:
-    """Points of the unit sphere in 3-D from the cosine of the polar angle and the azimuth."""
-    sphi = np.sqrt(np.maximum(0.0, 1.0 - cos_polar ** 2))
-    return np.stack([sphi * np.cos(azimuth), sphi * np.sin(azimuth), cos_polar], axis=-1)
+_FACET_NODES = {2: 16, 3: 10}
 
 
 def _graded_gauss(n: int) -> tuple[Array, Array]:
@@ -466,22 +438,27 @@ def _graded_gauss(n: int) -> tuple[Array, Array]:
     return u * u * (3.0 - 2.0 * u), 3.0 * w * u * (1.0 - u)
 
 
-def _sphere_cells(dim: int) -> tuple[Array, Array]:
-    """Unit-sphere rule split at the coordinate planes.
+def sphere_quadrature(dim: int) -> tuple[Array, Array]:
+    """Directions and weights with sum w_i g(sigma_i) ~ surface integral over the sphere.
 
-    Graded Gauss-Legendre in the angle per quadrant (2-D), and in the
-    cosine of the polar angle times the azimuth per octant cell (3-D); the
-    sphere's area element is d(cos) d(azimuth).  In 1-D the sphere is {-1, 1}.
+    The rule is split at the coordinate planes: graded Gauss-Legendre in the
+    angle per quadrant (2-D, 192 nodes), and in the cosine of the polar angle
+    times the azimuth per octant cell (3-D, 3200 nodes); the sphere's area
+    element is d(cos) d(azimuth).  In 1-D the sphere is {-1, 1}.
     """
     if dim == 1:
         return np.array([[-1.0], [1.0]]), np.ones(2)
-    t, wt = _graded_gauss(_CONE_SPHERE_NODES[dim])
+    if dim not in _SPHERE_NODES:
+        raise ValueError("dim must be 1, 2 or 3")
+    t, wt = _graded_gauss(_SPHERE_NODES[dim])
     theta = 0.5 * math.pi * np.concatenate([t + k for k in range(4)])
     wtheta = np.tile(0.5 * math.pi * wt, 4)
     if dim == 2:
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1), wtheta
     pts, w = tensor_grid([(np.concatenate([t, -t]), np.tile(wt, 2)), (theta, wtheta)])
-    return _sphere_points(*pts.T), w
+    cos_polar, azimuth = pts.T
+    sphi = np.sqrt(np.maximum(0.0, 1.0 - cos_polar ** 2))
+    return np.stack([sphi * np.cos(azimuth), sphi * np.sin(azimuth), cos_polar], axis=-1), w
 
 
 def _facet_cells(on: Array, unit: Array) -> tuple[Array, Array]:
@@ -493,7 +470,7 @@ def _facet_cells(on: Array, unit: Array) -> tuple[Array, Array]:
     dim = on.shape[1]
     if dim == 1:
         return on[:1], np.ones(1)
-    g, wg = np.polynomial.legendre.leggauss(_CONE_FACET_NODES[dim])
+    g, wg = np.polynomial.legendre.leggauss(_FACET_NODES[dim])
     s, ws = 0.5 * (g + 1.0), 0.5 * wg
     center = on.mean(axis=0)
     rel = on - center
@@ -530,7 +507,7 @@ def cone_nodes(body: ConvexBody) -> tuple[Array, Array]:
     """
     dim = body.dim
     if body.kind in ("ball", "ellipsoid", "lp_ball"):
-        omega, w = _sphere_cells(dim)
+        omega, w = sphere_quadrature(dim)
         q = body.params[0] if body.kind == "lp_ball" else 2.0
         semi = (np.asarray(body.params) if body.kind == "ellipsoid"
                 else np.full(dim, body.params[-1]))
@@ -561,50 +538,29 @@ def cone_nodes(body: ConvexBody) -> tuple[Array, Array]:
 
 
 # ---------------------------------------------------------------------------
-# Sphere quadrature and the sphere-to-body reduction check
+# Sphere constants and the sphere-to-body reduction check
 # ---------------------------------------------------------------------------
 
-def sphere_quadrature(dim: int, nodes: int = 2048) -> tuple[Array, Array]:
-    """Directions and weights with sum w_i g(sigma_i) ~ surface integral over the sphere."""
-    if dim == 1:
-        return np.array([[-1.0], [1.0]]), np.array([1.0, 1.0])
-    if dim == 2:
-        theta = 2.0 * math.pi * np.arange(nodes) / nodes
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        return dirs, np.full(nodes, 2.0 * math.pi / nodes)
-    if dim == 3:
-        nc = max(8, nodes // 32)
-        nt = 2 * nc
-        cg, wc = np.polynomial.legendre.leggauss(nc)
-        theta = 2.0 * math.pi * np.arange(nt) / nt
-        pts, w = tensor_grid([(cg, wc), (theta, np.full(nt, 2.0 * math.pi / nt))])
-        return _sphere_points(*pts.T), w
-    raise ValueError("dim must be 1, 2 or 3")
-
-
-def sphere_constant(dim: int, p: float, nodes: int = 4096) -> float:
+def sphere_constant(dim: int, p: float) -> float:
     """The classical sphere moment: surface integral of |e . sigma|^p."""
-    dirs, w = sphere_quadrature(dim, nodes)
-    e = np.zeros(dim)
-    e[0] = 1.0
-    return float(np.dot(w, np.abs(dirs @ e) ** p))
+    dirs, w = sphere_quadrature(dim)
+    return float(np.dot(w, np.abs(dirs[:, 0]) ** p))
 
 
-def sphere_body_identity_check(g, body: ConvexBody, m: int, p: float,
-                               plan: IntegrationPlan | None = None,
-                               sphere_nodes: int = 4096) -> tuple[float, float, float]:
+def sphere_body_identity_check(g, body: ConvexBody, m: int,
+                               p: float) -> tuple[float, float, float]:
     """Check the sphere-to-body reduction for a positively m-homogeneous g.
 
     lhs = surface integral of gauge(sigma)^-(dim + m p) |g(sigma)|^p,
-    rhs = (dim + m p) * integral_K |g(y)|^p dy.
-    Returns (lhs, rhs, relative gap), with gap defined as 0 when both vanish.
+    rhs = (dim + m p) * integral_K |g(y)|^p dy, the latter by the tensor
+    volume rule.  Returns (lhs, rhs, relative gap), with gap defined as 0 when
+    both vanish.
     """
-    dirs, w = sphere_quadrature(body.dim, sphere_nodes)
+    dirs, w = sphere_quadrature(body.dim)
     power = body.dim + m * p
     lhs = float(np.dot(w, body.gauge(dirs) ** (-power) * np.abs(g(dirs)) ** p))
-    if plan is None:
-        plan = IntegrationPlan.quadrature(x_nodes=64, t_nodes=128)
-    rhs = power * integrate_body(lambda y: np.abs(g(y)) ** p, body, plan).value
+    pts, wy = body_quadrature_nodes(body, 64, 128)
+    rhs = power * float(np.dot(wy, np.abs(g(pts)) ** p))
     if rhs == 0.0 and lhs == 0.0:
         return 0.0, 0.0, 0.0
     return lhs, rhs, abs(lhs - rhs) / abs(rhs)

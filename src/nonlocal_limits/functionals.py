@@ -32,12 +32,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bodies import ConvexBody, body_points
+from .bodies import ConvexBody
 from .calculus import (centered_remainder, direction_bound, directional_m_form,
                        m_form_tableau, multi_indices, taylor_remainder)
-from .engine import (TARGET_STREAM, IntegralEstimate, IntegrationPlan, MollifierRadial,
-                     PowerLaw, cone_nodes, integrate_double, monte_carlo, outer_points,
-                     sphere_measure, tensor_grid)
+from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw,
+                     cone_nodes, integrate_double, sphere_measure, tensor_grid)
 from .functions import TestFunction
 from .mollifiers import MollifierFamily, ensure_certified
 
@@ -306,32 +305,20 @@ def _shared_integral_quadrature(f: TestFunction, body: ConvexBody, m: int, p: fl
 
 
 def shared_local_integral(f: TestFunction, body: ConvexBody, m: int, p: float,
-                          outer_nodes: int | None = None,
-                          mc: IntegrationPlan | None = None) -> IntegralEstimate:
+                          outer_nodes: int | None = None) -> IntegralEstimate:
     """The double integral shared by all four local limits.
 
-    Deterministic and cached by default: a tensor Gauss-Legendre grid in x
-    times the cone-measure rule ``engine.cone_nodes`` of K in y, for every
-    body kind.  An ``mc`` Monte Carlo plan gives an independent statistical
-    cross-check instead.
+    Deterministic and cached: a tensor Gauss-Legendre grid in x times the
+    cone-measure rule ``engine.cone_nodes`` of K in y, for every body kind.
     """
-    if mc is not None:
-        def chunk(rng: np.random.Generator, n: int, offset: int) -> np.ndarray:
-            xs, wx = outer_points(rng, n, f.dim, f.support_radius, f.proposal, 1.0)
-            ys, wy = body_points(body, rng, n)
-            return wx * wy * np.abs(directional_m_form(f, xs, ys, m)) ** p
-
-        return monte_carlo(mc, TARGET_STREAM, chunk)
     nodes = outer_nodes if outer_nodes is not None else _OUTER_NODES_DEFAULT[f.dim]
     value = _shared_integral_quadrature(f, body, m, float(p), nodes)
     return IntegralEstimate(value, 0.0, info={"method": "cone_quadrature"})
 
 
-def local_limit(spec: FunctionalSpec, outer_nodes: int | None = None,
-                mc: IntegrationPlan | None = None) -> float:
+def local_limit(spec: FunctionalSpec, outer_nodes: int | None = None) -> float:
     """Closed-form limit target: theorem constant times the shared integral."""
-    shared = shared_local_integral(spec.f, spec.body, spec.m, spec.p,
-                                   outer_nodes=outer_nodes, mc=mc)
+    shared = shared_local_integral(spec.f, spec.body, spec.m, spec.p, outer_nodes=outer_nodes)
     return theorem_constant(spec.theorem, spec.m, spec.p, spec.body.dim) * shared.value
 
 

@@ -13,7 +13,7 @@ import pytest
 from nonlocal_limits import calculus, cli
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.convergence import Schedule, sweep
-from nonlocal_limits.engine import (IntegrationPlan, integrate_body,
+from nonlocal_limits.engine import (IntegrationPlan, body_quadrature_nodes, cone_nodes,
                                     sphere_body_identity_check, sphere_constant)
 from nonlocal_limits.functionals import (FunctionalSpec, derivative_norm_p, evaluate,
                                          local_limit, uniform_bound_check)
@@ -100,15 +100,16 @@ def test_criterion_04_constant_ratio_m_times_p():
 def test_criterion_05_anisotropic_ellipse_moment():
     ellipse = ConvexBody.ellipsoid([2.0, 1.0])
     target = 2.0 * math.pi  # (pi/4) a^3 b with (a, b) = (2, 1)
-    quad = integrate_body(lambda y: y[..., 0] ** 2, ellipse,
-                          IntegrationPlan.quadrature(x_nodes=48, t_nodes=64)).value
-    mc = integrate_body(lambda y: y[..., 0] ** 2, ellipse,
-                        IntegrationPlan.monte_carlo(samples=400_000, seed=5)).value
-    gap_q = abs(quad - target) / target
-    gap_mc = abs(mc - target) / target
-    _report(5, "ellipse moment: quadrature within 0.5%, Monte Carlo within 2%",
-            gap_q <= 0.005 and gap_mc <= 0.02,
-            f"quadrature gap {gap_q:.2e}, Monte Carlo gap {gap_mc:.2e}")
+    ys, wy = body_quadrature_nodes(ellipse, 48, 64)
+    volume = float(wy @ ys[:, 0] ** 2)
+    # y1^2 is homogeneous of degree 2: the cone rule gives (2 + 2) times the integral
+    zs, wz = cone_nodes(ellipse)
+    cone = float(wz @ zs[:, 0] ** 2) / 4.0
+    gap_v = abs(volume - target) / target
+    gap_c = abs(cone - target) / target
+    _report(5, "ellipse moment: volume and cone-measure quadrature within 0.5%",
+            gap_v <= 0.005 and gap_c <= 0.005,
+            f"volume-rule gap {gap_v:.2e}, cone-rule gap {gap_c:.2e}")
 
 
 def test_criterion_06_sphere_body_identity():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonlocal_limits.bodies import (ConvexBody, body_points, equivalence_constants,
-                                    from_descriptor, sample_in_body, zpm_norm)
+from nonlocal_limits.bodies import ConvexBody, equivalence_constants, from_descriptor, zpm_norm
 
 BODIES = [
     ConvexBody.ball(1.0, 2),
@@ -155,55 +154,12 @@ def test_contains_matches_gauge(rng):
         assert not np.any(body.contains(x[exterior]))
 
 
-def test_sampling_interval_moments(rng):
-    interval = ConvexBody.box([1.0])
-    pts = sample_in_body(interval, rng, 100_000)[:, 0]
-    assert abs(pts.mean()) <= 0.01
-    # analytic oracle: mean of x^2 over [-1, 1] is 1/3
-    assert abs((pts ** 2).mean() - 1.0 / 3.0) <= 0.01
-
-
-def test_sampling_rejection_matches_exact(rng):
-    # the exact polar disc sampler against rejection from the bounding square
-    disc = ConvexBody.ball(1.0, 2)
-    pts = sample_in_body(disc, rng, 50_000)
-    cand = rng.uniform(-1.0, 1.0, size=(64_000, 2))
-    kept = cand[disc.contains(cand)]
-    assert np.all(disc.contains(pts))
-    for sample in (pts, kept):
-        assert abs((sample[:, 0] ** 2).mean() - 0.25) < 0.01  # disc moment pi/4 / pi
-
-
 def test_disc_acceptance_rate(rng):
     # area-ratio oracle: disc area / bounding-box area = pi/4
     disc = ConvexBody.ball(1.0, 2)
     draws = rng.uniform(-1, 1, size=(100_000, 2))
     rate = float(np.mean(disc.contains(draws)))
     assert abs(rate - math.pi / 4.0) <= 0.01
-
-
-def test_sampling_inside_every_body(rng):
-    for body in BODIES[:3]:
-        pts = sample_in_body(body, rng, 2000)
-        assert np.all(body.gauge(pts) <= 1.0 + 1e-12)
-    for body in BODIES[3:]:
-        with pytest.raises(ValueError, match="no exact uniform sampler"):
-            sample_in_body(body, rng, 10)
-
-
-def test_body_points_weights(rng):
-    # exact kinds: every point in K, weight vol(K)
-    for body in BODIES[:3]:
-        pts, w = body_points(body, rng, 500)
-        assert np.all(body.contains(pts)) and w == body.volume
-    # other kinds: the bounding box, weight vol(box) inside K and 0 outside
-    for body in BODIES[3:]:
-        pts, w = body_points(body, rng, 500)
-        half = body.outer_radius
-        assert pts.shape == (500, 2) and np.all(np.abs(pts) <= half)
-        inside = body.contains(pts)
-        assert 0 < inside.sum() < 500
-        np.testing.assert_array_equal(w, np.where(inside, (2.0 * half) ** 2, 0.0))
 
 
 def test_volumes():

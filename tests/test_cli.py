@@ -91,6 +91,10 @@ def test_run_rejects_unknown_keys(tmp_path):
     cfg = base_config()
     cfg["jobs"][0]["extra_knob"] = 1
     assert cli.run(write_config(tmp_path, cfg), {}) == 1
+    # the radial strata are a fixed constant, not a plan key
+    cfg = base_config()
+    cfg["jobs"][0]["plan"]["stratification"] = 16
+    assert cli.run(write_config(tmp_path, cfg), {}) == 1
 
 
 def test_run_missing_config():
@@ -138,8 +142,13 @@ def test_parse_config_requires_mollifier_for_bbm():
     {"plan": {"method": "monte_carlo", "samples": 64, "t_max": 1e-300}},
     {"body": {"kind": "box", "half_widths": [1.0, 1.0]},
      "plan": {"method": "monte_carlo", "samples": 64, "outer_box_radius": 1e300}},
+    # JSON integers of any size pass the schema; no float holds these
+    {"schedule": {"start": 10 ** 400, "ratio": 0.5, "points": 4}},
+    {"tolerance": 10 ** 400},
+    {"body": {"kind": "box", "half_widths": [10 ** 400]}},
 ], ids=["quadrature-2d", "box-below-support", "unbounded-polytope", "fit-points-above-points",
-        "function-wrong-dim", "schedule-underflow", "tiny-t-max", "huge-outer-box"])
+        "function-wrong-dim", "schedule-underflow", "tiny-t-max", "huge-outer-box",
+        "huge-integer-start", "huge-integer-tolerance", "huge-integer-half-width"])
 def test_run_rejects_semantically_bad_config(tmp_path, capsys, job_update):
     cfg = base_config()
     cfg["jobs"][0].update(job_update)
@@ -313,8 +322,7 @@ def _one_job_configs(draw):
     theorem = draw(st.sampled_from(["nguyen_centered", "bbm_centered", "nguyen_taylor",
                                     "bbm_taylor"]))
     if draw(st.booleans()):
-        plan = {"method": "monte_carlo", "samples": draw(st.integers(1, 64)),
-                "stratification": draw(st.integers(1, 64))}
+        plan = {"method": "monte_carlo", "samples": draw(st.integers(1, 64))}
     else:
         plan = {"method": "tensor_quadrature", "x_nodes": draw(st.integers(4, 16)),
                 "t_nodes": draw(st.integers(4, 16))}

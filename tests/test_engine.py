@@ -8,9 +8,9 @@ from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import monomial, multi_indices
 from nonlocal_limits.engine import (PROPOSAL_SHARE, EngineError, IntegrationPlan,
                                     MollifierRadial, PowerLaw, body_quadrature_nodes,
-                                    cone_nodes, integrate_body, integrate_double,
-                                    outer_points, sphere_body_identity_check,
-                                    sphere_constant, sphere_quadrature)
+                                    cone_nodes, integrate_double, outer_points,
+                                    sphere_body_identity_check, sphere_constant,
+                                    sphere_quadrature)
 from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import make_mollifier
 
@@ -115,7 +115,7 @@ def test_importance_sampling_unbiased_over_repetitions():
     values = []
     for rep in range(50):
         plan = IntegrationPlan.monte_carlo(samples=2_000, seed=1000 + rep,
-                                           outer_box_radius=1.0, stratification=1)
+                                           outer_box_radius=1.0)
         values.append(integrate_double(kernel, plan, 1, law).value)
     values = np.asarray(values)
     z = abs(values.mean() - truth) / (values.std(ddof=1) / math.sqrt(len(values)))
@@ -132,43 +132,42 @@ def test_mollifier_radial_law_normalizes():
     assert est.value == pytest.approx(4.0, rel=1e-12)  # box 2 x sphere 2 x mass 1
 
 
-def test_integrate_body_examples(rng):
-    disc = ConvexBody.ball(1.0, 2)
-    plan = IntegrationPlan.monte_carlo(samples=200_000, seed=6)
-    est = integrate_body(lambda y: np.ones(y.shape[:-1]), disc, plan)
-    assert abs(est.value - math.pi) <= max(3 * est.stderr, 1e-12)
-
-    interval = ConvexBody.box([1.0])
-    est = integrate_body(lambda y: y[..., 0] ** 2, interval, plan)
-    assert abs(est.value - 2.0 / 3.0) <= 3 * est.stderr
-
-    est = integrate_body(lambda y: y[..., 0] ** 3, interval, plan)  # odd integrand
-    assert abs(est.value) <= 3 * est.stderr
+def test_integrate_body_examples():
+    # the box branch of the volume rule against closed forms
+    ys, w = body_quadrature_nodes(ConvexBody.box([1.0]))
+    assert w @ ys[:, 0] ** 2 == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert abs(w @ ys[:, 0] ** 3) <= 1e-15  # odd integrand
+    ys, w = body_quadrature_nodes(ConvexBody.box([2.0, 0.5]))
+    assert w.sum() == pytest.approx(4.0, rel=1e-14)
+    # (16/3) (1/12): the product of the two axis moments
+    assert w @ (ys[:, 0] * ys[:, 1]) ** 2 == pytest.approx(4.0 / 9.0, rel=1e-14)
 
 
 def test_integrate_body_quadrature_exact():
-    plan = IntegrationPlan.quadrature(x_nodes=48, t_nodes=64)
-    disc = ConvexBody.ball(1.0, 2)
-    assert integrate_body(lambda y: np.ones(y.shape[:-1]), disc, plan).value == pytest.approx(math.pi, rel=1e-12)
-    ellipse = ConvexBody.ellipsoid([2.0, 1.0])
+    _, w = body_quadrature_nodes(ConvexBody.ball(1.0, 2), 48, 64)
+    assert w.sum() == pytest.approx(math.pi, rel=1e-12)
     # moment oracle: (pi/4) a^3 b
-    assert integrate_body(lambda y: y[..., 0] ** 2, ellipse, plan).value == pytest.approx(2 * math.pi, rel=1e-10)
-    ball3 = ConvexBody.ball(1.0, 3)
-    assert integrate_body(lambda y: np.ones(y.shape[:-1]), ball3, plan).value == pytest.approx(4 * math.pi / 3, rel=1e-10)
-
-
-def test_integrate_body_polytope_box_indicator():
-    diamond = ConvexBody.polytope([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1, 1, 1, 1])
-    plan = IntegrationPlan.monte_carlo(samples=400_000, seed=12)
-    est = integrate_body(lambda y: np.ones(y.shape[:-1]), diamond, plan)
-    assert abs(est.value - 2.0) <= 3 * est.stderr  # l1 ball area
+    ys, w = body_quadrature_nodes(ConvexBody.ellipsoid([2.0, 1.0]), 48, 64)
+    assert w @ ys[:, 0] ** 2 == pytest.approx(2 * math.pi, rel=1e-10)
+    _, w = body_quadrature_nodes(ConvexBody.ball(1.0, 3), 48, 64)
+    assert w.sum() == pytest.approx(4 * math.pi / 3, rel=1e-10)
 
 
 def test_sphere_quadrature_measures():
     for dim, expected in ((1, 2.0), (2, 2 * math.pi), (3, 4 * math.pi)):
-        dirs, w = sphere_quadrature(dim, 512)
+        dirs, w = sphere_quadrature(dim)
         assert w.sum() == pytest.approx(expected, rel=1e-9)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_sphere_quadrature_matches_closed_moments(p):
+    # surface integral of |sigma_1|^p: 2 B((p+1)/2, 1/2) on the circle, 4 pi / (p+1) on S^2
+    circle = 2.0 * math.sqrt(math.pi) * math.gamma((p + 1.0) / 2.0) / math.gamma(p / 2.0 + 1.0)
+    dirs, w = sphere_quadrature(2)
+    assert abs(w @ np.abs(dirs[:, 0]) ** p / circle - 1.0) <= 1e-13
+    dirs, w = sphere_quadrature(3)
+    assert abs(w @ np.abs(dirs[:, 0]) ** p / (4.0 * math.pi / (p + 1.0)) - 1.0) <= 1e-8
 
 
 def test_sphere_constant_values():
@@ -277,7 +276,7 @@ def _repeated_z(samples, workers, reps, seed0):
     values = []
     for rep in range(reps):
         plan = IntegrationPlan.monte_carlo(samples=samples, seed=seed0 + rep, workers=workers,
-                                           outer_box_radius=2.0, stratification=1)
+                                           outer_box_radius=2.0)
         values.append(integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW,
                                        GAUSS2_PROPOSAL).value)
     values = np.asarray(values)
@@ -394,14 +393,8 @@ def test_integrate_double_bitwise_across_workers(monkeypatch):
                                                           GAUSS2_PROPOSAL), monkeypatch)
 
 
-def test_integrate_body_bitwise_across_workers(monkeypatch):
-    for body in (ConvexBody.ellipsoid([2.0, 1.0]), ConvexBody.lp_ball(4.0, 1.0, 2)):
-        _assert_same_at_workers(lambda plan: integrate_body(lambda y: y[..., 0] ** 2, body, plan),
-                                monkeypatch)
-
-
 def test_block_streams_and_offsets():
-    # block i draws from SeedSequence((seed, stream, i)) and starts at row i * _CHUNK
+    # block i draws from SeedSequence((seed, 0, i)) and starts at row i * _CHUNK
     seen = []
 
     def chunk(rng, n, offset):
@@ -409,8 +402,8 @@ def test_block_streams_and_offsets():
         return np.zeros(n)
 
     plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31, workers=1)
-    engine.monte_carlo(plan, 5, chunk)
-    expected = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((31, 5, i)))).random()
+    engine.monte_carlo(plan, chunk)
+    expected = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((31, 0, i)))).random()
                 for i in range(4)]
     assert seen == [(engine._CHUNK, 0, expected[0]),
                     (engine._CHUNK, engine._CHUNK, expected[1]),

@@ -4,9 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from nonlocal_limits import engine, functionals
+from nonlocal_limits import functionals
 from nonlocal_limits.bodies import ConvexBody
-from nonlocal_limits.calculus import centered_remainder
+from nonlocal_limits.calculus import centered_remainder, directional_m_form
 from nonlocal_limits.engine import IntegralEstimate, IntegrationPlan, outer_points
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_norm_p,
                                          evaluate, local_limit, shared_local_integral,
@@ -146,10 +146,17 @@ def test_local_limit_polytope_and_lp_ball_closed_forms():
 
 
 def test_local_limit_monte_carlo_agrees():
-    est = shared_local_integral(GAUSS2, ConvexBody.ellipsoid([2.0, 1.0]), 1, 2.0,
-                                mc=mc_plan(samples=400_000, seed=3))
-    exact = shared_local_integral(GAUSS2, ConvexBody.ellipsoid([2.0, 1.0]), 1, 2.0).value
-    assert abs(est.value - exact) <= max(3 * est.stderr, 0.02 * exact)
+    # an independent statistical check of the cone-rule target: x from the
+    # defensive mixture, y uniform on the ellipse's bounding box times its indicator
+    ellipse = ConvexBody.ellipsoid([2.0, 1.0])
+    rng = np.random.default_rng(3)
+    n = 400_000
+    xs, wx = outer_points(rng, n, 2, GAUSS2.support_radius, GAUSS2.proposal, 1.0)
+    ys = rng.uniform(-1.0, 1.0, size=(n, 2)) * [2.0, 1.0]
+    payoff = wx * 8.0 * ellipse.contains(ys) * directional_m_form(GAUSS2, xs, ys, 1) ** 2
+    value, stderr = payoff.mean(), payoff.std(ddof=1) / math.sqrt(n)
+    exact = shared_local_integral(GAUSS2, ellipse, 1, 2.0).value
+    assert abs(value - exact) <= max(3 * stderr, 0.02 * exact)
 
 
 def test_local_limit_zero_function():
@@ -305,9 +312,7 @@ def test_polytope_and_lp_bodies_evaluate():
                                 (lp, "bbm_centered", make_mollifier("shell", 2, 0.1))):
         spec = FunctionalSpec(theorem, GAUSS2, body, 1, 2.0, 0.1, moll)
         est = evaluate(spec, plan)
-        target = shared_local_integral(GAUSS2, body, 1, 2.0,
-                                       mc=mc_plan(samples=400_000, seed=9)).value
-        target *= theorem_constant(theorem, 1, 2.0, 2)
+        target = local_limit(spec)
         assert est.value > 0.0
         # finite-parameter value within 25% of the limit: a smoke bound only
         assert abs(est.value - target) / target < 0.25
@@ -408,45 +413,3 @@ def test_fractional_profile_at_small_index_is_finite():
                           eps, make_mollifier("fractional", 1, eps, 2.0))
     est = evaluate(spec, IntegrationPlan.quadrature(x_nodes=200, t_nodes=48))
     assert math.isfinite(est.value)
-
-
-# ---------------------------------------------------------------------------
-# seeded blocks: worker-independent targets on their own stream
-# ---------------------------------------------------------------------------
-
-def test_shared_local_integral_bitwise_across_workers(monkeypatch):
-    # three full blocks and a partial fourth, on an exact-sampler and an indicator body
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
-    hexagon = ConvexBody.polytope([[1, 0], [-1, 0], [0.5, 0.8], [-0.5, -0.8],
-                                   [-0.5, 0.8], [0.5, -0.8]], [1, 1, 1, 1, 1, 1])
-    for body in (ConvexBody.ellipsoid([2.0, 1.0]), hexagon):
-        results = set()
-        for workers in (1, 2, 3):
-            plan = mc_plan(samples=3 * engine._CHUNK + 1001, seed=5, workers=workers)
-            est = shared_local_integral(GAUSS2, body, 1, 2.0, mc=plan)
-            results.add((est.value, est.stderr))
-        assert len(results) == 1
-
-
-def test_target_and_sweep_draw_disjoint_outer_points(monkeypatch):
-    # the Monte Carlo target and a sweep point at one seed must not reuse
-    # random streams.  With a shared stream, equal-sized chunks repeat their
-    # proposal rows, as the sweep's 2-worker shards once did with the target.
-    drawn = []
-
-    def recording(rng, n, dim, radius, proposal, mass):
-        x, w = outer_points(rng, n, dim, radius, proposal, mass)
-        drawn[-1].append(x)
-        return x, w
-
-    monkeypatch.setattr(engine, "outer_points", recording)
-    monkeypatch.setattr(functionals, "outer_points", recording)
-    body = ConvexBody.lp_ball(4.0, 1.0, 2)
-    drawn.append([])
-    evaluate(FunctionalSpec("nguyen_centered", GAUSS2, body, 1, 2.0, 0.1),
-             mc_plan(samples=4_000, seed=1311, workers=2))
-    drawn.append([])
-    shared_local_integral(GAUSS2, body, 1, 2.0, mc=mc_plan(samples=2_000, seed=1311))
-    sweep_rows, target_rows = ({tuple(row) for row in np.concatenate(rows)} for rows in drawn)
-    assert len(sweep_rows) == 4_000 and len(target_rows) == 2_000
-    assert not sweep_rows & target_rows
