@@ -150,9 +150,9 @@ def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
           tolerance: float = 0.05, target: float | None = None) -> SweepResult:
     """Run one functional along the schedule and extrapolate to parameter -> 0.
 
-    All points reuse the same plan (and seed: common random numbers), which
-    stabilizes the fitted differences.  The target defaults to the local
-    limit, computed by deterministic quadrature for every body.
+    Every point names the schedule as its grid, so a Monte Carlo plan runs all
+    points in one pass over shared draws (common random numbers stabilize the
+    fitted differences).  The target defaults to the quadrature local limit.
     """
     params = schedule.values()
 
@@ -161,7 +161,7 @@ def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
         if theorem.startswith("bbm"):
             kind = mollifier_kind or "shell"
             moll = make_mollifier(kind, body.dim, value, p if kind == "fractional" else None)
-        return FunctionalSpec(theorem, f, body, m, p, value, moll)
+        return FunctionalSpec(theorem, f, body, m, p, value, moll, tuple(params))
 
     points: list[SweepPoint] = []
     infos = []

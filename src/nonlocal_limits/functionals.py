@@ -27,7 +27,7 @@ dim + m p.  No target depends on the seed or the worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +53,8 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """One functional evaluation: which form, on what data, at which parameter."""
+    """One functional evaluation: which form, on what data, at which parameter, and
+    the ``grid`` of parameters run in one Monte Carlo pass with it (empty: it alone)."""
 
     theorem: str
     f: TestFunction
@@ -62,6 +63,7 @@ class FunctionalSpec:
     p: float
     parameter: float
     mollifier: MollifierFamily | None = None
+    grid: tuple[float, ...] = ()
 
 
 def validate_spec(spec: FunctionalSpec) -> None:
@@ -82,6 +84,8 @@ def validate_spec(spec: FunctionalSpec) -> None:
         raise SpecError("function smoothness must exceed the remainder order")
     if spec.parameter <= 0:
         raise SpecError("parameter must be positive")
+    if spec.grid and spec.parameter not in spec.grid:
+        raise SpecError("parameter must be one of the spec's grid values")
     if spec.theorem.startswith("bbm"):
         if spec.mollifier is None:
             raise SpecError("mollified functionals require a mollifier")
@@ -120,7 +124,10 @@ def _box_radius(spec: FunctionalSpec, plan: IntegrationPlan) -> float:
             raise SpecError("outer_box_radius is below the function support radius; "
                             "declared-tail error would exceed tolerance")
         return float(plan.outer_box_radius)
-    return spec.f.support_radius + 2.0
+    if spec.theorem.startswith("nguyen"):
+        return spec.f.support_radius + 2.0
+    # pairs contribute only when a node of the remainder is in the support
+    return spec.f.support_radius + spec.mollifier.support_upper * spec.body.outer_radius + 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +150,10 @@ def _level_set_radial_cutoff(spec: FunctionalSpec) -> float:
     return _cutoff_scale(spec) * (spec.parameter / spec.f.m_form_bound(spec.m)) ** (1.0 / spec.m)
 
 
-def _directional_cutoff(spec: FunctionalSpec):
-    """Per-direction exact cutoff t_min(sigma); sharper than the uniform one."""
-    scale = _cutoff_scale(spec)
-    m, delta, f = spec.m, spec.parameter, spec.f
+def _directional_cutoff(spec: FunctionalSpec, deltas):
+    """Per-direction exact cutoffs t_min(sigma), one row per delta; sharper than the uniform."""
+    scale, m, f = _cutoff_scale(spec), spec.m, spec.f
+    delta = np.asarray(deltas, dtype=float)[:, np.newaxis]
 
     def cutoff(sigma):
         bound = np.maximum(direction_bound(f, m, sigma), 1e-300)
@@ -168,38 +175,38 @@ def _level_set_tail_bounds(spec: FunctionalSpec, box_radius: float,
     return {"tail_beyond_t_max": beyond_t_max, "tail_outside_box": outside_box}
 
 
-def _evaluate_level_set(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
-    f, body, m, p, delta = spec.f, spec.body, spec.m, spec.p, spec.parameter
+def _level_set_box(spec: FunctionalSpec, plan: IntegrationPlan) -> tuple[float, float]:
+    """The outer box radius and the radial truncation t_max; neither depends on delta."""
+    r = _box_radius(spec, plan)
+    return r, plan.t_max if plan.t_max is not None else spec.m * (r + spec.f.support_radius) + 2.0
+
+
+def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[IntegralEstimate]:
+    spec = specs[0]
+    f, body, m, p = spec.f, spec.body, spec.m, spec.p
     remainder = _remainder(spec.theorem)
-    if f.m_form_bound(m) == 0.0:
-        return IntegralEstimate(0.0, 0.0, info={"exact_zero": "zero function"})
-    if spec.theorem.endswith("centered") and delta >= 2.0 ** m * f.sup_abs:
-        return IntegralEstimate(0.0, 0.0, info={"exact_zero": "threshold above remainder range"})
-
-    box_radius = _box_radius(spec, plan)
-    t_min = _level_set_radial_cutoff(spec)
-    t_max = plan.t_max if plan.t_max is not None else m * (box_radius + f.support_radius) + 2.0
-    if t_min >= t_max:
-        est = IntegralEstimate(0.0, 0.0, info={"exact_zero": "radial cutoff beyond t_max"})
-        est.info.update(_level_set_tail_bounds(spec, box_radius, t_max, t_min))
-        return est
-
+    box_radius, t_max = _level_set_box(spec, plan)
+    deltas = [s.parameter for s in specs]
     power = body.dim + m * p
 
     def kernel(x, sigma, t):
-        # delta^p (t g)^-(N+mp) t^(N-1) over the law's shape t^-(1+mp)
-        y = x + t[:, np.newaxis] * sigma
-        fires = np.abs(remainder(f, x, y, m)) > delta
-        out = np.zeros_like(t)
-        if np.any(fires):
-            out[fires] = delta ** p * body.gauge(sigma[fires]) ** (-power)
+        # delta^p (t g)^-(N+mp) t^(N-1) over the law's shape t^-(1+mp), per threshold
+        out = np.zeros(t.shape)
+        for j, delta in enumerate(deltas):
+            y = x[j] + t[j][:, np.newaxis] * sigma
+            fires = np.abs(remainder(f, x[j], y, m)) > delta
+            if np.any(fires):
+                out[j, fires] = delta ** p * body.gauge(sigma[fires]) ** (-power)
         return out
 
-    law = PowerLaw(-(1.0 + m * p), _directional_cutoff(spec), t_max)
-    est = integrate_double(kernel, plan.with_box(box_radius), body.dim, law, f.proposal)
-    est.info.update(_level_set_tail_bounds(spec, box_radius, t_max, t_min))
-    est.info["radial_bounds"] = (t_min, t_max)
-    return est
+    law = PowerLaw(-(1.0 + m * p), _directional_cutoff(spec, deltas), t_max)
+    estimates = integrate_double(kernel, plan, body.dim, law, f.proposal,
+                                 radii=[box_radius] * len(specs))
+    for point, est in zip(specs, estimates):
+        t_min = _level_set_radial_cutoff(point)
+        est.info.update(_level_set_tail_bounds(point, box_radius, t_max, t_min),
+                        radial_bounds=(t_min, t_max))
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -231,50 +238,89 @@ def _small_radius_bias(spec: FunctionalSpec, box_radius: float, t_c: float,
             * spec.mollifier.mass_below(t_c / body.inner_radius) * row)
 
 
-def _evaluate_mollified(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
+def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[IntegralEstimate]:
+    spec = specs[0]
     f, body, m, p = spec.f, spec.body, spec.m, spec.p
-    moll = spec.mollifier
-    ensure_certified(moll)
     remainder = _remainder(spec.theorem)
-    if f.m_form_bound(m) == 0.0 and f.sup_abs == 0.0:
-        return IntegralEstimate(0.0, 0.0, info={"exact_zero": "zero function"})
-
-    if plan.outer_box_radius is not None:
-        box_radius = _box_radius(spec, plan)
-    else:
-        # pairs contribute only when a node of the remainder is in the support
-        box_radius = f.support_radius + moll.support_upper * body.outer_radius + 0.5
+    radii = [_box_radius(point, plan) for point in specs]
     mp = m * p
     # relative errors: about eps / t^m from rounding in R, about t in its leading term
     t_c = float(np.finfo(float).eps) ** (1.0 / (m + 1))
     c_m = float(m) ** -m if spec.theorem.endswith("centered") else 1.0 / math.factorial(m)
 
     def kernel(x, sigma, t):
-        # |R|^p (t g)^-mp rho t^(N-1) over the law's shape (t g)^(N-1) rho g
+        # |R|^p (t g)^-mp rho t^(N-1) over the law's shape (t g)^(N-1) rho g, per profile
         g = body.gauge(sigma)
-        vals = np.abs(remainder(f, x, x + t[:, np.newaxis] * sigma, m))
-        out = vals ** p * (np.maximum(t, t_c) * g) ** (-mp) * g ** (-body.dim)
-        small = t < t_c
-        form = np.abs(directional_m_form(f, x[small], sigma[small], m))
-        out[small] = (c_m * form) ** p * g[small] ** (-mp - body.dim)
+        g_dim = g ** (-body.dim)
+        out = np.empty(t.shape)
+        for j in range(len(t)):
+            vals = np.abs(remainder(f, x[j], x[j] + t[j][:, np.newaxis] * sigma, m))
+            out[j] = vals ** p * (np.maximum(t[j], t_c) * g) ** (-mp) * g_dim
+            small = t[j] < t_c
+            form = np.abs(directional_m_form(f, x[j][small], sigma[small], m))
+            out[j, small] = (c_m * form) ** p * g[small] ** (-mp - body.dim)
         return out
 
-    law = MollifierRadial(moll, body.gauge)
-    est = integrate_double(kernel, plan.with_box(box_radius), body.dim, law, f.proposal)
-    est.info["small_radius_bias"] = _small_radius_bias(spec, box_radius, t_c, c_m)
-    return est
+    law = MollifierRadial([point.mollifier for point in specs], body.gauge)
+    estimates = integrate_double(kernel, plan, body.dim, law, f.proposal, radii=radii)
+    for point, radius, est in zip(specs, radii, estimates):
+        est.info["small_radius_bias"] = _small_radius_bias(point, radius, t_c, c_m)
+    return estimates
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Dispatch: one pass per grid
 # ---------------------------------------------------------------------------
+
+def _exact_zero(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate | None:
+    """The estimate of a point that is 0 without sampling, or None."""
+    f, m, level_set = spec.f, spec.m, spec.theorem.startswith("nguyen")
+    if not level_set:
+        ensure_certified(spec.mollifier)
+    if f.m_form_bound(m) == 0.0 and (level_set or f.sup_abs == 0.0):
+        return IntegralEstimate(0.0, 0.0, info={"exact_zero": "zero function"})
+    if not level_set:
+        return None
+    if spec.theorem.endswith("centered") and spec.parameter >= 2.0 ** m * f.sup_abs:
+        return IntegralEstimate(0.0, 0.0, info={"exact_zero": "threshold above remainder range"})
+    box_radius, t_max = _level_set_box(spec, plan)
+    t_min = _level_set_radial_cutoff(spec)
+    if t_min < t_max:
+        return None
+    tails = _level_set_tail_bounds(spec, box_radius, t_max, t_min)
+    return IntegralEstimate(0.0, 0.0, info={"exact_zero": "radial cutoff beyond t_max", **tails})
+
+
+def _at(spec: FunctionalSpec, value: float) -> FunctionalSpec:
+    """The spec at another parameter of its grid, with the matching mollifier; validated."""
+    point = replace(spec, parameter=value,
+                    mollifier=spec.mollifier and replace(spec.mollifier, epsilon=value))
+    validate_spec(point)
+    return point
+
+
+@lru_cache(maxsize=1)
+def _grid_pass(spec: FunctionalSpec, plan: IntegrationPlan) -> dict[float, IntegralEstimate]:
+    """The nonzero points of ``spec.grid`` from one integrate_double call."""
+    points = [point for point in (_at(spec, value) for value in spec.grid)
+              if _exact_zero(point, plan) is None]
+    run = _level_set_pass if spec.theorem.startswith("nguyen") else _mollified_pass
+    return {point.parameter: est for point, est in zip(points, run(points, plan))}
+
 
 def evaluate(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
-    """Evaluate the functional named by ``spec.theorem`` at ``spec.parameter``."""
+    """Evaluate the functional named by ``spec.theorem`` at ``spec.parameter``.
+
+    An exact zero returns at once.  A Monte Carlo plan runs the nonzero points
+    of ``spec.grid`` in one pass and keeps the last pass, so a sweep's first
+    call pays for all its points; quadrature integrates the one point.
+    """
     validate_spec(spec)
-    if spec.theorem.startswith("nguyen"):
-        return _evaluate_level_set(spec, plan)
-    return _evaluate_mollified(spec, plan)
+    if (zero := _exact_zero(spec, plan)) is not None:
+        return zero
+    grid = (spec.grid if plan.method == "monte_carlo" else ()) or (spec.parameter,)
+    est = _grid_pass(replace(_at(spec, grid[0]), grid=grid), plan)[spec.parameter]
+    return IntegralEstimate(est.value, est.stderr, dict(est.info))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +413,8 @@ def uniform_bound_check(spec: FunctionalSpec, delta_grid, plan: IntegrationPlan,
     norm = derivative_norm_p(spec.f, spec.m, spec.p)
     values, ratios = [], []
     for delta in deltas:
-        point = FunctionalSpec(spec.theorem, spec.f, spec.body, spec.m, spec.p, delta)
+        point = FunctionalSpec(spec.theorem, spec.f, spec.body, spec.m, spec.p, delta,
+                               grid=tuple(deltas))
         values.append(evaluate(point, plan).value)
         ratios.append(values[-1] / norm if norm > 0 else 0.0)
     max_ratio = max(ratios)

@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
 
+from nonlocal_limits import functionals
+from nonlocal_limits.engine import outer_points
+
+
+@pytest.fixture(autouse=True)
+def fresh_grid_pass():
+    """Start every test without a kept Monte Carlo pass, so that a stand-in
+    integrator or a patched block size cannot reach another test through it."""
+    functionals._grid_pass.cache_clear()
+
 
 @pytest.fixture
 def rng():
@@ -20,3 +30,10 @@ def fd_partial(f, alpha, x, step=1e-4):
     x = np.asarray(x, dtype=float)
     return (fd_partial(f, reduced, x + offset, step)
             - fd_partial(f, reduced, x - offset, step)) / (2.0 * step)
+
+
+def box_points(rng, n, dim, radius, proposal, mass):
+    """``engine.outer_points`` on one box: points (n, dim) and weights (n,), or (1,) without
+    a proposal."""
+    x, weight = outer_points(rng, n, dim, proposal)([radius], mass)
+    return x[0], weight[0]

@@ -239,6 +239,41 @@ def test_traced_benchmark_child_runs():
     assert record["code"] == 0 and "layers" in record
 
 
+def test_benchmark_child_times_one_call_per_sweep_point(tmp_path):
+    # perfbench/child.py times every convergence.evaluate call, ties the calls to the
+    # report rows, and counts kernel payoffs as Monte Carlo pairs; the one-pass sweep
+    # keeps one timed call per point, the first one paying for the pass
+    samples = 40_000  # a full block and a partial one
+    plan = {"method": "monte_carlo", "samples": samples}
+    level_set = {**base_config()["jobs"][0], "name": "level-set", "plan": plan,
+                 "body": {"kind": "ellipsoid", "semi_axes": [2.0, 1.0]}}
+    shell = {**level_set, "name": "shell", "theorem": "bbm_centered",
+             "mollifier": {"kind": "shell"}, "schedule": {"start": 0.4, "points": 4}}
+    path = write_config(tmp_path, base_config(jobs=[level_set, shell]))
+    argv = ["run", "--config", path, "--seed", "3", "--workers", "1", "--no-timestamp"]
+    for trace in (False, True):
+        spec = {"root": str(ROOT), "argv": argv, "trace": trace}
+        proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
+                               json.dumps(spec)], cwd=ROOT, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout.splitlines()[-1])
+        assert [job["name"] for job in record["jobs"]] == ["level-set", "shell"]
+        for job in record["jobs"]:
+            assert [pt["method"] for pt in job["points"]] == ["monte_carlo"] * 4
+            assert sum(pt["seconds"] for pt in job["points"]) > 0.0
+        if trace:
+            assert record["counts"]["engine.mc_pairs"] == 2 * 4 * samples
+
+
+def test_json_reports_hit_fraction_of_each_monte_carlo_point(tmp_path):
+    out = tmp_path / "report.json"
+    cli.run(write_config(tmp_path, base_config()),
+            {"output": str(out), "format": "json", "timestamp": False})
+    infos = json.loads(out.read_text())["jobs"][0]["info"]["point_info"]
+    assert len(infos) == 4 and all(0.0 < info["hit_fraction"] < 1.0 for info in infos)
+
+
 # ---------------------------------------------------------------------------
 # per-job isolation of numerical failures, and fuzzed configs
 # ---------------------------------------------------------------------------

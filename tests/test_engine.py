@@ -8,11 +8,13 @@ from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import monomial, multi_indices
 from nonlocal_limits.engine import (PROPOSAL_SHARE, EngineError, IntegrationPlan,
                                     MollifierRadial, PowerLaw, body_quadrature_nodes,
-                                    cone_nodes, integrate_double, outer_points,
+                                    cone_nodes, integrate_double,
                                     sphere_body_identity_check, sphere_constant,
                                     sphere_quadrature)
 from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import make_mollifier
+
+from conftest import box_points
 
 GAUSS2_PROPOSAL = make_function("gaussian", 2).proposal
 
@@ -25,7 +27,7 @@ def test_constant_kernel_box_measure():
     # product of measures: box 2 x two directions x radial length 0.5 = 2
     plan = IntegrationPlan.monte_carlo(samples=20_000, seed=1, outer_box_radius=1.0)
     law = PowerLaw(0.0, 0.5, 1.0)  # uniform radial density, no importance weighting
-    est = integrate_double(ones_kernel, plan, 1, law)
+    est, = integrate_double(ones_kernel, plan, 1, law)
     assert est.stderr < 0.02
     assert abs(est.value - 2.0) <= 3 * max(est.stderr, 1e-12)
 
@@ -34,7 +36,7 @@ def test_matched_importance_has_zero_variance():
     # integrand 1/t^2 over the law's shape t^-2: per-sample payoff is constant
     plan = IntegrationPlan.monte_carlo(samples=5_000, seed=2, outer_box_radius=1.0)
     law = PowerLaw(-2.0, 0.25, 2.0)
-    est = integrate_double(lambda x, s, t: np.ones_like(t), plan, 1, law)
+    est, = integrate_double(lambda x, s, t: np.ones_like(t), plan, 1, law)
     expected = 2.0 * 2.0 * (1.0 / 0.25 - 1.0 / 2.0)  # box x sphere x int t^-2
     assert est.value == pytest.approx(expected, rel=1e-12)
     assert est.stderr <= 1e-12 * expected
@@ -67,19 +69,19 @@ def test_determinism_bitwise():
     plan = IntegrationPlan.monte_carlo(samples=30_000, seed=9, workers=3,
                                        outer_box_radius=1.0)
     law = PowerLaw(-1.5, 0.1, 2.0)
-    kernel = lambda x, s, t: np.exp(-x[:, 0] ** 2) / t
-    a = integrate_double(kernel, plan, 1, law)
-    b = integrate_double(kernel, plan, 1, law)
+    kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) / t
+    a, = integrate_double(kernel, plan, 1, law)
+    b, = integrate_double(kernel, plan, 1, law)
     assert a.value == b.value and a.stderr == b.stderr
 
 
 def test_seed_independence():
     law = PowerLaw(-1.5, 0.1, 2.0)
-    kernel = lambda x, s, t: np.exp(-x[:, 0] ** 2) / t
+    kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) / t
     est = []
     for seed in (101, 202):
         plan = IntegrationPlan.monte_carlo(samples=40_000, seed=seed, outer_box_radius=1.0)
-        est.append(integrate_double(kernel, plan, 1, law))
+        est += integrate_double(kernel, plan, 1, law)
     z = abs(est[0].value - est[1].value) / math.hypot(est[0].stderr, est[1].stderr)
     assert z <= 4.0
 
@@ -89,18 +91,18 @@ def test_worker_split_covers_all_samples():
     for workers in (1, 2, 5):
         plan = IntegrationPlan.monte_carlo(samples=10_001, seed=3, workers=workers,
                                            outer_box_radius=1.0)
-        est = integrate_double(ones_kernel, plan, 1, law)
+        est, = integrate_double(ones_kernel, plan, 1, law)
         assert est.info["workers"] == workers
         assert abs(est.value - 2.0) <= 4 * max(est.stderr, 1e-12)
 
 
 def test_quadrature_matches_monte_carlo_on_smooth_kernel():
     law = PowerLaw(-1.0, 0.2, 1.5)
-    kernel = lambda x, s, t: np.exp(-x[:, 0] ** 2) * t
+    kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) * t
     qplan = IntegrationPlan.quadrature(x_nodes=80, t_nodes=48, outer_box_radius=3.0)
-    quad = integrate_double(kernel, qplan, 1, law)
+    quad, = integrate_double(kernel, qplan, 1, law)
     mplan = IntegrationPlan.monte_carlo(samples=300_000, seed=5, outer_box_radius=3.0)
-    mc = integrate_double(kernel, mplan, 1, law)
+    mc, = integrate_double(kernel, mplan, 1, law)
     assert quad.stderr == 0.0
     gap = abs(quad.value - mc.value)
     assert gap <= max(3 * mc.stderr, 1e-3 * abs(quad.value))
@@ -110,13 +112,13 @@ def test_importance_sampling_unbiased_over_repetitions():
     # closed-form radial integral oracle; mean over 50 independent estimates
     # must sit within the 1% critical value of its standard error
     law = PowerLaw(-2.0, 0.5, 4.0)
-    kernel = lambda x, s, t: 1.0 + x[:, 0] ** 2  # integrand (1 + x^2) / t^2
+    kernel = lambda x, s, t: 1.0 + x[..., 0] ** 2  # integrand (1 + x^2) / t^2
     truth = 2.0 * (1.0 + 1.0 / 3.0) * 2.0 * (1.0 / 0.5 - 1.0 / 4.0)
     values = []
     for rep in range(50):
         plan = IntegrationPlan.monte_carlo(samples=2_000, seed=1000 + rep,
                                            outer_box_radius=1.0)
-        values.append(integrate_double(kernel, plan, 1, law).value)
+        values.append(integrate_double(kernel, plan, 1, law)[0].value)
     values = np.asarray(values)
     z = abs(values.mean() - truth) / (values.std(ddof=1) / math.sqrt(len(values)))
     assert z <= 2.576
@@ -126,9 +128,9 @@ def test_mollifier_radial_law_normalizes():
     # payoff 1 integrates the law's own radial shape, i.e. the unit profile mass
     moll = make_mollifier("shell", 1, 0.3)
     body = ConvexBody.box([1.0])
-    law = MollifierRadial(moll, body.gauge)
+    law = MollifierRadial([moll], body.gauge)
     plan = IntegrationPlan.monte_carlo(samples=20_000, seed=4, outer_box_radius=1.0)
-    est = integrate_double(ones_kernel, plan, 1, law)
+    est, = integrate_double(ones_kernel, plan, 1, law)
     assert est.value == pytest.approx(4.0, rel=1e-12)  # box 2 x sphere 2 x mass 1
 
 
@@ -269,7 +271,7 @@ MIXTURE_TRUTH = (112.0 / 3.0) * 2.0 * math.pi * (1.0 / 0.5 - 1.0 / 4.0)
 
 
 def mixture_kernel(x, sigma, t):
-    return 1.0 + x[:, 0] ** 2
+    return 1.0 + x[..., 0] ** 2
 
 
 def _repeated_z(samples, workers, reps, seed0):
@@ -278,7 +280,7 @@ def _repeated_z(samples, workers, reps, seed0):
         plan = IntegrationPlan.monte_carlo(samples=samples, seed=seed0 + rep, workers=workers,
                                            outer_box_radius=2.0)
         values.append(integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW,
-                                       GAUSS2_PROPOSAL).value)
+                                       GAUSS2_PROPOSAL)[0].value)
     values = np.asarray(values)
     return abs(values.mean() - MIXTURE_TRUTH) / (values.std(ddof=1) / math.sqrt(reps))
 
@@ -299,7 +301,7 @@ def test_mixture_unbiased_for_odd_block_sizes(monkeypatch):
 def test_mixture_weights_bounded_and_exact(n):
     rng = np.random.default_rng(n)
     radius, mass = 8.5, 2.0 * math.pi
-    x, w = outer_points(rng, n, 2, radius, GAUSS2_PROPOSAL, mass)
+    x, w = box_points(rng, n, 2, radius, GAUSS2_PROPOSAL, mass)
     k = min(round(PROPOSAL_SHARE * n), n - 1)
     uniform = mass * (2.0 * radius) ** 2
     assert x.shape == (n, 2) and np.all(np.abs(x) <= radius)
@@ -313,14 +315,14 @@ def test_mixture_weights_bounded_and_exact(n):
 
 
 def test_single_row_chunk_is_a_box_row():
-    x, w = outer_points(np.random.default_rng(1), 1, 2, 8.5, GAUSS2_PROPOSAL, 1.0)
+    x, w = box_points(np.random.default_rng(1), 1, 2, 8.5, GAUSS2_PROPOSAL, 1.0)
     assert x.shape == (1, 2) and w == 17.0 ** 2
 
 
 def test_out_of_box_proposal_draw_gets_zero_weight():
     rng = np.random.default_rng(4)
     n, radius = 4000, 0.5
-    x, w = outer_points(rng, n, 2, radius, GAUSS2_PROPOSAL, 1.0)
+    x, w = box_points(rng, n, 2, radius, GAUSS2_PROPOSAL, 1.0)
     k = round(PROPOSAL_SHARE * n)
     outside = np.any(np.abs(x) > radius, axis=1)
     assert outside[:k].sum() > 1000 and not outside[k:].any()
@@ -329,7 +331,7 @@ def test_out_of_box_proposal_draw_gets_zero_weight():
 
 def test_no_proposal_keeps_the_uniform_box():
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    x, w = outer_points(rng_a, 100, 2, 3.0, None, 2.0)
+    x, w = box_points(rng_a, 100, 2, 3.0, None, 2.0)
     np.testing.assert_array_equal(x, rng_b.uniform(-3.0, 3.0, size=(100, 2)))
     assert w == 2.0 * 36.0
 
@@ -356,11 +358,11 @@ def test_threads_capped_at_cpu_count(monkeypatch):
     # four blocks, so the cap is the CPU count and not the block count
     plan = IntegrationPlan.monte_carlo(samples=3 * engine._CHUNK + 1, seed=9, workers=6,
                                        outer_box_radius=2.0)
-    reference = integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+    reference, = integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
     _RecordingExecutor.requested = []
-    capped = integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+    capped, = integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
     assert _RecordingExecutor.requested == [2]
     assert (capped.value, capped.stderr) == (reference.value, reference.stderr)
     # one thread runs the blocks in the calling thread, without a pool
@@ -390,7 +392,7 @@ def _assert_same_at_workers(run, monkeypatch):
 
 def test_integrate_double_bitwise_across_workers(monkeypatch):
     _assert_same_at_workers(lambda plan: integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW,
-                                                          GAUSS2_PROPOSAL), monkeypatch)
+                                                          GAUSS2_PROPOSAL)[0], monkeypatch)
 
 
 def test_block_streams_and_offsets():
@@ -399,7 +401,7 @@ def test_block_streams_and_offsets():
 
     def chunk(rng, n, offset):
         seen.append((n, offset, rng.random()))
-        return np.zeros(n)
+        return np.zeros((1, n))
 
     plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31, workers=1)
     engine.monte_carlo(plan, chunk)
@@ -432,3 +434,24 @@ def test_power_law_bitwise_against_unprepared_formulas():
             mass_old = (2.0 ** s1 - lo ** s1) / s1
         np.testing.assert_array_equal(law.sample(v, aux), t_old)
         np.testing.assert_array_equal(law.mass(aux), mass_old)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sphere_directions_bitwise_match_linalg_norm(dim):
+    # the column sum of squares must give the bits of np.linalg.norm
+    for seed in range(20):
+        vec = np.random.default_rng(seed).normal(size=(10_001, dim))
+        expected = vec / np.linalg.norm(vec, axis=1, keepdims=True)
+        got = engine._sample_sphere(np.random.default_rng(seed), 10_001, dim)
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_hit_fraction_counts_nonzero_payoffs_per_row():
+    def chunk(rng, n, offset):
+        columns = np.arange(offset, offset + n)
+        return np.stack([np.ones(n), (columns % 4 == 0) * 2.0, np.zeros(n)])
+
+    plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=1)
+    full, quarter, none = engine.monte_carlo(plan, chunk)
+    assert full.info["hit_fraction"] == 1.0 and none.info["hit_fraction"] == 0.0
+    assert quarter.info["hit_fraction"] == len(range(0, BLOCKED_SAMPLES, 4)) / BLOCKED_SAMPLES

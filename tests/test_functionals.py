@@ -7,12 +7,14 @@ import pytest
 from nonlocal_limits import functionals
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import centered_remainder, directional_m_form
-from nonlocal_limits.engine import IntegralEstimate, IntegrationPlan, outer_points
+from nonlocal_limits.engine import IntegralEstimate, IntegrationPlan
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_norm_p,
                                          evaluate, local_limit, shared_local_integral,
                                          theorem_constant, uniform_bound_check)
 from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import make_mollifier
+
+from conftest import box_points
 
 INTERVAL = ConvexBody.box([1.0])
 GAUSS1 = make_function("gaussian", 1)
@@ -151,7 +153,7 @@ def test_local_limit_monte_carlo_agrees():
     ellipse = ConvexBody.ellipsoid([2.0, 1.0])
     rng = np.random.default_rng(3)
     n = 400_000
-    xs, wx = outer_points(rng, n, 2, GAUSS2.support_radius, GAUSS2.proposal, 1.0)
+    xs, wx = box_points(rng, n, 2, GAUSS2.support_radius, GAUSS2.proposal, 1.0)
     ys = rng.uniform(-1.0, 1.0, size=(n, 2)) * [2.0, 1.0]
     payoff = wx * 8.0 * ellipse.contains(ys) * directional_m_form(GAUSS2, xs, ys, 1) ** 2
     value, stderr = payoff.mean(), payoff.std(ddof=1) / math.sqrt(n)
@@ -335,9 +337,9 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     moll = make_mollifier("shell", 2, par) if theorem.startswith("bbm") else None
     captured = {}
 
-    def capture(kernel, plan, dim, law, proposal):
+    def capture(kernel, plan, dim, law, proposal, radii):
         captured.update(kernel=kernel, law=law)
-        return IntegralEstimate(0.0, 0.0)
+        return [IntegralEstimate(0.0, 0.0)]
 
     monkeypatch.setattr(functionals, "integrate_double", capture)
     evaluate(FunctionalSpec(theorem, GAUSS2, body, m, p, par, moll), mc_plan(samples=1))
@@ -349,8 +351,8 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     sigma = rng.normal(size=(n, 2))
     sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
     aux = law.prepare(sigma)
-    t = law.sample(rng.random(n), aux)
-    payoff = kernel(x, sigma, t) * law.mass(aux)
+    t = law.sample(rng.random(n), aux)[0]  # one point: row 0
+    payoff = (kernel(x[np.newaxis], sigma, t[np.newaxis]) * law.mass(aux))[0]
 
     remainder = centered_remainder(GAUSS2, x, x + t[:, np.newaxis] * sigma, m)
     gauge = body.gauge(t[:, np.newaxis] * sigma)
@@ -358,7 +360,7 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
         integrand = (np.abs(remainder) > par) * par ** p * gauge ** (-(2 + m * p))
     else:
         integrand = np.abs(remainder) ** p * gauge ** (-m * p) * moll.evaluate(gauge)
-    reference = integrand * t / law.pdf(t, aux)  # t^(N-1) with N = 2
+    reference = integrand * t / law.pdf(t, aux)[0]  # t^(N-1) with N = 2
     assert np.count_nonzero(payoff) > 100
     np.testing.assert_allclose(payoff, reference, rtol=1e-12, atol=0.0)
 
@@ -373,9 +375,9 @@ def test_leading_term_payoff_matches_exact_remainder(theorem, m, monkeypatch):
     moll = make_mollifier("shell", 1, eps)
     captured = {}
 
-    def capture(kernel, plan, dim, law, proposal):
+    def capture(kernel, plan, dim, law, proposal, radii):
         captured["kernel"] = kernel
-        return IntegralEstimate(0.0, 0.0)
+        return [IntegralEstimate(0.0, 0.0)]
 
     monkeypatch.setattr(functionals, "integrate_double", capture)
     spec = FunctionalSpec(theorem, GAUSS1, INTERVAL, m, p, eps, moll)
@@ -386,7 +388,7 @@ def test_leading_term_payoff_matches_exact_remainder(theorem, m, monkeypatch):
     x = np.linspace(-2.5, 2.5, 41)
     xs = np.concatenate([x, x])[:, np.newaxis]
     sigma = np.repeat([[1.0], [-1.0]], x.size, axis=0)
-    lead = captured["kernel"](xs, sigma, np.full(2 * x.size, 0.25 * t_c))
+    lead = captured["kernel"](xs[np.newaxis], sigma, np.full((1, 2 * x.size), 0.25 * t_c))[0]
 
     def f(u):
         return mpmath.exp(-u * u)

@@ -1,0 +1,143 @@
+"""One Monte Carlo pass per grid: every point of a grid is bitwise its own K = 1 pass."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from nonlocal_limits import engine, functionals
+from nonlocal_limits.bodies import ConvexBody
+from nonlocal_limits.convergence import Schedule, sweep
+from nonlocal_limits.engine import EngineError, IntegrationPlan, PowerLaw, integrate_double
+from nonlocal_limits.functionals import FunctionalSpec, SpecError, evaluate, uniform_bound_check
+from nonlocal_limits.functions import make_function
+from nonlocal_limits.mollifiers import make_mollifier
+
+GAUSS1 = make_function("gaussian", 1)
+GAUSS2 = make_function("gaussian", 2)
+ELLIPSE = ConvexBody.ellipsoid([2.0, 1.0])
+INTERVAL = ConvexBody.box([1.0])
+
+# theorem, function, body, m, mollifier kind, grid.  The first level-set
+# threshold is above the remainder range 2^m sup|f| = 2: an exact zero.
+CASES = {
+    "level-set-2d": ("nguyen_centered", GAUSS2, ELLIPSE, 1, None, (4.0, 0.2, 0.1, 0.05)),
+    "taylor-level-set-1d": ("nguyen_taylor", GAUSS1, INTERVAL, 2, None, (0.2, 0.1, 0.05)),
+    "shell-2d": ("bbm_centered", GAUSS2, ELLIPSE, 1, "shell", (0.4, 0.2, 0.1)),
+    "taylor-shell-1d": ("bbm_taylor", GAUSS1, INTERVAL, 2, "shell", (0.4, 0.2, 0.1)),
+    "fractional-1d": ("bbm_centered", GAUSS1, INTERVAL, 1, "fractional", (0.4, 0.2, 0.1)),
+}
+
+
+def grid_specs(case, grid=True):
+    """The points of a case, each naming the case's grid (or none)."""
+    theorem, f, body, m, kind, values = CASES[case]
+    specs = []
+    for value in values:
+        moll = kind and make_mollifier(kind, body.dim, value, 2.0 if kind == "fractional" else None)
+        specs.append(FunctionalSpec(theorem, f, body, m, 2.0, value, moll, values if grid else ()))
+    return specs
+
+
+def counting_integrator(monkeypatch):
+    calls = []
+    real = functionals.integrate_double
+
+    def counting(kernel, plan, *args, **kwargs):
+        calls.append(plan)
+        return real(kernel, plan, *args, **kwargs)
+
+    monkeypatch.setattr(functionals, "integrate_double", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_grid_pass_is_bitwise_the_single_point_passes(case, monkeypatch):
+    # four blocks of 1000 columns, the last one partial, on 1, 2 and 3 threads
+    monkeypatch.setattr(engine, "_CHUNK", 1000)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    seen = set()
+    for workers in (1, 2, 3):
+        plan = IntegrationPlan.monte_carlo(samples=3500, seed=17, workers=workers)
+        together = [evaluate(spec, plan) for spec in grid_specs(case)]
+        alone = [evaluate(spec, plan) for spec in grid_specs(case, grid=False)]
+        assert [(e.value, e.stderr, e.info) for e in together] == \
+               [(e.value, e.stderr, e.info) for e in alone]
+        seen.add(tuple((e.value, e.stderr) for e in together))
+        sampled = [e for e in together if "exact_zero" not in e.info]
+        assert all(e.info["method"] == "monte_carlo" and e.value > 0.0 for e in sampled)
+        assert len(sampled) == len(together) - (case == "level-set-2d")
+    assert len(seen) == 1
+
+
+def test_exact_zero_point_skips_the_pass(monkeypatch):
+    calls = counting_integrator(monkeypatch)
+    plan = IntegrationPlan.monte_carlo(samples=2000, seed=5)
+    zero, *points = grid_specs("level-set-2d")
+    assert evaluate(zero, plan).info["exact_zero"] == "threshold above remainder range"
+    assert calls == []
+    for spec in points:
+        evaluate(spec, plan)
+    assert len(calls) == 1
+
+
+def test_pass_is_kept_for_one_grid_and_plan_only(monkeypatch):
+    calls = counting_integrator(monkeypatch)
+    plan = IntegrationPlan.monte_carlo(samples=2000, seed=5)
+    _, first, second, third = grid_specs("level-set-2d")
+    kept = [evaluate(spec, plan) for spec in (first, second, third)]
+    assert len(calls) == 1
+    # each call returns a copy: changing one leaves the kept pass alone
+    kept[1].info["changed"] = True
+    assert "changed" not in evaluate(second, plan).info and len(calls) == 1
+    evaluate(second, replace(plan, seed=6))
+    assert len(calls) == 2
+    evaluate(second, replace(plan, samples=2001))
+    assert len(calls) == 3
+    evaluate(replace(second, grid=(0.2, 0.1)), plan)
+    assert len(calls) == 4
+    again = evaluate(second, plan)
+    assert len(calls) == 5 and (again.value, again.stderr) == (kept[1].value, kept[1].stderr)
+
+
+def test_parameter_must_be_on_its_grid():
+    spec = replace(grid_specs("level-set-2d")[1], grid=(0.3, 0.1))
+    with pytest.raises(SpecError, match="grid"):
+        evaluate(spec, IntegrationPlan.monte_carlo(samples=100, seed=1))
+
+
+def test_uniform_bound_check_runs_one_pass(monkeypatch):
+    calls = counting_integrator(monkeypatch)
+    plan = IntegrationPlan.monte_carlo(samples=5000, seed=9)
+    deltas = [0.2, 0.1, 0.05]
+    spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1)
+    report = uniform_bound_check(spec, deltas, plan)
+    assert len(calls) == 1
+    alone = [evaluate(replace(spec, parameter=delta), plan).value for delta in deltas]
+    assert report.values == alone
+
+
+def test_nonfinite_payoff_names_its_point_and_first_bad_row():
+    seen = {}
+
+    def kernel(x, sigma, t):
+        seen.update(x=x.copy(), t=np.array(t))
+        out = np.ones(t.shape)
+        out[1, 5:] = np.nan
+        return out
+
+    plan = IntegrationPlan.monte_carlo(samples=100, seed=3)
+    with pytest.raises(EngineError) as err:
+        integrate_double(kernel, plan, 2, PowerLaw(-2.0, 0.5, 4.0), GAUSS2.proposal,
+                         radii=[2.0, 3.0, 4.0])
+    message = str(err.value)
+    assert f"x={seen['x'][1, 5].tolist()}" in message
+    assert f"t={float(seen['t'][1, 5])!r}" in message and message.endswith("(point 1)")
+
+
+def test_sweep_runs_one_pass(monkeypatch):
+    calls = counting_integrator(monkeypatch)
+    plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
+    res = sweep("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, Schedule(0.4, points=5), plan)
+    assert len(calls) == 1 and len(res.points) == 5
+    assert [info["method"] for info in res.info["point_info"]] == ["monte_carlo"] * 5
