@@ -59,8 +59,9 @@ _PLAN_SCHEMA = {
     "properties": {
         "method": {"enum": ["monte_carlo", "tensor_quadrature"]},
         "samples": {"type": "integer", "minimum": 1},
-        "x_nodes": {"type": "integer", "minimum": 4},
-        "t_nodes": {"type": "integer", "minimum": 4},
+        # a Gauss-Legendre rule of N nodes builds an N x N matrix
+        "x_nodes": {"type": "integer", "minimum": 4, "maximum": 1024},
+        "t_nodes": {"type": "integer", "minimum": 4, "maximum": 1024},
         "outer_box_radius": {"type": "number", "exclusiveMinimum": 0},
         "t_max": {"type": "number", "exclusiveMinimum": 0},
     },
@@ -235,12 +236,16 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
                             format=fmt, timestamp=timestamp, raw=raw)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or NaN, Infinity, -Infinity
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(raw, overrides)

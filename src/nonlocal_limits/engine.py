@@ -24,8 +24,9 @@ samples into blocks of _CHUNK rows.  Block i draws from
 SeedSequence((seed, 0, i)) and block results merge in index order (keyed
 per-block streams, Salmon et al. 2011).  The numbers therefore depend on
 (seed, samples) only; the worker count just sets how many threads run the
-blocks.  One pass integrates the K points of a parameter grid: every point
-reuses a block's draws and direction state, and is bitwise a pass of its own.
+blocks.  One pass integrates the K points of a parameter grid over one outer
+box: every point shares a block's outer points, weights, directions and
+direction state, and is bitwise a pass of its own on that box.
 
 Everything else is deterministic quadrature.  ``sphere_quadrature`` is the
 one unit-sphere rule.  Integrals over a body K of integrands positively
@@ -259,38 +260,28 @@ def monte_carlo(plan: IntegrationPlan, chunk) -> list[IntegralEstimate]:
             for total in totals]
 
 
-def outer_points(rng: np.random.Generator, n: int, dim: int, proposal):
-    """Draw n outer points (n - k box uniforms u, then k proposal rows); returns ``place``.
+def outer_points(rng: np.random.Generator, n: int, dim: int, radius: float, proposal,
+                 mass: float) -> tuple[Array, Array]:
+    """Draw n outer points on the box [-radius, radius]^dim and weigh them.
 
-    ``place(radii, mass)`` puts them on each box [-r, r]^dim, box rows at -r + 2r u
-    (bitwise ``rng.uniform(-r, r)``), and returns the points (K, n, dim) and weights
-    ``mass / q(x)`` (module docstring): (K, n), 0 for proposal rows outside the
-    box, or (K, 1) ``mass * vol(box)`` without a proposal.
+    The first k rows come from the proposal and the other n - k are uniform on
+    the box at -r + 2r u (bitwise ``rng.uniform(-r, r)``; u is drawn first).
+    Returns the points (n, dim) and the weights ``mass / q(x)`` (module
+    docstring): (n,), 0 for proposal rows outside the box, or (1,)
+    ``mass * vol(box)`` without a proposal.
     """
     k = 0 if proposal is None else min(round(PROPOSAL_SHARE * n), n - 1)
     unit = rng.random((n - k, dim))
     rows = proposal.sample(rng, k) if k else np.empty((0, dim))
-    density, reach = (proposal.pdf(rows), np.abs(rows).max(axis=1)) if k else (None, None)
-
-    def place(radii, mass: float) -> tuple[Array, Array]:
-        x = np.empty((len(radii), n, dim))
-        weight = np.empty((len(radii), n if k else 1))
-        for j, r in enumerate(radii):
-            if j and r == radii[j - 1]:  # the points of a level-set pass share one box
-                x[j], weight[j] = x[j - 1], weight[j - 1]
-                continue
-            volume = (2.0 * r) ** dim
-            x[j, :k] = rows
-            x[j, k:] = -r + (r - (-r)) * unit
-            if k == 0:
-                weight[j] = mass * volume
-                continue
-            q = k / n * np.concatenate([density, proposal.pdf(x[j, k:])]) + (1.0 - k / n) / volume
-            weight[j] = mass / q
-            weight[j, :k][reach > r] = 0.0
-        return x, weight
-
-    return place
+    volume = (2.0 * radius) ** dim
+    box = -radius + (radius - (-radius)) * unit
+    x = np.concatenate([rows, box])
+    if k == 0:
+        return x, np.array([mass * volume])
+    q = k / n * np.concatenate([proposal.pdf(rows), proposal.pdf(box)]) + (1.0 - k / n) / volume
+    weight = mass / q
+    weight[:k][np.abs(rows).max(axis=1) > radius] = 0.0
+    return x, weight
 
 
 def _sample_sphere(rng: np.random.Generator, n: int, dim: int) -> Array:
@@ -308,88 +299,89 @@ def _stratified_uniform(rng: np.random.Generator, n: int, offset: int) -> Array:
     return (idx + rng.random(n)) / _STRATA
 
 
-def _check_finite(values: Array, x: Array, sigma: Array, t: Array) -> None:
-    """Raise on a nonfinite payoff, naming the first bad row of the first bad point."""
+def _weighted_payoffs(kernel, x: Array, sigma: Array, t: Array, factor) -> Array:
+    """The kernel's payoffs times ``factor``; they must have t's shape (K, n) and be finite."""
+    values = kernel(x, sigma, t)
+    if np.shape(values) != t.shape:
+        raise EngineError(f"kernel returned payoffs of shape {np.shape(values)}, "
+                          f"expected t's shape {t.shape}: one row per point")
+    values = values * factor
     bad = ~np.isfinite(values)
     if np.any(bad):
         j, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise EngineError(
-            f"nonfinite kernel value at x={x[j, i].tolist()}, sigma={sigma[i].tolist()}, "
+            f"nonfinite kernel value at x={x[i].tolist()}, sigma={sigma[i].tolist()}, "
             f"t={float(t[j, i])!r} (point {j})")
+    return values
 
 
-def integrate_double(kernel, plan: IntegrationPlan, dim: int, law, proposal=None,
-                     radii=None) -> list[IntegralEstimate]:
+def integrate_double(kernel, plan: IntegrationPlan, dim: int, law,
+                     proposal=None) -> list[IntegralEstimate]:
     """Estimate the polar-form double integrals of K points over box x sphere x radius.
 
-    Point j integrates over the box of radius ``radii[j]`` (default: one point
-    on ``plan.outer_box_radius``); quadrature takes one point only.
+    All K points share the box of radius ``plan.outer_box_radius`` and so each
+    outer point x and its weight; they differ in their radii and payoffs only.
 
     Parameters
     ----------
     kernel : callable(x, sigma, t) -> values
-        Vectorized payoffs of all points: x of shape (K, n, dim), sigma of
-        shape (n, dim), t and values of shape (K, n).  The payoff is the pair
-        integrand F(x, x + t sigma) times t^(dim-1), divided by the law's
-        unnormalised radial shape.
+        Vectorized payoffs of all points: x and sigma of shape (n, dim), t
+        and values of shape (K, n); any other shape of values raises
+        ``EngineError``.  The payoff is the pair integrand F(x, x + t sigma)
+        times t^(dim-1), divided by the law's unnormalised radial shape.
     law : PowerLaw | MollifierRadial
-        Radial importance law.  ``law.prepare(sigma)`` supplies any
-        per-direction state (gauge values or cutoffs) once for all points,
-        ``law.sample`` returns t broadcastable to (K, n), and the estimate
-        multiplies each payoff by ``law.mass`` of that state, MC and
-        quadrature alike.
+        Radial importance law; it sets K.  ``law.prepare(sigma)`` supplies
+        any per-direction state (gauge values or cutoffs) once for all
+        points, ``law.sample`` returns t of shape (K, n), or (n,) for one
+        point, and the estimate multiplies each payoff by ``law.mass`` of
+        that state, MC and quadrature alike.
     proposal : functions.OuterProposal | None
         Law for the outer point x on the Monte Carlo path, mixed with the
         uniform box (``outer_points``); quadrature ignores it.
     """
     if dim not in _SPHERE_MEASURE:
         raise ValueError("dim must be 1, 2 or 3")
-    radii = [plan.outer_box_radius] if radii is None else list(radii)
-    if None in radii:
+    if plan.outer_box_radius is None:
         raise ValueError("the outer box radius must be resolved by the caller")
 
     if plan.method == "tensor_quadrature":
-        return [_integrate_double_quadrature(kernel, plan, dim, law, radii)]
+        return _integrate_double_quadrature(kernel, plan, dim, law)
     if plan.method != "monte_carlo":
         raise ValueError(f"unknown integration method {plan.method!r}")
 
     def chunk(rng: np.random.Generator, n: int, offset: int) -> Array:
-        place = outer_points(rng, n, dim, proposal)
+        x, weight = outer_points(rng, n, dim, plan.outer_box_radius, proposal,
+                                 sphere_measure(dim))
         sigma = _sample_sphere(rng, n, dim)
         aux = law.prepare(sigma)
-        t = np.broadcast_to(law.sample(_stratified_uniform(rng, n, offset), aux),
-                            (len(radii), n))
-        x, weight = place(radii, sphere_measure(dim))
-        vals = kernel(x, sigma, t) * (law.mass(aux) * weight)
-        _check_finite(vals, x, sigma, t)
-        return vals
+        t = np.atleast_2d(law.sample(_stratified_uniform(rng, n, offset), aux))
+        return _weighted_payoffs(kernel, x, sigma, t, law.mass(aux) * weight)
 
     return monte_carlo(plan, chunk)
 
 
-def _integrate_double_quadrature(kernel, plan, dim, law, radii):
-    if dim != 1 or len(radii) != 1:
-        raise ValueError("tensor quadrature for pair integrals is dim=1 and one point only")
-    box_radius = float(radii[0])
+def _integrate_double_quadrature(kernel, plan, dim, law):
+    if dim != 1:
+        raise ValueError("tensor quadrature for pair integrals is dim=1 only")
     xg, wx = np.polynomial.legendre.leggauss(plan.x_nodes)
-    x, wx = box_radius * xg, box_radius * wx
+    x, wx = plan.outer_box_radius * xg, plan.outer_box_radius * wx
     vg, wv = np.polynomial.legendre.leggauss(plan.t_nodes)
     v, wv = 0.5 * (vg + 1.0), 0.5 * wv
 
-    total = 0.0
+    totals = 0.0
     for s in (-1.0, 1.0):
         aux = law.prepare(np.array([[s]]))
-        t = np.ravel(law.sample(v, aux))
-        # full tensor batch (x_i, t_j) of the one point
-        xx = np.repeat(x, t.size)[np.newaxis, :, np.newaxis]
-        tt = np.tile(t, x.size)[np.newaxis]
-        ss = np.full((tt.size, 1), s)
-        vals = kernel(xx, ss, tt) * np.ravel(law.mass(aux))
-        _check_finite(vals, xx, ss, tt)
-        total += float(wx @ vals.reshape(x.size, t.size) @ wv)
-    return IntegralEstimate(total, 0.0, info={"method": "tensor_quadrature",
-                                              "x_nodes": plan.x_nodes,
-                                              "t_nodes": plan.t_nodes})
+        t = np.atleast_2d(law.sample(v, aux))
+        # full tensor batch (x_i, t_j) of every point
+        xx = np.repeat(x, t.shape[1])[:, np.newaxis]
+        tt = np.tile(t, x.size)
+        ss = np.full((len(xx), 1), s)
+        vals = _weighted_payoffs(kernel, xx, ss, tt, law.mass(aux))
+        totals = totals + np.array([wx @ row.reshape(x.size, -1) @ wv for row in vals])
+    return [IntegralEstimate(float(total), 0.0, info={"method": "tensor_quadrature",
+                                                      "x_nodes": plan.x_nodes,
+                                                      "t_nodes": plan.t_nodes})
+            for total in totals]
 
 
 # ---------------------------------------------------------------------------

@@ -193,15 +193,13 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[
         # delta^p (t g)^-(N+mp) t^(N-1) over the law's shape t^-(1+mp), per threshold
         out = np.zeros(t.shape)
         for j, delta in enumerate(deltas):
-            y = x[j] + t[j][:, np.newaxis] * sigma
-            fires = np.abs(remainder(f, x[j], y, m)) > delta
+            fires = np.abs(remainder(f, x, x + t[j][:, np.newaxis] * sigma, m)) > delta
             if np.any(fires):
                 out[j, fires] = delta ** p * body.gauge(sigma[fires]) ** (-power)
         return out
 
     law = PowerLaw(-(1.0 + m * p), _directional_cutoff(spec, deltas), t_max)
-    estimates = integrate_double(kernel, plan, body.dim, law, f.proposal,
-                                 radii=[box_radius] * len(specs))
+    estimates = integrate_double(kernel, plan, body.dim, law, f.proposal)
     for point, est in zip(specs, estimates):
         t_min = _level_set_radial_cutoff(point)
         est.info.update(_level_set_tail_bounds(point, box_radius, t_max, t_min),
@@ -242,7 +240,6 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[
     spec = specs[0]
     f, body, m, p = spec.f, spec.body, spec.m, spec.p
     remainder = _remainder(spec.theorem)
-    radii = [_box_radius(point, plan) for point in specs]
     mp = m * p
     # relative errors: about eps / t^m from rounding in R, about t in its leading term
     t_c = float(np.finfo(float).eps) ** (1.0 / (m + 1))
@@ -253,18 +250,18 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[
         g = body.gauge(sigma)
         g_dim = g ** (-body.dim)
         out = np.empty(t.shape)
-        for j in range(len(t)):
-            vals = np.abs(remainder(f, x[j], x[j] + t[j][:, np.newaxis] * sigma, m))
-            out[j] = vals ** p * (np.maximum(t[j], t_c) * g) ** (-mp) * g_dim
-            small = t[j] < t_c
-            form = np.abs(directional_m_form(f, x[j][small], sigma[small], m))
+        for j, tj in enumerate(t):
+            vals = np.abs(remainder(f, x, x + tj[:, np.newaxis] * sigma, m))
+            out[j] = vals ** p * (np.maximum(tj, t_c) * g) ** (-mp) * g_dim
+            small = tj < t_c
+            form = np.abs(directional_m_form(f, x[small], sigma[small], m))
             out[j, small] = (c_m * form) ** p * g[small] ** (-mp - body.dim)
         return out
 
     law = MollifierRadial([point.mollifier for point in specs], body.gauge)
-    estimates = integrate_double(kernel, plan, body.dim, law, f.proposal, radii=radii)
-    for point, radius, est in zip(specs, radii, estimates):
-        est.info["small_radius_bias"] = _small_radius_bias(point, radius, t_c, c_m)
+    estimates = integrate_double(kernel, plan, body.dim, law, f.proposal)
+    for point, est in zip(specs, estimates):
+        est.info["small_radius_bias"] = _small_radius_bias(point, plan.outer_box_radius, t_c, c_m)
     return estimates
 
 
@@ -301,11 +298,13 @@ def _at(spec: FunctionalSpec, value: float) -> FunctionalSpec:
 
 @lru_cache(maxsize=1)
 def _grid_pass(spec: FunctionalSpec, plan: IntegrationPlan) -> dict[float, IntegralEstimate]:
-    """The nonzero points of ``spec.grid`` from one integrate_double call."""
+    """The nonzero points of ``spec.grid`` from one integrate_double call on the largest of
+    their boxes, which holds every point's pairs (a shell's box grows with epsilon)."""
     points = [point for point in (_at(spec, value) for value in spec.grid)
               if _exact_zero(point, plan) is None]
+    box = replace(plan, outer_box_radius=max(_box_radius(point, plan) for point in points))
     run = _level_set_pass if spec.theorem.startswith("nguyen") else _mollified_pass
-    return {point.parameter: est for point, est in zip(points, run(points, plan))}
+    return {point.parameter: est for point, est in zip(points, run(points, box))}
 
 
 def evaluate(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nonlocal_limits import functionals
-from nonlocal_limits.engine import outer_points
 
 
 @pytest.fixture(autouse=True)
@@ -31,9 +30,3 @@ def fd_partial(f, alpha, x, step=1e-4):
     return (fd_partial(f, reduced, x + offset, step)
             - fd_partial(f, reduced, x - offset, step)) / (2.0 * step)
 
-
-def box_points(rng, n, dim, radius, proposal, mass):
-    """``engine.outer_points`` on one box: points (n, dim) and weights (n,), or (1,) without
-    a proposal."""
-    x, weight = outer_points(rng, n, dim, proposal)([radius], mass)
-    return x[0], weight[0]

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -173,6 +174,45 @@ def test_load_config_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("job_update, constant", [
+    ({"body": {"kind": "ball", "radius": math.nan, "dim": 1}}, "NaN"),
+    ({"tolerance": math.inf}, "Infinity"),
+    ({"schedule": {"start": 0.2, "ratio": -math.inf, "points": 4}}, "-Infinity"),
+], ids=["nan-radius", "infinite-tolerance", "minus-infinite-ratio"])
+def test_run_rejects_nonfinite_json_constants(tmp_path, capsys, job_update, constant):
+    # json.load accepts these constants, and NaN passes every schema bound
+    cfg = base_config()
+    cfg["jobs"][0].update(job_update)
+    path = write_config(tmp_path, cfg)
+    assert constant in pathlib.Path(path).read_text()
+    with pytest.raises(ConfigError, match=f"{constant} is not a JSON number"):
+        load_config(path)
+    assert cli.run(path, {}) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config ")
+
+
+def test_run_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff" + json.dumps(base_config()).encode())
+    with pytest.raises(ConfigError, match="can't decode byte 0xff"):
+        load_config(str(path))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config ")
+
+
+@pytest.mark.parametrize("key", ["x_nodes", "t_nodes"])
+def test_parse_config_bounds_quadrature_nodes(key):
+    # parse only: a rule of 1024 nodes is never built here
+    cfg = base_config()
+    cfg["jobs"][0]["plan"] = {"method": "tensor_quadrature", key: 1024}
+    assert getattr(parse_config(cfg).jobs[0].plan, key) == 1024
+    cfg["jobs"][0]["plan"][key] = 1025
+    with pytest.raises(ConfigError, match=f"plan/{key}': 1025 is greater than the maximum"):
+        parse_config(cfg)
 
 
 def test_check_identities_quick():
@@ -387,6 +427,11 @@ def _one_job_configs(draw):
 @example({"seed": 7, "jobs": [NUMERIC_FAILURES["huge-start"]]})
 @example({"seed": 7, "jobs": [numeric_failure_job(plan={"t_max": 1e-300})]})
 @example({"seed": 7, "jobs": [numeric_failure_job(plan={"outer_box_radius": 1e300})]})
+@example({"seed": 7, "jobs": [numeric_failure_job(body={"half_widths": [math.nan, 1.0]})]})
+@example({"seed": 7, "jobs": [numeric_failure_job(schedule={"start": math.inf})]})
+@example({"seed": 7, "jobs": [numeric_failure_job(body={"half_widths": [1.0]},
+                                                  plan={"method": "tensor_quadrature",
+                                                        "x_nodes": 10 ** 12})]})
 def test_fuzzed_config_never_raises(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "config.json"
@@ -394,3 +439,16 @@ def test_fuzzed_config_never_raises(cfg):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["run", "--config", str(path), "--no-timestamp"])
     assert code in (0, 1, 2)
+    if _not_a_config(cfg):
+        assert code == 1
+
+
+def _not_a_config(node, key=None) -> bool:
+    """Whether ``node`` holds a nonfinite number or a quadrature node count over 1024."""
+    if isinstance(node, dict):
+        return any(_not_a_config(value, name) for name, value in node.items())
+    if isinstance(node, list):
+        return any(_not_a_config(value) for value in node)
+    if isinstance(node, float):
+        return not math.isfinite(node)
+    return key in ("x_nodes", "t_nodes") and node > 1024

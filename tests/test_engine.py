@@ -8,13 +8,11 @@ from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import monomial, multi_indices
 from nonlocal_limits.engine import (PROPOSAL_SHARE, EngineError, IntegrationPlan,
                                     MollifierRadial, PowerLaw, body_quadrature_nodes,
-                                    cone_nodes, integrate_double,
+                                    cone_nodes, integrate_double, outer_points,
                                     sphere_body_identity_check, sphere_constant,
                                     sphere_quadrature)
 from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import make_mollifier
-
-from conftest import box_points
 
 GAUSS2_PROPOSAL = make_function("gaussian", 2).proposal
 
@@ -108,11 +106,23 @@ def test_quadrature_matches_monte_carlo_on_smooth_kernel():
     assert gap <= max(3 * mc.stderr, 1e-3 * abs(quad.value))
 
 
+def test_quadrature_integrates_every_point_of_a_law():
+    # one cutoff row per point: each estimate is the quadrature of its own law
+    cutoffs = [0.5, 0.25, 0.125]
+    law = PowerLaw(-1.0, lambda s: np.repeat([[c] for c in cutoffs], len(s), axis=1), 1.5)
+    kernel = lambda x, s, t: np.exp(-x * x).T * t
+    plan = IntegrationPlan.quadrature(x_nodes=40, t_nodes=24, outer_box_radius=3.0)
+    together = integrate_double(kernel, plan, 1, law)
+    alone = [integrate_double(kernel, plan, 1, PowerLaw(-1.0, c, 1.5))[0] for c in cutoffs]
+    assert [e.value for e in together] == pytest.approx([e.value for e in alone], rel=1e-14)
+
+
 def test_importance_sampling_unbiased_over_repetitions():
     # closed-form radial integral oracle; mean over 50 independent estimates
     # must sit within the 1% critical value of its standard error
     law = PowerLaw(-2.0, 0.5, 4.0)
-    kernel = lambda x, s, t: 1.0 + x[..., 0] ** 2  # integrand (1 + x^2) / t^2
+    # integrand (1 + x^2) / t^2; x is shared, so the payoff row is broadcast to t's shape
+    kernel = lambda x, s, t: np.broadcast_to(1.0 + x[:, 0] ** 2, t.shape)
     truth = 2.0 * (1.0 + 1.0 / 3.0) * 2.0 * (1.0 / 0.5 - 1.0 / 4.0)
     values = []
     for rep in range(50):
@@ -271,7 +281,7 @@ MIXTURE_TRUTH = (112.0 / 3.0) * 2.0 * math.pi * (1.0 / 0.5 - 1.0 / 4.0)
 
 
 def mixture_kernel(x, sigma, t):
-    return 1.0 + x[..., 0] ** 2
+    return np.broadcast_to(1.0 + x[:, 0] ** 2, t.shape)
 
 
 def _repeated_z(samples, workers, reps, seed0):
@@ -301,7 +311,7 @@ def test_mixture_unbiased_for_odd_block_sizes(monkeypatch):
 def test_mixture_weights_bounded_and_exact(n):
     rng = np.random.default_rng(n)
     radius, mass = 8.5, 2.0 * math.pi
-    x, w = box_points(rng, n, 2, radius, GAUSS2_PROPOSAL, mass)
+    x, w = outer_points(rng, n, 2, radius, GAUSS2_PROPOSAL, mass)
     k = min(round(PROPOSAL_SHARE * n), n - 1)
     uniform = mass * (2.0 * radius) ** 2
     assert x.shape == (n, 2) and np.all(np.abs(x) <= radius)
@@ -315,14 +325,14 @@ def test_mixture_weights_bounded_and_exact(n):
 
 
 def test_single_row_chunk_is_a_box_row():
-    x, w = box_points(np.random.default_rng(1), 1, 2, 8.5, GAUSS2_PROPOSAL, 1.0)
+    x, w = outer_points(np.random.default_rng(1), 1, 2, 8.5, GAUSS2_PROPOSAL, 1.0)
     assert x.shape == (1, 2) and w == 17.0 ** 2
 
 
 def test_out_of_box_proposal_draw_gets_zero_weight():
     rng = np.random.default_rng(4)
     n, radius = 4000, 0.5
-    x, w = box_points(rng, n, 2, radius, GAUSS2_PROPOSAL, 1.0)
+    x, w = outer_points(rng, n, 2, radius, GAUSS2_PROPOSAL, 1.0)
     k = round(PROPOSAL_SHARE * n)
     outside = np.any(np.abs(x) > radius, axis=1)
     assert outside[:k].sum() > 1000 and not outside[k:].any()
@@ -331,7 +341,7 @@ def test_out_of_box_proposal_draw_gets_zero_weight():
 
 def test_no_proposal_keeps_the_uniform_box():
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    x, w = box_points(rng_a, 100, 2, 3.0, None, 2.0)
+    x, w = outer_points(rng_a, 100, 2, 3.0, None, 2.0)
     np.testing.assert_array_equal(x, rng_b.uniform(-3.0, 3.0, size=(100, 2)))
     assert w == 2.0 * 36.0
 

@@ -7,14 +7,13 @@ import pytest
 from nonlocal_limits import functionals
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import centered_remainder, directional_m_form
-from nonlocal_limits.engine import IntegralEstimate, IntegrationPlan
+from nonlocal_limits.engine import IntegralEstimate, IntegrationPlan, outer_points
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_norm_p,
                                          evaluate, local_limit, shared_local_integral,
                                          theorem_constant, uniform_bound_check)
 from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import make_mollifier
 
-from conftest import box_points
 
 INTERVAL = ConvexBody.box([1.0])
 GAUSS1 = make_function("gaussian", 1)
@@ -153,7 +152,7 @@ def test_local_limit_monte_carlo_agrees():
     ellipse = ConvexBody.ellipsoid([2.0, 1.0])
     rng = np.random.default_rng(3)
     n = 400_000
-    xs, wx = box_points(rng, n, 2, GAUSS2.support_radius, GAUSS2.proposal, 1.0)
+    xs, wx = outer_points(rng, n, 2, GAUSS2.support_radius, GAUSS2.proposal, 1.0)
     ys = rng.uniform(-1.0, 1.0, size=(n, 2)) * [2.0, 1.0]
     payoff = wx * 8.0 * ellipse.contains(ys) * directional_m_form(GAUSS2, xs, ys, 1) ** 2
     value, stderr = payoff.mean(), payoff.std(ddof=1) / math.sqrt(n)
@@ -337,7 +336,7 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     moll = make_mollifier("shell", 2, par) if theorem.startswith("bbm") else None
     captured = {}
 
-    def capture(kernel, plan, dim, law, proposal, radii):
+    def capture(kernel, plan, dim, law, proposal):
         captured.update(kernel=kernel, law=law)
         return [IntegralEstimate(0.0, 0.0)]
 
@@ -352,7 +351,7 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
     aux = law.prepare(sigma)
     t = law.sample(rng.random(n), aux)[0]  # one point: row 0
-    payoff = (kernel(x[np.newaxis], sigma, t[np.newaxis]) * law.mass(aux))[0]
+    payoff = (kernel(x, sigma, t[np.newaxis]) * law.mass(aux))[0]
 
     remainder = centered_remainder(GAUSS2, x, x + t[:, np.newaxis] * sigma, m)
     gauge = body.gauge(t[:, np.newaxis] * sigma)
@@ -375,7 +374,7 @@ def test_leading_term_payoff_matches_exact_remainder(theorem, m, monkeypatch):
     moll = make_mollifier("shell", 1, eps)
     captured = {}
 
-    def capture(kernel, plan, dim, law, proposal, radii):
+    def capture(kernel, plan, dim, law, proposal):
         captured["kernel"] = kernel
         return [IntegralEstimate(0.0, 0.0)]
 
@@ -388,7 +387,7 @@ def test_leading_term_payoff_matches_exact_remainder(theorem, m, monkeypatch):
     x = np.linspace(-2.5, 2.5, 41)
     xs = np.concatenate([x, x])[:, np.newaxis]
     sigma = np.repeat([[1.0], [-1.0]], x.size, axis=0)
-    lead = captured["kernel"](xs[np.newaxis], sigma, np.full((1, 2 * x.size), 0.25 * t_c))[0]
+    lead = captured["kernel"](xs, sigma, np.full((1, 2 * x.size), 0.25 * t_c))[0]
 
     def f(u):
         return mpmath.exp(-u * u)

@@ -1,4 +1,5 @@
-"""One Monte Carlo pass per grid: every point of a grid is bitwise its own K = 1 pass."""
+"""One Monte Carlo pass per grid: every point of a grid is bitwise its own K = 1 pass on the
+grid's one outer box."""
 
 from dataclasses import replace
 
@@ -60,7 +61,10 @@ def test_grid_pass_is_bitwise_the_single_point_passes(case, monkeypatch):
     for workers in (1, 2, 3):
         plan = IntegrationPlan.monte_carlo(samples=3500, seed=17, workers=workers)
         together = [evaluate(spec, plan) for spec in grid_specs(case)]
-        alone = [evaluate(spec, plan) for spec in grid_specs(case, grid=False)]
+        # a shell's box grows with epsilon: its lone points run on the grid's box
+        box = max(functionals._box_radius(spec, plan) for spec in grid_specs(case))
+        alone_plan = replace(plan, outer_box_radius=box) if CASES[case][4] == "shell" else plan
+        alone = [evaluate(spec, alone_plan) for spec in grid_specs(case, grid=False)]
         assert [(e.value, e.stderr, e.info) for e in together] == \
                [(e.value, e.stderr, e.info) for e in alone]
         seen.add(tuple((e.value, e.stderr) for e in together))
@@ -117,6 +121,10 @@ def test_uniform_bound_check_runs_one_pass(monkeypatch):
     assert report.values == alone
 
 
+# a radial law of three points: one cutoff row per point
+THREE_POINT_LAW = PowerLaw(-2.0, lambda sigma: np.full((3, len(sigma)), 0.5), 4.0)
+
+
 def test_nonfinite_payoff_names_its_point_and_first_bad_row():
     seen = {}
 
@@ -126,12 +134,11 @@ def test_nonfinite_payoff_names_its_point_and_first_bad_row():
         out[1, 5:] = np.nan
         return out
 
-    plan = IntegrationPlan.monte_carlo(samples=100, seed=3)
+    plan = IntegrationPlan.monte_carlo(samples=100, seed=3, outer_box_radius=2.0)
     with pytest.raises(EngineError) as err:
-        integrate_double(kernel, plan, 2, PowerLaw(-2.0, 0.5, 4.0), GAUSS2.proposal,
-                         radii=[2.0, 3.0, 4.0])
+        integrate_double(kernel, plan, 2, THREE_POINT_LAW, GAUSS2.proposal)
     message = str(err.value)
-    assert f"x={seen['x'][1, 5].tolist()}" in message
+    assert f"x={seen['x'][5].tolist()}" in message
     assert f"t={float(seen['t'][1, 5])!r}" in message and message.endswith("(point 1)")
 
 
@@ -141,3 +148,38 @@ def test_sweep_runs_one_pass(monkeypatch):
     res = sweep("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, Schedule(0.4, points=5), plan)
     assert len(calls) == 1 and len(res.points) == 5
     assert [info["method"] for info in res.info["point_info"]] == ["monte_carlo"] * 5
+
+
+def test_mollified_pass_uses_the_largest_box_of_its_points(monkeypatch):
+    calls = counting_integrator(monkeypatch)
+    plan = IntegrationPlan.monte_carlo(samples=2000, seed=5)
+    specs = grid_specs("shell-2d")
+    for spec in specs:
+        evaluate(spec, plan)
+    boxes = [functionals._box_radius(spec, plan) for spec in specs]
+    # a shell's box grows with epsilon, so the largest epsilon's box holds the others
+    assert boxes[0] > boxes[1] > boxes[2]
+    assert len(calls) == 1 and calls[0].outer_box_radius == boxes[0]
+
+
+def test_small_radius_bias_uses_the_pass_box():
+    plan = IntegrationPlan.monte_carlo(samples=2000, seed=5)
+    largest, _, smallest = grid_specs("shell-2d")
+    box, own_box = (functionals._box_radius(spec, plan) for spec in (largest, smallest))
+    bias = evaluate(smallest, plan).info["small_radius_bias"]
+    alone = replace(smallest, grid=())
+    assert bias == evaluate(alone, replace(plan, outer_box_radius=box)).info["small_radius_bias"]
+    # the bound scales with the volume of the box
+    own = evaluate(alone, plan).info["small_radius_bias"]
+    assert bias / own == pytest.approx((box / own_box) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("law", [PowerLaw(-2.0, 0.5, 4.0), THREE_POINT_LAW], ids=["K=1", "K=3"])
+@pytest.mark.parametrize("plan", [
+    IntegrationPlan.monte_carlo(samples=100, seed=3, outer_box_radius=2.0),
+    IntegrationPlan.quadrature(x_nodes=8, t_nodes=8, outer_box_radius=2.0)],
+    ids=["monte_carlo", "quadrature"])
+def test_kernel_of_the_wrong_shape_raises(plan, law):
+    # without the point axis, the n payoffs of a block would pass for n points
+    with pytest.raises(EngineError, match=r"shape \(\d+,\), expected t's shape \((1|3), \d+\)"):
+        integrate_double(lambda x, sigma, t: np.ones(len(x)), plan, 1, law)
