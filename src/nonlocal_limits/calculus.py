@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import tensor_grid
+from .engine import gauss_legendre, tensor_grid
 from .functions import TestFunction, as_points
 
 Array = np.ndarray
@@ -98,13 +98,13 @@ def forward_difference(f: TestFunction, x, h, m: int) -> Array:
     return out
 
 
-def centered_remainder(f: TestFunction, x, y, m: int) -> Array:
+def centered_remainder(f: TestFunction, x, y, m: int, fx=None) -> Array:
     """Binomial remainder on the m+1 equally spaced points of segment [x, y].
 
     sum_j (-1)^j C(m,j) f(((m-j) x + j y) / m); equals (-1)^m times the m-th
     difference with step (y - x)/m.  The end nodes are x and y themselves:
     bitwise the node formula for m in {1, 2, 4}, and free of its rounding
-    otherwise (m = 3).
+    otherwise (m = 3).  ``fx``, when given, is f(x), already evaluated.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -113,7 +113,8 @@ def centered_remainder(f: TestFunction, x, y, m: int) -> Array:
     out = 0.0
     for j in range(m + 1):
         point = x if j == 0 else y if j == m else ((m - j) * x + j * y) / m
-        out = out + (-1.0) ** j * math.comb(m, j) * f.eval(point)
+        value = fx if j == 0 and fx is not None else f.eval(point)
+        out = out + (-1.0) ** j * math.comb(m, j) * value
     return out
 
 
@@ -131,11 +132,11 @@ def taylor_polynomial(f: TestFunction, y, x, degree: int) -> Array:
     return out
 
 
-def taylor_remainder(f: TestFunction, x, y, m: int) -> Array:
-    """f(x) minus its degree-(m-1) Taylor polynomial expanded at y."""
+def taylor_remainder(f: TestFunction, x, y, m: int, fx=None) -> Array:
+    """f(x) minus its degree-(m-1) Taylor polynomial expanded at y; ``fx`` is f(x) if given."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return f.eval(x) - taylor_polynomial(f, y, x, m - 1)
+    return (f.eval(x) if fx is None else fx) - taylor_polynomial(f, y, x, m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +154,7 @@ def mean_value_identity_check(f: TestFunction, x, h, m: int, quadrature_nodes: i
         raise ValueError("identity check restricted to m <= 3")
     x = as_points(x, f.dim)
     h = as_points(h, f.dim)
-    xg, wg = np.polynomial.legendre.leggauss(quadrature_nodes)
-    ts, w = tensor_grid([(0.5 * (xg + 1.0), 0.5 * wg)] * m)
+    ts, w = tensor_grid([gauss_legendre(quadrature_nodes, unit=True)] * m)
     shift = sum(ts.T)  # (nodes^m,)
     pts = x[np.newaxis, :] + shift[:, np.newaxis] * h[np.newaxis, :]
     form = directional_m_form(f, pts, np.broadcast_to(h, pts.shape), m)
@@ -173,8 +173,7 @@ def taylor_kernel_identity_check(f: TestFunction, x, h: float, m: int,
     if m > 3:
         raise ValueError("identity check restricted to m <= 3")
     x = as_points(x, f.dim)
-    xg, wg = np.polynomial.legendre.leggauss(quadrature_nodes)
-    ts, w = tensor_grid([(0.5 * (xg + 1.0), 0.5 * wg)] * m)
+    ts, w = tensor_grid([gauss_legendre(quadrature_nodes, unit=True)] * m)
     prod = np.ones_like(w)
     weight = np.ones_like(w)
     for i, t in enumerate(ts.T):

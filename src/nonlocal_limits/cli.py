@@ -264,8 +264,8 @@ def certify_mollifiers(config_path: str | None = None, broken: bool = False) -> 
         from . import mollifiers as _m
 
         class _Broken(_m.MollifierFamily):
-            def radial_mass_density_mp(self, r):
-                return 0.93 * super().radial_mass_density_mp(r)
+            def log_radius_mass_mp(self, y):
+                return 0.93 * super().log_radius_mass_mp(y)
 
         original = _m.make_mollifier
         _m.make_mollifier = lambda kind, dim, eps, p=None: _Broken(kind, dim, eps, p)

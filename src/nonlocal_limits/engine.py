@@ -45,7 +45,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -73,6 +73,16 @@ class EngineError(RuntimeError):
 
 def sphere_measure(dim: int) -> float:
     return _SPHERE_MEASURE[dim]
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int, unit: bool = False) -> tuple[Array, Array]:
+    """n-point Gauss-Legendre rule on [-1, 1], or on [0, 1] if ``unit``; built once, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    if unit:
+        nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +373,9 @@ def integrate_double(kernel, plan: IntegrationPlan, dim: int, law,
 def _integrate_double_quadrature(kernel, plan, dim, law):
     if dim != 1:
         raise ValueError("tensor quadrature for pair integrals is dim=1 only")
-    xg, wx = np.polynomial.legendre.leggauss(plan.x_nodes)
+    xg, wx = gauss_legendre(plan.x_nodes)
     x, wx = plan.outer_box_radius * xg, plan.outer_box_radius * wx
-    vg, wv = np.polynomial.legendre.leggauss(plan.t_nodes)
-    v, wv = 0.5 * (vg + 1.0), 0.5 * wv
+    v, wv = gauss_legendre(plan.t_nodes, unit=True)
 
     totals = 0.0
     for s in (-1.0, 1.0):
@@ -403,11 +412,10 @@ def body_quadrature_nodes(body: ConvexBody, radial_nodes: int = 48,
     if body.kind not in TENSOR_QUADRATURE_KINDS:
         raise ValueError(f"no tensor quadrature for body kind {body.kind!r}")
     semi = np.asarray([body.params[0]] * body.dim if body.kind == "ball" else body.params)
-    xg, wg = np.polynomial.legendre.leggauss(radial_nodes)
+    xg, wg = gauss_legendre(radial_nodes)
     if body.kind == "box" or body.dim == 1:
         return tensor_grid([(a * xg, a * wg) for a in semi])
-    r = 0.5 * (xg + 1.0)
-    wr = 0.5 * wg
+    r, wr = gauss_legendre(radial_nodes, unit=True)
     theta = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
     wt = np.full(angular_nodes, 2.0 * math.pi / angular_nodes)
     if body.dim == 2:
@@ -439,9 +447,8 @@ def _graded_gauss(n: int) -> tuple[Array, Array]:
     plane.  There the gauge of an lp ball with a non-even exponent q has a
     |angle|^q term, which the map turns into a smoother u^(2q+1) one.
     """
-    g, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (g + 1.0)
-    return u * u * (3.0 - 2.0 * u), 3.0 * w * u * (1.0 - u)
+    u, w = gauss_legendre(n, unit=True)
+    return u * u * (3.0 - 2.0 * u), 6.0 * w * u * (1.0 - u)
 
 
 def sphere_quadrature(dim: int) -> tuple[Array, Array]:
@@ -476,8 +483,7 @@ def _facet_cells(on: Array, unit: Array) -> tuple[Array, Array]:
     dim = on.shape[1]
     if dim == 1:
         return on[:1], np.ones(1)
-    g, wg = np.polynomial.legendre.leggauss(_FACET_NODES[dim])
-    s, ws = 0.5 * (g + 1.0), 0.5 * wg
+    s, ws = gauss_legendre(_FACET_NODES[dim], unit=True)
     center = on.mean(axis=0)
     rel = on - center
     if dim == 2:

@@ -35,8 +35,8 @@ import numpy as np
 from .bodies import ConvexBody
 from .calculus import (centered_remainder, direction_bound, directional_m_form,
                        m_form_tableau, multi_indices, taylor_remainder)
-from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw,
-                     cone_nodes, integrate_double, sphere_measure, tensor_grid)
+from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw, cone_nodes,
+                     gauss_legendre, integrate_double, sphere_measure, tensor_grid)
 from .functions import TestFunction
 from .mollifiers import MollifierFamily, ensure_certified
 
@@ -191,9 +191,9 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[
 
     def kernel(x, sigma, t):
         # delta^p (t g)^-(N+mp) t^(N-1) over the law's shape t^-(1+mp), per threshold
-        out = np.zeros(t.shape)
+        out, fx = np.zeros(t.shape), f.eval(x)
         for j, delta in enumerate(deltas):
-            fires = np.abs(remainder(f, x, x + t[j][:, np.newaxis] * sigma, m)) > delta
+            fires = np.abs(remainder(f, x, x + t[j][:, np.newaxis] * sigma, m, fx)) > delta
             if np.any(fires):
                 out[j, fires] = delta ** p * body.gauge(sigma[fires]) ** (-power)
         return out
@@ -249,9 +249,9 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[
         # |R|^p (t g)^-mp rho t^(N-1) over the law's shape (t g)^(N-1) rho g, per profile
         g = body.gauge(sigma)
         g_dim = g ** (-body.dim)
-        out = np.empty(t.shape)
+        out, fx = np.empty(t.shape), f.eval(x)
         for j, tj in enumerate(t):
-            vals = np.abs(remainder(f, x, x + tj[:, np.newaxis] * sigma, m))
+            vals = np.abs(remainder(f, x, x + tj[:, np.newaxis] * sigma, m, fx))
             out[j] = vals ** p * (np.maximum(tj, t_c) * g) ** (-mp) * g_dim
             small = tj < t_c
             form = np.abs(directional_m_form(f, x[small], sigma[small], m))
@@ -331,7 +331,7 @@ _OUTER_NODES_DEFAULT = {1: 160, 2: 96, 3: 40}
 
 def _outer_grid(f: TestFunction, nodes: int):
     """Tensor Gauss-Legendre grid on the support box of f."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = gauss_legendre(nodes)
     return tensor_grid([(f.support_radius * xg, f.support_radius * wg)] * f.dim)
 
 

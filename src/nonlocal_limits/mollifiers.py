@@ -11,11 +11,16 @@ Two closed-form families are provided:
   fractional: rho_eps(r) = eps p r^(eps p - N) on (0, 1]   (needs the target p)
 
 Both are evaluated at gauge radii r = ||x - y||_K by the mollified functionals.
+On its support (0, R] each has radial mass (r / R)^a below r, with a = N or
+eps p (``MollifierFamily.rate``).  ``certify`` checks both conditions against
+40-digit tanh-sinh quadrature of the mass per unit log-radius,
+r^N rho(r) = a R^-a e^(-a y) at r = e^(-y) (``log_radius_mass_mp``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -23,6 +28,9 @@ import numpy as np
 Array = np.ndarray
 
 KINDS = ("shell", "fractional")
+
+#: decimal digits of the certification quadratures
+CERTIFY_DPS = 40
 
 
 class CertificationError(RuntimeError):
@@ -50,26 +58,23 @@ class MollifierFamily:
     def support_upper(self) -> float:
         return self.epsilon if self.kind == "shell" else 1.0
 
+    @property
+    def rate(self) -> float:
+        """The exponent a of the radial mass (r / support_upper)^a below r: dim or eps p."""
+        return float(self.dim) if self.kind == "shell" else self.epsilon * self.p
+
     def evaluate(self, r) -> Array:
-        """Profile value; zero outside the support (and at r = 0)."""
+        """Profile value a R^-a r^(a - dim) on (0, R], R = support_upper; zero elsewhere."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
-        if self.kind == "shell":
-            inside = (r > 0.0) & (r <= self.epsilon)
-            out[inside] = self.dim * self.epsilon ** (-self.dim)
-        else:
-            ep = self.epsilon * self.p
-            inside = (r > 0.0) & (r <= 1.0)
-            out[inside] = ep * r[inside] ** (ep - self.dim)
+        a, upper = self.rate, self.support_upper
+        inside = (r > 0.0) & (r <= upper)
+        out[inside] = a * upper ** (-a) * r[inside] ** (a - self.dim)
         return out
 
     def mass_below(self, r: float) -> float:
         """Closed-form integral of s^(dim-1) rho(s) over (0, r]."""
-        if r <= 0.0:
-            return 0.0
-        if self.kind == "shell":
-            return min(1.0, (r / self.epsilon) ** self.dim)
-        return min(1.0, r ** (self.epsilon * self.p))
+        return 0.0 if r <= 0.0 else min(1.0, (r / self.support_upper) ** self.rate)
 
     def tail_mass(self, delta: float) -> float:
         """Closed-form integral of s^(dim-1) rho(s) over [delta, inf)."""
@@ -77,33 +82,26 @@ class MollifierFamily:
 
     def inverse_mass(self, v) -> Array:
         """Inverse of the radial-mass CDF; maps uniform (0,1] to support radii."""
-        v = np.asarray(v, dtype=float)
-        if self.kind == "shell":
-            return self.epsilon * v ** (1.0 / self.dim)
-        return v ** (1.0 / (self.epsilon * self.p))
+        return self.support_upper * np.asarray(v, dtype=float) ** (1.0 / self.rate)
 
     def radial_mass_density(self, r) -> Array:
         """Density r^(dim-1) rho(r) of the radial mass measure."""
         r = np.asarray(r, dtype=float)
         return r ** (self.dim - 1) * self.evaluate(r)
 
-    def radial_mass_density_mp(self, r):
-        """Radial mass density in mpmath arithmetic (certification oracle path).
+    @cached_property
+    def _log_mass_constants(self):
+        """(a R^-a, a) as mpf at the certification precision; eps p is the exact product."""
+        with mpmath.workdps(CERTIFY_DPS):
+            a = (mpmath.mpf(self.dim) if self.kind == "shell"
+                 else mpmath.mpf(self.epsilon) * mpmath.mpf(self.p))
+            return a * mpmath.mpf(self.support_upper) ** (-a), a
 
-        Arbitrary precision is required: at small epsilon the fractional
-        profile carries most of its mass at radii far below double range.
-        """
-        r = mpmath.mpf(r)
-        if r <= 0:
-            return mpmath.mpf(0)
-        if self.kind == "shell":
-            if r > self.epsilon:
-                return mpmath.mpf(0)
-            return self.dim * mpmath.mpf(self.epsilon) ** (-self.dim) * r ** (self.dim - 1)
-        if r > 1:
-            return mpmath.mpf(0)
-        ep = mpmath.mpf(self.epsilon) * mpmath.mpf(self.p)
-        return ep * r ** (ep - 1)
+    def log_radius_mass_mp(self, y):
+        """Mass per unit log-radius r^dim rho(r) at r = e^(-y), y >= log(1/R), in mpmath: at
+        small epsilon the fractional profile has most of its mass far below double range."""
+        scale, rate = self._log_mass_constants
+        return scale * mpmath.exp(-rate * y)
 
 
 def make_mollifier(kind: str, dim: int, epsilon: float, p: float | None = None) -> MollifierFamily:
@@ -124,22 +122,17 @@ class CertificationReport:
 def _numeric_mass(family: MollifierFamily, delta: float = 0.0) -> float:
     """Radial mass above ``delta`` by log-radius quadrature: the normalization at 0.
 
-    Substituting r = exp(-y) turns the endpoint singularity into exponential
-    decay on [0, inf), which tanh-sinh integrates to full precision whatever
+    In y = log(1/r) the mass is the integral of ``family.log_radius_mass_mp``
+    over [log(1/support_upper), log(1/delta)]: the endpoint singularity becomes
+    exponential decay, which tanh-sinh integrates to full precision whatever
     the singularity strength.
     """
     if delta >= family.support_upper:
         return 0.0
-
-    def integrand(y):
-        r = mpmath.exp(-y)
-        return family.radial_mass_density_mp(r) * r
-
-    with mpmath.workdps(40):
+    with mpmath.workdps(CERTIFY_DPS):
         lo = -mpmath.log(mpmath.mpf(family.support_upper))
         hi = mpmath.log(1.0 / mpmath.mpf(delta)) if delta > 0 else mpmath.inf
-        val = mpmath.quad(integrand, [lo, hi])
-    return float(val)
+        return float(mpmath.quad(family.log_radius_mass_mp, [lo, hi]))
 
 
 def certify(kind: str, dim: int, delta_grid, epsilon_grid, p: float | None = None,

@@ -213,3 +213,15 @@ def test_rejects_excess_order():
         calculus.directional_m_form(GAUSS1, [0.0], [1.0], GAUSS1.smoothness_order + 1)
     with pytest.raises(ValueError):
         calculus.forward_difference(GAUSS1, [0.0], [0.1], 0)
+
+
+@pytest.mark.parametrize("name,dim", [("gaussian", 1), ("gaussian", 2), ("sine_bump", 1)])
+def test_remainders_take_f_at_x_bitwise(rng, name, dim):
+    # the pass kernels evaluate f(x) once per block and hand it to every point
+    f = make_function(name, dim)
+    x = rng.uniform(-1.5, 1.5, (500, dim))
+    y = x + rng.uniform(-0.5, 0.5, (500, dim))
+    fx = f.eval(x)
+    for m in (1, 2, 3, 4):
+        for remainder in (calculus.centered_remainder, calculus.taylor_remainder):
+            np.testing.assert_array_equal(remainder(f, x, y, m, fx), remainder(f, x, y, m))

@@ -227,8 +227,10 @@ def test_certify_mollifiers_default():
     assert cli.certify_mollifiers() == 0
 
 
-def test_certify_mollifiers_broken_fixture():
+def test_certify_mollifiers_broken_fixture(capsys):
     assert cli.certify_mollifiers(broken=True) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("broken fixture correctly rejected: ") and "normalization" in out[-1]
 
 
 def test_certify_mollifiers_from_config(tmp_path):
@@ -277,6 +279,17 @@ def test_traced_benchmark_child_runs():
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["code"] == 0 and "layers" in record
+
+
+def test_traced_benchmark_child_certifies_four_families():
+    # the traced benchmark charges each family's certification to mollifiers.certify
+    spec = {"root": str(ROOT), "argv": ["certify-mollifiers"], "trace": True}
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["code"] == 0
+    assert record["layers"]["mollifiers.certify"]["calls"] == 4
 
 
 def test_benchmark_child_times_one_call_per_sweep_point(tmp_path):

@@ -8,7 +8,7 @@ from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import monomial, multi_indices
 from nonlocal_limits.engine import (PROPOSAL_SHARE, EngineError, IntegrationPlan,
                                     MollifierRadial, PowerLaw, body_quadrature_nodes,
-                                    cone_nodes, integrate_double, outer_points,
+                                    cone_nodes, gauss_legendre, integrate_double, outer_points,
                                     sphere_body_identity_check, sphere_constant,
                                     sphere_quadrature)
 from nonlocal_limits.functions import make_function
@@ -465,3 +465,16 @@ def test_hit_fraction_counts_nonzero_payoffs_per_row():
     full, quarter, none = engine.monte_carlo(plan, chunk)
     assert full.info["hit_fraction"] == 1.0 and none.info["hit_fraction"] == 0.0
     assert quarter.info["hit_fraction"] == len(range(0, BLOCKED_SAMPLES, 4)) / BLOCKED_SAMPLES
+
+
+@pytest.mark.parametrize("n", [4, 10, 48, 200])
+def test_gauss_legendre_rule_is_leggauss_built_once_and_read_only(n):
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    for unit, expected in ((False, (nodes, weights)), (True, (0.5 * (nodes + 1.0), 0.5 * weights))):
+        rule = gauss_legendre(n, unit=unit)
+        assert gauss_legendre(n, unit=unit) is rule
+        for got, want in zip(rule, expected):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype and not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0

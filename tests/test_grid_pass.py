@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nonlocal_limits import engine, functionals
+from nonlocal_limits import engine, functionals, functions
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.convergence import Schedule, sweep
 from nonlocal_limits.engine import EngineError, IntegrationPlan, PowerLaw, integrate_double
@@ -183,3 +183,22 @@ def test_kernel_of_the_wrong_shape_raises(plan, law):
     # without the point axis, the n payoffs of a block would pass for n points
     with pytest.raises(EngineError, match=r"shape \(\d+,\), expected t's shape \((1|3), \d+\)"):
         integrate_double(lambda x, sigma, t: np.ones(len(x)), plan, 1, law)
+
+
+@pytest.mark.parametrize("case", ["level-set-2d", "shell-2d"])
+def test_pass_evaluates_f_at_x_once_per_block(case, monkeypatch):
+    # m = 1 centered: per sample one f(x) shared by the K points, and one f(y) per point
+    plan = IntegrationPlan.monte_carlo(samples=3500, seed=23)
+    evaluate(grid_specs(case)[-1], replace(plan, seed=24))  # warm every cached bound
+    sizes = []
+    real = functions.TestFunction.eval
+
+    def counting(self, x):
+        out = real(self, x)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(functions.TestFunction, "eval", counting)
+    estimates = [evaluate(spec, plan) for spec in grid_specs(case)]
+    points = sum("exact_zero" not in est.info for est in estimates)
+    assert sum(sizes) == plan.samples * (1 + points)

@@ -8,8 +8,8 @@ from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.engine import IntegrationPlan
 from nonlocal_limits.functionals import FunctionalSpec, evaluate
 from nonlocal_limits.functions import make_function
-from nonlocal_limits.mollifiers import (CertificationError, certification_grids, certify,
-                                        make_mollifier)
+from nonlocal_limits.mollifiers import (CertificationError, _numeric_mass, certification_grids,
+                                        certify, make_mollifier)
 
 
 def test_shell_evaluate():
@@ -74,8 +74,8 @@ def test_certification_rejects_broken_normalization():
     import nonlocal_limits.mollifiers as m
 
     class Broken(m.MollifierFamily):
-        def radial_mass_density_mp(self, r):
-            return 0.9 * super().radial_mass_density_mp(r)
+        def log_radius_mass_mp(self, y):
+            return 0.9 * super().log_radius_mass_mp(y)
 
     original = m.make_mollifier
     m.make_mollifier = lambda kind, dim, eps, p=None: Broken(kind, dim, eps, p)
@@ -84,6 +84,62 @@ def test_certification_rejects_broken_normalization():
             certify("shell", 1, (0.1,), (0.5, 0.2))
     finally:
         m.make_mollifier = original
+
+
+ORACLE_FAMILIES = [("shell", 1, 0.2, None), ("shell", 2, 0.05, None), ("shell", 3, 0.5, None),
+                   ("fractional", 1, 0.1, 2.0), ("fractional", 2, 1e-3, 2.0),
+                   ("fractional", 1, 0.05, 4.0), ("fractional", 3, 1e-4, 4.0)]
+
+
+@pytest.mark.parametrize("kind,dim,eps,p", ORACLE_FAMILIES)
+def test_log_radius_oracle_is_the_radial_mass_density_times_r(kind, dim, eps, p):
+    family = make_mollifier(kind, dim, eps, p)
+    lo = -math.log(family.support_upper)
+    checked = 0
+    for y in lo + np.array([1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 40.0, 100.0, 300.0, 700.0]):
+        r = math.exp(-y)
+        with np.errstate(all="ignore"):
+            expected = r * float(family.radial_mass_density(np.array([r]))[0])
+        if not 1e-290 < expected < 1e290:  # the double route under- or overflows here
+            continue
+        with mpmath.workdps(40):
+            got = float(family.log_radius_mass_mp(mpmath.mpf(float(y))))
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+        checked += 1
+    assert checked >= 5
+
+
+def _r_space_mass(family, delta=0.0):
+    """The radial mass above delta by the former route: the density in r, times r = e^-y."""
+    def density(r):
+        r = mpmath.mpf(r)
+        if r <= 0:
+            return mpmath.mpf(0)
+        if family.kind == "shell":
+            if r > family.epsilon:
+                return mpmath.mpf(0)
+            return family.dim * mpmath.mpf(family.epsilon) ** (-family.dim) * r ** (family.dim - 1)
+        if r > 1:
+            return mpmath.mpf(0)
+        ep = mpmath.mpf(family.epsilon) * mpmath.mpf(family.p)
+        return ep * r ** (ep - 1)
+
+    def integrand(y):
+        r = mpmath.exp(-y)
+        return density(r) * r
+
+    with mpmath.workdps(40):
+        lo = -mpmath.log(mpmath.mpf(family.support_upper))
+        hi = mpmath.log(1.0 / mpmath.mpf(delta)) if delta > 0 else mpmath.inf
+        return float(mpmath.quad(integrand, [lo, hi]))
+
+
+@pytest.mark.parametrize("family", [make_mollifier("shell", 2, 0.2),
+                                    make_mollifier("fractional", 1, 1e-3, p=2.0)],
+                         ids=["shell-2d", "fractional-1d"])
+def test_numeric_mass_is_bitwise_the_r_space_route(family):
+    for delta in (0.0, 0.05, 0.1):
+        assert _numeric_mass(family, delta) == _r_space_mass(family, delta)
 
 
 def test_certification_rejects_empty_grids():
