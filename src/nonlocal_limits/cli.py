@@ -7,7 +7,9 @@ Subcommands:
 
 Exit codes: 0 all checks/verdicts pass, 1 config or IO error, 2 any failure.
 A job that stops on a numerical error gets verdict ``error`` (exit 2); the
-other jobs of the config still run.
+other jobs of the config still run.  ``certify-mollifiers --broken-fixture``
+exits 2 only when a real family fails or the deliberately broken fixture
+passes; a rejected fixture is the expected outcome.
 """
 
 from __future__ import annotations
@@ -269,10 +271,10 @@ def certify_mollifiers(config_path: str | None = None, broken: bool = False) -> 
 
         original = _m.make_mollifier
         _m.make_mollifier = lambda kind, dim, eps, p=None: _Broken(kind, dim, eps, p)
-        status = 2
         try:
             certify("shell", 1, *certification_grids("shell"))
             print("broken fixture: certification unexpectedly passed")
+            status = 2
         except CertificationError as exc:
             print(f"broken fixture correctly rejected: {exc}")
         finally:

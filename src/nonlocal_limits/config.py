@@ -2,16 +2,19 @@
 
 Configs are strictly validated (unknown keys rejected) before any numerical
 work starts, so a malformed experiment fails fast with a readable message.
+The schema dicts below are the one description of the format; ``_schema_error``
+checks a value against them and knows only the JSON Schema keywords they use.
+A JSON ``integer`` is a Python int, never a bool or a float such as 3.0.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from .bodies import ConvexBody, from_descriptor
@@ -117,6 +120,62 @@ CONFIG_SCHEMA = {
 }
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "integer": int, "number": (int, float)}
+_BOUNDS = (("minimum", operator.lt, "less than the minimum"),
+           ("exclusiveMinimum", operator.le, "less than or equal to the minimum"),
+           ("maximum", operator.gt, "greater than the maximum"),
+           ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum"))
+
+
+def _schema_error(value, schema: dict, path: tuple = ()) -> tuple[tuple, str] | None:
+    """The first way ``value`` breaks ``schema``, as (path, message); None when it conforms."""
+    kind = schema.get("type")
+    if kind is not None and (not isinstance(value, _JSON_TYPES[kind])
+                             or isinstance(value, bool) != (kind == "boolean")):
+        return path, f"{value!r} is not of type {kind!r}"
+    if "const" in schema and value != schema["const"]:
+        return path, f"{schema['const']!r} was expected"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        for key, breaks, words in _BOUNDS:
+            if key in schema and breaks(value, schema[key]):
+                return path, f"{value!r} is {words} of {schema[key]!r}"
+    children = []
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", math.inf):
+            return path, f"{value!r} is too long"
+        if "items" in schema:
+            children = [(index, item, schema["items"]) for index, item in enumerate(value)]
+    if isinstance(value, dict):
+        for name in schema.get("required", ()):
+            if name not in value:
+                return path, f"{name!r} is a required property"
+        known = schema.get("properties", {})
+        extra = [name for name in value if name not in known]
+        if extra and schema.get("additionalProperties", True) is False:
+            return path, f"Additional properties are not allowed ({extra[0]!r} was unexpected)"
+        children = [(name, value[name], known[name]) for name in known if name in value]
+    for key, child, child_schema in children:
+        error = _schema_error(child, child_schema, path + (key,))
+        if error is not None:
+            return error
+    if "oneOf" in schema:
+        errors = [_schema_error(value, branch, path) for branch in schema["oneOf"]]
+        if errors.count(None) != 1:
+            # name the fault within the one branch whose "const" properties the value has
+            tagged = [error for error, branch in zip(errors, schema["oneOf"])
+                      if error and isinstance(value, dict)
+                      and all(value.get(name) == sub["const"]
+                              for name, sub in branch["properties"].items() if "const" in sub)]
+            return tagged[0] if len(tagged) == 1 else (
+                path, f"{value!r} is not valid under exactly one of the given schemas")
+    return None
+
+
 @dataclass
 class JobConfig:
     name: str
@@ -159,18 +218,16 @@ def _overflows(base: float, exponent: float) -> bool:
 
 def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Validate a raw config dict and build the runnable experiment."""
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(s) for s in exc.absolute_path)
-        raise ConfigError(f"config invalid at '{path}': {exc.message}") from exc
+    error = _schema_error(raw, CONFIG_SCHEMA)
+    if error is not None:
+        path, message = error
+        raise ConfigError(f"config invalid at '{'/'.join(map(str, path))}': {message}")
 
     overrides = overrides or {}
     for key, value in overrides.items():
-        try:
-            jsonschema.validate(value, CONFIG_SCHEMA["properties"][key])
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"override {key}={value!r} invalid: {exc.message}") from exc
+        error = _schema_error(value, CONFIG_SCHEMA["properties"][key])
+        if error is not None:
+            raise ConfigError(f"override {key}={value!r} invalid: {error[1]}")
     seed = overrides.get("seed", raw.get("seed", 0))
     workers = overrides.get("workers", raw.get("workers", 1))
     output = overrides.get("output", raw.get("output"))

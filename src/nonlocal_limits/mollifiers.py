@@ -14,7 +14,9 @@ Both are evaluated at gauge radii r = ||x - y||_K by the mollified functionals.
 On its support (0, R] each has radial mass (r / R)^a below r, with a = N or
 eps p (``MollifierFamily.rate``).  ``certify`` checks both conditions against
 40-digit tanh-sinh quadrature of the mass per unit log-radius,
-r^N rho(r) = a R^-a e^(-a y) at r = e^(-y) (``log_radius_mass_mp``).
+r^N rho(r) = a R^-a e^(-a y) at r = e^(-y) (``log_radius_mass_mp``), integrated
+in the unit-scale variable s = a (y - log(1/R)) and computed once per distinct
+integral per process.
 """
 
 from __future__ import annotations
@@ -119,20 +121,33 @@ class CertificationReport:
     max_final_tail: float
 
 
+_masses: dict[tuple, float] = {}
+
+
 def _numeric_mass(family: MollifierFamily, delta: float = 0.0) -> float:
     """Radial mass above ``delta`` by log-radius quadrature: the normalization at 0.
 
     In y = log(1/r) the mass is the integral of ``family.log_radius_mass_mp``
-    over [log(1/support_upper), log(1/delta)]: the endpoint singularity becomes
-    exponential decay, which tanh-sinh integrates to full precision whatever
-    the singularity strength.
+    over [log(1/R), log(1/delta)], R = support_upper: the endpoint singularity
+    becomes exponential decay, which tanh-sinh integrates to full precision
+    whatever the singularity strength.  The exact substitution
+    s = a (y - log(1/R)), a the rate, sets that decay to the unit scale e^(-s),
+    so a small eps p costs no more nodes than a large one.  Each distinct
+    integral is computed once per process: the key is the family's class, its
+    oracle constants, R and delta, and the fractional oracle does not depend
+    on dim.
     """
     if delta >= family.support_upper:
         return 0.0
-    with mpmath.workdps(CERTIFY_DPS):
-        lo = -mpmath.log(mpmath.mpf(family.support_upper))
-        hi = mpmath.log(1.0 / mpmath.mpf(delta)) if delta > 0 else mpmath.inf
-        return float(mpmath.quad(family.log_radius_mass_mp, [lo, hi]))
+    key = (type(family), family._log_mass_constants, family.support_upper, delta)
+    if key not in _masses:
+        a = family._log_mass_constants[1]
+        with mpmath.workdps(CERTIFY_DPS):
+            lo = -mpmath.log(mpmath.mpf(family.support_upper))
+            hi = a * (mpmath.log(1.0 / mpmath.mpf(delta)) - lo) if delta > 0 else mpmath.inf
+            _masses[key] = float(mpmath.quad(
+                lambda s: family.log_radius_mass_mp(lo + s / a) / a, [0, hi]))
+    return _masses[key]
 
 
 def certify(kind: str, dim: int, delta_grid, epsilon_grid, p: float | None = None,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nonlocal_limits import cli
 from nonlocal_limits.config import ConfigError, load_config, parse_config
+from nonlocal_limits.mollifiers import certification_grids, certify
 
 
 def base_config(**overrides):
@@ -215,6 +217,48 @@ def test_parse_config_bounds_quadrature_nodes(key):
         parse_config(cfg)
 
 
+INTEGRAL_FLOATS = {
+    "seed": ({"seed": 3.0}, "seed"),
+    "workers": ({"workers": 2.0}, "workers"),
+    "m": ({"m": 1.0}, "jobs/0/m"),
+    "points": ({"schedule": {"start": 0.2, "points": 5.0}}, "jobs/0/schedule/points"),
+    "fit_points": ({"schedule": {"start": 0.2, "fit_points": 3.0}}, "jobs/0/schedule/fit_points"),
+    "samples": ({"plan": {"method": "monte_carlo", "samples": 200000.0}}, "jobs/0/plan/samples"),
+    "x_nodes": ({"plan": {"method": "tensor_quadrature", "x_nodes": 64.0}}, "jobs/0/plan/x_nodes"),
+    "t_nodes": ({"plan": {"method": "tensor_quadrature", "t_nodes": 64.0}}, "jobs/0/plan/t_nodes"),
+}
+
+
+@pytest.mark.parametrize("update,path", INTEGRAL_FLOATS.values(), ids=INTEGRAL_FLOATS.keys())
+def test_integer_fields_reject_integral_floats(tmp_path, capsys, update, path):
+    # a JSON integer is a Python int: 3.0 is a float, whatever JSON Schema says
+    cfg = base_config()
+    if path.startswith("jobs/"):
+        cfg["jobs"][0].update(update)
+    else:
+        cfg.update(update)
+    assert cli.run(write_config(tmp_path, cfg), {}) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config invalid at '{path}': ")
+    assert err[0].endswith("is not of type 'integer'")
+
+
+@pytest.mark.parametrize("key,value", [("workers", 2.0), ("seed", 5.0), ("workers", True)])
+def test_overrides_reject_non_integers(key, value):
+    with pytest.raises(ConfigError, match=f"override {key}={value!r} invalid"):
+        parse_config(base_config(), {key: value})
+
+
+def test_cli_import_leaves_jsonschema_out():
+    # the config validator is in-house; importing jsonschema cost every run 0.1 s
+    code = "import sys, nonlocal_limits.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_check_identities_quick():
     assert cli.check_identities(quick=True) == 0
 
@@ -228,9 +272,36 @@ def test_certify_mollifiers_default():
 
 
 def test_certify_mollifiers_broken_fixture(capsys):
-    assert cli.certify_mollifiers(broken=True) == 2
+    # a rejected fixture is the expected outcome: the exit code is the real families'
+    assert cli.certify_mollifiers(broken=True) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1].startswith("broken fixture correctly rejected: ") and "normalization" in out[-1]
+
+
+def test_broken_fixture_is_rejected_after_its_real_family_certified(capsys):
+    # the per-process mass cache is keyed on the family's class, so the fixture
+    # is never served the floats of the real shell family it overrides
+    certify("shell", 1, *certification_grids("shell"))
+    assert cli.certify_mollifiers(broken=True) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("broken fixture correctly rejected: ")
+
+
+def test_broken_fixture_that_passes_exits_two(monkeypatch, capsys):
+    # a dead negative control must not look like a working one
+    import nonlocal_limits.mollifiers as m
+
+    oracle = m.MollifierFamily.log_radius_mass_mp
+
+    def undo_the_fixture_scale(self, y):
+        value = oracle(self, y)
+        return value if type(self) is m.MollifierFamily else value / 0.93
+
+    monkeypatch.setattr(m, "_masses", {})
+    monkeypatch.setattr(m.MollifierFamily, "log_radius_mass_mp", undo_the_fixture_scale)
+    assert cli.certify_mollifiers(broken=True) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "broken fixture: certification unexpectedly passed")
 
 
 def test_certify_mollifiers_from_config(tmp_path):

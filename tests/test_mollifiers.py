@@ -142,6 +142,37 @@ def test_numeric_mass_is_bitwise_the_r_space_route(family):
         assert _numeric_mass(family, delta) == _r_space_mass(family, delta)
 
 
+@pytest.mark.parametrize("kind,dim,eps,p", ORACLE_FAMILIES)
+def test_numeric_mass_is_bitwise_the_y_space_route(kind, dim, eps, p):
+    # the unit-scale variable s = a (y - log(1/R)) changes only tanh-sinh's nodes
+    family = make_mollifier(kind, dim, eps, p)
+    upper = family.support_upper
+    for delta in (0.0, 0.05 * upper, 0.5 * upper):
+        with mpmath.workdps(40):
+            lo = mpmath.log(1 / mpmath.mpf(upper))
+            hi = mpmath.log(1 / mpmath.mpf(delta)) if delta > 0 else mpmath.inf
+            expected = float(mpmath.quad(family.log_radius_mass_mp, [lo, hi]))
+        assert _numeric_mass(family, delta) == expected
+
+
+def test_fractional_dim2_after_dim1_makes_no_quadrature(monkeypatch):
+    # the fractional oracle does not depend on dim, so dim 2 reuses every integral of dim 1
+    import nonlocal_limits.mollifiers as m
+
+    calls = []
+    quad = mpmath.quad
+    monkeypatch.setattr(m, "_masses", {})
+    monkeypatch.setattr(mpmath, "quad",
+                        lambda *args, **kwargs: calls.append(1) or quad(*args, **kwargs))
+    grids = certification_grids("fractional", 2.0)
+    first = certify("fractional", 1, *grids, 2.0)
+    assert len(calls) == 5 * (1 + 4)  # one normalization and four tails per epsilon
+    second = certify("fractional", 2, *grids, 2.0)
+    assert len(calls) == 5 * (1 + 4)
+    assert second.normalization_residuals == first.normalization_residuals
+    assert second.tail_residuals == first.tail_residuals
+
+
 def test_certification_rejects_empty_grids():
     with pytest.raises(ValueError):
         certify("shell", 1, (), (0.1,))
