@@ -19,7 +19,7 @@ import numpy as np
 
 from .bodies import ConvexBody, from_descriptor
 from .convergence import Schedule
-from .engine import IntegrationPlan
+from .engine import IntegrationPlan, lattice_sizes
 from .functionals import THEOREMS, P_RANGE
 from .functions import TestFunction, list_functions, make_function
 from .mollifiers import KINDS as MOLLIFIER_KINDS
@@ -257,8 +257,13 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if not func.integrable:
             raise ConfigError(f"{label}: function {fname!r} is identity-test only")
         plan_raw = job["plan"]
-        if plan_raw["method"] == "monte_carlo" and "samples" not in plan_raw:
-            raise ConfigError(f"{label}: monte_carlo plans require 'samples'")
+        if plan_raw["method"] == "monte_carlo":
+            if "samples" not in plan_raw:
+                raise ConfigError(f"{label}: monte_carlo plans require 'samples'")
+            try:
+                lattice_sizes(plan_raw["samples"], func.proposal is not None)
+            except ValueError as exc:
+                raise ConfigError(f"{label}: plan: {exc}") from exc
         if plan_raw["method"] == "tensor_quadrature" and body.dim != 1:
             raise ConfigError(f"{label}: tensor_quadrature needs a 1-D body, got dim "
                               f"{body.dim}; use monte_carlo")

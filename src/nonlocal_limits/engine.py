@@ -9,24 +9,29 @@ deterministic (dim = 1) paths multiply that payoff by the law's closed-form
 mass, so a law matched to the kernel's radial profile gives low variance and
 no density is evaluated on the hot path.
 
-Monte Carlo draws the outer point x from a defensive mixture (Hesterberg
-1995): in each block of n rows, k = round(0.8 n) rows (at most n - 1) come
-from the test function's own proposal p (standard normal per Gaussian axis,
-uniform on the support per compactly supported axis) and the rest are
-uniform on the box.  Each row is weighted by the sphere measure over the
-realised mixture density q = (k/n) p + (1 - k/n) / vol(box), so every block
-is exactly unbiased, and the uniform share caps each weight at n / (n - k),
-about 5, times the plain uniform weight.  Proposal rows outside the box get
-weight 0.  A function without a proposal keeps uniform x on the box.
+The Monte Carlo pair integral is a randomized rank-1 lattice rule (Dick, Kuo
+and Sloan 2013): SHIFTS independent uniform (Cranley-Patterson) shifts of two
+lattices, each shift an unbiased replicate.  A value is the mean of the
+replicate means and its stderr their sample sd over sqrt(SHIFTS).  The outer
+point x comes from a defensive mixture (Hesterberg 1995): per shift, n1
+points of a lattice mapped to the test function's own proposal p (Box-Muller
+on Gaussian axes, uniform on the support of compactly supported ones) and n2
+of a lattice mapped to the box, n1 and n2 primes (``lattice_sizes``).  Each
+point is weighted by the sphere measure over the realised mixture density
+q = (n1/n) p + (n2/n) / vol(box), n = n1 + n2, so every replicate is exactly
+unbiased, and the box share caps each weight at n / n2, about 5, times the
+plain uniform weight.  Proposal points outside the box get weight 0.  A
+function without a proposal keeps the box lattice only.  Generating vectors
+come from fast component-by-component construction (``generating_vector``).
 
-The Monte Carlo pair integral runs through ``monte_carlo``, which splits the
-samples into blocks of _CHUNK rows.  Block i draws from
-SeedSequence((seed, 0, i)) and block results merge in index order (keyed
-per-block streams, Salmon et al. 2011).  The numbers therefore depend on
-(seed, samples) only; the worker count just sets how many threads run the
-blocks.  One pass integrates the K points of a parameter grid over one outer
-box: every point shares a block's outer points, weights, directions and
-direction state, and is bitwise a pass of its own on that box.
+``monte_carlo`` splits the pass's columns into blocks of _CHUNK.  Every
+column's point depends on (seed, samples, column) only, shift r being drawn
+from SeedSequence((seed, 1, r)) (keyed streams, Salmon et al. 2011), and the
+blocks' payoffs are folded in column order, so the numbers depend on (seed,
+samples) only; the worker count just sets how many threads run the blocks.
+One pass integrates the K points of a parameter grid over one outer box:
+every point shares a block's outer points, weights, directions and direction
+state, and is bitwise a pass of its own on that box.
 
 Everything else is deterministic quadrature.  ``sphere_quadrature`` is the
 one unit-sphere rule.  Integrals over a body K of integrands positively
@@ -45,7 +50,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,13 +58,18 @@ from .bodies import ConvexBody, _polytope_vertices
 
 Array = np.ndarray
 
-_CHUNK = 1 << 15
+#: columns per block; the numbers do not depend on it (``monte_carlo``), and at 1 << 15
+#: the peak RSS of a run of five 2-D sweeps of 0.5M to 1M samples was 10% higher
+_CHUNK = 1 << 14
 
-#: share of each block's outer points drawn from the test function's proposal
+#: independent uniform shifts of the lattice rule; the stderr has SHIFTS - 1 degrees of freedom
+SHIFTS = 16
+
+#: share of each shift's points in the proposal lattice (``lattice_sizes``)
 PROPOSAL_SHARE = 0.8
 
-#: radial strata: row r draws its radial uniform from [r mod S, r mod S + 1) / S
-_STRATA = 16
+#: points per shift at most: building a generating vector takes about 120 bytes per point
+_MAX_POINTS = 1 << 20
 
 #: body kinds with a tensor Gauss-Legendre volume rule (``body_quadrature_nodes``)
 TENSOR_QUADRATURE_KINDS = ("ball", "box", "ellipsoid")
@@ -204,109 +214,270 @@ class IntegralEstimate:
     info: dict = field(default_factory=dict)
 
 
-class _Welford:
-    """Mean, variance and count of nonzero values of payoffs, mergeable across blocks."""
+# ---------------------------------------------------------------------------
+# The randomized rank-1 lattice rule
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("count", "mean", "m2", "hits")
-
-    def __init__(self, values: Array | None = None):
-        self.count, self.mean, self.m2, self.hits = 0, 0.0, 0.0, 0
-        if values is not None and values.size:
-            mb = float(values.mean())
-            self._merge(values.size, mb, float(((values - mb) ** 2).sum()),
-                        int(np.count_nonzero(values)))
-
-    def merge(self, other: "_Welford") -> "_Welford":
-        self._merge(other.count, other.mean, other.m2, other.hits)
-        return self
-
-    def _merge(self, nb: int, mb: float, m2b: float, hits: int) -> None:
-        if nb == 0:
-            return
-        total = self.count + nb
-        delta = mb - self.mean
-        self.mean += delta * nb / total
-        self.m2 += m2b + delta * delta * self.count * nb / total
-        self.count = total
-        self.hits += hits
-
-    @property
-    def stderr(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.m2 / (self.count - 1) / self.count)
+def _prime_at_most(limit: int) -> int:
+    """The largest prime not above ``limit``; 1 for a limit of 1, 0 below."""
+    for n in range(int(limit), 1, -1):
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            return n
+    return 1 if limit >= 1 else 0
 
 
-def monte_carlo(plan: IntegrationPlan, chunk) -> list[IntegralEstimate]:
-    """Row means of the (K, n) payoffs ``chunk(rng, n, offset)`` over ``plan.samples`` columns.
+def lattice_sizes(samples: int, mixture: bool) -> tuple[int, int]:
+    """Points per shift of the proposal lattice and of the box lattice: (n1, n2).
 
-    Block i covers columns [i _CHUNK, (i + 1) _CHUNK), cut at ``plan.samples``;
-    ``rng`` is seeded by SeedSequence((plan.seed, 0, i)) and ``offset`` is the
-    first column.  Blocks run on min(workers, blocks, cpu count) threads and
-    each row merges its blocks in block order, so the K estimates are the same
-    for every worker count.  ``hit_fraction`` is a row's share of nonzero payoffs.
+    Of samples // SHIFTS points per shift, n1 is the largest prime not above
+    ``PROPOSAL_SHARE`` of them (0 without a proposal) and n2 the largest not
+    above the rest; a share of 1 takes a one-point lattice.  A plan that
+    leaves a lattice no point, or asks for more than SHIFTS _MAX_POINTS
+    samples, raises ``ValueError``.
     """
-    if plan.samples <= 0:
+    if samples <= 0:
         raise ValueError("empty plan: samples must be positive")
-    offsets = range(0, plan.samples, _CHUNK)
+    if samples > SHIFTS * _MAX_POINTS:
+        raise ValueError(f"samples={samples} exceeds {SHIFTS * _MAX_POINTS}: a generating "
+                         f"vector is built for at most {_MAX_POINTS} points per shift")
+    per = samples // SHIFTS
+    n1 = _prime_at_most(int(PROPOSAL_SHARE * per)) if mixture else 0
+    n2 = _prime_at_most(per - n1)
+    if n2 == 0 or (mixture and n1 == 0):
+        least = SHIFTS * (2 if mixture else 1)
+        raise ValueError(f"samples={samples} leaves a lattice without points: "
+                         f"{SHIFTS} shifts need samples >= {least}")
+    return n1, n2
 
-    def block(i: int) -> list[_Welford]:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, 0, i))))
-        return [_Welford(row) for row in chunk(rng, min(_CHUNK, plan.samples - offsets[i]),
-                                               offsets[i])]
 
-    threads = min(plan.workers, len(offsets), os.cpu_count() or 1)
+def _korobov(x: Array) -> Array:
+    """The Korobov kernel 2 pi^2 B_2(x) of smoothness alpha = 2 on [0, 1)."""
+    return 2.0 * math.pi ** 2 * (x * x - x + 1.0 / 6.0)
+
+
+def _primitive_root(n: int) -> int:
+    """The smallest primitive root of the prime n > 2."""
+    m, factors, d = n - 1, set(), 2
+    while d * d <= m:
+        while m % d == 0:
+            factors.add(d)
+            m //= d
+        d += 1
+    if m > 1:
+        factors.add(m)
+    g = 2
+    while any(pow(g, (n - 1) // q, n) == 1 for q in factors):
+        g += 1
+    return g
+
+
+def _power_table(g: int, n: int) -> Array:
+    """g^a mod n for a = 0 .. n - 2, doubling the filled prefix per step."""
+    table = np.ones(n - 1, dtype=np.int64)
+    length, step = 1, g % n
+    while length < n - 1:
+        end = min(2 * length, n - 1)
+        table[length:end] = table[:end - length] * step % n
+        step = step * step % n
+        length = end
+    return table
+
+
+@lru_cache(maxsize=None)
+def generating_vector(n: int, s: int) -> Array:
+    """Generating vector (s,) of an n-point rank-1 lattice, n prime; built once, read-only.
+
+    Fast component-by-component construction (Nuyens and Cools 2006) for the
+    unweighted Korobov space of smoothness 2: coordinate j keeps the z in
+    1 .. (n - 1)/2 (z and n - z give the same rule) that minimises the
+    worst-case error P_2 of the first j coordinates.  Ordering z and k by
+    powers of a primitive root g makes the matrix omega(k z mod n / n)
+    circulant, so each coordinate is one cyclic convolution of length n - 1,
+    done as a zero-padded power-of-two FFT (n - 1 may have a large prime
+    factor, where a direct FFT is slow).
+    Candidates within 1e-12 of the least error are ties, and the smallest
+    wins.
+    """
+    z = np.ones(s, dtype=np.int64)
+    if n > 3:
+        powers = _power_table(_primitive_root(n), n)
+        size = 1 << (2 * n - 4).bit_length()  # holds the 2(n - 1) - 1 terms of the linear one
+        spectrum = np.fft.rfft(_korobov(powers / n), size)
+        inverse = powers[-np.arange(n - 1) % (n - 1)]  # g^-b mod n
+        k = np.arange(n)
+        product = 1.0 + _korobov(k / n)  # the first coordinate is z = 1
+        for j in range(1, s):
+            # error[a] = sum_b omega(g^(a - b) / n) product[g^-b]: the candidate z = g^a
+            weights = product[inverse]
+            linear = np.fft.irfft(spectrum * np.fft.rfft(weights, size), size)
+            error = np.empty(n)
+            error[powers] = linear[:n - 1] + linear[n - 1:2 * n - 2]
+            half = error[1:(n - 1) // 2 + 1]
+            tie = 1e-12 * (math.pi ** 2 / 3.0) * float(np.abs(weights).sum())
+            z[j] = 1 + int(np.flatnonzero(half <= half.min() + tie)[0])
+            product *= 1.0 + _korobov(k * z[j] % n / n)
+    z.flags.writeable = False
+    return z
+
+
+def _lattice(index: Array, z: Array, n: int, shift: Array) -> Array:
+    """Points {index z / n + shift} of a shifted lattice, coordinate-major: (s, len(index)).
+
+    ``shift`` is (s, 1) for one shift or (s, len(index)) for one per point.
+    """
+    # index z mod n in floats, exactly: the products stay below 2^53, and with n at most
+    # _MAX_POINTS a quotient is never within rounding of an integer above its floor
+    u = np.multiply.outer(z.astype(float), index)
+    u -= np.floor(u / n) * n
+    u /= n
+    u += shift
+    u -= u >= 1.0
+    return u
+
+
+def _directions(u: Array, dim: int) -> Array:
+    """Unit vectors (n, dim) from uniform coordinates ``u`` (1 or 2, n).
+
+    1-D: the sign of u - 1/2; 2-D: angle 2 pi u; 3-D: height 2u - 1 and
+    azimuth 2 pi u' (Archimedes' map keeps the sphere's area).
+    """
+    if dim == 1:
+        return np.where(u[0] < 0.5, -1.0, 1.0)[:, np.newaxis]
+    angle = 2.0 * math.pi * u[-1]
+    if dim == 2:
+        return np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    height = 2.0 * u[0] - 1.0
+    ring = np.sqrt(np.maximum(0.0, 1.0 - height * height))
+    return np.stack([ring * np.cos(angle), ring * np.sin(angle), height], axis=1)
+
+
+def outer_points(u: Array, radius: float, proposal) -> Array:
+    """Outer points (n, dim) from uniforms ``u`` (coordinates, n): the proposal's own
+    map, or -radius + 2 radius u on the box [-radius, radius]^dim without one."""
+    if proposal is not None:
+        return proposal.transform(u)
+    return (-radius + 2.0 * radius * u).T
+
+
+def outer_weights(x: Array, radius: float, proposal, share: float, mass: float) -> Array:
+    """Weights ``mass / q(x)`` of outer points under the defensive mixture.
+
+    q = share p + (1 - share) / vol(box), the realised mixture of a pass.
+    Points outside the box get weight 0; only proposal points can be there.
+    """
+    volume = (2.0 * radius) ** x.shape[1]
+    weight = mass / (share * proposal.pdf(x) + (1.0 - share) / volume)
+    # column by column: a reduction over the short last axis is many times slower
+    outside = np.abs(x[:, 0]) > radius
+    for i in range(1, x.shape[1]):
+        outside |= np.abs(x[:, i]) > radius
+    weight[outside] = 0.0
+    return weight
+
+
+def _runs(start: int, stop: int, sizes: tuple[int, int]):
+    """(lattice, shift, first, stop, index) of each run of columns [start, stop) on one shift.
+
+    The first SHIFTS n1 columns hold the proposal lattice, shift by shift,
+    and the other SHIFTS n2 the box lattice; ``index`` is the lattice index
+    of column ``first``.
+    """
+    base = 0
+    for lattice, size in enumerate(sizes):
+        lo, hi = max(start, base), min(stop, base + SHIFTS * size)
+        for r in range((lo - base) // size, (hi - 1 - base) // size + 1) if lo < hi else ():
+            first = max(lo, base + r * size)
+            yield lattice, r, first, min(hi, base + (r + 1) * size), first - base - r * size
+        base += SHIFTS * size
+
+
+class _LatticeRule:
+    """The points of one Monte Carlo pass: SHIFTS shifted copies of two lattices.
+
+    The columns are laid out as ``_runs`` says.  A point's uniform
+    coordinates are the outer point's, then the direction's, then the radial
+    uniform v, at most 7 in all; shift r is drawn from
+    SeedSequence((seed, 1, r)), proposal lattice first.  So every column's
+    point depends on (seed, samples, column) only.
+    """
+
+    def __init__(self, plan: IntegrationPlan, dim: int, proposal):
+        self.dim, self.radius, self.proposal = dim, plan.outer_box_radius, proposal
+        self.sizes = lattice_sizes(plan.samples, proposal is not None)
+        n1, n2 = self.sizes
+        #: the direction's coordinates and v, after the outer point's
+        self.tail = (1 if dim < 3 else 2) + 1
+        self.coordinates = (proposal.coordinates if n1 else 0, dim)
+        s1, s2 = self.coordinates[0] + self.tail if n1 else 0, dim + self.tail
+        self.vectors = (generating_vector(n1, s1) if n1 else None, generating_vector(n2, s2))
+        shifts = []
+        for r in range(SHIFTS):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, 1, r))))
+            shifts.append(np.concatenate([rng.random(s1), rng.random(s2)]))
+        #: shift r of each lattice is column r of an (s, SHIFTS) array
+        self.shifts = tuple(np.split(np.array(shifts).T, [s1]))
+
+    def points(self, start: int, stop: int) -> tuple[Array, Array, Array, Array]:
+        """Outer points, their weights, directions and radial uniforms of columns [start, stop)."""
+        dim, n1 = self.dim, self.sizes[0]
+        x, rest = np.empty((stop - start, dim)), np.empty((self.tail, stop - start))
+        for lattice, r, first, last, index in _runs(start, stop, self.sizes):
+            size, coords = self.sizes[lattice], self.coordinates[lattice]
+            u = _lattice(np.arange(index, index + last - first), self.vectors[lattice], size,
+                         self.shifts[lattice][:, r:r + 1])
+            x[first - start:last - start] = outer_points(
+                u[:coords], self.radius, self.proposal if lattice == 0 else None)
+            rest[:, first - start:last - start] = u[coords:]
+        mass = sphere_measure(dim)
+        if self.proposal is None:
+            weight = np.array([mass * (2.0 * self.radius) ** dim])
+        else:
+            weight = outer_weights(x, self.radius, self.proposal, n1 / sum(self.sizes), mass)
+        return x, weight, _directions(rest[:-1], dim), rest[-1]
+
+
+def monte_carlo(plan: IntegrationPlan, chunk, sizes: tuple[int, int]) -> list[IntegralEstimate]:
+    """Estimates from the (K, c) payoffs ``chunk(start, stop)`` of SHIFTS (n1 + n2) columns.
+
+    ``sizes`` = (n1, n2) lays out the columns and their replicates as
+    ``_runs`` says.  Blocks of _CHUNK columns run on min(workers, blocks,
+    cpu count) threads; the calling thread folds their payoffs (fresh
+    arrays, overwritten), in column order, into one left-to-right sum per
+    point and replicate, so the K estimates are the same for every worker
+    count and block size.  A point's value is the mean of its SHIFTS
+    replicate means and its stderr their sample sd over sqrt(SHIFTS);
+    ``hit_fraction`` is its share of nonzero payoffs.
+    """
+    columns = SHIFTS * sum(sizes)
+    starts = range(0, columns, _CHUNK)
+
+    def block(start: int) -> Array:
+        return chunk(start, min(start + _CHUNK, columns))
+
+    def fold(blocks) -> tuple[Array, Array]:
+        sums = hits = None
+        for start, values in zip(starts, blocks):
+            if sums is None:
+                sums, hits = np.zeros((len(values), SHIFTS)), np.zeros(len(values), dtype=int)
+            hits += np.count_nonzero(values, axis=1)
+            for _, r, first, last, _ in _runs(start, start + values.shape[1], sizes):
+                # sums + first payoff is the next step of the replicate's left-to-right sum
+                run = values[:, first - start:last - start]
+                run[:, 0] += sums[:, r]
+                sums[:, r] = np.add.accumulate(run, axis=1, out=run)[:, -1]
+        return sums, hits
+
+    threads = min(plan.workers, len(starts), os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(block, range(len(offsets))))
+            sums, hits = fold(pool.map(block, starts))
     else:
-        blocks = map(block, range(len(offsets)))
-    # each point folds its blocks in block order
-    totals = [reduce(_Welford.merge, accs, _Welford()) for accs in zip(*blocks)]
-    return [IntegralEstimate(total.mean, total.stderr,
-                             info={"method": "monte_carlo", "samples": plan.samples,
-                                   "workers": plan.workers,
-                                   "hit_fraction": total.hits / plan.samples})
-            for total in totals]
-
-
-def outer_points(rng: np.random.Generator, n: int, dim: int, radius: float, proposal,
-                 mass: float) -> tuple[Array, Array]:
-    """Draw n outer points on the box [-radius, radius]^dim and weigh them.
-
-    The first k rows come from the proposal and the other n - k are uniform on
-    the box at -r + 2r u (bitwise ``rng.uniform(-r, r)``; u is drawn first).
-    Returns the points (n, dim) and the weights ``mass / q(x)`` (module
-    docstring): (n,), 0 for proposal rows outside the box, or (1,)
-    ``mass * vol(box)`` without a proposal.
-    """
-    k = 0 if proposal is None else min(round(PROPOSAL_SHARE * n), n - 1)
-    unit = rng.random((n - k, dim))
-    rows = proposal.sample(rng, k) if k else np.empty((0, dim))
-    volume = (2.0 * radius) ** dim
-    box = -radius + (radius - (-radius)) * unit
-    x = np.concatenate([rows, box])
-    if k == 0:
-        return x, np.array([mass * volume])
-    q = k / n * np.concatenate([proposal.pdf(rows), proposal.pdf(box)]) + (1.0 - k / n) / volume
-    weight = mass / q
-    weight[:k][np.abs(rows).max(axis=1) > radius] = 0.0
-    return x, weight
-
-
-def _sample_sphere(rng: np.random.Generator, n: int, dim: int) -> Array:
-    if dim == 1:
-        return (rng.integers(0, 2, size=(n, 1)) * 2 - 1).astype(float)
-    vec = rng.normal(size=(n, dim))
-    # the column sum of squares is bitwise np.linalg.norm(vec, axis=1), several times faster
-    norms = np.sqrt(sum(vec[:, i] * vec[:, i] for i in range(dim)))
-    norms[norms == 0.0] = 1.0
-    return vec / norms[:, np.newaxis]
-
-
-def _stratified_uniform(rng: np.random.Generator, n: int, offset: int) -> Array:
-    idx = (np.arange(offset, offset + n) % _STRATA).astype(float)
-    return (idx + rng.random(n)) / _STRATA
+        sums, hits = fold(map(block, starts))
+    means = sums / sum(sizes)
+    return [IntegralEstimate(float(row.mean()), float(row.std(ddof=1)) / math.sqrt(SHIFTS),
+                             info={"method": "monte_carlo", "samples": columns,
+                                   "workers": plan.workers, "hit_fraction": int(h) / columns})
+            for row, h in zip(means, hits)]
 
 
 def _weighted_payoffs(kernel, x: Array, sigma: Array, t: Array, factor) -> Array:
@@ -347,7 +518,7 @@ def integrate_double(kernel, plan: IntegrationPlan, dim: int, law,
         that state, MC and quadrature alike.
     proposal : functions.OuterProposal | None
         Law for the outer point x on the Monte Carlo path, mixed with the
-        uniform box (``outer_points``); quadrature ignores it.
+        uniform box (``outer_weights``); quadrature ignores it.
     """
     if dim not in _SPHERE_MEASURE:
         raise ValueError("dim must be 1, 2 or 3")
@@ -359,15 +530,15 @@ def integrate_double(kernel, plan: IntegrationPlan, dim: int, law,
     if plan.method != "monte_carlo":
         raise ValueError(f"unknown integration method {plan.method!r}")
 
-    def chunk(rng: np.random.Generator, n: int, offset: int) -> Array:
-        x, weight = outer_points(rng, n, dim, plan.outer_box_radius, proposal,
-                                 sphere_measure(dim))
-        sigma = _sample_sphere(rng, n, dim)
+    rule = _LatticeRule(plan, dim, proposal)
+
+    def chunk(start: int, stop: int) -> Array:
+        x, weight, sigma, v = rule.points(start, stop)
         aux = law.prepare(sigma)
-        t = np.atleast_2d(law.sample(_stratified_uniform(rng, n, offset), aux))
+        t = np.atleast_2d(law.sample(v, aux))
         return _weighted_payoffs(kernel, x, sigma, t, law.mass(aux) * weight)
 
-    return monte_carlo(plan, chunk)
+    return monte_carlo(plan, chunk, rule.sizes)
 
 
 def _integrate_double_quadrature(kernel, plan, dim, law):

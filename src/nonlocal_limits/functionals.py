@@ -191,11 +191,11 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[
 
     def kernel(x, sigma, t):
         # delta^p (t g)^-(N+mp) t^(N-1) over the law's shape t^-(1+mp), per threshold
-        out, fx = np.zeros(t.shape), f.eval(x)
+        out, fx = np.empty(t.shape), f.eval(x)
+        g_pow = body.gauge(sigma) ** (-power)
         for j, delta in enumerate(deltas):
             fires = np.abs(remainder(f, x, x + t[j][:, np.newaxis] * sigma, m, fx)) > delta
-            if np.any(fires):
-                out[j, fires] = delta ** p * body.gauge(sigma[fires]) ** (-power)
+            out[j] = np.where(fires, delta ** p * g_pow, 0.0)
         return out
 
     law = PowerLaw(-(1.0 + m * p), _directional_cutoff(spec, deltas), t_max)
@@ -254,8 +254,9 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[
             vals = np.abs(remainder(f, x, x + tj[:, np.newaxis] * sigma, m, fx))
             out[j] = vals ** p * (np.maximum(tj, t_c) * g) ** (-mp) * g_dim
             small = tj < t_c
-            form = np.abs(directional_m_form(f, x[small], sigma[small], m))
-            out[j, small] = (c_m * form) ** p * g[small] ** (-mp - body.dim)
+            if np.any(small):
+                form = np.abs(directional_m_form(f, x[small], sigma[small], m))
+                out[j, small] = (c_m * form) ** p * g[small] ** (-mp - body.dim)
         return out
 
     law = MollifierRadial([point.mollifier for point in specs], body.gauge)

@@ -218,8 +218,8 @@ class ProductProfile(Profile1D):
 class OuterProposal:
     """Product of per-axis laws, concentrated where the test function varies.
 
-    The engine draws most outer points x from it and mixes in the uniform
-    truncation box (see ``engine.outer_points``).
+    The engine maps most outer points x to it from lattice coordinates and
+    mixes in the uniform truncation box (see ``engine.outer_weights``).
     """
 
     def __init__(self, axes):
@@ -230,11 +230,27 @@ class OuterProposal:
         self._uniform = [(i, float(a)) for i, a in enumerate(self.axes) if a != NORMAL]
         self._peak = ((2.0 * math.pi) ** (-0.5 * len(self._normal))
                       * math.prod(0.5 / half for _, half in self._uniform))
+        #: uniform coordinates per point: a Box-Muller pair per two normal axes, one per
+        #: uniform axis
+        self.coordinates = 2 * math.ceil(len(self._normal) / 2) + len(self._uniform)
 
-    def sample(self, rng: np.random.Generator, n: int) -> Array:
-        out = np.empty((n, self.dim))
-        for i, axis in enumerate(self.axes):
-            out[:, i] = rng.standard_normal(n) if axis == NORMAL else rng.uniform(-axis, axis, n)
+    def transform(self, u: Array) -> Array:
+        """Points (n, dim) of the law from uniforms ``u`` of shape (coordinates, n).
+
+        Normal axes take Box-Muller pairs (u, u'): radius sqrt(-2 log(1 - u))
+        at angle 2 pi u', a lone normal axis its cosine; each uniform axis of
+        half-width h maps its coordinate to -h + 2 h u.
+        """
+        out = np.empty((u.shape[1], self.dim))
+        for pair in range(0, len(self._normal), 2):
+            radius = np.sqrt(-2.0 * np.log1p(-u[pair]))
+            angle = 2.0 * math.pi * u[pair + 1]
+            out[:, self._normal[pair]] = radius * np.cos(angle)
+            if pair + 1 < len(self._normal):
+                out[:, self._normal[pair + 1]] = radius * np.sin(angle)
+        first = self.coordinates - len(self._uniform)
+        for row, (i, half) in enumerate(self._uniform, start=first):
+            out[:, i] = -half + 2.0 * half * u[row]
         return out
 
     def pdf(self, x: Array) -> Array:

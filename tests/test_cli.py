@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nonlocal_limits import cli
 from nonlocal_limits.config import ConfigError, load_config, parse_config
+from nonlocal_limits.engine import SHIFTS, lattice_sizes
 from nonlocal_limits.mollifiers import certification_grids, certify
 
 
@@ -54,6 +55,19 @@ def test_run_passes_and_writes_csv(tmp_path, capsys):
     assert lines[0].startswith("job_id,theorem,m,p,body,function,parameter")
     assert len(lines) == 1 + 4 + 1  # header, 4 points, summary
     assert lines[-1].endswith("pass")
+
+
+def test_plan_too_small_for_the_lattice_is_one_error_line(tmp_path, capsys):
+    # 16 shifts of a proposal and a box lattice need at least 2 points each
+    cfg = base_config()
+    cfg["jobs"][0]["plan"]["samples"] = 31
+    with pytest.raises(ConfigError, match="samples=31 leaves a lattice without points"):
+        parse_config(cfg)
+    assert cli.run(write_config(tmp_path, cfg), {}) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "samples >= 32" in err[0]
+    cfg["jobs"][0]["plan"]["samples"] = 32
+    parse_config(cfg)
 
 
 def test_run_reproducible_byte_identical(tmp_path):
@@ -387,7 +401,9 @@ def test_benchmark_child_times_one_call_per_sweep_point(tmp_path):
             assert [pt["method"] for pt in job["points"]] == ["monte_carlo"] * 4
             assert sum(pt["seconds"] for pt in job["points"]) > 0.0
         if trace:
-            assert record["counts"]["engine.mc_pairs"] == 2 * 4 * samples
+            # each pass evaluates R (n1 + n2) lattice pairs of its 4 points
+            pairs = SHIFTS * sum(lattice_sizes(samples, True))
+            assert record["counts"]["engine.mc_pairs"] == 2 * 4 * pairs
 
 
 def test_json_reports_hit_fraction_of_each_monte_carlo_point(tmp_path):

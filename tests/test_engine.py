@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from nonlocal_limits import engine
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import monomial, multi_indices
-from nonlocal_limits.engine import (PROPOSAL_SHARE, EngineError, IntegrationPlan,
-                                    MollifierRadial, PowerLaw, body_quadrature_nodes,
-                                    cone_nodes, gauss_legendre, integrate_double, outer_points,
-                                    sphere_body_identity_check, sphere_constant,
+from nonlocal_limits.engine import (PROPOSAL_SHARE, SHIFTS, EngineError, IntegrationPlan,
+                                    MollifierRadial, PowerLaw, body_quadrature_nodes, cone_nodes,
+                                    gauss_legendre, integrate_double, lattice_sizes, outer_points,
+                                    outer_weights, sphere_body_identity_check, sphere_constant,
                                     sphere_quadrature)
+from nonlocal_limits.functionals import FunctionalSpec, evaluate
 from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import make_mollifier
 
@@ -300,50 +302,75 @@ def test_mixture_unbiased_over_repetitions():
 
 
 def test_mixture_unbiased_for_odd_block_sizes(monkeypatch):
-    # blocks of 3, 3 and 1 rows draw 2, 2 and 0 proposal rows: only the
-    # realised share 2/3 keeps these estimates unbiased (a fixed 0.8 is off
-    # by about a quarter of the truth here)
-    monkeypatch.setattr(engine, "_CHUNK", 3)
-    assert _repeated_z(7, 1, 600, 5000) <= 2.576
+    # samples = 32 gives one proposal and one box point per shift, in blocks of
+    # 7 columns that cut shifts apart: only the realised share 1/2 keeps these
+    # estimates unbiased (the nominal share 0.8 is off by about 30% of the
+    # truth here)
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    assert lattice_sizes(32, True) == (1, 1)
+    assert _repeated_z(32, 1, 600, 5000) <= 2.576
+
+
+def _mixture_points(rng, n, radius):
+    """n points per shift split as a pass splits them: proposal points, then box points."""
+    n1, n2 = lattice_sizes(SHIFTS * n, True)
+    prop = GAUSS2_PROPOSAL
+    x = np.concatenate([outer_points(rng.random((prop.coordinates, n1)), radius, prop),
+                        outer_points(rng.random((2, n2)), radius, None)])
+    return x, n1, n2
 
 
 @pytest.mark.parametrize("n", [2, 7, 1001, 32768])
 def test_mixture_weights_bounded_and_exact(n):
     rng = np.random.default_rng(n)
     radius, mass = 8.5, 2.0 * math.pi
-    x, w = outer_points(rng, n, 2, radius, GAUSS2_PROPOSAL, mass)
-    k = min(round(PROPOSAL_SHARE * n), n - 1)
+    x, n1, n2 = _mixture_points(rng, n, radius)
+    w = outer_weights(x, radius, GAUSS2_PROPOSAL, n1 / (n1 + n2), mass)
     uniform = mass * (2.0 * radius) ** 2
-    assert x.shape == (n, 2) and np.all(np.abs(x) <= radius)
+    assert x.shape == (n1 + n2, 2) and np.all(np.abs(x) <= radius)
     assert np.all(w > 0.0)
-    # the box share n - k caps every weight at n / (n - k) uniform weights
-    assert np.all(w <= uniform * n / (n - k) * (1.0 + 1e-12))
+    # the box share n2 caps every weight at (n1 + n2) / n2 uniform weights
+    assert np.all(w <= uniform * (n1 + n2) / n2 * (1.0 + 1e-12))
     if n >= 1000:
         assert w.max() <= 5.01 * uniform
-    q = k / n * GAUSS2_PROPOSAL.pdf(x) + (1.0 - k / n) / (2.0 * radius) ** 2
+    share = n1 / (n1 + n2)
+    q = share * GAUSS2_PROPOSAL.pdf(x) + (1.0 - share) / (2.0 * radius) ** 2
     np.testing.assert_allclose(w, mass / q, rtol=1e-15)
 
 
 def test_single_row_chunk_is_a_box_row():
-    x, w = outer_points(np.random.default_rng(1), 1, 2, 8.5, GAUSS2_PROPOSAL, 1.0)
-    assert x.shape == (1, 2) and w == 17.0 ** 2
+    # one-column blocks: the last column of each shift's box lattice is a box point
+    plan = IntegrationPlan.monte_carlo(samples=2000, seed=1, outer_box_radius=8.5)
+    rule = engine._LatticeRule(plan, 2, GAUSS2_PROPOSAL)
+    n1, n2 = rule.sizes
+    share = n1 / (n1 + n2)
+    for r in range(SHIFTS):
+        column = SHIFTS * n1 + (r + 1) * n2 - 1
+        x, w, _, _ = rule.points(column, column + 1)
+        assert x.shape == (1, 2) and np.all(np.abs(x) <= 8.5)
+        q = share * GAUSS2_PROPOSAL.pdf(x) + (1.0 - share) / 17.0 ** 2
+        np.testing.assert_allclose(w, 2.0 * math.pi / q, rtol=1e-15)
 
 
 def test_out_of_box_proposal_draw_gets_zero_weight():
-    rng = np.random.default_rng(4)
-    n, radius = 4000, 0.5
-    x, w = outer_points(rng, n, 2, radius, GAUSS2_PROPOSAL, 1.0)
-    k = round(PROPOSAL_SHARE * n)
-    outside = np.any(np.abs(x) > radius, axis=1)
-    assert outside[:k].sum() > 1000 and not outside[k:].any()
+    plan = IntegrationPlan.monte_carlo(samples=SHIFTS * 4000, seed=4, outer_box_radius=0.5)
+    rule = engine._LatticeRule(plan, 2, GAUSS2_PROPOSAL)
+    n1, n2 = rule.sizes
+    # the proposal lattice's columns come first, then the box lattice's
+    x, w, _, _ = rule.points(0, SHIFTS * (n1 + n2))
+    outside = np.any(np.abs(x) > 0.5, axis=1)
+    assert outside[:SHIFTS * n1].sum() > 16 * 1000 and not outside[SHIFTS * n1:].any()
     assert np.all(w[outside] == 0.0) and np.all(w[~outside] > 0.0)
 
 
 def test_no_proposal_keeps_the_uniform_box():
-    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    x, w = outer_points(rng_a, 100, 2, 3.0, None, 2.0)
-    np.testing.assert_array_equal(x, rng_b.uniform(-3.0, 3.0, size=(100, 2)))
-    assert w == 2.0 * 36.0
+    u = np.random.default_rng(5).random((2, 100))
+    np.testing.assert_array_equal(outer_points(u, 3.0, None), (-3.0 + 6.0 * u).T)
+    plan = IntegrationPlan.monte_carlo(samples=3200, seed=5, outer_box_radius=3.0)
+    rule = engine._LatticeRule(plan, 2, None)
+    x, w, _, _ = rule.points(0, SHIFTS * 199)
+    assert rule.sizes == (0, 199) and np.all(np.abs(x) <= 3.0)
+    assert w == 2.0 * math.pi * 36.0
 
 
 class _RecordingExecutor:
@@ -365,7 +392,7 @@ class _RecordingExecutor:
 
 
 def test_threads_capped_at_cpu_count(monkeypatch):
-    # four blocks, so the cap is the CPU count and not the block count
+    # three or more blocks, so the cap is the CPU count and not the block count
     plan = IntegrationPlan.monte_carlo(samples=3 * engine._CHUNK + 1, seed=9, workers=6,
                                        outer_box_radius=2.0)
     reference, = integrate_double(mixture_kernel, plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
@@ -406,21 +433,29 @@ def test_integrate_double_bitwise_across_workers(monkeypatch):
 
 
 def test_block_streams_and_offsets():
-    # block i draws from SeedSequence((seed, 0, i)) and starts at row i * _CHUNK
+    # blocks cover the SHIFTS (n1 + n2) columns in _CHUNK pieces, and shift r is
+    # drawn from SeedSequence((seed, 1, r)), proposal lattice first
     seen = []
 
-    def chunk(rng, n, offset):
-        seen.append((n, offset, rng.random()))
-        return np.zeros((1, n))
+    def chunk(start, stop):
+        seen.append((start, stop))
+        return np.zeros((1, stop - start))
 
     plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31, workers=1)
-    engine.monte_carlo(plan, chunk)
-    expected = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((31, 0, i)))).random()
-                for i in range(4)]
-    assert seen == [(engine._CHUNK, 0, expected[0]),
-                    (engine._CHUNK, engine._CHUNK, expected[1]),
-                    (engine._CHUNK, 2 * engine._CHUNK, expected[2]),
-                    (1001, 3 * engine._CHUNK, expected[3])]
+    sizes = lattice_sizes(plan.samples, True)
+    engine.monte_carlo(plan, chunk, sizes)
+    columns = SHIFTS * sum(sizes)
+    assert seen == [(start, min(start + engine._CHUNK, columns))
+                    for start in range(0, columns, engine._CHUNK)]
+    assert len(seen) == 4 and columns <= plan.samples
+    rule = engine._LatticeRule(replace(plan, outer_box_radius=2.0), 2, GAUSS2_PROPOSAL)
+    # a Box-Muller pair, the angle and v; the box lattice has 4 coordinates too
+    assert [shift.shape for shift in rule.shifts] == [(4, SHIFTS), (4, SHIFTS)]
+    for r in (0, 7, SHIFTS - 1):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((31, 1, r))))
+        first, second = rng.random(4), rng.random(4)
+        np.testing.assert_array_equal(rule.shifts[0][:, r], first)
+        np.testing.assert_array_equal(rule.shifts[1][:, r], second)
 
 
 def test_power_law_bitwise_against_unprepared_formulas():
@@ -446,25 +481,29 @@ def test_power_law_bitwise_against_unprepared_formulas():
         np.testing.assert_array_equal(law.mass(aux), mass_old)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_sphere_directions_bitwise_match_linalg_norm(dim):
-    # the column sum of squares must give the bits of np.linalg.norm
-    for seed in range(20):
-        vec = np.random.default_rng(seed).normal(size=(10_001, dim))
-        expected = vec / np.linalg.norm(vec, axis=1, keepdims=True)
-        got = engine._sample_sphere(np.random.default_rng(seed), 10_001, dim)
-        np.testing.assert_array_equal(got, expected)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_directions_cover_the_sphere_uniformly(dim):
+    # unit vectors whose second moments over a lattice are those of the sphere, I / dim
+    z = engine.generating_vector(4999, 2)
+    u = engine._lattice(np.arange(4999), z, 4999, np.array([[0.3], [0.7]]))
+    sigma = engine._directions(u[:1 if dim < 3 else 2], dim)
+    assert sigma.shape == (4999, dim)
+    np.testing.assert_allclose(np.linalg.norm(sigma, axis=1), 1.0, rtol=1e-15)
+    np.testing.assert_allclose(sigma.T @ sigma / 4999, np.eye(dim) / dim, atol=2e-3)
 
 
 def test_hit_fraction_counts_nonzero_payoffs_per_row():
-    def chunk(rng, n, offset):
-        columns = np.arange(offset, offset + n)
-        return np.stack([np.ones(n), (columns % 4 == 0) * 2.0, np.zeros(n)])
+    def chunk(start, stop):
+        columns = np.arange(start, stop)
+        return np.stack([np.ones(stop - start), (columns % 4 == 0) * 2.0, np.zeros(stop - start)])
 
     plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=1)
-    full, quarter, none = engine.monte_carlo(plan, chunk)
+    sizes = lattice_sizes(plan.samples, True)
+    n = sum(sizes)
+    full, quarter, none = engine.monte_carlo(plan, chunk, sizes)
     assert full.info["hit_fraction"] == 1.0 and none.info["hit_fraction"] == 0.0
-    assert quarter.info["hit_fraction"] == len(range(0, BLOCKED_SAMPLES, 4)) / BLOCKED_SAMPLES
+    assert full.info["samples"] == SHIFTS * n
+    assert quarter.info["hit_fraction"] == len(range(0, SHIFTS * n, 4)) / (SHIFTS * n)
 
 
 @pytest.mark.parametrize("n", [4, 10, 48, 200])
@@ -478,3 +517,114 @@ def test_gauss_legendre_rule_is_leggauss_built_once_and_read_only(n):
             assert got.dtype == want.dtype and not got.flags.writeable
             with pytest.raises(ValueError):
                 got[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the randomized rank-1 lattice rule
+# ---------------------------------------------------------------------------
+
+def _korobov(x):
+    return 2.0 * math.pi ** 2 * (x * x - x + 1.0 / 6.0)
+
+
+def _brute_force_cbc(n, s):
+    # each coordinate keeps the smallest z <= (n - 1)/2 that minimises P_2, ties within 1e-12
+    k = np.arange(n)
+    z, product = [1], 1.0 + _korobov(k / n)
+    for _ in range(1, s):
+        errors = np.array([product @ (1.0 + _korobov(k * c % n / n))
+                           for c in range(1, (n - 1) // 2 + 1)])
+        tie = 1e-12 * (math.pi ** 2 / 3.0) * np.abs(product[1:]).sum()
+        z.append(1 + int(np.flatnonzero(errors <= errors.min() + tie)[0]))
+        product = product * (1.0 + _korobov(k * z[-1] % n / n))
+    return z
+
+
+def test_fast_cbc_equals_brute_force_cbc():
+    assert engine.generating_vector(101, 4).tolist() == _brute_force_cbc(101, 4)
+    assert engine.generating_vector(1009, 7).tolist() == _brute_force_cbc(1009, 7)
+    # prefixes agree: the construction is coordinate by coordinate
+    assert engine.generating_vector(101, 2).tolist() == _brute_force_cbc(101, 4)[:2]
+    assert engine.generating_vector(2, 3).tolist() == [1, 1, 1]
+    assert engine.generating_vector(101, 4) is engine.generating_vector(101, 4)
+
+
+def test_lattice_rule_integrates_fourier_modes_exactly():
+    # a shifted lattice integrates cos(2 pi h.x) exactly: 0 for h outside the dual
+    # lattice (h.z != 0 mod n), cos(2 pi h.shift) on it
+    n = 1009
+    z = engine.generating_vector(n, 4)
+    shift = np.random.default_rng(8).random(4)
+    u = engine._lattice(np.arange(n), z, n, shift[:, np.newaxis])
+    assert u.shape == (4, n) and np.all((u >= 0.0) & (u < 1.0))
+    for h in ([1, 0, 0, 0], [0, 3, 0, 0], [1, -1, 2, 0], [2, 5, -3, 7]):
+        h = np.array(h)
+        assert int(h @ z) % n != 0
+        assert abs(np.cos(2.0 * math.pi * (h @ u)).mean()) <= 1e-10
+    dual = np.array([int(z[1]), -1, 0, 0])
+    assert int(dual @ z) % n == 0
+    assert np.cos(2.0 * math.pi * (dual @ u)).mean() == pytest.approx(
+        math.cos(2.0 * math.pi * (dual @ shift)), abs=1e-9)
+
+
+def test_lattice_sizes_are_primes_within_the_plan():
+    for samples in (32, 64, 2000, 70_000, 500_000, 1_000_000):
+        n1, n2 = lattice_sizes(samples, True)
+        assert SHIFTS * (n1 + n2) <= samples and n1 <= PROPOSAL_SHARE * (samples // SHIFTS)
+        for size in (n1, n2):
+            assert size == 1 or all(size % d for d in range(2, math.isqrt(size) + 1))
+    assert lattice_sizes(500_000, True) == (24989, 6257)
+    assert lattice_sizes(16, False) == (0, 1)
+    for samples, mixture in ((31, True), (15, False), (0, False)):
+        with pytest.raises(ValueError, match="samples"):
+            lattice_sizes(samples, mixture)
+    with pytest.raises(ValueError, match="lattice without points"):
+        integrate_double(ones_kernel, IntegrationPlan.monte_carlo(samples=31, outer_box_radius=2.0),
+                         2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+
+
+def _three_point_pass(dim, plan):
+    law = PowerLaw(-1.5, lambda s: np.repeat([[0.1], [0.2], [0.3]], len(s), axis=1), 2.0)
+    kernel = lambda x, s, t: np.exp(-(x * x).sum(axis=1)) * np.cos(t) * (1.5 + s[:, 0])
+    proposal = make_function("gaussian", dim).proposal
+    return [(e.value, e.stderr, e.info["hit_fraction"])
+            for e in integrate_double(kernel, plan, dim, law, proposal)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pass_bitwise_at_any_worker_count_and_block_size(dim, monkeypatch):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    plan = IntegrationPlan.monte_carlo(samples=3000, seed=12, outer_box_radius=2.0)
+    reference = _three_point_pass(dim, plan)  # one block
+    monkeypatch.setattr(engine, "_CHUNK", 1000)
+    for workers in (1, 2, 5):
+        assert _three_point_pass(dim, replace(plan, workers=workers)) == reference
+    monkeypatch.setattr(engine, "_CHUNK", 3)
+    assert _three_point_pass(dim, plan) == reference
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_constant_and_matched_kernels_stay_exact(dim):
+    plan = IntegrationPlan.monte_carlo(samples=5000, seed=dim, outer_box_radius=1.0)
+    box = 2.0 ** dim * engine.sphere_measure(dim)
+    est, = integrate_double(ones_kernel, plan, dim, PowerLaw(0.0, 0.5, 1.0))
+    assert est.value == pytest.approx(0.5 * box, rel=1e-12) and est.stderr <= 1e-12 * box
+    est, = integrate_double(ones_kernel, plan, dim, PowerLaw(-2.0, 0.25, 2.0))
+    assert est.value == pytest.approx(3.5 * box, rel=1e-12) and est.stderr <= 1e-12 * box
+
+
+def test_stderr_matches_the_seed_to_seed_spread():
+    # 20 seeds of one shell pass: each point's sd across seeds over its median stderr
+    gauss = make_function("gaussian", 2)
+    ellipse = ConvexBody.ellipsoid([2.0, 1.0])
+    grid = (0.4, 0.2, 0.1)
+    values, stderrs = [], []
+    for seed in range(7100, 7120):
+        plan = IntegrationPlan.monte_carlo(samples=20_000, seed=seed)
+        points = [evaluate(FunctionalSpec("bbm_centered", gauss, ellipse, 1, 2.0, eps,
+                                          make_mollifier("shell", 2, eps), grid), plan)
+                  for eps in grid]
+        values.append([e.value for e in points])
+        stderrs.append([e.stderr for e in points])
+    ratios = np.std(values, axis=0, ddof=1) / np.median(stderrs, axis=0)
+    assert np.all((0.6 <= ratios) & (ratios <= 1.6)), ratios

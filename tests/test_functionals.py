@@ -7,7 +7,8 @@ import pytest
 from nonlocal_limits import functionals
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import centered_remainder, directional_m_form
-from nonlocal_limits.engine import IntegralEstimate, IntegrationPlan, outer_points
+from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, outer_points,
+                                    outer_weights)
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_norm_p,
                                          evaluate, local_limit, shared_local_integral,
                                          theorem_constant, uniform_bound_check)
@@ -151,8 +152,10 @@ def test_local_limit_monte_carlo_agrees():
     # defensive mixture, y uniform on the ellipse's bounding box times its indicator
     ellipse = ConvexBody.ellipsoid([2.0, 1.0])
     rng = np.random.default_rng(3)
-    n = 400_000
-    xs, wx = outer_points(rng, n, 2, GAUSS2.support_radius, GAUSS2.proposal, 1.0)
+    n, k, radius = 400_000, 320_000, GAUSS2.support_radius
+    xs = np.concatenate([outer_points(rng.random((2, k)), radius, GAUSS2.proposal),
+                         outer_points(rng.random((2, n - k)), radius, None)])
+    wx = outer_weights(xs, radius, GAUSS2.proposal, k / n, 1.0)
     ys = rng.uniform(-1.0, 1.0, size=(n, 2)) * [2.0, 1.0]
     payoff = wx * 8.0 * ellipse.contains(ys) * directional_m_form(GAUSS2, xs, ys, 1) ** 2
     value, stderr = payoff.mean(), payoff.std(ddof=1) / math.sqrt(n)

@@ -41,10 +41,14 @@ def test_proposals_follow_the_profiles(rng):
     np.testing.assert_allclose(gauss.pdf(x), np.exp(-0.5 * (x ** 2).sum(axis=1)) / (2 * math.pi),
                                rtol=1e-14)
     np.testing.assert_array_equal(bump.pdf(x), np.all(np.abs(x) <= 2.0, axis=1) / 16.0)
-    draws = gauss.sample(rng, 200_000)
+    # Box-Muller pairs for normal axes, one affine coordinate per uniform axis
+    assert (gauss.coordinates, bump.coordinates) == (2, 2)
+    assert make_function("gaussian", 3).proposal.coordinates == 4
+    draws = gauss.transform(rng.random((2, 200_000)))
     assert draws.shape == (200_000, 2)
     assert np.abs(draws.mean(axis=0)).max() < 0.01 and np.abs(draws.var(axis=0) - 1).max() < 0.02
-    assert np.abs(bump.sample(rng, 1000)).max() <= 2.0
+    assert abs(np.corrcoef(draws.T)[0, 1]) < 0.01
+    assert np.abs(bump.transform(rng.random((2, 1000)))).max() <= 2.0
 
 
 def test_partials_match_finite_differences(rng):
