@@ -256,8 +256,16 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{label}: {exc}") from exc
         if not func.integrable:
             raise ConfigError(f"{label}: function {fname!r} is identity-test only")
-        plan_raw = job["plan"]
-        if plan_raw["method"] == "monte_carlo":
+        plan_raw, method = job["plan"], job["plan"]["method"]
+        # a field the job never reads would do nothing
+        unread = {"samples": method != "monte_carlo", "x_nodes": method == "monte_carlo",
+                  "t_nodes": method == "monte_carlo",
+                  "t_max": not job["theorem"].startswith("nguyen")}
+        for key in plan_raw:
+            if unread.get(key):
+                raise ConfigError(f"{label}: plan.{key} is never read by a {method} "
+                                  f"{job['theorem']} job")
+        if method == "monte_carlo":
             if "samples" not in plan_raw:
                 raise ConfigError(f"{label}: monte_carlo plans require 'samples'")
             try:

@@ -24,11 +24,12 @@ plain uniform weight.  Proposal points outside the box get weight 0.  A
 function without a proposal keeps the box lattice only.  Generating vectors
 come from fast component-by-component construction (``generating_vector``).
 
-``monte_carlo`` splits the pass's columns into blocks of _CHUNK.  Every
-column's point depends on (seed, samples, column) only, shift r being drawn
-from SeedSequence((seed, 1, r)) (keyed streams, Salmon et al. 2011), and the
-blocks' payoffs are folded in column order, so the numbers depend on (seed,
-samples) only; the worker count just sets how many threads run the blocks.
+A pass runs in blocks, each a run of at most _CHUNK points of one lattice
+under one shift.  A point depends on (seed, samples, lattice, shift, index)
+only, shift r being drawn from SeedSequence((seed, 1, r)) (keyed streams,
+Salmon et al. 2011), and each shift's payoffs are folded in point order,
+proposal lattice first, so the numbers depend on (seed, samples) only; the
+worker count just sets how many threads run the blocks.
 One pass integrates the K points of a parameter grid over one outer box:
 every point shares a block's outer points, weights, directions and direction
 state, and is bitwise a pass of its own on that box.
@@ -58,8 +59,8 @@ from .bodies import ConvexBody, _polytope_vertices
 
 Array = np.ndarray
 
-#: columns per block; the numbers do not depend on it (``monte_carlo``), and at 1 << 15
-#: the peak RSS of a run of five 2-D sweeps of 0.5M to 1M samples was 10% higher
+#: points per block at most; the numbers do not depend on it (``_monte_carlo``), and at
+#: 1 << 15 the peak RSS of a run of five 2-D sweeps of 0.5M to 1M samples was 10% higher
 _CHUNK = 1 << 14
 
 #: independent uniform shifts of the lattice rule; the stderr has SHIFTS - 1 degrees of freedom
@@ -321,10 +322,8 @@ def generating_vector(n: int, s: int) -> Array:
 
 
 def _lattice(index: Array, z: Array, n: int, shift: Array) -> Array:
-    """Points {index z / n + shift} of a shifted lattice, coordinate-major: (s, len(index)).
-
-    ``shift`` is (s, 1) for one shift or (s, len(index)) for one per point.
-    """
+    """Points {index z / n + shift} of a shifted lattice, coordinate-major: (s, len(index));
+    ``shift`` is (s, 1)."""
     # index z mod n in floats, exactly: the products stay below 2^53, and with n at most
     # _MAX_POINTS a quotient is never within rounding of an integer above its floor
     u = np.multiply.outer(z.astype(float), index)
@@ -373,111 +372,6 @@ def outer_weights(x: Array, radius: float, proposal, share: float, mass: float) 
         outside |= np.abs(x[:, i]) > radius
     weight[outside] = 0.0
     return weight
-
-
-def _runs(start: int, stop: int, sizes: tuple[int, int]):
-    """(lattice, shift, first, stop, index) of each run of columns [start, stop) on one shift.
-
-    The first SHIFTS n1 columns hold the proposal lattice, shift by shift,
-    and the other SHIFTS n2 the box lattice; ``index`` is the lattice index
-    of column ``first``.
-    """
-    base = 0
-    for lattice, size in enumerate(sizes):
-        lo, hi = max(start, base), min(stop, base + SHIFTS * size)
-        for r in range((lo - base) // size, (hi - 1 - base) // size + 1) if lo < hi else ():
-            first = max(lo, base + r * size)
-            yield lattice, r, first, min(hi, base + (r + 1) * size), first - base - r * size
-        base += SHIFTS * size
-
-
-class _LatticeRule:
-    """The points of one Monte Carlo pass: SHIFTS shifted copies of two lattices.
-
-    The columns are laid out as ``_runs`` says.  A point's uniform
-    coordinates are the outer point's, then the direction's, then the radial
-    uniform v, at most 7 in all; shift r is drawn from
-    SeedSequence((seed, 1, r)), proposal lattice first.  So every column's
-    point depends on (seed, samples, column) only.
-    """
-
-    def __init__(self, plan: IntegrationPlan, dim: int, proposal):
-        self.dim, self.radius, self.proposal = dim, plan.outer_box_radius, proposal
-        self.sizes = lattice_sizes(plan.samples, proposal is not None)
-        n1, n2 = self.sizes
-        #: the direction's coordinates and v, after the outer point's
-        self.tail = (1 if dim < 3 else 2) + 1
-        self.coordinates = (proposal.coordinates if n1 else 0, dim)
-        s1, s2 = self.coordinates[0] + self.tail if n1 else 0, dim + self.tail
-        self.vectors = (generating_vector(n1, s1) if n1 else None, generating_vector(n2, s2))
-        shifts = []
-        for r in range(SHIFTS):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, 1, r))))
-            shifts.append(np.concatenate([rng.random(s1), rng.random(s2)]))
-        #: shift r of each lattice is column r of an (s, SHIFTS) array
-        self.shifts = tuple(np.split(np.array(shifts).T, [s1]))
-
-    def points(self, start: int, stop: int) -> tuple[Array, Array, Array, Array]:
-        """Outer points, their weights, directions and radial uniforms of columns [start, stop)."""
-        dim, n1 = self.dim, self.sizes[0]
-        x, rest = np.empty((stop - start, dim)), np.empty((self.tail, stop - start))
-        for lattice, r, first, last, index in _runs(start, stop, self.sizes):
-            size, coords = self.sizes[lattice], self.coordinates[lattice]
-            u = _lattice(np.arange(index, index + last - first), self.vectors[lattice], size,
-                         self.shifts[lattice][:, r:r + 1])
-            x[first - start:last - start] = outer_points(
-                u[:coords], self.radius, self.proposal if lattice == 0 else None)
-            rest[:, first - start:last - start] = u[coords:]
-        mass = sphere_measure(dim)
-        if self.proposal is None:
-            weight = np.array([mass * (2.0 * self.radius) ** dim])
-        else:
-            weight = outer_weights(x, self.radius, self.proposal, n1 / sum(self.sizes), mass)
-        return x, weight, _directions(rest[:-1], dim), rest[-1]
-
-
-def monte_carlo(plan: IntegrationPlan, chunk, sizes: tuple[int, int]) -> list[IntegralEstimate]:
-    """Estimates from the (K, c) payoffs ``chunk(start, stop)`` of SHIFTS (n1 + n2) columns.
-
-    ``sizes`` = (n1, n2) lays out the columns and their replicates as
-    ``_runs`` says.  Blocks of _CHUNK columns run on min(workers, blocks,
-    cpu count) threads; the calling thread folds their payoffs (fresh
-    arrays, overwritten), in column order, into one left-to-right sum per
-    point and replicate, so the K estimates are the same for every worker
-    count and block size.  A point's value is the mean of its SHIFTS
-    replicate means and its stderr their sample sd over sqrt(SHIFTS);
-    ``hit_fraction`` is its share of nonzero payoffs.
-    """
-    columns = SHIFTS * sum(sizes)
-    starts = range(0, columns, _CHUNK)
-
-    def block(start: int) -> Array:
-        return chunk(start, min(start + _CHUNK, columns))
-
-    def fold(blocks) -> tuple[Array, Array]:
-        sums = hits = None
-        for start, values in zip(starts, blocks):
-            if sums is None:
-                sums, hits = np.zeros((len(values), SHIFTS)), np.zeros(len(values), dtype=int)
-            hits += np.count_nonzero(values, axis=1)
-            for _, r, first, last, _ in _runs(start, start + values.shape[1], sizes):
-                # sums + first payoff is the next step of the replicate's left-to-right sum
-                run = values[:, first - start:last - start]
-                run[:, 0] += sums[:, r]
-                sums[:, r] = np.add.accumulate(run, axis=1, out=run)[:, -1]
-        return sums, hits
-
-    threads = min(plan.workers, len(starts), os.cpu_count() or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums, hits = fold(pool.map(block, starts))
-    else:
-        sums, hits = fold(map(block, starts))
-    means = sums / sum(sizes)
-    return [IntegralEstimate(float(row.mean()), float(row.std(ddof=1)) / math.sqrt(SHIFTS),
-                             info={"method": "monte_carlo", "samples": columns,
-                                   "workers": plan.workers, "hit_fraction": int(h) / columns})
-            for row, h in zip(means, hits)]
 
 
 def _weighted_payoffs(kernel, x: Array, sigma: Array, t: Array, factor) -> Array:
@@ -530,15 +424,78 @@ def integrate_double(kernel, plan: IntegrationPlan, dim: int, law,
     if plan.method != "monte_carlo":
         raise ValueError(f"unknown integration method {plan.method!r}")
 
-    rule = _LatticeRule(plan, dim, proposal)
+    return _monte_carlo(kernel, plan, dim, law, proposal)
 
-    def chunk(start: int, stop: int) -> Array:
-        x, weight, sigma, v = rule.points(start, stop)
+
+def _monte_carlo(kernel, plan, dim, law, proposal) -> list[IntegralEstimate]:
+    """The pass: SHIFTS shifts of a proposal lattice of n1 points and a box lattice of n2.
+
+    A point's uniform coordinates are the outer point's, then the
+    direction's, then the radial uniform v, at most 7 in all; shift r of both
+    lattices is drawn from SeedSequence((seed, 1, r)), proposal lattice first.
+    Each block holds the points lo .. hi - 1 of one (lattice, shift) run, at
+    most _CHUNK of them, so a point depends on (seed, samples, lattice, shift,
+    index) only.  Blocks run on min(workers, blocks,
+    cpu count) threads; the calling thread folds their payoffs (fresh arrays,
+    overwritten), block by block, into one left-to-right sum per point and
+    shift, proposal points first, so the K estimates are the same for every
+    worker count and block size.  A point's value is the mean of its SHIFTS replicate means, its
+    stderr their sample sd over sqrt(SHIFTS), and ``hit_fraction`` its share
+    of nonzero payoffs.
+    """
+    radius, mass = plan.outer_box_radius, sphere_measure(dim)
+    sizes = lattice_sizes(plan.samples, proposal is not None)
+    n1, n = sizes[0], sum(sizes)
+    # the outer point's coordinates in each lattice; the direction's and v follow
+    coords = (proposal.coordinates if n1 else 0, dim)
+    tail = (1 if dim < 3 else 2) + 1
+    vectors = [generating_vector(size, c + tail) if size else None
+               for size, c in zip(sizes, coords)]
+    shifts = []
+    for r in range(SHIFTS):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, 1, r))))
+        shifts.append([rng.random((c + tail, 1)) if size else None
+                       for size, c in zip(sizes, coords)])
+    blocks = [(lattice, r, lo, min(lo + _CHUNK, size)) for lattice, size in enumerate(sizes)
+              for r in range(SHIFTS) for lo in range(0, size, _CHUNK)]
+
+    def block(spec) -> Array:
+        lattice, r, lo, hi = spec
+        c = coords[lattice]
+        u = _lattice(np.arange(lo, hi), vectors[lattice], sizes[lattice], shifts[r][lattice])
+        # the box map is a transposed view, and the kernels run slower on one
+        x = np.ascontiguousarray(outer_points(u[:c], radius, proposal if lattice == 0 else None))
+        if proposal is None:
+            weight = np.array([mass * (2.0 * radius) ** dim])
+        else:
+            weight = outer_weights(x, radius, proposal, n1 / n, mass)
+        sigma = _directions(u[c:-1], dim)
         aux = law.prepare(sigma)
-        t = np.atleast_2d(law.sample(v, aux))
+        t = np.atleast_2d(law.sample(u[-1], aux))
         return _weighted_payoffs(kernel, x, sigma, t, law.mass(aux) * weight)
 
-    return monte_carlo(plan, chunk, rule.sizes)
+    def fold(results) -> tuple[Array, Array]:
+        sums = hits = None
+        for (_, r, _, _), values in zip(blocks, results):
+            if sums is None:
+                sums, hits = np.zeros((len(values), SHIFTS)), np.zeros(len(values), dtype=int)
+            hits += np.count_nonzero(values, axis=1)
+            # sums + first payoff is the next step of the shift's left-to-right sum
+            values[:, 0] += sums[:, r]
+            sums[:, r] = np.add.accumulate(values, axis=1, out=values)[:, -1]
+        return sums, hits
+
+    threads = min(plan.workers, len(blocks), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            sums, hits = fold(pool.map(block, blocks))
+    else:
+        sums, hits = fold(map(block, blocks))
+    columns = SHIFTS * n
+    return [IntegralEstimate(float(row.mean()), float(row.std(ddof=1)) / math.sqrt(SHIFTS),
+                             info={"method": "monte_carlo", "samples": columns,
+                                   "workers": plan.workers, "hit_fraction": int(h) / columns})
+            for row, h in zip(sums / n, hits)]
 
 
 def _integrate_double_quadrature(kernel, plan, dim, law):

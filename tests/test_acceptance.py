@@ -217,7 +217,7 @@ def test_criterion_12_reproducibility(tmp_path):
             "body": {"kind": "box", "half_widths": [1.0]},
             "m": 1, "p": 2.0,
             "schedule": {"start": 0.2, "ratio": 0.5, "points": 4},
-            "plan": {"method": "monte_carlo", "samples": 70000},  # three blocks
+            "plan": {"method": "monte_carlo", "samples": 70000},  # 32 blocks
             "tolerance": 0.05,
         }],
     }

@@ -163,9 +163,16 @@ def test_parse_config_requires_mollifier_for_bbm():
     {"schedule": {"start": 10 ** 400, "ratio": 0.5, "points": 4}},
     {"tolerance": 10 ** 400},
     {"body": {"kind": "box", "half_widths": [10 ** 400]}},
+    # plan fields the job never reads
+    {"theorem": "bbm_centered", "mollifier": {"kind": "shell"},
+     "plan": {"method": "monte_carlo", "samples": 20000, "t_max": 3.0}},
+    {"plan": {"method": "tensor_quadrature", "samples": 20000}},
+    {"plan": {"method": "monte_carlo", "samples": 20000, "x_nodes": 64}},
+    {"plan": {"method": "monte_carlo", "samples": 20000, "t_nodes": 64}},
 ], ids=["quadrature-2d", "box-below-support", "unbounded-polytope", "fit-points-above-points",
         "function-wrong-dim", "schedule-underflow", "tiny-t-max", "huge-outer-box",
-        "huge-integer-start", "huge-integer-tolerance", "huge-integer-half-width"])
+        "huge-integer-start", "huge-integer-tolerance", "huge-integer-half-width",
+        "mollified-t-max", "quadrature-samples", "monte-carlo-x-nodes", "monte-carlo-t-nodes"])
 def test_run_rejects_semantically_bad_config(tmp_path, capsys, job_update):
     cfg = base_config()
     cfg["jobs"][0].update(job_update)
@@ -381,7 +388,7 @@ def test_benchmark_child_times_one_call_per_sweep_point(tmp_path):
     # perfbench/child.py times every convergence.evaluate call, ties the calls to the
     # report rows, and counts kernel payoffs as Monte Carlo pairs; the one-pass sweep
     # keeps one timed call per point, the first one paying for the pass
-    samples = 40_000  # a full block and a partial one
+    samples = 40_000  # 32 blocks, one per (lattice, shift) run
     plan = {"method": "monte_carlo", "samples": samples}
     level_set = {**base_config()["jobs"][0], "name": "level-set", "plan": plan,
                  "body": {"kind": "ellipsoid", "semi_axes": [2.0, 1.0]}}

@@ -301,12 +301,11 @@ def test_mixture_unbiased_over_repetitions():
     assert _repeated_z(2_000, 1, 50, 3000) <= 2.576
 
 
-def test_mixture_unbiased_for_odd_block_sizes(monkeypatch):
-    # samples = 32 gives one proposal and one box point per shift, in blocks of
-    # 7 columns that cut shifts apart: only the realised share 1/2 keeps these
+def test_mixture_unbiased_for_odd_block_sizes():
+    # samples = 32 gives one proposal and one box point per shift, so every
+    # block holds one point: only the realised share 1/2 keeps these
     # estimates unbiased (the nominal share 0.8 is off by about 30% of the
     # truth here)
-    monkeypatch.setattr(engine, "_CHUNK", 7)
     assert lattice_sizes(32, True) == (1, 1)
     assert _repeated_z(32, 1, 600, 5000) <= 2.576
 
@@ -338,39 +337,67 @@ def test_mixture_weights_bounded_and_exact(n):
     np.testing.assert_allclose(w, mass / q, rtol=1e-15)
 
 
-def test_single_row_chunk_is_a_box_row():
-    # one-column blocks: the last column of each shift's box lattice is a box point
+def _record_blocks(monkeypatch):
+    """Each block's (x, sigma, t, factor) as the engine weighs its payoffs, in block order."""
+    blocks = []
+    weighted = engine._weighted_payoffs
+
+    def recording(kernel, x, sigma, t, factor):
+        blocks.append((x, sigma, t, np.broadcast_to(factor, t.shape[1:])))
+        return weighted(kernel, x, sigma, t, factor)
+
+    monkeypatch.setattr(engine, "_weighted_payoffs", recording)
+    return blocks
+
+
+def _run_lengths(sizes):
+    """The points of each block: every (lattice, shift) run cut into _CHUNK pieces."""
+    return [min(engine._CHUNK, n - lo) for n in sizes for _ in range(SHIFTS)
+            for lo in range(0, n, engine._CHUNK)]
+
+
+def test_single_row_chunk_is_a_box_row(monkeypatch):
+    # one-point blocks: the last point of each shift's box lattice is a block of its own
+    monkeypatch.setattr(engine, "_CHUNK", 1)
+    blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan.monte_carlo(samples=2000, seed=1, outer_box_radius=8.5)
-    rule = engine._LatticeRule(plan, 2, GAUSS2_PROPOSAL)
-    n1, n2 = rule.sizes
+    integrate_double(ones_kernel, plan, 2, PowerLaw(0.0, 0.5, 1.0), GAUSS2_PROPOSAL)
+    n1, n2 = lattice_sizes(plan.samples, True)
     share = n1 / (n1 + n2)
+    assert len(blocks) == SHIFTS * (n1 + n2)
     for r in range(SHIFTS):
-        column = SHIFTS * n1 + (r + 1) * n2 - 1
-        x, w, _, _ = rule.points(column, column + 1)
+        x, _, _, factor = blocks[SHIFTS * n1 + (r + 1) * n2 - 1]
         assert x.shape == (1, 2) and np.all(np.abs(x) <= 8.5)
         q = share * GAUSS2_PROPOSAL.pdf(x) + (1.0 - share) / 17.0 ** 2
-        np.testing.assert_allclose(w, 2.0 * math.pi / q, rtol=1e-15)
+        # the radial law's mass is 0.5
+        np.testing.assert_allclose(factor, 0.5 * 2.0 * math.pi / q, rtol=1e-15)
 
 
-def test_out_of_box_proposal_draw_gets_zero_weight():
+def test_out_of_box_proposal_draw_gets_zero_weight(monkeypatch):
+    blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan.monte_carlo(samples=SHIFTS * 4000, seed=4, outer_box_radius=0.5)
-    rule = engine._LatticeRule(plan, 2, GAUSS2_PROPOSAL)
-    n1, n2 = rule.sizes
-    # the proposal lattice's columns come first, then the box lattice's
-    x, w, _, _ = rule.points(0, SHIFTS * (n1 + n2))
+    integrate_double(ones_kernel, plan, 2, PowerLaw(0.0, 0.5, 1.0), GAUSS2_PROPOSAL)
+    n1, n2 = lattice_sizes(plan.samples, True)
+    # one block per run: the proposal lattice's SHIFTS runs come first, then the box lattice's
+    assert [len(x) for x, _, _, _ in blocks] == [n1] * SHIFTS + [n2] * SHIFTS
+    x = np.concatenate([x for x, _, _, _ in blocks])
+    w = np.concatenate([factor for _, _, _, factor in blocks])
     outside = np.any(np.abs(x) > 0.5, axis=1)
     assert outside[:SHIFTS * n1].sum() > 16 * 1000 and not outside[SHIFTS * n1:].any()
     assert np.all(w[outside] == 0.0) and np.all(w[~outside] > 0.0)
 
 
-def test_no_proposal_keeps_the_uniform_box():
+def test_no_proposal_keeps_the_uniform_box(monkeypatch):
     u = np.random.default_rng(5).random((2, 100))
     np.testing.assert_array_equal(outer_points(u, 3.0, None), (-3.0 + 6.0 * u).T)
+    blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan.monte_carlo(samples=3200, seed=5, outer_box_radius=3.0)
-    rule = engine._LatticeRule(plan, 2, None)
-    x, w, _, _ = rule.points(0, SHIFTS * 199)
-    assert rule.sizes == (0, 199) and np.all(np.abs(x) <= 3.0)
-    assert w == 2.0 * math.pi * 36.0
+    integrate_double(ones_kernel, plan, 2, PowerLaw(0.0, 0.5, 1.0))
+    assert lattice_sizes(plan.samples, False) == (0, 199)
+    assert [len(x) for x, _, _, _ in blocks] == [199] * SHIFTS
+    for x, _, _, factor in blocks:
+        assert np.all(np.abs(x) <= 3.0)
+        assert np.all(factor == 0.5 * (2.0 * math.pi * 36.0))
 
 
 class _RecordingExecutor:
@@ -412,7 +439,7 @@ def test_threads_capped_at_cpu_count(monkeypatch):
 # one seeded block driver: the worker count never changes the numbers
 # ---------------------------------------------------------------------------
 
-# three full blocks and a partial fourth
+# n1 = 2503 and n2 = 631 points per shift: 32 blocks, one per (lattice, shift) run
 BLOCKED_SAMPLES = 3 * engine._CHUNK + 1001
 
 
@@ -432,30 +459,47 @@ def test_integrate_double_bitwise_across_workers(monkeypatch):
                                                           GAUSS2_PROPOSAL)[0], monkeypatch)
 
 
-def test_block_streams_and_offsets():
-    # blocks cover the SHIFTS (n1 + n2) columns in _CHUNK pieces, and shift r is
-    # drawn from SeedSequence((seed, 1, r)), proposal lattice first
-    seen = []
+def _record_kernel_calls(calls):
+    def kernel(x, sigma, t):
+        calls.append((x, sigma, t))
+        return mixture_kernel(x, sigma, t)
+    return kernel
 
-    def chunk(start, stop):
-        seen.append((start, stop))
-        return np.zeros((1, stop - start))
 
-    plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31, workers=1)
+@pytest.mark.parametrize("chunk", [engine._CHUNK, 1000])
+def test_kernel_calls_are_the_blocks_of_each_run(chunk, monkeypatch):
+    # every (lattice, shift) run cut into pieces of at most _CHUNK points, proposal
+    # lattice first and shift by shift, each a C-contiguous batch of outer points
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    calls = []
+    plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31, outer_box_radius=2.0)
+    est, = integrate_double(_record_kernel_calls(calls), plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
     sizes = lattice_sizes(plan.samples, True)
-    engine.monte_carlo(plan, chunk, sizes)
-    columns = SHIFTS * sum(sizes)
-    assert seen == [(start, min(start + engine._CHUNK, columns))
-                    for start in range(0, columns, engine._CHUNK)]
-    assert len(seen) == 4 and columns <= plan.samples
-    rule = engine._LatticeRule(replace(plan, outer_box_radius=2.0), 2, GAUSS2_PROPOSAL)
-    # a Box-Muller pair, the angle and v; the box lattice has 4 coordinates too
-    assert [shift.shape for shift in rule.shifts] == [(4, SHIFTS), (4, SHIFTS)]
+    assert [len(x) for x, _, _ in calls] == _run_lengths(sizes)
+    assert sum(len(x) for x, _, _ in calls) == est.info["samples"] == SHIFTS * sum(sizes)
+    assert all(x.flags.c_contiguous and x.shape[1] == 2 for x, _, _ in calls)
+    if chunk == 1000:
+        assert _run_lengths(sizes)[:3] == [1000, 1000, 503]
+
+
+def test_block_streams_and_offsets():
+    # the first point of a run is its shift itself: shift r is drawn from
+    # SeedSequence((seed, 1, r)), proposal lattice first, and every run starts a block
+    calls = []
+    plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31, outer_box_radius=2.0)
+    integrate_double(_record_kernel_calls(calls), plan, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+    assert len(calls) == 2 * SHIFTS
     for r in (0, 7, SHIFTS - 1):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((31, 1, r))))
+        # a Box-Muller pair, the angle and v; the box lattice has 4 coordinates too
         first, second = rng.random(4), rng.random(4)
-        np.testing.assert_array_equal(rule.shifts[0][:, r], first)
-        np.testing.assert_array_equal(rule.shifts[1][:, r], second)
+        for lattice, shift, proposal in ((0, first, GAUSS2_PROPOSAL), (1, second, None)):
+            x, sigma, t = calls[lattice * SHIFTS + r]
+            u = shift[:, np.newaxis]
+            np.testing.assert_array_equal(x[:1], outer_points(u[:2], 2.0, proposal))
+            np.testing.assert_array_equal(sigma[:1], engine._directions(u[2:3], 2))
+            t0 = MIXTURE_LAW.sample(u[3], MIXTURE_LAW.prepare(u))
+            np.testing.assert_array_equal(t[0, :1], t0)
 
 
 def test_power_law_bitwise_against_unprepared_formulas():
@@ -493,16 +537,21 @@ def test_lattice_directions_cover_the_sphere_uniformly(dim):
 
 
 def test_hit_fraction_counts_nonzero_payoffs_per_row():
-    def chunk(start, stop):
-        columns = np.arange(start, stop)
-        return np.stack([np.ones(stop - start), (columns % 4 == 0) * 2.0, np.zeros(stop - start)])
+    # three points: every payoff nonzero, every fourth evaluated pair nonzero, none;
+    # the box holds every proposal point, so no weight is 0
+    law = PowerLaw(-2.0, lambda sigma: np.full((3, len(sigma)), 0.5), 4.0)
+    evaluated = []
 
-    plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=1)
-    sizes = lattice_sizes(plan.samples, True)
-    n = sum(sizes)
-    full, quarter, none = engine.monte_carlo(plan, chunk, sizes)
+    def kernel(x, sigma, t):
+        columns = np.arange(len(evaluated), len(evaluated) + len(x))
+        evaluated.extend(columns)
+        return np.stack([np.ones(len(x)), (columns % 4 == 0) * 2.0, np.zeros(len(x))])
+
+    plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=1, outer_box_radius=8.5)
+    n = sum(lattice_sizes(plan.samples, True))
+    full, quarter, none = integrate_double(kernel, plan, 2, law, GAUSS2_PROPOSAL)
     assert full.info["hit_fraction"] == 1.0 and none.info["hit_fraction"] == 0.0
-    assert full.info["samples"] == SHIFTS * n
+    assert full.info["samples"] == len(evaluated) == SHIFTS * n
     assert quarter.info["hit_fraction"] == len(range(0, SHIFTS * n, 4)) / (SHIFTS * n)
 
 
@@ -595,8 +644,8 @@ def _three_point_pass(dim, plan):
 def test_pass_bitwise_at_any_worker_count_and_block_size(dim, monkeypatch):
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
     plan = IntegrationPlan.monte_carlo(samples=3000, seed=12, outer_box_radius=2.0)
-    reference = _three_point_pass(dim, plan)  # one block
-    monkeypatch.setattr(engine, "_CHUNK", 1000)
+    reference = _three_point_pass(dim, plan)  # one block per run of 149 or 37 points
+    monkeypatch.setattr(engine, "_CHUNK", 100)
     for workers in (1, 2, 5):
         assert _three_point_pass(dim, replace(plan, workers=workers)) == reference
     monkeypatch.setattr(engine, "_CHUNK", 3)

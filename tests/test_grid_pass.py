@@ -54,8 +54,7 @@ def counting_integrator(monkeypatch):
 
 @pytest.mark.parametrize("case", CASES)
 def test_grid_pass_is_bitwise_the_single_point_passes(case, monkeypatch):
-    # four blocks of 1000 columns, the last one partial, on 1, 2 and 3 threads
-    monkeypatch.setattr(engine, "_CHUNK", 1000)
+    # 32 blocks, one per (lattice, shift) run, on 1, 2 and 3 threads
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
     seen = set()
     for workers in (1, 2, 3):
@@ -131,15 +130,15 @@ def test_nonfinite_payoff_names_its_point_and_first_bad_row():
     def kernel(x, sigma, t):
         seen.update(x=x.copy(), t=np.array(t))
         out = np.ones(t.shape)
-        out[1, 5:] = np.nan
+        out[1, 1:] = np.nan  # the first block: the 3 proposal points of shift 0
         return out
 
     plan = IntegrationPlan.monte_carlo(samples=100, seed=3, outer_box_radius=2.0)
     with pytest.raises(EngineError) as err:
         integrate_double(kernel, plan, 2, THREE_POINT_LAW, GAUSS2.proposal)
     message = str(err.value)
-    assert f"x={seen['x'][5].tolist()}" in message
-    assert f"t={float(seen['t'][1, 5])!r}" in message and message.endswith("(point 1)")
+    assert f"x={seen['x'][1].tolist()}" in message
+    assert f"t={float(seen['t'][1, 1])!r}" in message and message.endswith("(point 1)")
 
 
 def test_sweep_runs_one_pass(monkeypatch):
