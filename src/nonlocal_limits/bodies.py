@@ -234,17 +234,17 @@ def from_descriptor(desc: dict) -> ConvexBody:
     raise ValueError(f"unknown body kind {kind!r}")
 
 
-def equivalence_constants(body: ConvexBody, samples: int = 512,
-                          slack: float = 1e-12) -> tuple[float, float]:
+def equivalence_constants(body: ConvexBody) -> tuple[float, float]:
     """Constants (A, B) with A|x| <= ||x||_K <= B|x|.
 
-    A = 1/outer_radius, B = 1/inner_radius; checked on sampled directions
-    before returning.
+    A = 1/outer_radius, B = 1/inner_radius; checked on 512 sampled directions,
+    up to a relative and absolute slack of 1e-12, before returning.
     """
     a = 1.0 / body.outer_radius
     b = 1.0 / body.inner_radius
+    slack = 1e-12
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260810)))
-    dirs = rng.normal(size=(samples, body.dim))
+    dirs = rng.normal(size=(512, body.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     g = body.gauge(dirs)
     if np.any(g < a * (1.0 - slack) - slack) or np.any(g > b * (1.0 + slack) + slack):

@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +65,6 @@ _PLAN_SCHEMA = {
         # a Gauss-Legendre rule of N nodes builds an N x N matrix
         "x_nodes": {"type": "integer", "minimum": 4, "maximum": 1024},
         "t_nodes": {"type": "integer", "minimum": 4, "maximum": 1024},
-        "outer_box_radius": {"type": "number", "exclusiveMinimum": 0},
-        "t_max": {"type": "number", "exclusiveMinimum": 0},
     },
     "required": ["method"],
     "additionalProperties": False,
@@ -93,7 +91,6 @@ _JOB_SCHEMA = {
                 "start": {"type": "number", "exclusiveMinimum": 0},
                 "ratio": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "points": {"type": "integer", "minimum": 4},
-                "fit_points": {"type": "integer", "minimum": 3},
             },
             "required": ["start"],
             "additionalProperties": False,
@@ -198,7 +195,6 @@ class ExperimentConfig:
     output: str | None = None
     format: str = "csv"
     timestamp: bool = True
-    raw: dict = field(default_factory=dict)
 
 
 def _huge_integers(node, path: str = "") -> list[str]:
@@ -207,13 +203,6 @@ def _huge_integers(node, path: str = "") -> list[str]:
         items = node.items() if isinstance(node, dict) else enumerate(node)
         return [hit for key, child in items for hit in _huge_integers(child, f"{path}/{key}")]
     return [path.lstrip("/")] if isinstance(node, int) and abs(node) > sys.float_info.max else []
-
-
-def _overflows(base: float, exponent: float) -> bool:
-    try:
-        return not math.isfinite(float(base) ** exponent)
-    except OverflowError:
-        return True
 
 
 def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -259,8 +248,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         plan_raw, method = job["plan"], job["plan"]["method"]
         # a field the job never reads would do nothing
         unread = {"samples": method != "monte_carlo", "x_nodes": method == "monte_carlo",
-                  "t_nodes": method == "monte_carlo",
-                  "t_max": not job["theorem"].startswith("nguyen")}
+                  "t_nodes": method == "monte_carlo"}
         for key in plan_raw:
             if unread.get(key):
                 raise ConfigError(f"{label}: plan.{key} is never read by a {method} "
@@ -275,23 +263,13 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if plan_raw["method"] == "tensor_quadrature" and body.dim != 1:
             raise ConfigError(f"{label}: tensor_quadrature needs a 1-D body, got dim "
                               f"{body.dim}; use monte_carlo")
-        box_radius = plan_raw.get("outer_box_radius")
-        if box_radius is not None and box_radius < func.support_radius:
-            raise ConfigError(f"{label}: outer_box_radius {box_radius} is below the "
-                              f"support radius {func.support_radius} of {fname!r}")
-        if box_radius is not None and _overflows(2 * box_radius, body.dim):
-            raise ConfigError(f"{label}: plan.outer_box_radius {box_radius} overflows "
-                              f"the box volume (2 r)^{body.dim}")
-        if "t_max" in plan_raw and _overflows(plan_raw["t_max"], -job["m"] * job["p"]):
-            raise ConfigError(f"{label}: plan.t_max {plan_raw['t_max']} overflows t_max^-(m p)")
         moll_kind = job.get("mollifier", {}).get("kind")
         if job["theorem"].startswith("bbm") and moll_kind is None:
             raise ConfigError(f"{label}: mollified functionals require a mollifier block")
         sched_raw = job["schedule"]
         try:
             schedule = Schedule(start=sched_raw["start"], ratio=sched_raw.get("ratio", 0.5),
-                                points=sched_raw.get("points", 7),
-                                fit_points=sched_raw.get("fit_points"))
+                                points=sched_raw.get("points", 7))
         except ValueError as exc:
             raise ConfigError(f"{label}: invalid schedule: {exc}") from exc
         # decorrelate jobs while keeping runs reproducible for fixed config
@@ -303,7 +281,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
                               mollifier_kind=moll_kind,
                               tolerance=float(job.get("tolerance", 0.05))))
     return ExperimentConfig(jobs=jobs, seed=seed, workers=workers, output=output,
-                            format=fmt, timestamp=timestamp, raw=raw)
+                            format=fmt, timestamp=timestamp)
 
 
 def _reject_constant(name: str):

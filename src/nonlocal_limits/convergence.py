@@ -28,7 +28,6 @@ class Schedule:
     start: float
     ratio: float = 0.5
     points: int = 7
-    fit_points: int | None = None  # fit on the last k points; None = all
 
     def __post_init__(self):
         if self.start <= 0:
@@ -37,9 +36,6 @@ class Schedule:
             raise ValueError("schedule ratio must be in (0, 1)")
         if self.points < 4:
             raise ValueError("schedule needs at least 4 points")
-        if self.fit_points is not None and self.fit_points > self.points:
-            raise ValueError(f"fit_points {self.fit_points} exceeds the "
-                             f"{self.points} schedule points")
         vals = self.values()
         if not vals[-1] > 0.0 or not all(a > b for a, b in zip(vals, vals[1:])):
             raise ValueError("schedule values must stay positive and strictly decreasing "
@@ -80,7 +76,7 @@ class SweepResult:
         return self.verdict == "pass"
 
 
-def fit_power_law(parameters, values, fit_points: int | None = None):
+def fit_power_law(parameters, values):
     """Least-squares fit of value ~ L + c * parameter^q.
 
     For fixed q the problem is linear; q itself is chosen by golden-section
@@ -88,9 +84,6 @@ def fit_power_law(parameters, values, fit_points: int | None = None):
     """
     params = np.asarray(parameters, dtype=float)
     vals = np.asarray(values, dtype=float)
-    if fit_points is not None:
-        params = params[-fit_points:]
-        vals = vals[-fit_points:]
     if params.size < 3:
         raise ValueError("need at least 3 points to fit")
 
@@ -147,12 +140,13 @@ def aitken(values) -> tuple[float, bool]:
 
 def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
           plan: IntegrationPlan, mollifier_kind: str | None = None,
-          tolerance: float = 0.05, target: float | None = None) -> SweepResult:
+          tolerance: float = 0.05) -> SweepResult:
     """Run one functional along the schedule and extrapolate to parameter -> 0.
 
     Every point names the schedule as its grid, so a Monte Carlo plan runs all
     points in one pass over shared draws (common random numbers stabilize the
-    fitted differences).  The target defaults to the quadrature local limit.
+    fitted differences).  The target is the quadrature local limit, and the fit
+    uses every point.
     """
     params = schedule.values()
 
@@ -172,19 +166,16 @@ def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
         points.append(SweepPoint(value, est.value, est.stderr))
         infos.append(est.info)
 
-    if target is None:
-        target = local_limit(spec_at(params[0]))
-
-    limit, _, rate, rss = fit_power_law(params, [pt.value for pt in points],
-                                        schedule.fit_points)
+    target = local_limit(spec_at(params[0]))
+    limit, _, rate, rss = fit_power_law(params, [pt.value for pt in points])
     accel, fallback = aitken([pt.value for pt in points])
     if target != 0.0:
         rel_gap = abs(limit - target) / abs(target)
     else:
         rel_gap = abs(limit)
     verdict = "pass" if rel_gap <= tolerance else "fail"
-    n_fit = schedule.fit_points or len(points)
-    fit_noise = math.sqrt(rss / max(1, n_fit - 3)) if n_fit > 3 else 0.0
+    # a schedule has at least 4 points, so the residual has a degree of freedom
+    fit_noise = math.sqrt(rss / (len(points) - 3))
     uncertainty = max(min(pt.stderr for pt in points), fit_noise)
     return SweepResult(theorem=theorem, function=f.name, m=m, p=p,
                        body=body.descriptor(), points=points,

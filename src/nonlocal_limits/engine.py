@@ -190,22 +190,20 @@ class IntegrationPlan:
     workers: int = 1
     x_nodes: int = 200
     t_nodes: int = 64
+    #: the truncation box; None lets ``functionals`` derive it from the functional
     outer_box_radius: float | None = None
-    t_max: float | None = None
 
     @staticmethod
     def monte_carlo(samples: int, seed: int = 0, workers: int = 1,
-                    outer_box_radius: float | None = None,
-                    t_max: float | None = None) -> "IntegrationPlan":
+                    outer_box_radius: float | None = None) -> "IntegrationPlan":
         return IntegrationPlan("monte_carlo", samples=samples, seed=seed, workers=workers,
-                               outer_box_radius=outer_box_radius, t_max=t_max)
+                               outer_box_radius=outer_box_radius)
 
     @staticmethod
     def quadrature(x_nodes: int = 200, t_nodes: int = 64,
-                   outer_box_radius: float | None = None,
-                   t_max: float | None = None) -> "IntegrationPlan":
+                   outer_box_radius: float | None = None) -> "IntegrationPlan":
         return IntegrationPlan("tensor_quadrature", x_nodes=x_nodes, t_nodes=t_nodes,
-                               outer_box_radius=outer_box_radius, t_max=t_max)
+                               outer_box_radius=outer_box_radius)
 
 
 @dataclass

@@ -176,9 +176,10 @@ def _level_set_tail_bounds(spec: FunctionalSpec, box_radius: float,
 
 
 def _level_set_box(spec: FunctionalSpec, plan: IntegrationPlan) -> tuple[float, float]:
-    """The outer box radius and the radial truncation t_max; neither depends on delta."""
+    """The outer box radius r and the radial truncation t_max = m (r + support) + 2;
+    neither depends on delta."""
     r = _box_radius(spec, plan)
-    return r, plan.t_max if plan.t_max is not None else spec.m * (r + spec.f.support_radius) + 2.0
+    return r, spec.m * (r + spec.f.support_radius) + 2.0
 
 
 def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[IntegralEstimate]:
@@ -389,7 +390,7 @@ def derivative_norm_p(f: TestFunction, m: int, p: float,
     """sum over |alpha| = m of integral |d^alpha f|^p over the support box.
 
     One natural reading of the p-norm of the full order-m derivative vector;
-    the bound factor of ``uniform_bound_check`` absorbs the convention.
+    ``BOUND_FACTOR`` absorbs the convention.
     """
     xs, wx = _outer_grid(f, nodes if nodes is not None else _OUTER_NODES_DEFAULT[f.dim])
     total = 0.0
@@ -398,11 +399,14 @@ def derivative_norm_p(f: TestFunction, m: int, p: float,
     return total
 
 
-def uniform_bound_check(spec: FunctionalSpec, delta_grid, plan: IntegrationPlan,
-                        bound_factor: float = 50.0) -> BoundReport:
+#: how far above ``derivative_norm_p`` a level-set value may lie in ``uniform_bound_check``
+BOUND_FACTOR = 50.0
+
+
+def uniform_bound_check(spec: FunctionalSpec, delta_grid, plan: IntegrationPlan) -> BoundReport:
     """Evaluate a level-set functional along a grid and compare to the derivative norm.
 
-    The functional must stay below bound_factor * derivative_norm_p at every
+    The functional must stay below BOUND_FACTOR * derivative_norm_p at every
     threshold; the report records the observed maximum ratio.
     """
     if not spec.theorem.startswith("nguyen"):
@@ -420,5 +424,5 @@ def uniform_bound_check(spec: FunctionalSpec, delta_grid, plan: IntegrationPlan,
     max_ratio = max(ratios)
     worst = deltas[ratios.index(max_ratio)]
     return BoundReport(deltas=deltas, values=values, derivative_norm=norm,
-                       bound_factor=bound_factor, ratios=ratios, max_ratio=max_ratio,
-                       passed=max_ratio <= bound_factor, worst_delta=worst)
+                       bound_factor=BOUND_FACTOR, ratios=ratios, max_ratio=max_ratio,
+                       passed=max_ratio <= BOUND_FACTOR, worst_delta=worst)

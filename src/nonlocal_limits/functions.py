@@ -290,15 +290,16 @@ class TestFunction:
         case outer points stay uniform on the truncation box.
     """
 
+    #: highest derivative order ``partial`` returns, the same for every function
+    smoothness_order = 6
+
     def __init__(self, name: str, profiles: list[Profile1D], support_radius: float,
-                 tail_tol: float = 1e-10, smoothness_order: int = 6,
-                 integrable: bool = True):
+                 tail_tol: float = 1e-10, integrable: bool = True):
         self.name = name
         self.dim = len(profiles)
         self.profiles = profiles
         self.support_radius = float(support_radius)
         self.tail_tol = tail_tol
-        self.smoothness_order = smoothness_order
         self.integrable = integrable
         axes = [prof.proposal() for prof in profiles]
         self.proposal = None if None in axes else OuterProposal(axes)
@@ -340,15 +341,13 @@ class TestFunction:
     def m_form_bound(self, m: int) -> float:
         """Upper bound for sup_x max_{|s|=1} |sum_{|a|=m} (m!/a!) s^a d^a f(x)|.
 
+        ``calculus.direction_bound`` at s = (1, ..., 1), which bounds |s^a| by 1.
         Used for exact radial truncation of level-set kernels; over-estimation
         is safe, under-estimation is not.
         """
         if m not in self._bound_cache:
-            from .calculus import multi_indices, multinomial
-            total = 0.0
-            for alpha in multi_indices(self.dim, m):
-                total += multinomial(m, alpha) * self.sup_partial(alpha)
-            self._bound_cache[m] = total
+            from .calculus import direction_bound
+            self._bound_cache[m] = float(direction_bound(self, m, np.ones(self.dim)))
         return self._bound_cache[m]
 
     @property
@@ -441,9 +440,8 @@ def make_function(name: str, dim: int) -> TestFunction:
     return _BUILDERS[name](dim)
 
 
-def polynomial_function(coeff_lists, bound_range: float = 4.0,
-                        support_radius: float = 4.0) -> TestFunction:
-    """Ad-hoc tensor polynomial for identity tests (not registered, not integrable)."""
-    profiles = [PolynomialProfile(c, bound_range=bound_range) for c in coeff_lists]
-    return TestFunction("polynomial", profiles, support_radius=support_radius,
-                        integrable=False)
+def polynomial_function(coeff_lists) -> TestFunction:
+    """Ad-hoc tensor polynomial for identity tests (not registered, not integrable),
+    bounded on [-4, 4] per axis like the registry's polynomial entries."""
+    profiles = [PolynomialProfile(c, bound_range=4.0) for c in coeff_lists]
+    return TestFunction("polynomial", profiles, support_radius=4.0, integrable=False)

@@ -34,6 +34,10 @@ KINDS = ("shell", "fractional")
 #: decimal digits of the certification quadratures
 CERTIFY_DPS = 40
 
+#: ``certify``'s gates: |numeric mass - 1|, |numeric tail - closed form|, and the
+#: closed-form tail at the smallest epsilon
+NORM_TOL, TAIL_MATCH_TOL, FINAL_TAIL_TOL = 1e-10, 1e-10, 1e-3
+
 
 class CertificationError(RuntimeError):
     """A profile family failed a certification condition."""
@@ -150,15 +154,14 @@ def _numeric_mass(family: MollifierFamily, delta: float = 0.0) -> float:
     return _masses[key]
 
 
-def certify(kind: str, dim: int, delta_grid, epsilon_grid, p: float | None = None,
-            norm_tol: float = 1e-10, tail_match_tol: float = 1e-10,
-            final_tail_tol: float = 1e-3) -> CertificationReport:
+def certify(kind: str, dim: int, delta_grid, epsilon_grid,
+            p: float | None = None) -> CertificationReport:
     """Check unit normalization and vanishing tails along an epsilon grid.
 
     Three conditions, each raising CertificationError when violated: numeric
-    normalization within ``norm_tol`` of one; numeric tail masses within
-    ``tail_match_tol`` of their closed forms; closed-form tails nonincreasing
-    along decreasing epsilon and ending below ``final_tail_tol``.
+    normalization within ``NORM_TOL`` of one; numeric tail masses within
+    ``TAIL_MATCH_TOL`` of their closed forms; closed-form tails nonincreasing
+    along decreasing epsilon and ending below ``FINAL_TAIL_TOL``.
     """
     deltas = sorted(float(d) for d in delta_grid)
     epsilons = sorted((float(e) for e in epsilon_grid), reverse=True)
@@ -174,16 +177,16 @@ def certify(kind: str, dim: int, delta_grid, epsilon_grid, p: float | None = Non
         family = make_mollifier(kind, dim, eps, p)
         resid = abs(_numeric_mass(family) - 1.0)
         residuals[eps] = resid
-        if resid > norm_tol:
+        if resid > NORM_TOL:
             raise CertificationError(
                 f"{kind}(eps={eps}, dim={dim}): unit-mass normalization violated "
-                f"(residual {resid:.3e} > {norm_tol:.1e})")
+                f"(residual {resid:.3e} > {NORM_TOL:.1e})")
         for delta in deltas:
             closed = family.tail_mass(delta)
             tails[(delta, eps)] = closed
             gap = abs(_numeric_mass(family, delta) - closed)
             tail_residuals[(delta, eps)] = gap
-            if gap > tail_match_tol:
+            if gap > TAIL_MATCH_TOL:
                 raise CertificationError(
                     f"{kind}(eps={eps}, dim={dim}): tail mass above delta={delta} "
                     f"disagrees with its closed form by {gap:.3e}")
@@ -195,10 +198,10 @@ def certify(kind: str, dim: int, delta_grid, epsilon_grid, p: float | None = Non
             raise CertificationError(
                 f"{kind}(dim={dim}): tail mass above delta={delta} does not decay "
                 f"monotonically along the epsilon grid")
-        if seq[-1] > final_tail_tol:
+        if seq[-1] > FINAL_TAIL_TOL:
             raise CertificationError(
                 f"{kind}(dim={dim}): tail mass above delta={delta} is {seq[-1]:.3e} "
-                f"at eps={epsilons[-1]}, exceeding {final_tail_tol:.1e}; "
+                f"at eps={epsilons[-1]}, exceeding {FINAL_TAIL_TOL:.1e}; "
                 f"concentration condition violated")
         max_final = max(max_final, seq[-1])
 

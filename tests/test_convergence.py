@@ -26,15 +26,6 @@ def test_fit_recovers_sqrt_model():
     assert rate == pytest.approx(0.5, abs=1e-6)
 
 
-def test_fit_last_k_points():
-    params = [0.2 * 0.5 ** i for i in range(7)]
-    # contaminate the first (largest) point; fitting the tail must ignore it
-    values = [1.0 + d for d in params]
-    values[0] += 5.0
-    limit, _, rate, _ = fit_power_law(params, values, fit_points=5)
-    assert limit == pytest.approx(1.0, abs=1e-9)
-
-
 def test_fit_needs_three_points():
     with pytest.raises(ValueError):
         fit_power_law([0.1, 0.05], [1.0, 1.0])
@@ -64,8 +55,6 @@ def test_schedule_validation():
         Schedule(start=0.1, ratio=1.5)
     with pytest.raises(ValueError):
         Schedule(start=0.1, points=3)
-    with pytest.raises(ValueError, match="fit_points"):
-        Schedule(start=0.1, points=4, fit_points=9)
     # values that underflow to 0, or round to equal subnormals, are no schedule
     for start, ratio in ((1e-300, 1e-10), (5e-324, 0.9)):
         with pytest.raises(ValueError, match="strictly decreasing"):

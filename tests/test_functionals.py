@@ -208,6 +208,19 @@ def test_taylor_threshold_beyond_remainder_range():
     assert est.value == 0.0
 
 
+def test_radial_cutoff_beyond_t_max_is_exact_zero():
+    # the Taylor threshold fires only beyond t_min = delta / M_1, about 22.9 here, and the
+    # derived truncation is t_max = m (r + support) + 2 = 17; ten samples would not run
+    spec = FunctionalSpec("nguyen_taylor", GAUSS1, INTERVAL, 1, 2.0, 20.0)
+    plan = mc_plan(samples=10)
+    zero = functionals._exact_zero(spec, plan)
+    assert zero.value == 0.0 and zero.stderr == 0.0
+    assert zero.info["exact_zero"] == "radial cutoff beyond t_max"
+    for key in ("tail_beyond_t_max", "tail_outside_box"):
+        assert 0.0 < zero.info[key] < math.inf
+    assert evaluate(spec, plan).info == zero.info
+
+
 def test_m1_collapse_matched_seeds():
     plan = mc_plan(samples=50_000, seed=21)
     a = evaluate(FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.05), plan)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_partial
-from nonlocal_limits.calculus import multi_indices
+from nonlocal_limits.calculus import multi_indices, multinomial
 from nonlocal_limits.functions import (NORMAL, GaussianProfile, list_functions, make_function,
                                        polynomial_function)
 
@@ -127,6 +127,17 @@ def test_m_form_bound_overestimates_samples(rng):
             s /= np.linalg.norm(s, axis=1, keepdims=True)
             observed = np.max(np.abs(directional_m_form(f, x, s, m)))
             assert bound >= observed
+
+
+def test_m_form_bound_is_the_multinomial_sum_of_partial_bounds():
+    # reference: sum over |a| = m of (m!/a!) sup|d^a f|, in multi-index order, bitwise
+    for name, dim in SMOOTH + [("gaussian", 3), ("zero", 2)]:
+        f = make_function(name, dim)
+        for m in range(4):
+            total = 0.0
+            for alpha in multi_indices(dim, m):
+                total += multinomial(m, alpha) * f.sup_partial(alpha)
+            assert f.m_form_bound(m) == total, (name, dim, m)
 
 
 def test_registry_contents():
