@@ -26,7 +26,7 @@ from .config import ConfigError, load_config
 from .convergence import sweep
 from .engine import EngineError, sphere_body_identity_check
 from .functions import make_function, polynomial_function
-from .mollifiers import CertificationError, certification_grids, certify
+from .mollifiers import CertificationError, certification_grids, certify, make_mollifier
 from .report import JobError, render_csv, render_json
 
 ALGEBRAIC_TOL = 1e-12
@@ -230,8 +230,9 @@ def certify_mollifiers(config_path: str | None = None, broken: bool = False) -> 
             return 1
         for job in config.jobs:
             if job.mollifier_kind is not None:
-                p = job.p if job.mollifier_kind == "fractional" else None
-                key = (job.mollifier_kind, job.body.dim, p)
+                # a family's p is None for a shell, whatever the job's p
+                family = make_mollifier(job.mollifier_kind, job.body.dim, 1.0, job.p)
+                key = (family.kind, family.dim, family.p)
                 if key not in families:
                     families.append(key)
     if not families:

@@ -266,6 +266,8 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         moll_kind = job.get("mollifier", {}).get("kind")
         if job["theorem"].startswith("bbm") and moll_kind is None:
             raise ConfigError(f"{label}: mollified functionals require a mollifier block")
+        if job["theorem"].startswith("nguyen") and moll_kind is not None:
+            raise ConfigError(f"{label}: level-set functionals take no mollifier block")
         sched_raw = job["schedule"]
         try:
             schedule = Schedule(start=sched_raw["start"], ratio=sched_raw.get("ratio", 0.5),

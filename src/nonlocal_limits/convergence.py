@@ -15,7 +15,6 @@ import numpy as np
 
 from .engine import EngineError, IntegrationPlan
 from .functionals import FunctionalSpec, evaluate, local_limit
-from .mollifiers import make_mollifier
 
 RATE_RANGE = (0.2, 2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -151,11 +150,7 @@ def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
     params = schedule.values()
 
     def spec_at(value: float) -> FunctionalSpec:
-        moll = None
-        if theorem.startswith("bbm"):
-            kind = mollifier_kind or "shell"
-            moll = make_mollifier(kind, body.dim, value, p if kind == "fractional" else None)
-        return FunctionalSpec(theorem, f, body, m, p, value, moll, tuple(params))
+        return FunctionalSpec(theorem, f, body, m, p, value, mollifier_kind, tuple(params))
 
     points: list[SweepPoint] = []
     infos = []

@@ -190,20 +190,14 @@ class IntegrationPlan:
     workers: int = 1
     x_nodes: int = 200
     t_nodes: int = 64
-    #: the truncation box; None lets ``functionals`` derive it from the functional
-    outer_box_radius: float | None = None
 
     @staticmethod
-    def monte_carlo(samples: int, seed: int = 0, workers: int = 1,
-                    outer_box_radius: float | None = None) -> "IntegrationPlan":
-        return IntegrationPlan("monte_carlo", samples=samples, seed=seed, workers=workers,
-                               outer_box_radius=outer_box_radius)
+    def monte_carlo(samples: int, seed: int = 0, workers: int = 1) -> "IntegrationPlan":
+        return IntegrationPlan("monte_carlo", samples=samples, seed=seed, workers=workers)
 
     @staticmethod
-    def quadrature(x_nodes: int = 200, t_nodes: int = 64,
-                   outer_box_radius: float | None = None) -> "IntegrationPlan":
-        return IntegrationPlan("tensor_quadrature", x_nodes=x_nodes, t_nodes=t_nodes,
-                               outer_box_radius=outer_box_radius)
+    def quadrature(x_nodes: int = 200, t_nodes: int = 64) -> "IntegrationPlan":
+        return IntegrationPlan("tensor_quadrature", x_nodes=x_nodes, t_nodes=t_nodes)
 
 
 @dataclass
@@ -388,12 +382,12 @@ def _weighted_payoffs(kernel, x: Array, sigma: Array, t: Array, factor) -> Array
     return values
 
 
-def integrate_double(kernel, plan: IntegrationPlan, dim: int, law,
+def integrate_double(kernel, plan: IntegrationPlan, radius: float, dim: int, law,
                      proposal=None) -> list[IntegralEstimate]:
     """Estimate the polar-form double integrals of K points over box x sphere x radius.
 
-    All K points share the box of radius ``plan.outer_box_radius`` and so each
-    outer point x and its weight; they differ in their radii and payoffs only.
+    All K points share the outer box [-radius, radius]^dim and so each outer
+    point x and its weight; they differ in their radial draws and payoffs only.
 
     Parameters
     ----------
@@ -414,18 +408,16 @@ def integrate_double(kernel, plan: IntegrationPlan, dim: int, law,
     """
     if dim not in _SPHERE_MEASURE:
         raise ValueError("dim must be 1, 2 or 3")
-    if plan.outer_box_radius is None:
-        raise ValueError("the outer box radius must be resolved by the caller")
 
     if plan.method == "tensor_quadrature":
-        return _integrate_double_quadrature(kernel, plan, dim, law)
+        return _integrate_double_quadrature(kernel, plan, radius, dim, law)
     if plan.method != "monte_carlo":
         raise ValueError(f"unknown integration method {plan.method!r}")
 
-    return _monte_carlo(kernel, plan, dim, law, proposal)
+    return _monte_carlo(kernel, plan, radius, dim, law, proposal)
 
 
-def _monte_carlo(kernel, plan, dim, law, proposal) -> list[IntegralEstimate]:
+def _monte_carlo(kernel, plan, radius, dim, law, proposal) -> list[IntegralEstimate]:
     """The pass: SHIFTS shifts of a proposal lattice of n1 points and a box lattice of n2.
 
     A point's uniform coordinates are the outer point's, then the
@@ -441,7 +433,7 @@ def _monte_carlo(kernel, plan, dim, law, proposal) -> list[IntegralEstimate]:
     stderr their sample sd over sqrt(SHIFTS), and ``hit_fraction`` its share
     of nonzero payoffs.
     """
-    radius, mass = plan.outer_box_radius, sphere_measure(dim)
+    mass = sphere_measure(dim)
     sizes = lattice_sizes(plan.samples, proposal is not None)
     n1, n = sizes[0], sum(sizes)
     # the outer point's coordinates in each lattice; the direction's and v follow
@@ -496,11 +488,11 @@ def _monte_carlo(kernel, plan, dim, law, proposal) -> list[IntegralEstimate]:
             for row, h in zip(sums / n, hits)]
 
 
-def _integrate_double_quadrature(kernel, plan, dim, law):
+def _integrate_double_quadrature(kernel, plan, radius, dim, law):
     if dim != 1:
         raise ValueError("tensor quadrature for pair integrals is dim=1 only")
     xg, wx = gauss_legendre(plan.x_nodes)
-    x, wx = plan.outer_box_radius * xg, plan.outer_box_radius * wx
+    x, wx = radius * xg, radius * wx
     v, wv = gauss_legendre(plan.t_nodes, unit=True)
 
     totals = 0.0

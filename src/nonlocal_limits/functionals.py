@@ -38,7 +38,7 @@ from .calculus import (centered_remainder, direction_bound, directional_m_form,
 from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw, cone_nodes,
                      gauss_legendre, integrate_double, sphere_measure, tensor_grid)
 from .functions import TestFunction
-from .mollifiers import MollifierFamily, ensure_certified
+from .mollifiers import KINDS, MollifierFamily, ensure_certified, make_mollifier
 
 THEOREMS = ("nguyen_centered", "bbm_centered", "nguyen_taylor", "bbm_taylor")
 
@@ -53,8 +53,9 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """One functional evaluation: which form, on what data, at which parameter, and
-    the ``grid`` of parameters run in one Monte Carlo pass with it (empty: it alone)."""
+    """One functional evaluation: which form, on what data, at which parameter, the
+    profile kind of a mollified form, and the ``grid`` of parameters run in one
+    Monte Carlo pass with it (empty: it alone)."""
 
     theorem: str
     f: TestFunction
@@ -62,8 +63,13 @@ class FunctionalSpec:
     m: int
     p: float
     parameter: float
-    mollifier: MollifierFamily | None = None
+    mollifier_kind: str | None = None
     grid: tuple[float, ...] = ()
+
+    @property
+    def mollifier(self) -> MollifierFamily:
+        """The profile of a mollified form: its kind at the body's dim, epsilon = parameter."""
+        return make_mollifier(self.mollifier_kind, self.body.dim, self.parameter, self.p)
 
 
 def validate_spec(spec: FunctionalSpec) -> None:
@@ -86,13 +92,9 @@ def validate_spec(spec: FunctionalSpec) -> None:
         raise SpecError("parameter must be positive")
     if spec.grid and spec.parameter not in spec.grid:
         raise SpecError("parameter must be one of the spec's grid values")
-    if spec.theorem.startswith("bbm"):
-        if spec.mollifier is None:
-            raise SpecError("mollified functionals require a mollifier")
-        if spec.mollifier.dim != spec.body.dim:
-            raise SpecError("mollifier dimension mismatch")
-        if abs(spec.mollifier.epsilon - spec.parameter) > 1e-12 * spec.parameter:
-            raise SpecError("mollifier epsilon must equal the spec parameter")
+    if spec.theorem.startswith("bbm") and spec.mollifier_kind not in KINDS:
+        raise SpecError(f"mollified functionals require a mollifier kind in {KINDS}; "
+                        f"got {spec.mollifier_kind!r}")
 
 
 def theorem_constant(theorem: str, m: int, p: float, dim: int) -> float:
@@ -118,12 +120,7 @@ def _remainder(theorem: str):
     return taylor_remainder
 
 
-def _box_radius(spec: FunctionalSpec, plan: IntegrationPlan) -> float:
-    if plan.outer_box_radius is not None:
-        if plan.outer_box_radius < spec.f.support_radius:
-            raise SpecError("outer_box_radius is below the function support radius; "
-                            "declared-tail error would exceed tolerance")
-        return float(plan.outer_box_radius)
+def _box_radius(spec: FunctionalSpec) -> float:
     if spec.theorem.startswith("nguyen"):
         return spec.f.support_radius + 2.0
     # pairs contribute only when a node of the remainder is in the support
@@ -175,18 +172,19 @@ def _level_set_tail_bounds(spec: FunctionalSpec, box_radius: float,
     return {"tail_beyond_t_max": beyond_t_max, "tail_outside_box": outside_box}
 
 
-def _level_set_box(spec: FunctionalSpec, plan: IntegrationPlan) -> tuple[float, float]:
+def _level_set_box(spec: FunctionalSpec) -> tuple[float, float]:
     """The outer box radius r and the radial truncation t_max = m (r + support) + 2;
     neither depends on delta."""
-    r = _box_radius(spec, plan)
+    r = _box_radius(spec)
     return r, spec.m * (r + spec.f.support_radius) + 2.0
 
 
-def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[IntegralEstimate]:
+def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
+                    box_radius: float) -> list[IntegralEstimate]:
     spec = specs[0]
     f, body, m, p = spec.f, spec.body, spec.m, spec.p
     remainder = _remainder(spec.theorem)
-    box_radius, t_max = _level_set_box(spec, plan)
+    t_max = _level_set_box(spec)[1]
     deltas = [s.parameter for s in specs]
     power = body.dim + m * p
 
@@ -200,7 +198,7 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[
         return out
 
     law = PowerLaw(-(1.0 + m * p), _directional_cutoff(spec, deltas), t_max)
-    estimates = integrate_double(kernel, plan, body.dim, law, f.proposal)
+    estimates = integrate_double(kernel, plan, box_radius, body.dim, law, f.proposal)
     for point, est in zip(specs, estimates):
         t_min = _level_set_radial_cutoff(point)
         est.info.update(_level_set_tail_bounds(point, box_radius, t_max, t_min),
@@ -237,7 +235,8 @@ def _small_radius_bias(spec: FunctionalSpec, box_radius: float, t_c: float,
             * spec.mollifier.mass_below(t_c / body.inner_radius) * row)
 
 
-def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[IntegralEstimate]:
+def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
+                    box_radius: float) -> list[IntegralEstimate]:
     spec = specs[0]
     f, body, m, p = spec.f, spec.body, spec.m, spec.p
     remainder = _remainder(spec.theorem)
@@ -261,9 +260,9 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[
         return out
 
     law = MollifierRadial([point.mollifier for point in specs], body.gauge)
-    estimates = integrate_double(kernel, plan, body.dim, law, f.proposal)
+    estimates = integrate_double(kernel, plan, box_radius, body.dim, law, f.proposal)
     for point, est in zip(specs, estimates):
-        est.info["small_radius_bias"] = _small_radius_bias(point, plan.outer_box_radius, t_c, c_m)
+        est.info["small_radius_bias"] = _small_radius_bias(point, box_radius, t_c, c_m)
     return estimates
 
 
@@ -271,7 +270,7 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan) -> list[
 # Dispatch: one pass per grid
 # ---------------------------------------------------------------------------
 
-def _exact_zero(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate | None:
+def _exact_zero(spec: FunctionalSpec) -> IntegralEstimate | None:
     """The estimate of a point that is 0 without sampling, or None."""
     f, m, level_set = spec.f, spec.m, spec.theorem.startswith("nguyen")
     if not level_set:
@@ -282,7 +281,7 @@ def _exact_zero(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate
         return None
     if spec.theorem.endswith("centered") and spec.parameter >= 2.0 ** m * f.sup_abs:
         return IntegralEstimate(0.0, 0.0, info={"exact_zero": "threshold above remainder range"})
-    box_radius, t_max = _level_set_box(spec, plan)
+    box_radius, t_max = _level_set_box(spec)
     t_min = _level_set_radial_cutoff(spec)
     if t_min < t_max:
         return None
@@ -291,9 +290,8 @@ def _exact_zero(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate
 
 
 def _at(spec: FunctionalSpec, value: float) -> FunctionalSpec:
-    """The spec at another parameter of its grid, with the matching mollifier; validated."""
-    point = replace(spec, parameter=value,
-                    mollifier=spec.mollifier and replace(spec.mollifier, epsilon=value))
+    """The spec at another parameter of its grid; validated."""
+    point = replace(spec, parameter=value)
     validate_spec(point)
     return point
 
@@ -303,10 +301,10 @@ def _grid_pass(spec: FunctionalSpec, plan: IntegrationPlan) -> dict[float, Integ
     """The nonzero points of ``spec.grid`` from one integrate_double call on the largest of
     their boxes, which holds every point's pairs (a shell's box grows with epsilon)."""
     points = [point for point in (_at(spec, value) for value in spec.grid)
-              if _exact_zero(point, plan) is None]
-    box = replace(plan, outer_box_radius=max(_box_radius(point, plan) for point in points))
+              if _exact_zero(point) is None]
+    radius = max(_box_radius(point) for point in points)
     run = _level_set_pass if spec.theorem.startswith("nguyen") else _mollified_pass
-    return {point.parameter: est for point, est in zip(points, run(points, box))}
+    return {point.parameter: est for point, est in zip(points, run(points, plan, radius))}
 
 
 def evaluate(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
@@ -317,7 +315,7 @@ def evaluate(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
     call pays for all its points; quadrature integrates the one point.
     """
     validate_spec(spec)
-    if (zero := _exact_zero(spec, plan)) is not None:
+    if (zero := _exact_zero(spec)) is not None:
         return zero
     grid = (spec.grid if plan.method == "monte_carlo" else ()) or (spec.parameter,)
     est = _grid_pass(replace(_at(spec, grid[0]), grid=grid), plan)[spec.parameter]

@@ -87,11 +87,12 @@ class GaussianProfile(Profile1D):
 
 
 class PolynomialProfile(Profile1D):
-    """Plain polynomial factor (unbounded support, identity tests only)."""
+    """Plain polynomial factor (unbounded support, identity tests only), bounded on [-4, 4]."""
 
-    def __init__(self, coeffs, bound_range: float = 8.0):
+    bound_range = 4.0
+
+    def __init__(self, coeffs):
         self.poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-        self.bound_range = bound_range
 
     def derivative(self, k: int, u: Array) -> Array:
         return self.poly.deriv(k)(np.asarray(u, dtype=float)) if k else self.poly(np.asarray(u, dtype=float))
@@ -394,23 +395,22 @@ def _zero(dim: int) -> TestFunction:
 def _quadratic(dim: int) -> TestFunction:
     # x_1^2; polynomial entries carry an artificial support radius and are
     # only admitted by the algebraic operators, never by the functionals.
-    profiles: list[Profile1D] = [PolynomialProfile([0.0, 0.0, 1.0], bound_range=4.0)]
-    profiles += [PolynomialProfile([1.0], bound_range=4.0) for _ in range(dim - 1)]
+    profiles: list[Profile1D] = [PolynomialProfile([0.0, 0.0, 1.0])]
+    profiles += [PolynomialProfile([1.0]) for _ in range(dim - 1)]
     return TestFunction("quadratic", profiles, support_radius=4.0, integrable=False)
 
 
 def _cubic(dim: int) -> TestFunction:
-    profiles: list[Profile1D] = [PolynomialProfile([0.0, 0.0, 0.0, 1.0], bound_range=4.0)]
-    profiles += [PolynomialProfile([1.0], bound_range=4.0) for _ in range(dim - 1)]
+    profiles: list[Profile1D] = [PolynomialProfile([0.0, 0.0, 0.0, 1.0])]
+    profiles += [PolynomialProfile([1.0]) for _ in range(dim - 1)]
     return TestFunction("cubic", profiles, support_radius=4.0, integrable=False)
 
 
 def _cross(dim: int) -> TestFunction:
     if dim < 2:
         raise ValueError("cross requires dim >= 2")
-    profiles: list[Profile1D] = [PolynomialProfile([0.0, 1.0], bound_range=4.0),
-                                 PolynomialProfile([0.0, 1.0], bound_range=4.0)]
-    profiles += [PolynomialProfile([1.0], bound_range=4.0) for _ in range(dim - 2)]
+    profiles: list[Profile1D] = [PolynomialProfile([0.0, 1.0]), PolynomialProfile([0.0, 1.0])]
+    profiles += [PolynomialProfile([1.0]) for _ in range(dim - 2)]
     return TestFunction("cross", profiles, support_radius=4.0, integrable=False)
 
 
@@ -443,5 +443,5 @@ def make_function(name: str, dim: int) -> TestFunction:
 def polynomial_function(coeff_lists) -> TestFunction:
     """Ad-hoc tensor polynomial for identity tests (not registered, not integrable),
     bounded on [-4, 4] per axis like the registry's polynomial entries."""
-    profiles = [PolynomialProfile(c, bound_range=4.0) for c in coeff_lists]
+    profiles = [PolynomialProfile(c) for c in coeff_lists]
     return TestFunction("polynomial", profiles, support_radius=4.0, integrable=False)

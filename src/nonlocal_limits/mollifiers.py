@@ -69,14 +69,18 @@ class MollifierFamily:
         """The exponent a of the radial mass (r / support_upper)^a below r: dim or eps p."""
         return float(self.dim) if self.kind == "shell" else self.epsilon * self.p
 
-    def evaluate(self, r) -> Array:
-        """Profile value a R^-a r^(a - dim) on (0, R], R = support_upper; zero elsewhere."""
+    def _on_support(self, r, shift: float) -> Array:
+        """a R^-a r^(a - shift) on (0, R], R = support_upper; zero elsewhere."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         a, upper = self.rate, self.support_upper
         inside = (r > 0.0) & (r <= upper)
-        out[inside] = a * upper ** (-a) * r[inside] ** (a - self.dim)
+        out[inside] = a * upper ** (-a) * r[inside] ** (a - shift)
         return out
+
+    def evaluate(self, r) -> Array:
+        """Profile value a R^-a r^(a - dim) on (0, R]; zero elsewhere."""
+        return self._on_support(r, self.dim)
 
     def mass_below(self, r: float) -> float:
         """Closed-form integral of s^(dim-1) rho(s) over (0, r]."""
@@ -91,9 +95,9 @@ class MollifierFamily:
         return self.support_upper * np.asarray(v, dtype=float) ** (1.0 / self.rate)
 
     def radial_mass_density(self, r) -> Array:
-        """Density r^(dim-1) rho(r) of the radial mass measure."""
-        r = np.asarray(r, dtype=float)
-        return r ** (self.dim - 1) * self.evaluate(r)
+        """Density r^(dim-1) rho(r) = a R^-a r^(a-1) of the radial mass measure, in one
+        power: the fractional rho alone overflows near the smallest doubles at dim >= 2."""
+        return self._on_support(r, 1.0)
 
     @cached_property
     def _log_mass_constants(self):
@@ -111,7 +115,8 @@ class MollifierFamily:
 
 
 def make_mollifier(kind: str, dim: int, epsilon: float, p: float | None = None) -> MollifierFamily:
-    return MollifierFamily(kind=kind, dim=dim, epsilon=epsilon, p=p)
+    """The member at ``epsilon``; a shell does not depend on p, so its p is None."""
+    return MollifierFamily(kind=kind, dim=dim, epsilon=epsilon, p=None if kind == "shell" else p)
 
 
 @dataclass

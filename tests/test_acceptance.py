@@ -18,7 +18,7 @@ from nonlocal_limits.engine import (IntegrationPlan, body_quadrature_nodes, cone
 from nonlocal_limits.functionals import (FunctionalSpec, derivative_norm_p, evaluate,
                                          local_limit, uniform_bound_check)
 from nonlocal_limits.functions import make_function, polynomial_function
-from nonlocal_limits.mollifiers import certification_grids, certify, make_mollifier
+from nonlocal_limits.mollifiers import certification_grids, certify
 
 INTERVAL = ConvexBody.box([1.0])
 GAUSS1 = make_function("gaussian", 1)
@@ -73,9 +73,8 @@ def test_criterion_03_taylor_variants_collapse_at_m1():
         b = evaluate(FunctionalSpec("nguyen_taylor", GAUSS1, INTERVAL, 1, 2.0, delta), plan)
         worst = max(worst, abs(a.value - b.value) / abs(a.value))
     for eps in (0.1, 0.02):
-        moll = make_mollifier("shell", 1, eps)
-        c = evaluate(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, eps, moll), plan)
-        d = evaluate(FunctionalSpec("bbm_taylor", GAUSS1, INTERVAL, 1, 2.0, eps, moll), plan)
+        c = evaluate(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, eps, "shell"), plan)
+        d = evaluate(FunctionalSpec("bbm_taylor", GAUSS1, INTERVAL, 1, 2.0, eps, "shell"), plan)
         worst = max(worst, abs(c.value - d.value) / abs(c.value))
     _report(3, "Taylor forms coincide with centered forms at m=1, matched seeds",
             worst <= 1e-12, f"max relative difference {worst:.2e}")
@@ -87,8 +86,7 @@ def test_criterion_04_constant_ratio_m_times_p():
         for p in (1.5, 2.0, 3.0):
             for body in BODY_SUITE:
                 f = make_function("gaussian", body.dim)
-                moll = make_mollifier("shell", body.dim, 0.1)
-                num = local_limit(FunctionalSpec("bbm_centered", f, body, m, p, 0.1, moll),
+                num = local_limit(FunctionalSpec("bbm_centered", f, body, m, p, 0.1, "shell"),
                                   outer_nodes=24)
                 den = local_limit(FunctionalSpec("nguyen_centered", f, body, m, p, 0.1),
                                   outer_nodes=24)

@@ -162,9 +162,12 @@ def test_parse_config_requires_mollifier_for_bbm():
     {"plan": {"method": "tensor_quadrature", "samples": 20000}},
     {"plan": {"method": "monte_carlo", "samples": 20000, "x_nodes": 64}},
     {"plan": {"method": "monte_carlo", "samples": 20000, "t_nodes": 64}},
+    # a level-set job never reads a mollifier block
+    {"mollifier": {"kind": "shell"}},
 ], ids=["quadrature-2d", "unbounded-polytope", "function-wrong-dim", "schedule-underflow",
         "huge-integer-start", "huge-integer-tolerance", "huge-integer-half-width",
-        "quadrature-samples", "monte-carlo-x-nodes", "monte-carlo-t-nodes"])
+        "quadrature-samples", "monte-carlo-x-nodes", "monte-carlo-t-nodes",
+        "level-set-mollifier"])
 def test_run_rejects_semantically_bad_config(tmp_path, capsys, job_update):
     cfg = base_config()
     cfg["jobs"][0].update(job_update)

@@ -13,7 +13,6 @@ from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_n
                                          evaluate, local_limit, shared_local_integral,
                                          theorem_constant, uniform_bound_check)
 from nonlocal_limits.functions import make_function
-from nonlocal_limits.mollifiers import make_mollifier
 
 
 INTERVAL = ConvexBody.box([1.0])
@@ -75,10 +74,9 @@ def test_local_limit_gaussian_m1():
 
 def test_local_limit_gaussian_m2():
     # oracle: int (f'')^2 = 3 sqrt(pi/2); mollified target (5/16).(2/5).3 sqrt(pi/2)
-    moll = make_mollifier("shell", 1, 0.1)
-    spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 2, 2.0, 0.1, moll)
+    spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 2, 2.0, 0.1, "shell")
     assert local_limit(spec) == pytest.approx(3.0 * ROOT_PI_HALF / 8.0, rel=1e-10)
-    spec = FunctionalSpec("bbm_taylor", GAUSS1, INTERVAL, 2, 2.0, 0.1, moll)
+    spec = FunctionalSpec("bbm_taylor", GAUSS1, INTERVAL, 2, 2.0, 0.1, "shell")
     assert local_limit(spec) == pytest.approx(1.5 * ROOT_PI_HALF, rel=1e-10)
 
 
@@ -88,8 +86,7 @@ def test_local_limit_ratio_shared_factor():
         for p in (1.5, 2.0, 3.0):
             for body in BODY_SUITE:
                 f = make_function("gaussian", body.dim)
-                a = local_limit(FunctionalSpec("bbm_centered", f, body, m, p, 0.1,
-                                               make_mollifier("shell", body.dim, 0.1)),
+                a = local_limit(FunctionalSpec("bbm_centered", f, body, m, p, 0.1, "shell"),
                                 outer_nodes=24)
                 b = local_limit(FunctionalSpec("nguyen_centered", f, body, m, p, 0.1),
                                 outer_nodes=24)
@@ -139,8 +136,7 @@ L4_BALL = ConvexBody.lp_ball(4.0, 1.0, 2)
 
 def test_local_limit_polytope_and_lp_ball_closed_forms():
     # unit-inradius hexagon: int |y|^2 = 10 sqrt(3) / 9
-    spec = FunctionalSpec("bbm_centered", GAUSS2, HEXAGON, 1, 2.0, 0.4,
-                          make_mollifier("shell", 2, 0.4))
+    spec = FunctionalSpec("bbm_centered", GAUSS2, HEXAGON, 1, 2.0, 0.4, "shell")
     assert local_limit(spec) == pytest.approx(20.0 * math.sqrt(3.0) * math.pi / 9.0, rel=1e-10)
     # unit l4 ball: int y1^2 = Gamma(3/4) Gamma(1/4) / 4 = pi sqrt(2) / 4
     spec = FunctionalSpec("nguyen_centered", GAUSS2, L4_BALL, 1, 2.0, 0.2)
@@ -185,9 +181,8 @@ def test_zero_function_maps_to_zero_exactly():
         spec = FunctionalSpec(theorem, z, INTERVAL, 1, 2.0, 0.05)
         est = evaluate(spec, mc_plan(samples=10))
         assert est.value == 0.0 and est.stderr == 0.0
-    moll = make_mollifier("shell", 1, 0.05)
     for theorem in ("bbm_centered", "bbm_taylor"):
-        spec = FunctionalSpec(theorem, z, INTERVAL, 1, 2.0, 0.05, moll)
+        spec = FunctionalSpec(theorem, z, INTERVAL, 1, 2.0, 0.05, "shell")
         est = evaluate(spec, mc_plan(samples=10))
         assert est.value == 0.0
 
@@ -212,13 +207,12 @@ def test_radial_cutoff_beyond_t_max_is_exact_zero():
     # the Taylor threshold fires only beyond t_min = delta / M_1, about 22.9 here, and the
     # derived truncation is t_max = m (r + support) + 2 = 17; ten samples would not run
     spec = FunctionalSpec("nguyen_taylor", GAUSS1, INTERVAL, 1, 2.0, 20.0)
-    plan = mc_plan(samples=10)
-    zero = functionals._exact_zero(spec, plan)
+    zero = functionals._exact_zero(spec)
     assert zero.value == 0.0 and zero.stderr == 0.0
     assert zero.info["exact_zero"] == "radial cutoff beyond t_max"
     for key in ("tail_beyond_t_max", "tail_outside_box"):
         assert 0.0 < zero.info[key] < math.inf
-    assert evaluate(spec, plan).info == zero.info
+    assert evaluate(spec, mc_plan(samples=10)).info == zero.info
 
 
 def test_m1_collapse_matched_seeds():
@@ -226,15 +220,13 @@ def test_m1_collapse_matched_seeds():
     a = evaluate(FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.05), plan)
     b = evaluate(FunctionalSpec("nguyen_taylor", GAUSS1, INTERVAL, 1, 2.0, 0.05), plan)
     assert a.value == pytest.approx(b.value, rel=1e-12)
-    moll = make_mollifier("shell", 1, 0.1)
-    c = evaluate(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1, moll), plan)
-    d = evaluate(FunctionalSpec("bbm_taylor", GAUSS1, INTERVAL, 1, 2.0, 0.1, moll), plan)
+    c = evaluate(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1, "shell"), plan)
+    d = evaluate(FunctionalSpec("bbm_taylor", GAUSS1, INTERVAL, 1, 2.0, 0.1, "shell"), plan)
     assert c.value == pytest.approx(d.value, rel=1e-12)
 
 
 def test_mollified_quadrature_near_limit():
-    moll = make_mollifier("shell", 1, 0.02)
-    spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.02, moll)
+    spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.02, "shell")
     est = evaluate(spec, IntegrationPlan.quadrature(x_nodes=160, t_nodes=48))
     assert est.value == pytest.approx(2.0 * ROOT_PI_HALF, rel=0.02)
 
@@ -244,8 +236,7 @@ def test_m3_mollified_matches_hand_oracle():
     # = (64*15/64 - 192*3/16 + 144/4) sqrt(pi/2) = 15 sqrt(pi/2);
     # constant (1+6)/3^6 and interval moment int y^6 = 2/7 give (10/243) sqrt(pi/2)
     target = (10.0 / 243.0) * ROOT_PI_HALF
-    moll = make_mollifier("shell", 1, 0.02)
-    spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 3, 2.0, 0.02, moll)
+    spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 3, 2.0, 0.02, "shell")
     assert local_limit(spec) == pytest.approx(target, rel=1e-10)
     est = evaluate(spec, IntegrationPlan.quadrature(x_nodes=200, t_nodes=48))
     assert est.value == pytest.approx(target, rel=0.01)
@@ -255,8 +246,7 @@ def test_general_exponents_track_local_limits():
     # exponent plumbing (kernels, importance laws, constants) beyond p = 2
     qplan = IntegrationPlan.quadrature(x_nodes=200, t_nodes=48)
     for m, p in ((1, 1.5), (1, 3.0), (2, 3.0)):
-        moll = make_mollifier("shell", 1, 0.02)
-        spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, m, p, 0.02, moll)
+        spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, m, p, 0.02, "shell")
         value = evaluate(spec, qplan).value
         assert value == pytest.approx(local_limit(spec), rel=0.01)
     for p in (1.5, 3.0):
@@ -294,9 +284,6 @@ def test_spec_validation_errors():
     with pytest.raises(SpecError):
         evaluate(FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 4, 2.0, 0.1),
                  mc_plan(samples=10))
-    with pytest.raises(SpecError, match="support radius"):
-        evaluate(FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1),
-                 mc_plan(samples=10, outer_box_radius=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +312,8 @@ def test_polytope_and_lp_bodies_evaluate():
     diamond = ConvexBody.polytope([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1, 1, 1, 1])
     lp = ConvexBody.lp_ball(3.0, 1.0, 2)
     plan = mc_plan(samples=100_000, seed=3)
-    for body, theorem, moll in ((diamond, "nguyen_centered", None),
-                                (lp, "bbm_centered", make_mollifier("shell", 2, 0.1))):
-        spec = FunctionalSpec(theorem, GAUSS2, body, 1, 2.0, 0.1, moll)
+    for body, theorem, kind in ((diamond, "nguyen_centered", None), (lp, "bbm_centered", "shell")):
+        spec = FunctionalSpec(theorem, GAUSS2, body, 1, 2.0, 0.1, kind)
         est = evaluate(spec, plan)
         target = local_limit(spec)
         assert est.value > 0.0
@@ -340,24 +326,24 @@ def test_uniform_bound_check_empty_grid():
     with pytest.raises(ValueError):
         uniform_bound_check(spec, [], mc_plan(samples=100))
     with pytest.raises(SpecError):
-        moll = make_mollifier("shell", 1, 0.1)
         uniform_bound_check(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0,
-                                           0.1, moll), [0.1], mc_plan(samples=100))
+                                           0.1, "shell"), [0.1], mc_plan(samples=100))
 
 
 @pytest.mark.parametrize("theorem", ["nguyen_centered", "bbm_centered"])
 def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     # reference: payoff x law.mass = pair integrand x t^(N-1) / law.pdf
     body, m, p, par = ConvexBody.ellipsoid([2.0, 1.0]), 2, 2.5, 0.05
-    moll = make_mollifier("shell", 2, par) if theorem.startswith("bbm") else None
+    spec = FunctionalSpec(theorem, GAUSS2, body, m, p, par,
+                          "shell" if theorem.startswith("bbm") else None)
     captured = {}
 
-    def capture(kernel, plan, dim, law, proposal):
+    def capture(kernel, plan, radius, dim, law, proposal):
         captured.update(kernel=kernel, law=law)
         return [IntegralEstimate(0.0, 0.0)]
 
     monkeypatch.setattr(functionals, "integrate_double", capture)
-    evaluate(FunctionalSpec(theorem, GAUSS2, body, m, p, par, moll), mc_plan(samples=1))
+    evaluate(spec, mc_plan(samples=1))
     kernel, law = captured["kernel"], captured["law"]
 
     rng = np.random.default_rng(11)
@@ -371,10 +357,10 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
 
     remainder = centered_remainder(GAUSS2, x, x + t[:, np.newaxis] * sigma, m)
     gauge = body.gauge(t[:, np.newaxis] * sigma)
-    if moll is None:
+    if spec.mollifier_kind is None:
         integrand = (np.abs(remainder) > par) * par ** p * gauge ** (-(2 + m * p))
     else:
-        integrand = np.abs(remainder) ** p * gauge ** (-m * p) * moll.evaluate(gauge)
+        integrand = np.abs(remainder) ** p * gauge ** (-m * p) * spec.mollifier.evaluate(gauge)
     reference = integrand * t / law.pdf(t, aux)[0]  # t^(N-1) with N = 2
     assert np.count_nonzero(payoff) > 100
     np.testing.assert_allclose(payoff, reference, rtol=1e-12, atol=0.0)
@@ -387,18 +373,17 @@ def test_leading_term_payoff_matches_exact_remainder(theorem, m, monkeypatch):
     # agree with the exact payoff, R in 50 digits, within the per-row share of
     # small_radius_bias, which grows at most like (t/t_c)^p above t_c
     p, eps, box = 2.0, 0.05, 7.0
-    moll = make_mollifier("shell", 1, eps)
     captured = {}
 
-    def capture(kernel, plan, dim, law, proposal):
+    def capture(kernel, plan, radius, dim, law, proposal):
         captured["kernel"] = kernel
         return [IntegralEstimate(0.0, 0.0)]
 
     monkeypatch.setattr(functionals, "integrate_double", capture)
-    spec = FunctionalSpec(theorem, GAUSS1, INTERVAL, m, p, eps, moll)
-    bias = evaluate(spec, IntegrationPlan.quadrature(outer_box_radius=box)).info["small_radius_bias"]
+    spec = FunctionalSpec(theorem, GAUSS1, INTERVAL, m, p, eps, "shell")
+    est, = functionals._mollified_pass([spec], IntegrationPlan.quadrature(), box)
     t_c = np.finfo(float).eps ** (1.0 / (m + 1))
-    per_row = bias / (2.0 * box * 2.0 * moll.mass_below(t_c))
+    per_row = est.info["small_radius_bias"] / (2.0 * box * 2.0 * spec.mollifier.mass_below(t_c))
 
     x = np.linspace(-2.5, 2.5, 41)
     xs = np.concatenate([x, x])[:, np.newaxis]
@@ -427,6 +412,6 @@ def test_fractional_profile_at_small_index_is_finite():
     # gauge radii underflow to 0 here; below t_c the payoff does not depend on t
     eps = 0.00625
     spec = FunctionalSpec("bbm_centered", make_function("poly_bump", 1), INTERVAL, 1, 2.0,
-                          eps, make_mollifier("fractional", 1, eps, 2.0))
+                          eps, "fractional")
     est = evaluate(spec, IntegrationPlan.quadrature(x_nodes=200, t_nodes=48))
     assert math.isfinite(est.value)

@@ -12,7 +12,6 @@ from nonlocal_limits.convergence import Schedule, sweep
 from nonlocal_limits.engine import EngineError, IntegrationPlan, PowerLaw, integrate_double
 from nonlocal_limits.functionals import FunctionalSpec, SpecError, evaluate, uniform_bound_check
 from nonlocal_limits.functions import make_function
-from nonlocal_limits.mollifiers import make_mollifier
 
 GAUSS1 = make_function("gaussian", 1)
 GAUSS2 = make_function("gaussian", 2)
@@ -33,20 +32,17 @@ CASES = {
 def grid_specs(case, grid=True):
     """The points of a case, each naming the case's grid (or none)."""
     theorem, f, body, m, kind, values = CASES[case]
-    specs = []
-    for value in values:
-        moll = kind and make_mollifier(kind, body.dim, value, 2.0 if kind == "fractional" else None)
-        specs.append(FunctionalSpec(theorem, f, body, m, 2.0, value, moll, values if grid else ()))
-    return specs
+    return [FunctionalSpec(theorem, f, body, m, 2.0, value, kind, values if grid else ())
+            for value in values]
 
 
 def counting_integrator(monkeypatch):
     calls = []
     real = functionals.integrate_double
 
-    def counting(kernel, plan, *args, **kwargs):
-        calls.append(plan)
-        return real(kernel, plan, *args, **kwargs)
+    def counting(kernel, plan, radius, *args, **kwargs):
+        calls.append(radius)
+        return real(kernel, plan, radius, *args, **kwargs)
 
     monkeypatch.setattr(functionals, "integrate_double", counting)
     return calls
@@ -61,9 +57,12 @@ def test_grid_pass_is_bitwise_the_single_point_passes(case, monkeypatch):
         plan = IntegrationPlan.monte_carlo(samples=3500, seed=17, workers=workers)
         together = [evaluate(spec, plan) for spec in grid_specs(case)]
         # a shell's box grows with epsilon: its lone points run on the grid's box
-        box = max(functionals._box_radius(spec, plan) for spec in grid_specs(case))
-        alone_plan = replace(plan, outer_box_radius=box) if CASES[case][4] == "shell" else plan
-        alone = [evaluate(spec, alone_plan) for spec in grid_specs(case, grid=False)]
+        if CASES[case][4] == "shell":
+            box = max(functionals._box_radius(spec) for spec in grid_specs(case))
+            alone = [functionals._mollified_pass([spec], plan, box)[0]
+                     for spec in grid_specs(case, grid=False)]
+        else:
+            alone = [evaluate(spec, plan) for spec in grid_specs(case, grid=False)]
         assert [(e.value, e.stderr, e.info) for e in together] == \
                [(e.value, e.stderr, e.info) for e in alone]
         seen.add(tuple((e.value, e.stderr) for e in together))
@@ -133,9 +132,9 @@ def test_nonfinite_payoff_names_its_point_and_first_bad_row():
         out[1, 1:] = np.nan  # the first block: the 3 proposal points of shift 0
         return out
 
-    plan = IntegrationPlan.monte_carlo(samples=100, seed=3, outer_box_radius=2.0)
+    plan = IntegrationPlan.monte_carlo(samples=100, seed=3)
     with pytest.raises(EngineError) as err:
-        integrate_double(kernel, plan, 2, THREE_POINT_LAW, GAUSS2.proposal)
+        integrate_double(kernel, plan, 2.0, 2, THREE_POINT_LAW, GAUSS2.proposal)
     message = str(err.value)
     assert f"x={seen['x'][1].tolist()}" in message
     assert f"t={float(seen['t'][1, 1])!r}" in message and message.endswith("(point 1)")
@@ -144,9 +143,17 @@ def test_nonfinite_payoff_names_its_point_and_first_bad_row():
 def test_sweep_runs_one_pass(monkeypatch):
     calls = counting_integrator(monkeypatch)
     plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
-    res = sweep("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, Schedule(0.4, points=5), plan)
+    res = sweep("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, Schedule(0.4, points=5), plan, "shell")
     assert len(calls) == 1 and len(res.points) == 5
     assert [info["method"] for info in res.info["point_info"]] == ["monte_carlo"] * 5
+
+
+def test_mollified_sweep_needs_a_kind(monkeypatch):
+    calls = counting_integrator(monkeypatch)
+    plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
+    with pytest.raises(SpecError, match="mollifier kind"):
+        sweep("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, Schedule(0.4, points=5), plan)
+    assert calls == []
 
 
 def test_mollified_pass_uses_the_largest_box_of_its_points(monkeypatch):
@@ -155,19 +162,19 @@ def test_mollified_pass_uses_the_largest_box_of_its_points(monkeypatch):
     specs = grid_specs("shell-2d")
     for spec in specs:
         evaluate(spec, plan)
-    boxes = [functionals._box_radius(spec, plan) for spec in specs]
+    boxes = [functionals._box_radius(spec) for spec in specs]
     # a shell's box grows with epsilon, so the largest epsilon's box holds the others
     assert boxes[0] > boxes[1] > boxes[2]
-    assert len(calls) == 1 and calls[0].outer_box_radius == boxes[0]
+    assert calls == [boxes[0]]
 
 
 def test_small_radius_bias_uses_the_pass_box():
     plan = IntegrationPlan.monte_carlo(samples=2000, seed=5)
     largest, _, smallest = grid_specs("shell-2d")
-    box, own_box = (functionals._box_radius(spec, plan) for spec in (largest, smallest))
+    box, own_box = (functionals._box_radius(spec) for spec in (largest, smallest))
     bias = evaluate(smallest, plan).info["small_radius_bias"]
     alone = replace(smallest, grid=())
-    assert bias == evaluate(alone, replace(plan, outer_box_radius=box)).info["small_radius_bias"]
+    assert bias == functionals._mollified_pass([alone], plan, box)[0].info["small_radius_bias"]
     # the bound scales with the volume of the box
     own = evaluate(alone, plan).info["small_radius_bias"]
     assert bias / own == pytest.approx((box / own_box) ** 2, rel=1e-12)
@@ -175,13 +182,13 @@ def test_small_radius_bias_uses_the_pass_box():
 
 @pytest.mark.parametrize("law", [PowerLaw(-2.0, 0.5, 4.0), THREE_POINT_LAW], ids=["K=1", "K=3"])
 @pytest.mark.parametrize("plan", [
-    IntegrationPlan.monte_carlo(samples=100, seed=3, outer_box_radius=2.0),
-    IntegrationPlan.quadrature(x_nodes=8, t_nodes=8, outer_box_radius=2.0)],
+    IntegrationPlan.monte_carlo(samples=100, seed=3),
+    IntegrationPlan.quadrature(x_nodes=8, t_nodes=8)],
     ids=["monte_carlo", "quadrature"])
 def test_kernel_of_the_wrong_shape_raises(plan, law):
     # without the point axis, the n payoffs of a block would pass for n points
     with pytest.raises(EngineError, match=r"shape \(\d+,\), expected t's shape \((1|3), \d+\)"):
-        integrate_double(lambda x, sigma, t: np.ones(len(x)), plan, 1, law)
+        integrate_double(lambda x, sigma, t: np.ones(len(x)), plan, 2.0, 1, law)
 
 
 @pytest.mark.parametrize("case", ["level-set-2d", "shell-2d"])

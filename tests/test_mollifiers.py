@@ -106,7 +106,8 @@ def test_log_radius_oracle_is_the_radial_mass_density_times_r(kind, dim, eps, p)
             got = float(family.log_radius_mass_mp(mpmath.mpf(float(y))))
         assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
         checked += 1
-    assert checked >= 5
+    # the fractional density is one power of r, finite down to the smallest double
+    assert checked == 10 if kind == "fractional" else checked >= 5
 
 
 def _r_space_mass(family, delta=0.0):
@@ -178,6 +179,27 @@ def test_certification_rejects_empty_grids():
         certify("shell", 1, (), (0.1,))
 
 
+def test_shell_member_does_not_depend_on_p(monkeypatch):
+    import nonlocal_limits.mollifiers as m
+
+    for dim in (1, 2, 3):
+        assert make_mollifier("shell", dim, 0.2, 3.0) == make_mollifier("shell", dim, 0.2)
+    # so a shell is certified once per dim, whatever p is
+    calls = []
+    monkeypatch.setattr(m, "certify", lambda *args: calls.append(args))
+    monkeypatch.setattr(m, "_certified", set())
+    for p in (None, 2.0, 3.0):
+        m.ensure_certified(make_mollifier("shell", 2, 0.1, p))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["shell", "fractional"])
+def test_spec_mollifier_is_derived_from_its_inputs(kind):
+    body = ConvexBody.ellipsoid([2.0, 1.0])
+    spec = FunctionalSpec("bbm_centered", make_function("gaussian", 2), body, 1, 3.0, 0.05, kind)
+    assert spec.mollifier == make_mollifier(kind, 2, 0.05, 3.0)
+
+
 def test_invalid_construction():
     with pytest.raises(ValueError):
         make_mollifier("shell", 1, -0.1)
@@ -193,8 +215,7 @@ def test_fractional_reproduces_gagliardo_scaling():
     eps, p = 0.25, 2.0
     f = make_function("gaussian", 1)
     body = ConvexBody.box([1.0])
-    moll = make_mollifier("fractional", 1, eps, p=p)
-    spec = FunctionalSpec("bbm_centered", f, body, 1, p, eps, moll)
+    spec = FunctionalSpec("bbm_centered", f, body, 1, p, eps, "fractional")
     plan = IntegrationPlan.quadrature(x_nodes=160, t_nodes=96)
     value = evaluate(spec, plan).value
 
