@@ -234,24 +234,6 @@ def from_descriptor(desc: dict) -> ConvexBody:
     raise ValueError(f"unknown body kind {kind!r}")
 
 
-def equivalence_constants(body: ConvexBody) -> tuple[float, float]:
-    """Constants (A, B) with A|x| <= ||x||_K <= B|x|.
-
-    A = 1/outer_radius, B = 1/inner_radius; checked on 512 sampled directions,
-    up to a relative and absolute slack of 1e-12, before returning.
-    """
-    a = 1.0 / body.outer_radius
-    b = 1.0 / body.inner_radius
-    slack = 1e-12
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260810)))
-    dirs = rng.normal(size=(512, body.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    g = body.gauge(dirs)
-    if np.any(g < a * (1.0 - slack) - slack) or np.any(g > b * (1.0 + slack) + slack):
-        raise AssertionError("sandwich constants violated on sampled directions")
-    return a, b
-
-
 def zpm_norm(body: ConvexBody, coeffs, m: int, p: float) -> float:
     """Norm of a symmetric m-form coefficient vector induced by the body.
 
@@ -265,7 +247,7 @@ def zpm_norm(body: ConvexBody, coeffs, m: int, p: float) -> float:
     where the integrand is homogeneous of degree m p, so the cone-measure
     rule ``engine.cone_nodes`` gives (dim + m p) times the integral.
     """
-    from .calculus import monomial, multi_indices, multinomial
+    from .calculus import m_form, multi_indices
     from .engine import cone_nodes
 
     if p < 1.0:
@@ -277,8 +259,6 @@ def zpm_norm(body: ConvexBody, coeffs, m: int, p: float) -> float:
     if coeffs.shape != (len(alphas),):
         raise ValueError(f"expected {len(alphas)} coefficients for dim={body.dim}, m={m}")
     z, w = cone_nodes(body)
-    form = 0.0
-    for alpha, c in zip(alphas, coeffs):
-        form = form + multinomial(m, alpha) * c * monomial(z, alpha)
+    form = m_form(coeffs, z, m)
     constant = 1.0 / (m ** (m * p + 1) * p)
     return float((constant * float(np.dot(w, np.abs(form) ** p))) ** (1.0 / p))

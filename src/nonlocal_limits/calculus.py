@@ -1,8 +1,11 @@
 """Multi-index calculus on test functions.
 
-Directional derivative forms, higher-order differences, binomial segment
-remainders, Taylor polynomials and remainders, plus quadrature residuals for
-the two mean-value identities used as correctness gates.
+``m_form`` is the one routine that builds the diagonal m-form
+sum_{|a|=m} (m!/a!) c_a y^a; the directional form, its direction bound, the
+local-limit tableau and ``bodies.zpm_norm`` each call it with their own
+coefficients.  Also higher-order differences, binomial segment remainders,
+Taylor polynomials and remainders, plus quadrature residuals for the two
+mean-value identities used as correctness gates.
 
 All operations are pure and broadcast over point batches of shape ``(..., dim)``.
 """
@@ -57,6 +60,19 @@ def monomial(y: Array, alpha) -> Array:
     return mono
 
 
+def m_form(coeffs, y: Array, m: int) -> Array:
+    """sum_{|a|=m} (m!/a!) c_a y^a over ``multi_indices(dim, m)``, dim = y.shape[-1].
+
+    ``coeffs`` gives one c_a per multi-index, in that order: a number or an
+    array broadcasting against the leading axes of y.  Each term is formed as
+    (m!/a!) * c_a * y^a and added in place after the first.
+    """
+    out = 0.0
+    for alpha, c in zip(multi_indices(y.shape[-1], m), coeffs, strict=True):
+        out += multinomial(m, alpha) * c * monomial(y, alpha)
+    return out
+
+
 def directional_m_form(f: TestFunction, x, y, m: int) -> Array:
     """Diagonal m-linear derivative form: sum_{|a|=m} (m!/a!) y^a d^a f(x).
 
@@ -66,11 +82,8 @@ def directional_m_form(f: TestFunction, x, y, m: int) -> Array:
     if m > f.smoothness_order:
         raise ValueError(f"m={m} exceeds smoothness_order={f.smoothness_order}")
     x = as_points(x, f.dim)
-    y = as_points(y, f.dim)
-    out = 0.0
-    for alpha in multi_indices(f.dim, m):
-        out = out + multinomial(m, alpha) * monomial(y, alpha) * f.partial(alpha, x)
-    return out
+    return m_form((f.partial(alpha, x) for alpha in multi_indices(f.dim, m)),
+                  as_points(y, f.dim), m)
 
 
 def direction_bound(f: TestFunction, m: int, sigma) -> Array:
@@ -79,11 +92,8 @@ def direction_bound(f: TestFunction, m: int, sigma) -> Array:
     Bounded by sum_{|a|=m} (m!/a!) |sigma^a| sup|d^a f|; exact truncation of the
     level-set kernels only needs an over-estimate, which this is.
     """
-    abs_sigma = np.abs(as_points(sigma, f.dim))
-    out = 0.0
-    for alpha in multi_indices(f.dim, m):
-        out = out + multinomial(m, alpha) * f.sup_partial(alpha) * monomial(abs_sigma, alpha)
-    return out
+    return m_form((f.sup_partial(alpha) for alpha in multi_indices(f.dim, m)),
+                  np.abs(as_points(sigma, f.dim)), m)
 
 
 def forward_difference(f: TestFunction, x, h, m: int) -> Array:
@@ -143,7 +153,11 @@ def taylor_remainder(f: TestFunction, x, y, m: int, fx=None) -> Array:
 # Quadrature residuals for the exact integral identities
 # ---------------------------------------------------------------------------
 
-def mean_value_identity_check(f: TestFunction, x, h, m: int, quadrature_nodes: int = 32) -> float:
+#: Gauss-Legendre nodes per cube axis in the two identity checks
+IDENTITY_NODES = 32
+
+
+def mean_value_identity_check(f: TestFunction, x, h, m: int) -> float:
     """Residual of the cube mean-value identity for the m-th difference.
 
     |difference - integral over [0,1]^m of the diagonal m-form at x + (sum t_j) h|,
@@ -154,7 +168,7 @@ def mean_value_identity_check(f: TestFunction, x, h, m: int, quadrature_nodes: i
         raise ValueError("identity check restricted to m <= 3")
     x = as_points(x, f.dim)
     h = as_points(h, f.dim)
-    ts, w = tensor_grid([gauss_legendre(quadrature_nodes, unit=True)] * m)
+    ts, w = tensor_grid([gauss_legendre(IDENTITY_NODES, unit=True)] * m)
     shift = sum(ts.T)  # (nodes^m,)
     pts = x[np.newaxis, :] + shift[:, np.newaxis] * h[np.newaxis, :]
     form = directional_m_form(f, pts, np.broadcast_to(h, pts.shape), m)
@@ -163,8 +177,7 @@ def mean_value_identity_check(f: TestFunction, x, h, m: int, quadrature_nodes: i
     return abs(lhs - integral)
 
 
-def taylor_kernel_identity_check(f: TestFunction, x, h: float, m: int,
-                                 quadrature_nodes: int = 32) -> float:
+def taylor_kernel_identity_check(f: TestFunction, x, h: float, m: int) -> float:
     """Residual of the iterated-kernel identity for the Taylor remainder.
 
     The remainder of expanding at x and evaluating at x + h e_N equals
@@ -173,7 +186,7 @@ def taylor_kernel_identity_check(f: TestFunction, x, h: float, m: int,
     if m > 3:
         raise ValueError("identity check restricted to m <= 3")
     x = as_points(x, f.dim)
-    ts, w = tensor_grid([gauss_legendre(quadrature_nodes, unit=True)] * m)
+    ts, w = tensor_grid([gauss_legendre(IDENTITY_NODES, unit=True)] * m)
     prod = np.ones_like(w)
     weight = np.ones_like(w)
     for i, t in enumerate(ts.T):
@@ -193,11 +206,9 @@ def m_form_tableau(f: TestFunction, m: int, xs: Array, ys: Array) -> Array:
     """Matrix of diagonal m-form values: entry (i, j) = form at xs[i] in direction ys[j].
 
     Separable evaluation used by the local-limit quadratures: partials on the
-    x-grid combine with weighted monomials on the y-grid by an outer product.
+    x-grid, as a column, combine with the monomials on the y-grid, as a row.
     """
     xs = as_points(xs, f.dim)
     ys = as_points(ys, f.dim)
-    out = np.zeros((xs.shape[0], ys.shape[0]))
-    for alpha in multi_indices(f.dim, m):
-        out += np.outer(f.partial(alpha, xs), multinomial(m, alpha) * monomial(ys, alpha))
-    return out
+    return m_form((f.partial(alpha, xs)[:, np.newaxis] for alpha in multi_indices(f.dim, m)),
+                  ys[np.newaxis], m)

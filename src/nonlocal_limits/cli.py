@@ -185,7 +185,7 @@ def check_identities(seed: int = 20260810, quick: bool = False,
         for m in range(1, (2 if quick else 3) + 1):
             x = rng.uniform(-1, 1, f.dim)
             h = rng.uniform(-0.4, 0.4, f.dim)
-            worst = max(worst, calculus.mean_value_identity_check(f, x, h, m, 32))
+            worst = max(worst, calculus.mean_value_identity_check(f, x, h, m))
     record("cube mean-value identity", worst, QUADRATURE_TOL)
 
     # iterated-kernel identity for the Taylor remainder
@@ -194,7 +194,7 @@ def check_identities(seed: int = 20260810, quick: bool = False,
         for m in range(1, (2 if quick else 3) + 1):
             x = rng.uniform(-1, 1, f.dim)
             h = float(rng.uniform(0.1, 0.5))
-            worst = max(worst, calculus.taylor_kernel_identity_check(f, x, h, m, 32))
+            worst = max(worst, calculus.taylor_kernel_identity_check(f, x, h, m))
     record("Taylor iterated-kernel identity", worst, QUADRATURE_TOL)
 
     # sphere-to-body reduction

@@ -349,22 +349,12 @@ def _shared_integral_quadrature(f: TestFunction, body: ConvexBody, m: int, p: fl
     return total / (body.dim + m * p)
 
 
-def shared_local_integral(f: TestFunction, body: ConvexBody, m: int, p: float,
-                          outer_nodes: int | None = None) -> IntegralEstimate:
-    """The double integral shared by all four local limits.
-
-    Deterministic and cached: a tensor Gauss-Legendre grid in x times the
-    cone-measure rule ``engine.cone_nodes`` of K in y, for every body kind.
-    """
-    nodes = outer_nodes if outer_nodes is not None else _OUTER_NODES_DEFAULT[f.dim]
-    value = _shared_integral_quadrature(f, body, m, float(p), nodes)
-    return IntegralEstimate(value, 0.0, info={"method": "cone_quadrature"})
-
-
 def local_limit(spec: FunctionalSpec, outer_nodes: int | None = None) -> float:
-    """Closed-form limit target: theorem constant times the shared integral."""
-    shared = shared_local_integral(spec.f, spec.body, spec.m, spec.p, outer_nodes=outer_nodes)
-    return theorem_constant(spec.theorem, spec.m, spec.p, spec.body.dim) * shared.value
+    """Closed-form limit target: theorem constant times the shared integral I,
+    a deterministic quadrature cached per (f, K, m, p, outer_nodes)."""
+    nodes = outer_nodes if outer_nodes is not None else _OUTER_NODES_DEFAULT[spec.f.dim]
+    shared = _shared_integral_quadrature(spec.f, spec.body, spec.m, float(spec.p), nodes)
+    return theorem_constant(spec.theorem, spec.m, spec.p, spec.body.dim) * shared
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +373,13 @@ class BoundReport:
     worst_delta: float
 
 
-def derivative_norm_p(f: TestFunction, m: int, p: float,
-                      nodes: int | None = None) -> float:
+def derivative_norm_p(f: TestFunction, m: int, p: float) -> float:
     """sum over |alpha| = m of integral |d^alpha f|^p over the support box.
 
     One natural reading of the p-norm of the full order-m derivative vector;
     ``BOUND_FACTOR`` absorbs the convention.
     """
-    xs, wx = _outer_grid(f, nodes if nodes is not None else _OUTER_NODES_DEFAULT[f.dim])
+    xs, wx = _outer_grid(f, _OUTER_NODES_DEFAULT[f.dim])
     total = 0.0
     for alpha in multi_indices(f.dim, m):
         total += float(wx @ np.abs(f.partial(alpha, xs)) ** p)

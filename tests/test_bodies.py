@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonlocal_limits.bodies import ConvexBody, equivalence_constants, from_descriptor, zpm_norm
+from nonlocal_limits.bodies import ConvexBody, from_descriptor, zpm_norm
 
 BODIES = [
     ConvexBody.ball(1.0, 2),
@@ -126,8 +126,15 @@ def test_norm_axioms_thousand_random_points(rng):
 
 
 def test_sandwich_constants(rng):
+    # A|x| <= ||x||_K <= B|x| with A = 1/outer_radius and B = 1/inner_radius
     for body in BODIES:
-        a, b = equivalence_constants(body)
+        a, b = 1.0 / body.outer_radius, 1.0 / body.inner_radius
+        draws = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260810)))
+        dirs = draws.normal(size=(512, body.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        g = body.gauge(dirs)
+        assert np.all(g >= a * (1.0 - 1e-12) - 1e-12)
+        assert np.all(g <= b * (1.0 + 1e-12) + 1e-12)
         x = rng.normal(size=(500, 2))
         norms = np.linalg.norm(x, axis=1)
         g = body.gauge(x)
@@ -136,11 +143,14 @@ def test_sandwich_constants(rng):
 
 
 def test_equivalence_constant_values():
-    assert equivalence_constants(ConvexBody.ball(1.0, 2)) == pytest.approx((1.0, 1.0))
+    def constants(body):
+        return 1.0 / body.outer_radius, 1.0 / body.inner_radius
+
+    assert constants(ConvexBody.ball(1.0, 2)) == pytest.approx((1.0, 1.0))
     # farthest corner of the unit square at distance sqrt(2), inscribed radius 1
-    a, b = equivalence_constants(ConvexBody.box([1.0, 1.0]))
+    a, b = constants(ConvexBody.box([1.0, 1.0]))
     assert (a, b) == pytest.approx((1.0 / math.sqrt(2.0), 1.0))
-    a, b = equivalence_constants(ConvexBody.ellipsoid([2.0, 1.0]))
+    a, b = constants(ConvexBody.ellipsoid([2.0, 1.0]))
     assert (a, b) == pytest.approx((0.5, 1.0))
 
 
@@ -182,6 +192,18 @@ def test_zpm_norm_interval_m2():
     interval = ConvexBody.box([1.0])
     expected = 1.0 / (4.0 * math.sqrt(2.0))
     assert zpm_norm(interval, [1.0], 2, 2.0) == pytest.approx(expected, rel=1e-12)
+
+
+def test_zpm_norm_m3_closed_forms():
+    # all-ones coefficients give the form (y1 + ... + yd)^3 = d^(3/2) u^3, u the coordinate
+    # along (1, ..., 1); p = 2, so the squared norm is (d + 6) / 4374 * d^3 int_K u^6:
+    # unit disc (8 / 4374) * 8 * (5 pi / 64), unit ball (9 / 4374) * 27 * (4 pi / 63)
+    disc = ConvexBody.ball(1.0, 2)
+    assert zpm_norm(disc, [1.0] * 4, 3, 2.0) == pytest.approx(math.sqrt(5.0 * math.pi / 4374.0),
+                                                              rel=1e-13)
+    ball = ConvexBody.ball(1.0, 3)
+    assert zpm_norm(ball, [1.0] * 10, 3, 2.0) == pytest.approx(math.sqrt(2.0 * math.pi / 567.0),
+                                                               rel=1e-13)
 
 
 def test_zpm_norm_zero_vector():

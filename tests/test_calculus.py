@@ -37,18 +37,32 @@ def test_directional_form_cross_term():
 
 
 def test_directional_form_matches_ordered_tuple_sum(rng):
-    # multinomial-weighted multi-index sum == sum over ordered index tuples
+    # multinomial-weighted multi-index sum == sum over ordered index tuples; in 3-D, m = 3
+    # carries the multinomial 6
     import itertools
-    f = GAUSS2
-    for m in (1, 2, 3):
-        x = rng.uniform(-1, 1, 2)
-        y = rng.uniform(-1, 1, 2)
-        brute = 0.0
-        for combo in itertools.product(range(2), repeat=m):
-            alpha = [combo.count(i) for i in range(2)]
-            brute += math.prod(y[i] for i in combo) * float(f.partial(alpha, x))
-        fast = float(calculus.directional_m_form(f, x, y, m))
-        assert fast == pytest.approx(brute, rel=1e-12, abs=1e-14)
+    for dim in (1, 2, 3):
+        f = make_function("gaussian", dim)
+        for m in (1, 2, 3):
+            x = rng.uniform(-1, 1, dim)
+            y = rng.uniform(-1, 1, dim)
+            brute = 0.0
+            for combo in itertools.product(range(dim), repeat=m):
+                alpha = [combo.count(i) for i in range(dim)]
+                brute += math.prod(y[i] for i in combo) * float(f.partial(alpha, x))
+            fast = float(calculus.directional_m_form(f, x, y, m))
+            assert fast == pytest.approx(brute, rel=1e-12, abs=1e-14), (dim, m)
+
+
+def test_m_form_weights_each_coefficient_by_its_multinomial():
+    # coefficient e_a alone gives (m!/a!) y^a
+    y = np.array([[0.5, -2.0, 3.0], [1.5, 0.25, -1.0]])
+    alphas = calculus.multi_indices(3, 3)
+    for k, alpha in enumerate(alphas):
+        coeffs = [1.0 if j == k else 0.0 for j in range(len(alphas))]
+        expected = calculus.multinomial(3, alpha) * np.prod(y ** np.array(alpha), axis=1)
+        assert np.array_equal(calculus.m_form(coeffs, y, 3), expected)
+    with pytest.raises(ValueError):
+        calculus.m_form([1.0] * (len(alphas) - 1), y, 3)
 
 
 def test_directional_form_zero_direction():
@@ -173,21 +187,21 @@ def test_taylor_remainder_m1_equals_centered(rng):
 def test_mean_value_identity_quadratic():
     # integrand is constant in the cube variables for a pure quadratic
     f = polynomial_function([[0.0, 0.0, 1.0]])
-    res = calculus.mean_value_identity_check(f, [0.4], [0.3], 2, quadrature_nodes=8)
+    res = calculus.mean_value_identity_check(f, [0.4], [0.3], 2)
     assert res <= 1e-10
 
 
 def test_mean_value_identity_gaussian():
-    assert calculus.mean_value_identity_check(GAUSS1, [0.2], [0.2], 1, 32) <= 1e-10
-    assert calculus.mean_value_identity_check(GAUSS1, [0.2], [0.2], 2, 32) <= 1e-8
-    assert calculus.mean_value_identity_check(GAUSS1, [-0.3], [0.25], 3, 24) <= 1e-8
+    assert calculus.mean_value_identity_check(GAUSS1, [0.2], [0.2], 1) <= 1e-10
+    assert calculus.mean_value_identity_check(GAUSS1, [0.2], [0.2], 2) <= 1e-8
+    assert calculus.mean_value_identity_check(GAUSS1, [-0.3], [0.25], 3) <= 1e-8
 
 
 def test_taylor_kernel_identity():
     gauss3 = make_function("gaussian", 3)
     for f, dims in ((GAUSS1, 1), (GAUSS2, 2), (gauss3, 3), (SINE1, 1)):
         for m in (1, 2, 3):
-            res = calculus.taylor_kernel_identity_check(f, np.zeros(dims) + 0.1, 0.4, m, 24)
+            res = calculus.taylor_kernel_identity_check(f, np.zeros(dims) + 0.1, 0.4, m)
             assert res <= 1e-7, (f.name, m, res)
 
 
@@ -206,6 +220,24 @@ def test_m_form_tableau_matches_direct(rng):
         for j in range(7):
             direct = float(calculus.directional_m_form(GAUSS2, xs[i], ys[j], 2))
             assert tab[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-14)
+
+
+def test_direction_bound_is_above_the_form_everywhere(rng):
+    # the exact level-set truncation rests on sup_x |m-form at x in direction sigma| <= bound
+    from nonlocal_limits.functions import list_functions
+    for name in list_functions():
+        for dim in (1, 2, 3):
+            try:
+                f = make_function(name, dim)
+            except ValueError:
+                continue
+            axis = np.linspace(-f.support_radius, f.support_radius, {1: 41, 2: 13, 3: 7}[dim])
+            xs = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+            sigma = rng.normal(size=(40, dim))
+            for m in (1, 2, 3):
+                bound = calculus.direction_bound(f, m, sigma)
+                form = calculus.directional_m_form(f, xs[:, np.newaxis], sigma[np.newaxis], m)
+                assert np.all(bound >= np.abs(form)), (name, dim, m)
 
 
 def test_rejects_excess_order():

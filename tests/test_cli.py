@@ -401,6 +401,20 @@ def test_traced_benchmark_child_certifies_four_families():
     assert record["layers"]["mollifiers.certify"]["calls"] == 4
 
 
+def test_traced_benchmark_child_charges_the_m_form_layers(tmp_path):
+    # a refactor that routes around a wrapped name would leave its layer at zero calls
+    job = {**base_config()["jobs"][0], "plan": {"method": "tensor_quadrature"}}
+    path = write_config(tmp_path, base_config(jobs=[job]))
+    spec = {"root": str(ROOT), "argv": ["run", "--config", path, "--no-timestamp"], "trace": True}
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["code"] == 0
+    for layer in ("calculus.m_form_tableau", "calculus.direction_bound", "functionals.target"):
+        assert record["layers"][layer]["calls"] > 0, layer
+
+
 def test_benchmark_child_times_one_call_per_sweep_point(tmp_path):
     # perfbench/child.py times every convergence.evaluate call, ties the calls to the
     # report rows, and counts kernel payoffs as Monte Carlo pairs; the one-pass sweep

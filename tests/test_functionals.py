@@ -10,8 +10,8 @@ from nonlocal_limits.calculus import centered_remainder, directional_m_form
 from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, outer_points,
                                     outer_weights)
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_norm_p,
-                                         evaluate, local_limit, shared_local_integral,
-                                         theorem_constant, uniform_bound_check)
+                                         evaluate, local_limit, theorem_constant,
+                                         uniform_bound_check)
 from nonlocal_limits.functions import make_function
 
 
@@ -117,12 +117,13 @@ def test_classical_ball_reduction_dim3():
 
 
 def test_gauge_scaling_covariance():
-    # dilation of the body scales the shared integral by lam^(dim + m p)
+    # dilation of the body scales the shared integral, so the limit, by lam^(dim + m p)
     for lam in (0.5, 2.0):
         for body, m in ((INTERVAL, 1), (ConvexBody.ellipsoid([2.0, 1.0]), 2)):
             f = make_function("gaussian", body.dim)
-            base = shared_local_integral(f, body, m, 2.0).value
-            scaled = shared_local_integral(f, body.scaled(lam), m, 2.0).value
+            base = local_limit(FunctionalSpec("nguyen_centered", f, body, m, 2.0, 0.1))
+            scaled = local_limit(FunctionalSpec("nguyen_centered", f, body.scaled(lam), m, 2.0,
+                                                0.1))
             assert scaled / base == pytest.approx(lam ** (body.dim + 2 * m), rel=0.01)
 
 
@@ -155,7 +156,8 @@ def test_local_limit_monte_carlo_agrees():
     ys = rng.uniform(-1.0, 1.0, size=(n, 2)) * [2.0, 1.0]
     payoff = wx * 8.0 * ellipse.contains(ys) * directional_m_form(GAUSS2, xs, ys, 1) ** 2
     value, stderr = payoff.mean(), payoff.std(ddof=1) / math.sqrt(n)
-    exact = shared_local_integral(GAUSS2, ellipse, 1, 2.0).value
+    spec = FunctionalSpec("nguyen_centered", GAUSS2, ellipse, 1, 2.0, 0.1)
+    exact = local_limit(spec) / theorem_constant("nguyen_centered", 1, 2.0, 2)
     assert abs(value - exact) <= max(3 * stderr, 0.02 * exact)
 
 
