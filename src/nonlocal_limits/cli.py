@@ -26,7 +26,7 @@ from .config import ConfigError, load_config
 from .convergence import sweep
 from .engine import EngineError, sphere_body_identity_check
 from .functions import make_function, polynomial_function
-from .mollifiers import CertificationError, certification_grids, certify, make_mollifier
+from .mollifiers import CertificationError, certification_grids, certify
 from .report import JobError, render_csv, render_json
 
 ALGEBRAIC_TOL = 1e-12
@@ -77,20 +77,18 @@ def run(config_path: str, overrides: dict | None = None) -> int:
 
     results = []
     for job in config.jobs:
+        spec = job.spec
         try:
-            res = sweep(job.theorem, job.function, job.body, job.m, job.p,
-                        job.schedule, job.plan, mollifier_kind=job.mollifier_kind,
-                        tolerance=job.tolerance)
+            res = sweep(spec, job.schedule, job.plan, job.tolerance)
         except (EngineError, CertificationError, ArithmeticError,
                 np.linalg.LinAlgError) as exc:
             # a numerical failure ends this job only; the others still run
             message = f"{type(exc).__name__}: {exc}"
-            results.append(JobError(job.theorem, job.function.name, job.m, job.p,
-                                    job.body.descriptor(), message))
+            results.append(JobError(spec, message))
             print(f"{job.name}: error: {message}", file=sys.stderr)
             continue
         results.append(res)
-        print(f"{job.name}: {job.theorem} m={job.m} p={job.p} "
+        print(f"{job.name}: {spec.theorem} m={spec.m} p={spec.p} "
               f"limit={res.extrapolated_limit:.6g} target={res.target:.6g} "
               f"rel_gap={res.rel_gap:.3g} [{res.verdict}]", file=sys.stderr)
 
@@ -221,23 +219,21 @@ def check_identities(seed: int = 20260810, quick: bool = False,
 # ---------------------------------------------------------------------------
 
 def certify_mollifiers(config_path: str | None = None, broken: bool = False) -> int:
-    families: list[tuple[str, int, float | None]] = []
+    """Certify the families of the config's mollified jobs, or four default families."""
+    families = [("shell", 1, None), ("shell", 2, None),
+                ("fractional", 1, 2.0), ("fractional", 2, 2.0)]
     if config_path is not None:
         try:
             config = load_config(config_path)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        for job in config.jobs:
-            if job.mollifier_kind is not None:
-                # a family's p is None for a shell, whatever the job's p
-                family = make_mollifier(job.mollifier_kind, job.body.dim, 1.0, job.p)
-                key = (family.kind, family.dim, family.p)
-                if key not in families:
-                    families.append(key)
-    if not families:
-        families = [("shell", 1, None), ("shell", 2, None),
-                    ("fractional", 1, 2.0), ("fractional", 2, 2.0)]
+        # a family's p is None for a shell, whatever the job's p
+        mollifiers = [job.spec.mollifier for job in config.jobs
+                      if job.spec.mollifier_kind is not None]
+        families = list(dict.fromkeys((fam.kind, fam.dim, fam.p) for fam in mollifiers))
+        if not families:
+            print(f"{config_path}: no mollified job, so no family to certify")
 
     status = 0
     for kind, dim, p in families:

@@ -5,6 +5,13 @@ work starts, so a malformed experiment fails fast with a readable message.
 The schema dicts below are the one description of the format; ``_schema_error``
 checks a value against them and knows only the JSON Schema keywords they use.
 A JSON ``integer`` is a Python int, never a bool or a float such as 3.0.
+
+Each job becomes one ``FunctionalSpec`` at the schedule's start, and
+``functionals.validate_spec`` is the one home of the rules a job must keep
+(the p range, integrable functions, which theorems take a mollifier kind);
+a job that breaks one is a ``ConfigError`` naming the job.  This module
+checks only what is no spec's business: the schema, bodies, plans and the
+schedule.
 """
 
 from __future__ import annotations
@@ -17,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, from_descriptor
+from .bodies import from_descriptor
 from .convergence import Schedule
 from .engine import IntegrationPlan, lattice_sizes
-from .functionals import THEOREMS, P_RANGE
-from .functions import TestFunction, list_functions, make_function
+from .functionals import THEOREMS, FunctionalSpec, SpecError, validate_spec
+from .functions import list_functions, make_function
 from .mollifiers import KINDS as MOLLIFIER_KINDS
 
 
@@ -175,26 +182,23 @@ def _schema_error(value, schema: dict, path: tuple = ()) -> tuple[tuple, str] | 
 
 @dataclass
 class JobConfig:
+    """One sweep: the functional at the schedule's start, and how to run it."""
+
     name: str
-    theorem: str
-    function: TestFunction
-    body: ConvexBody
-    m: int
-    p: float
+    spec: FunctionalSpec
     schedule: Schedule
     plan: IntegrationPlan
-    mollifier_kind: str | None
     tolerance: float
 
 
 @dataclass
 class ExperimentConfig:
     jobs: list[JobConfig]
-    seed: int = 0
-    workers: int = 1
-    output: str | None = None
-    format: str = "csv"
-    timestamp: bool = True
+    seed: int
+    workers: int
+    output: str | None
+    format: str
+    timestamp: bool
 
 
 def _huge_integers(node, path: str = "") -> list[str]:
@@ -229,9 +233,6 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         huge = _huge_integers(job)
         if huge:
             raise ConfigError(f"{label}: {huge[0]} is an integer too large for a float")
-        if not P_RANGE[0] < job["p"] <= P_RANGE[1]:
-            raise ConfigError(
-                f"{label}: p={job['p']} violates the constraint p > 1 (and p <= {P_RANGE[1]})")
         try:
             body = from_descriptor(job["body"])
         except ValueError as exc:
@@ -243,8 +244,6 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
             func = make_function(fname, body.dim)
         except ValueError as exc:
             raise ConfigError(f"{label}: {exc}") from exc
-        if not func.integrable:
-            raise ConfigError(f"{label}: function {fname!r} is identity-test only")
         plan_raw, method = job["plan"], job["plan"]["method"]
         # a field the job never reads would do nothing
         unread = {"samples": method != "monte_carlo", "x_nodes": method == "monte_carlo",
@@ -263,24 +262,20 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if plan_raw["method"] == "tensor_quadrature" and body.dim != 1:
             raise ConfigError(f"{label}: tensor_quadrature needs a 1-D body, got dim "
                               f"{body.dim}; use monte_carlo")
-        moll_kind = job.get("mollifier", {}).get("kind")
-        if job["theorem"].startswith("bbm") and moll_kind is None:
-            raise ConfigError(f"{label}: mollified functionals require a mollifier block")
-        if job["theorem"].startswith("nguyen") and moll_kind is not None:
-            raise ConfigError(f"{label}: level-set functionals take no mollifier block")
-        sched_raw = job["schedule"]
         try:
-            schedule = Schedule(start=sched_raw["start"], ratio=sched_raw.get("ratio", 0.5),
-                                points=sched_raw.get("points", 7))
+            schedule = Schedule(**job["schedule"])
         except ValueError as exc:
             raise ConfigError(f"{label}: invalid schedule: {exc}") from exc
+        spec = FunctionalSpec(job["theorem"], func, body, job["m"], float(job["p"]),
+                              schedule.start, job.get("mollifier", {}).get("kind"))
+        try:
+            validate_spec(spec)
+        except SpecError as exc:
+            raise ConfigError(f"{label}: {exc}") from exc
         # decorrelate jobs while keeping runs reproducible for fixed config
         job_seed = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
         plan = IntegrationPlan(**plan_raw, seed=job_seed, workers=workers)
-        jobs.append(JobConfig(name=label, theorem=job["theorem"], function=func,
-                              body=body, m=job["m"], p=float(job["p"]),
-                              schedule=schedule, plan=plan,
-                              mollifier_kind=moll_kind,
+        jobs.append(JobConfig(name=label, spec=spec, schedule=schedule, plan=plan,
                               tolerance=float(job.get("tolerance", 0.05))))
     return ExperimentConfig(jobs=jobs, seed=seed, workers=workers, output=output,
                             format=fmt, timestamp=timestamp)

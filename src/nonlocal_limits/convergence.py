@@ -9,7 +9,7 @@ the extrapolated limit against the closed-form target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,11 +53,7 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
-    theorem: str
-    function: str
-    m: int
-    p: float
-    body: dict
+    spec: FunctionalSpec
     points: list[SweepPoint]
     extrapolated_limit: float
     fitted_rate: float
@@ -137,31 +133,29 @@ def aitken(values) -> tuple[float, bool]:
     return best, False
 
 
-def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
-          plan: IntegrationPlan, mollifier_kind: str | None = None,
+def sweep(spec: FunctionalSpec, schedule: Schedule, plan: IntegrationPlan,
           tolerance: float = 0.05) -> SweepResult:
-    """Run one functional along the schedule and extrapolate to parameter -> 0.
+    """Run ``spec`` along the schedule and extrapolate to parameter -> 0.
 
-    Every point names the schedule as its grid, so a Monte Carlo plan runs all
-    points in one pass over shared draws (common random numbers stabilize the
-    fitted differences).  The target is the quadrature local limit, and the fit
-    uses every point.
+    Point i is ``spec`` at the schedule's i-th value, with the whole schedule
+    as its grid, so a Monte Carlo plan runs all points in one pass over shared
+    draws (common random numbers stabilize the fitted differences); ``spec``'s
+    own parameter and grid are not read.  The target is the quadrature local
+    limit, and the fit uses every point.
     """
     params = schedule.values()
-
-    def spec_at(value: float) -> FunctionalSpec:
-        return FunctionalSpec(theorem, f, body, m, p, value, mollifier_kind, tuple(params))
+    specs = [replace(spec, parameter=value, grid=tuple(params)) for value in params]
 
     points: list[SweepPoint] = []
     infos = []
-    for value in params:
-        est = evaluate(spec_at(value), plan)
+    for point in specs:
+        est = evaluate(point, plan)
         if not math.isfinite(est.value):
-            raise EngineError(f"nonfinite sweep value at parameter {value}")
-        points.append(SweepPoint(value, est.value, est.stderr))
+            raise EngineError(f"nonfinite sweep value at parameter {point.parameter}")
+        points.append(SweepPoint(point.parameter, est.value, est.stderr))
         infos.append(est.info)
 
-    target = local_limit(spec_at(params[0]))
+    target = local_limit(specs[0])
     limit, _, rate, rss = fit_power_law(params, [pt.value for pt in points])
     accel, fallback = aitken([pt.value for pt in points])
     if target != 0.0:
@@ -172,8 +166,7 @@ def sweep(theorem: str, f, body, m: int, p: float, schedule: Schedule,
     # a schedule has at least 4 points, so the residual has a degree of freedom
     fit_noise = math.sqrt(rss / (len(points) - 3))
     uncertainty = max(min(pt.stderr for pt in points), fit_noise)
-    return SweepResult(theorem=theorem, function=f.name, m=m, p=p,
-                       body=body.descriptor(), points=points,
+    return SweepResult(spec=spec, points=points,
                        extrapolated_limit=limit, fitted_rate=rate,
                        aitken_limit=accel, aitken_fallback=fallback,
                        target=target, rel_gap=rel_gap, tolerance=tolerance,

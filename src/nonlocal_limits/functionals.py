@@ -95,6 +95,9 @@ def validate_spec(spec: FunctionalSpec) -> None:
     if spec.theorem.startswith("bbm") and spec.mollifier_kind not in KINDS:
         raise SpecError(f"mollified functionals require a mollifier kind in {KINDS}; "
                         f"got {spec.mollifier_kind!r}")
+    if spec.theorem.startswith("nguyen") and spec.mollifier_kind is not None:
+        raise SpecError(f"level-set functionals take no mollifier kind; "
+                        f"got {spec.mollifier_kind!r}")
 
 
 def theorem_constant(theorem: str, m: int, p: float, dim: int) -> float:
@@ -329,17 +332,16 @@ def evaluate(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
 _OUTER_NODES_DEFAULT = {1: 160, 2: 96, 3: 40}
 
 
-def _outer_grid(f: TestFunction, nodes: int):
+def _outer_grid(f: TestFunction):
     """Tensor Gauss-Legendre grid on the support box of f."""
-    xg, wg = gauss_legendre(nodes)
+    xg, wg = gauss_legendre(_OUTER_NODES_DEFAULT[f.dim])
     return tensor_grid([(f.support_radius * xg, f.support_radius * wg)] * f.dim)
 
 
 @lru_cache(maxsize=None)
-def _shared_integral_quadrature(f: TestFunction, body: ConvexBody, m: int, p: float,
-                                outer_nodes: int) -> float:
+def _shared_integral_quadrature(f: TestFunction, body: ConvexBody, m: int, p: float) -> float:
     # |m-form(x)[y]|^p is homogeneous of degree m p in y: the cone rule integrates it over K
-    xs, wx = _outer_grid(f, outer_nodes)
+    xs, wx = _outer_grid(f)
     zs, wz = cone_nodes(body)
     total = 0.0
     block = max(1, (1 << 22) // len(wz))
@@ -349,11 +351,10 @@ def _shared_integral_quadrature(f: TestFunction, body: ConvexBody, m: int, p: fl
     return total / (body.dim + m * p)
 
 
-def local_limit(spec: FunctionalSpec, outer_nodes: int | None = None) -> float:
+def local_limit(spec: FunctionalSpec) -> float:
     """Closed-form limit target: theorem constant times the shared integral I,
-    a deterministic quadrature cached per (f, K, m, p, outer_nodes)."""
-    nodes = outer_nodes if outer_nodes is not None else _OUTER_NODES_DEFAULT[spec.f.dim]
-    shared = _shared_integral_quadrature(spec.f, spec.body, spec.m, float(spec.p), nodes)
+    a deterministic quadrature cached per (f, K, m, p)."""
+    shared = _shared_integral_quadrature(spec.f, spec.body, spec.m, float(spec.p))
     return theorem_constant(spec.theorem, spec.m, spec.p, spec.body.dim) * shared
 
 
@@ -379,7 +380,7 @@ def derivative_norm_p(f: TestFunction, m: int, p: float) -> float:
     One natural reading of the p-norm of the full order-m derivative vector;
     ``BOUND_FACTOR`` absorbs the convention.
     """
-    xs, wx = _outer_grid(f, _OUTER_NODES_DEFAULT[f.dim])
+    xs, wx = _outer_grid(f)
     total = 0.0
     for alpha in multi_indices(f.dim, m):
         total += float(wx @ np.abs(f.partial(alpha, xs)) ** p)
@@ -404,9 +405,7 @@ def uniform_bound_check(spec: FunctionalSpec, delta_grid, plan: IntegrationPlan)
     norm = derivative_norm_p(spec.f, spec.m, spec.p)
     values, ratios = [], []
     for delta in deltas:
-        point = FunctionalSpec(spec.theorem, spec.f, spec.body, spec.m, spec.p, delta,
-                               grid=tuple(deltas))
-        values.append(evaluate(point, plan).value)
+        values.append(evaluate(replace(spec, parameter=delta, grid=tuple(deltas)), plan).value)
         ratios.append(values[-1] / norm if norm > 0 else 0.0)
     max_ratio = max(ratios)
     worst = deltas[ratios.index(max_ratio)]

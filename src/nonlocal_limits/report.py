@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .convergence import SweepResult
+from .functionals import FunctionalSpec
 
 CSV_COLUMNS = ["job_id", "theorem", "m", "p", "body", "function", "parameter",
                "value", "stderr", "limit", "rate", "target", "rel_gap", "verdict"]
@@ -18,11 +19,7 @@ CSV_COLUMNS = ["job_id", "theorem", "m", "p", "body", "function", "parameter",
 class JobError:
     """A job stopped by a numerical error: reported with verdict ``error`` and no numbers."""
 
-    theorem: str
-    function: str
-    m: int
-    p: float
-    body: dict
+    spec: FunctionalSpec
     message: str
     verdict = "error"
     passed = False
@@ -33,8 +30,10 @@ def _num(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _body_str(body: dict) -> str:
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+def _head(spec: FunctionalSpec) -> dict:
+    """The fields of a JSON job entry that name its functional."""
+    return {"theorem": spec.theorem, "function": spec.f.name, "m": spec.m, "p": spec.p,
+            "body": spec.body.descriptor()}
 
 
 def render_csv(results: list[SweepResult | JobError], timestamp: bool = True) -> str:
@@ -44,8 +43,10 @@ def render_csv(results: list[SweepResult | JobError], timestamp: bool = True) ->
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for job_id, res in enumerate(results):
-        head = [str(job_id), res.theorem, str(res.m), _num(res.p),
-                _body_str(res.body), res.function]
+        spec = res.spec
+        head = [str(job_id), spec.theorem, str(spec.m), _num(spec.p),
+                json.dumps(spec.body.descriptor(), sort_keys=True, separators=(",", ":")),
+                spec.f.name]
         if isinstance(res, JobError):
             writer.writerow(head + [""] * 7 + [res.verdict])
             continue
@@ -60,14 +61,9 @@ def render_csv(results: list[SweepResult | JobError], timestamp: bool = True) ->
 
 def result_dict(res: SweepResult | JobError) -> dict:
     if isinstance(res, JobError):
-        return {"theorem": res.theorem, "function": res.function, "m": res.m, "p": res.p,
-                "body": res.body, "verdict": res.verdict, "error": res.message}
+        return {**_head(res.spec), "verdict": res.verdict, "error": res.message}
     return {
-        "theorem": res.theorem,
-        "function": res.function,
-        "m": res.m,
-        "p": res.p,
-        "body": res.body,
+        **_head(res.spec),
         "points": [{"parameter": pt.parameter, "value": pt.value, "stderr": pt.stderr}
                    for pt in res.points],
         "limit": res.extrapolated_limit,

@@ -41,8 +41,8 @@ def _level_set_sweep(m):
     key = f"m{m}"
     if key not in _LEVEL_SET_SWEEPS:
         plan = IntegrationPlan.monte_carlo(samples=200_000, seed=11)
-        _LEVEL_SET_SWEEPS[key] = sweep("nguyen_centered", GAUSS1, INTERVAL, m, 2.0,
-                                       Schedule(0.2, 0.5, 7), plan, tolerance=0.03)
+        spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, m, 2.0, 0.2)
+        _LEVEL_SET_SWEEPS[key] = sweep(spec, Schedule(0.2, 0.5, 7), plan, tolerance=0.03)
     return _LEVEL_SET_SWEEPS[key]
 
 
@@ -56,8 +56,8 @@ def test_criterion_01_level_set_limit_m1():
 
 def test_criterion_02_mollified_limit_m2():
     plan = IntegrationPlan.quadrature(x_nodes=200, t_nodes=48)
-    res = sweep("bbm_centered", GAUSS1, INTERVAL, 2, 2.0, Schedule(0.4, 0.5, 7),
-                plan, mollifier_kind="shell", tolerance=0.05)
+    spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 2, 2.0, 0.4, "shell")
+    res = sweep(spec, Schedule(0.4, 0.5, 7), plan, tolerance=0.05)
     # oracle: int (f'')^2 = 3 sqrt(pi/2), constant (5/16)(2/5)
     target = 3.0 * ROOT_PI_HALF / 8.0
     gap = abs(res.extrapolated_limit - target) / target
@@ -86,10 +86,8 @@ def test_criterion_04_constant_ratio_m_times_p():
         for p in (1.5, 2.0, 3.0):
             for body in BODY_SUITE:
                 f = make_function("gaussian", body.dim)
-                num = local_limit(FunctionalSpec("bbm_centered", f, body, m, p, 0.1, "shell"),
-                                  outer_nodes=24)
-                den = local_limit(FunctionalSpec("nguyen_centered", f, body, m, p, 0.1),
-                                  outer_nodes=24)
+                num = local_limit(FunctionalSpec("bbm_centered", f, body, m, p, 0.1, "shell"))
+                den = local_limit(FunctionalSpec("nguyen_centered", f, body, m, p, 0.1))
                 worst = max(worst, abs(num / den - m * p) / (m * p))
     _report(4, "mollified/level-set limit ratio equals m*p (shared factor)",
             worst <= 1e-13, f"max relative deviation {worst:.2e}")

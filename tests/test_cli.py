@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from nonlocal_limits import cli
 from nonlocal_limits.config import ConfigError, load_config, parse_config
 from nonlocal_limits.engine import SHIFTS, lattice_sizes
+from nonlocal_limits.functionals import P_RANGE
 from nonlocal_limits.mollifiers import certification_grids, certify
 
 
@@ -137,7 +138,7 @@ def test_parse_config_defaults_and_overrides():
 def test_parse_config_rejects_poly_function():
     cfg = base_config()
     cfg["jobs"][0]["function"] = "quadratic"
-    with pytest.raises(ConfigError, match="identity-test only"):
+    with pytest.raises(ConfigError, match="identity tests only"):
         parse_config(cfg)
 
 
@@ -342,10 +343,21 @@ def test_broken_fixture_that_passes_exits_two(monkeypatch, capsys):
         "broken fixture: certification unexpectedly passed")
 
 
-def test_certify_mollifiers_from_config(tmp_path):
+def test_certify_mollifiers_from_config(tmp_path, capsys):
     cfg = base_config()
     cfg["jobs"][0].update({"theorem": "bbm_centered", "mollifier": {"kind": "shell"}})
     assert cli.certify_mollifiers(write_config(tmp_path, cfg)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("shell (dim=1): ok")
+
+
+def test_certify_mollifiers_from_config_without_a_mollified_job(tmp_path, capsys, monkeypatch):
+    # a config names its families; one without any is not the four default families
+    monkeypatch.setattr(cli, "certify", lambda *args: pytest.fail("certify was called"))
+    path = write_config(tmp_path, base_config())
+    assert cli.certify_mollifiers(path) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}: no mollified job, so no family to certify"]
 
 
 def test_fractional_job_at_p4_certifies_and_runs(tmp_path):
@@ -543,18 +555,27 @@ def _one_job_configs(draw):
            "function": draw(st.sampled_from(["gaussian", "poly_bump", "sine_bump",
                                              "exp_bump", "cross", "zero", "quadratic"])),
            "body": draw(_bodies()), "m": draw(st.integers(1, 3)),
-           "p": draw(st.sampled_from([2.0, 3.0])),
+           # one p in four is outside 1 < p <= 8
+           "p": draw(st.sampled_from([1.0, 9.0] if draw(st.integers(0, 3)) == 0 else [2.0, 3.0])),
            "schedule": {"start": draw(_POSITIVE),
                         "ratio": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
                         "points": 4},
            "plan": plan, "tolerance": draw(_POSITIVE)}
-    if theorem.startswith("bbm"):
+    # one job in four has the block the wrong way round: on a level set, or off a bbm job
+    if theorem.startswith("bbm") != (draw(st.integers(0, 3)) == 0):
         job["mollifier"] = {"kind": draw(st.sampled_from(["shell", "fractional"]))}
     return {"seed": draw(st.integers(0, 2 ** 64)), "workers": 1, "jobs": [job]}
 
 
+def _breaks_a_spec_rule(job) -> bool:
+    """Whether ``job`` breaks a rule of ``functionals.validate_spec``: the p range, a
+    function registered for identity tests only, or a block on the wrong theorem."""
+    return (not P_RANGE[0] < job["p"] <= P_RANGE[1] or job["function"] in ("cross", "quadratic")
+            or job["theorem"].startswith("bbm") != ("mollifier" in job))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_one_job_configs())
 @example({"seed": 7, "jobs": [NUMERIC_FAILURES["huge-box"]]})
@@ -569,11 +590,15 @@ def test_fuzzed_config_never_raises(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(["run", "--config", str(path), "--no-timestamp"])
     assert code in (0, 1, 2)
     if _not_a_config(cfg):
         assert code == 1
+    if _breaks_a_spec_rule(cfg["jobs"][0]):
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def _not_a_config(node, key=None) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.convergence import Schedule, aitken, fit_power_law, sweep
 from nonlocal_limits.engine import IntegrationPlan
+from nonlocal_limits.functionals import FunctionalSpec
 from nonlocal_limits.functions import make_function
 
 
@@ -68,8 +69,8 @@ def test_sweep_level_set_gaussian():
     f = make_function("gaussian", 1)
     body = ConvexBody.box([1.0])
     plan = IntegrationPlan.monte_carlo(samples=200_000, seed=11)
-    res = sweep("nguyen_centered", f, body, 1, 2.0, Schedule(0.2, 0.5, 7), plan,
-                tolerance=0.03)
+    spec = FunctionalSpec("nguyen_centered", f, body, 1, 2.0, 0.2)
+    res = sweep(spec, Schedule(0.2, 0.5, 7), plan, tolerance=0.03)
     assert res.passed
     assert res.rel_gap <= 0.03
     assert res.target == pytest.approx(math.sqrt(math.pi / 2), rel=1e-9)
@@ -84,8 +85,8 @@ def test_sweep_mollified_quadrature():
     f = make_function("gaussian", 1)
     body = ConvexBody.box([1.0])
     plan = IntegrationPlan.quadrature(x_nodes=160, t_nodes=40)
-    res = sweep("bbm_centered", f, body, 2, 2.0, Schedule(0.4, 0.5, 7), plan,
-                mollifier_kind="shell", tolerance=0.05)
+    spec = FunctionalSpec("bbm_centered", f, body, 2, 2.0, 0.4, "shell")
+    res = sweep(spec, Schedule(0.4, 0.5, 7), plan, tolerance=0.05)
     assert res.passed
     assert res.rel_gap <= 0.01
     assert res.target == pytest.approx(3 * math.sqrt(math.pi / 2) / 8, rel=1e-9)
@@ -96,8 +97,8 @@ def test_sweep_fractional_quadrature():
     # the leading-term payoff there keeps the values climbing to the target
     f = make_function("poly_bump", 1)
     plan = IntegrationPlan.quadrature(x_nodes=120, t_nodes=32)
-    res = sweep("bbm_centered", f, ConvexBody.box([1.0]), 1, 2.0, Schedule(0.4, 0.5, 5), plan,
-                mollifier_kind="fractional", tolerance=0.05)
+    spec = FunctionalSpec("bbm_centered", f, ConvexBody.box([1.0]), 1, 2.0, 0.4, "fractional")
+    res = sweep(spec, Schedule(0.4, 0.5, 5), plan, tolerance=0.05)
     assert res.passed
     values = [pt.value for pt in res.points]
     assert values == sorted(values)
@@ -108,26 +109,25 @@ def test_sweep_polytope_body_uses_quadrature_target():
     diamond = ConvexBody.polytope([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1, 1, 1, 1])
     f = make_function("gaussian", 2)
     plan = IntegrationPlan.monte_carlo(samples=150_000, seed=2)
-    res = sweep("nguyen_centered", f, diamond, 1, 2.0, Schedule(0.1, 0.5, 4), plan,
-                tolerance=0.2)
+    spec = FunctionalSpec("nguyen_centered", f, diamond, 1, 2.0, 0.1)
+    res = sweep(spec, Schedule(0.1, 0.5, 4), plan, tolerance=0.2)
     assert res.target == pytest.approx(2.0 * math.pi / 3.0, rel=1e-10)
     assert math.isfinite(res.extrapolated_limit)
 
 
-@pytest.mark.parametrize("body, theorem, target", [
+@pytest.mark.parametrize("body, theorem, kind, target", [
     (ConvexBody.polytope([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.8660254037844386],
                           [-0.5, -0.8660254037844386], [-0.5, 0.8660254037844386],
                           [0.5, -0.8660254037844386]], [1.0] * 6),
-     "bbm_centered", 20.0 * math.sqrt(3.0) * math.pi / 9.0),
-    (ConvexBody.lp_ball(4.0, 1.0, 2), "nguyen_centered", math.pi ** 2 / math.sqrt(2.0)),
+     "bbm_centered", "shell", 20.0 * math.sqrt(3.0) * math.pi / 9.0),
+    (ConvexBody.lp_ball(4.0, 1.0, 2), "nguyen_centered", None, math.pi ** 2 / math.sqrt(2.0)),
 ], ids=["hexagon", "l4-ball"])
-def test_sweep_target_does_not_depend_on_the_seed(body, theorem, target):
-    f = make_function("gaussian", 2)
+def test_sweep_target_does_not_depend_on_the_seed(body, theorem, kind, target):
+    spec = FunctionalSpec(theorem, make_function("gaussian", 2), body, 1, 2.0, 0.4, kind)
     targets = set()
     for seed in (1311, 703):
         plan = IntegrationPlan.monte_carlo(samples=2_000, seed=seed)
-        res = sweep(theorem, f, body, 1, 2.0, Schedule(0.4, 0.5, 4), plan,
-                    mollifier_kind="shell")
+        res = sweep(spec, Schedule(0.4, 0.5, 4), plan)
         targets.add(res.target)
     assert len(targets) == 1
     assert targets.pop() == pytest.approx(target, rel=1e-10)
@@ -137,6 +137,7 @@ def test_sweep_points_strictly_decreasing():
     f = make_function("gaussian", 1)
     body = ConvexBody.box([1.0])
     plan = IntegrationPlan.monte_carlo(samples=20_000, seed=1)
-    res = sweep("nguyen_centered", f, body, 1, 2.0, Schedule(0.2, 0.5, 4), plan)
+    res = sweep(FunctionalSpec("nguyen_centered", f, body, 1, 2.0, 0.2), Schedule(0.2, 0.5, 4),
+                plan)
     params = [pt.parameter for pt in res.points]
     assert all(a > b for a, b in zip(params, params[1:]))

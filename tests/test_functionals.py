@@ -86,10 +86,8 @@ def test_local_limit_ratio_shared_factor():
         for p in (1.5, 2.0, 3.0):
             for body in BODY_SUITE:
                 f = make_function("gaussian", body.dim)
-                a = local_limit(FunctionalSpec("bbm_centered", f, body, m, p, 0.1, "shell"),
-                                outer_nodes=24)
-                b = local_limit(FunctionalSpec("nguyen_centered", f, body, m, p, 0.1),
-                                outer_nodes=24)
+                a = local_limit(FunctionalSpec("bbm_centered", f, body, m, p, 0.1, "shell"))
+                b = local_limit(FunctionalSpec("nguyen_centered", f, body, m, p, 0.1))
                 assert a / b == pytest.approx(m * p, rel=1e-13)
 
 

@@ -143,7 +143,8 @@ def test_nonfinite_payoff_names_its_point_and_first_bad_row():
 def test_sweep_runs_one_pass(monkeypatch):
     calls = counting_integrator(monkeypatch)
     plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
-    res = sweep("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, Schedule(0.4, points=5), plan, "shell")
+    spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.4, "shell")
+    res = sweep(spec, Schedule(0.4, points=5), plan)
     assert len(calls) == 1 and len(res.points) == 5
     assert [info["method"] for info in res.info["point_info"]] == ["monte_carlo"] * 5
 
@@ -152,7 +153,19 @@ def test_mollified_sweep_needs_a_kind(monkeypatch):
     calls = counting_integrator(monkeypatch)
     plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
     with pytest.raises(SpecError, match="mollifier kind"):
-        sweep("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, Schedule(0.4, points=5), plan)
+        sweep(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.4), Schedule(0.4, points=5),
+              plan)
+    assert calls == []
+
+
+def test_level_set_spec_takes_no_kind(monkeypatch):
+    calls = counting_integrator(monkeypatch)
+    spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.2, "shell")
+    with pytest.raises(SpecError, match="level-set functionals take no mollifier kind"):
+        functionals.validate_spec(spec)
+    plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
+    with pytest.raises(SpecError, match="level-set functionals take no mollifier kind"):
+        sweep(spec, Schedule(0.2, points=5), plan)
     assert calls == []
 
 
