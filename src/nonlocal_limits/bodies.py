@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +42,6 @@ class ConvexBody:
     params: tuple
     inner_radius: float
     outer_radius: float
-    # polytope facets, cached as arrays at construction
-    _normals: tuple = field(default=(), repr=False)
-    _offsets: tuple = field(default=(), repr=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -98,11 +95,8 @@ class ConvexBody:
                 raise ValueError("polytope facet set is not closed under negation")
         inner = float(np.min(off / np.linalg.norm(nm, axis=1)))
         outer = max(float(np.linalg.norm(v)) for v in _polytope_vertices(nm, off))
-        return ConvexBody(
-            "polytope", dim, (tuple(map(tuple, nm.tolist())), tuple(off.tolist())),
-            inner, outer,
-            _normals=tuple(map(tuple, nm.tolist())), _offsets=tuple(off.tolist()),
-        )
+        return ConvexBody("polytope", dim, (tuple(map(tuple, nm.tolist())), tuple(off.tolist())),
+                          inner, outer)
 
     # -- geometry ------------------------------------------------------------
 
@@ -119,7 +113,8 @@ class ConvexBody:
         if self.kind == "box":
             return _column_max(np.abs(pts), self.params)
         if self.kind == "polytope":
-            return _column_max(pts @ np.asarray(self._normals).T, self._offsets)
+            normals, offsets = self.params
+            return _column_max(pts @ np.asarray(normals).T, offsets)
         if self.kind == "ellipsoid":
             ax = self.params
             total = (pts[..., 0] / ax[0]) ** 2
@@ -147,8 +142,8 @@ class ConvexBody:
             return ConvexBody.ellipsoid([lam * a for a in self.params])
         if self.kind == "lp_ball":
             return ConvexBody.lp_ball(self.params[0], lam * self.params[1], self.dim)
-        return ConvexBody.polytope(np.asarray(self._normals),
-                                   lam * np.asarray(self._offsets))
+        normals, offsets = self.params
+        return ConvexBody.polytope(normals, lam * np.asarray(offsets))
 
     @property
     def volume(self) -> float | None:
@@ -175,9 +170,9 @@ class ConvexBody:
         if self.kind == "lp_ball":
             return {"kind": "lp_ball", "exponent": self.params[0],
                     "radius": self.params[1], "dim": self.dim}
-        return {"kind": "polytope",
-                "normals": [list(n) for n in self._normals],
-                "offsets": list(self._offsets)}
+        normals, offsets = self.params
+        return {"kind": "polytope", "normals": [list(n) for n in normals],
+                "offsets": list(offsets)}
 
 
 def _column_max(cols: Array, scales) -> Array:

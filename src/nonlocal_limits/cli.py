@@ -26,7 +26,7 @@ from .config import ConfigError, load_config
 from .convergence import sweep
 from .engine import EngineError, sphere_body_identity_check
 from .functions import make_function, polynomial_function
-from .mollifiers import CertificationError, certification_grids, certify
+from .mollifiers import CertificationError, certify
 from .report import JobError, render_csv, render_json
 
 ALGEBRAIC_TOL = 1e-12
@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ident = sub.add_parser("check-identities", help="exact identity suites")
     ident.add_argument("--seed", type=int, default=20260810)
-    ident.add_argument("--quick", action="store_true", help="reduced case counts")
     ident.add_argument("--corrupt", action="store_true",
                        help="negative control: flip one binomial sign and expect failure")
 
@@ -113,11 +112,9 @@ def run(config_path: str, overrides: dict | None = None) -> int:
 # check-identities
 # ---------------------------------------------------------------------------
 
-def check_identities(seed: int = 20260810, quick: bool = False,
-                     corrupt: bool = False) -> int:
+def check_identities(seed: int = 20260810, corrupt: bool = False) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    cases = 200 if quick else 1000
-    max_m = 2 if quick else 4
+    cases, max_m = 1000, 4
     funcs = [make_function("gaussian", 1), make_function("sine_bump", 1),
              make_function("gaussian", 2)]
     failures = []
@@ -180,7 +177,7 @@ def check_identities(seed: int = 20260810, quick: bool = False,
     # cube mean-value identity for the difference
     worst = 0.0
     for f in (make_function("gaussian", 1), make_function("sine_bump", 1)):
-        for m in range(1, (2 if quick else 3) + 1):
+        for m in range(1, 4):
             x = rng.uniform(-1, 1, f.dim)
             h = rng.uniform(-0.4, 0.4, f.dim)
             worst = max(worst, calculus.mean_value_identity_check(f, x, h, m))
@@ -189,7 +186,7 @@ def check_identities(seed: int = 20260810, quick: bool = False,
     # iterated-kernel identity for the Taylor remainder
     worst = 0.0
     for f in (make_function("gaussian", 1), make_function("gaussian", 2)):
-        for m in range(1, (2 if quick else 3) + 1):
+        for m in range(1, 4):
             x = rng.uniform(-1, 1, f.dim)
             h = float(rng.uniform(0.1, 0.5))
             worst = max(worst, calculus.taylor_kernel_identity_check(f, x, h, m))
@@ -238,7 +235,7 @@ def certify_mollifiers(config_path: str | None = None, broken: bool = False) -> 
     status = 0
     for kind, dim, p in families:
         try:
-            report = certify(kind, dim, *certification_grids(kind, p), p)
+            report = certify(kind, dim, p)
         except CertificationError as exc:
             print(f"{kind} (dim={dim}): FAILED: {exc}")
             status = 2
@@ -260,7 +257,7 @@ def certify_mollifiers(config_path: str | None = None, broken: bool = False) -> 
         original = _m.make_mollifier
         _m.make_mollifier = lambda kind, dim, eps, p=None: _Broken(kind, dim, eps, p)
         try:
-            certify("shell", 1, *certification_grids("shell"))
+            certify("shell", 1)
             print("broken fixture: certification unexpectedly passed")
             status = 2
         except CertificationError as exc:
@@ -288,7 +285,7 @@ def main(argv=None) -> int:
             overrides["timestamp"] = False
         return run(args.config, overrides)
     if args.command == "check-identities":
-        return check_identities(seed=args.seed, quick=args.quick, corrupt=args.corrupt)
+        return check_identities(seed=args.seed, corrupt=args.corrupt)
     return certify_mollifiers(args.config, broken=args.broken_fixture)
 
 

@@ -134,7 +134,7 @@ def aitken(values) -> tuple[float, bool]:
 
 
 def sweep(spec: FunctionalSpec, schedule: Schedule, plan: IntegrationPlan,
-          tolerance: float = 0.05) -> SweepResult:
+          tolerance: float) -> SweepResult:
     """Run ``spec`` along the schedule and extrapolate to parameter -> 0.
 
     Point i is ``spec`` at the schedule's i-th value, with the whole schedule

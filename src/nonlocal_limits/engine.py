@@ -101,44 +101,35 @@ def gauss_legendre(n: int, unit: bool = False) -> tuple[Array, Array]:
 # ---------------------------------------------------------------------------
 
 class PowerLaw:
-    """Density proportional to t^exponent on [t_min(sigma), t_max].
+    """Density proportional to t^exponent on [t_min(sigma), t_max], exponent != -1.
 
     The unnormalised radial shape is t^exponent.  With exponent = -(1 + m p)
     this matches the radial weight of the level-set kernels exactly, so their
-    per-sample payoff is flat in t.  The lower bound may be a callable of the
-    direction batch (per-direction exact cutoffs, one row per point of a
-    pass); directions whose cutoff reaches t_max keep a degenerate-free
-    interval and rely on the kernel vanishing there.
+    per-sample payoff is flat in t.  The lower bound t_min is a callable of
+    the direction batch (n, dim) returning per-direction cutoffs, one row
+    per point of a pass; directions whose cutoff reaches t_max keep a
+    degenerate-free interval and rely on the kernel vanishing there.
     """
 
     def __init__(self, exponent: float, t_min, t_max: float):
         self.exponent = float(exponent)
         self.t_max = float(t_max)
         self.t_min = t_min
-        if not callable(t_min):
-            if not 0.0 < float(t_min) < self.t_max:
-                raise ValueError(f"empty radial interval [{t_min}, {t_max}]")
         self._s = self.exponent + 1.0
-        self._log = abs(self._s) < 1e-12
+        if self._s == 0.0:
+            raise ValueError("the exponent must not be -1: its inverse CDF is a log")
 
-    def prepare(self, sigma: Array):
-        """The lower bound raised to exponent + 1 (the bound itself on the log branch)."""
-        if callable(self.t_min):
-            lo = np.minimum(np.asarray(self.t_min(sigma), dtype=float), 0.5 * self.t_max)
-        else:
-            lo = float(self.t_min)
-        return lo if self._log else lo ** self._s
+    def prepare(self, sigma: Array) -> Array:
+        """The lower bounds (K, n) raised to exponent + 1."""
+        lo = np.minimum(np.asarray(self.t_min(sigma), dtype=float), 0.5 * self.t_max)
+        return lo ** self._s
 
-    def sample(self, v: Array, lo_s) -> Array:
-        if self._log:
-            return lo_s * (self.t_max / lo_s) ** v
+    def sample(self, v: Array, lo_s: Array) -> Array:
         b_s = self.t_max ** self._s
         return (lo_s + v * (b_s - lo_s)) ** (1.0 / self._s)
 
     def mass(self, lo_s):
         """Integral of the shape t^exponent over [lo, t_max]."""
-        if self._log:
-            return np.log(self.t_max / lo_s)
         return (self.t_max ** self._s - lo_s) / self._s
 
     def pdf(self, t: Array, lo_s) -> Array:
@@ -192,12 +183,14 @@ class IntegrationPlan:
     t_nodes: int = 64
 
     @staticmethod
-    def monte_carlo(samples: int, seed: int = 0, workers: int = 1) -> "IntegrationPlan":
-        return IntegrationPlan("monte_carlo", samples=samples, seed=seed, workers=workers)
+    def monte_carlo(samples: int, **options) -> "IntegrationPlan":
+        """A Monte Carlo plan; ``options`` are seed and workers."""
+        return IntegrationPlan("monte_carlo", samples=samples, **options)
 
     @staticmethod
-    def quadrature(x_nodes: int = 200, t_nodes: int = 64) -> "IntegrationPlan":
-        return IntegrationPlan("tensor_quadrature", x_nodes=x_nodes, t_nodes=t_nodes)
+    def quadrature(**nodes) -> "IntegrationPlan":
+        """A tensor quadrature plan; ``nodes`` are x_nodes and t_nodes."""
+        return IntegrationPlan("tensor_quadrature", **nodes)
 
 
 @dataclass
@@ -399,9 +392,9 @@ def integrate_double(kernel, plan: IntegrationPlan, radius: float, dim: int, law
     law : PowerLaw | MollifierRadial
         Radial importance law; it sets K.  ``law.prepare(sigma)`` supplies
         any per-direction state (gauge values or cutoffs) once for all
-        points, ``law.sample`` returns t of shape (K, n), or (n,) for one
-        point, and the estimate multiplies each payoff by ``law.mass`` of
-        that state, MC and quadrature alike.
+        points, ``law.sample`` returns t of shape (K, n), and the estimate
+        multiplies each payoff by ``law.mass`` of that state, MC and
+        quadrature alike.
     proposal : functions.OuterProposal | None
         Law for the outer point x on the Monte Carlo path, mixed with the
         uniform box (``outer_weights``); quadrature ignores it.
@@ -461,7 +454,7 @@ def _monte_carlo(kernel, plan, radius, dim, law, proposal) -> list[IntegralEstim
             weight = outer_weights(x, radius, proposal, n1 / n, mass)
         sigma = _directions(u[c:-1], dim)
         aux = law.prepare(sigma)
-        t = np.atleast_2d(law.sample(u[-1], aux))
+        t = law.sample(u[-1], aux)
         return _weighted_payoffs(kernel, x, sigma, t, law.mass(aux) * weight)
 
     def fold(results) -> tuple[Array, Array]:
@@ -498,7 +491,7 @@ def _integrate_double_quadrature(kernel, plan, radius, dim, law):
     totals = 0.0
     for s in (-1.0, 1.0):
         aux = law.prepare(np.array([[s]]))
-        t = np.atleast_2d(law.sample(v, aux))
+        t = law.sample(v, aux)
         # full tensor batch (x_i, t_j) of every point
         xx = np.repeat(x, t.shape[1])[:, np.newaxis]
         tt = np.tile(t, x.size)
@@ -649,7 +642,7 @@ def cone_nodes(body: ConvexBody) -> tuple[Array, Array]:
         offsets = np.concatenate([half, half])
         vertices = np.array(list(itertools.product(*[(-h, h) for h in half])))
     else:
-        normals, offsets = np.asarray(body._normals), np.asarray(body._offsets)
+        normals, offsets = map(np.asarray, body.params)
         vertices = _polytope_vertices(normals, offsets)
     pts, wts, seen = [], [], set()
     for normal, offset in zip(normals, offsets):

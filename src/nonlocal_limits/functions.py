@@ -99,21 +99,20 @@ class PolynomialProfile(Profile1D):
 
 
 class SineProfile(Profile1D):
-    """amp * sin(omega*u + phase)."""
+    """sin(omega*u + phase)."""
 
     support = None
 
-    def __init__(self, omega: float, phase: float = 0.0, amp: float = 1.0):
+    def __init__(self, omega: float, phase: float):
         self.omega = omega
         self.phase = phase
-        self.amp = amp
 
     def derivative(self, k: int, u: Array) -> Array:
         u = np.asarray(u, dtype=float)
-        return self.amp * self.omega ** k * np.sin(self.omega * u + self.phase + 0.5 * k * math.pi)
+        return self.omega ** k * np.sin(self.omega * u + self.phase + 0.5 * k * math.pi)
 
     def sup_derivative(self, k: int) -> float:
-        return abs(self.amp) * self.omega ** k
+        return self.omega ** k
 
 
 class ExpProfile(Profile1D):

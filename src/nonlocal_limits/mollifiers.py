@@ -12,7 +12,8 @@ Two closed-form families are provided:
 
 Both are evaluated at gauge radii r = ||x - y||_K by the mollified functionals.
 On its support (0, R] each has radial mass (r / R)^a below r, with a = N or
-eps p (``MollifierFamily.rate``).  ``certify`` checks both conditions against
+eps p (``MollifierFamily.rate``).  ``certify`` checks both conditions on the
+family's own delta and epsilon grids (``certification_grids``) against
 40-digit tanh-sinh quadrature of the mass per unit log-radius,
 r^N rho(r) = a R^-a e^(-a y) at r = e^(-y) (``log_radius_mass_mp``), integrated
 in the unit-scale variable s = a (y - log(1/R)) and computed once per distinct
@@ -121,12 +122,8 @@ def make_mollifier(kind: str, dim: int, epsilon: float, p: float | None = None) 
 
 @dataclass
 class CertificationReport:
-    kind: str
-    dim: int
-    p: float | None
-    normalization_residuals: dict[float, float]
-    tails: dict[tuple[float, float], float]  # (delta, epsilon) -> tail mass
-    tail_residuals: dict[tuple[float, float], float]  # numeric vs closed form
+    normalization_residuals: dict[float, float]  # epsilon -> |numeric mass - 1|
+    tail_residuals: dict[tuple[float, float], float]  # (delta, epsilon) -> numeric vs closed form
     max_final_tail: float
 
 
@@ -159,22 +156,16 @@ def _numeric_mass(family: MollifierFamily, delta: float = 0.0) -> float:
     return _masses[key]
 
 
-def certify(kind: str, dim: int, delta_grid, epsilon_grid,
-            p: float | None = None) -> CertificationReport:
-    """Check unit normalization and vanishing tails along an epsilon grid.
+def certify(kind: str, dim: int, p: float | None = None) -> CertificationReport:
+    """Check unit normalization and vanishing tails on the family's own grids.
 
-    Three conditions, each raising CertificationError when violated: numeric
-    normalization within ``NORM_TOL`` of one; numeric tail masses within
-    ``TAIL_MATCH_TOL`` of their closed forms; closed-form tails nonincreasing
-    along decreasing epsilon and ending below ``FINAL_TAIL_TOL``.
+    The grids are ``certification_grids(kind, p)``.  Three conditions, each
+    raising CertificationError when violated: numeric normalization within
+    ``NORM_TOL`` of one; numeric tail masses within ``TAIL_MATCH_TOL`` of
+    their closed forms; closed-form tails nonincreasing along decreasing
+    epsilon and ending below ``FINAL_TAIL_TOL``.
     """
-    deltas = sorted(float(d) for d in delta_grid)
-    epsilons = sorted((float(e) for e in epsilon_grid), reverse=True)
-    if not deltas or not epsilons:
-        raise ValueError("delta_grid and epsilon_grid must be nonempty")
-    if any(d <= 0 for d in deltas) or any(e <= 0 for e in epsilons):
-        raise ValueError("grids must be positive")
-
+    deltas, epsilons = certification_grids(kind, p)
     residuals: dict[float, float] = {}
     tails: dict[tuple[float, float], float] = {}
     tail_residuals: dict[tuple[float, float], float] = {}
@@ -210,10 +201,8 @@ def certify(kind: str, dim: int, delta_grid, epsilon_grid,
                 f"concentration condition violated")
         max_final = max(max_final, seq[-1])
 
-    return CertificationReport(kind=kind, dim=dim, p=p,
-                               normalization_residuals=residuals,
-                               tails=tails, tail_residuals=tail_residuals,
-                               max_final_tail=max_final)
+    return CertificationReport(normalization_residuals=residuals,
+                               tail_residuals=tail_residuals, max_final_tail=max_final)
 
 
 _DEFAULT_DELTAS = (0.05, 0.1, 0.25, 0.5)
@@ -227,7 +216,7 @@ _certified: set[tuple] = set()
 
 
 def certification_grids(kind: str, p: float | None = None) -> tuple[tuple[float, ...], ...]:
-    """The delta grid and the epsilon grid a family is certified on."""
+    """The delta grid (increasing) and the epsilon grid (decreasing) a family is certified on."""
     epsilons = _DEFAULT_EPSILONS[kind]
     if kind == "fractional" and p > 2.0:
         # the profile depends on eps p only: keep the p = 2 values of eps p
@@ -240,5 +229,5 @@ def ensure_certified(family: MollifierFamily) -> None:
     key = (family.kind, family.dim, family.p)
     if key in _certified:
         return
-    certify(family.kind, family.dim, *certification_grids(family.kind, family.p), family.p)
+    certify(family.kind, family.dim, family.p)
     _certified.add(key)

@@ -36,7 +36,7 @@ def _head(spec: FunctionalSpec) -> dict:
             "body": spec.body.descriptor()}
 
 
-def render_csv(results: list[SweepResult | JobError], timestamp: bool = True) -> str:
+def render_csv(results: list[SweepResult | JobError], timestamp: bool) -> str:
     buf = io.StringIO()
     if timestamp:
         buf.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
@@ -79,12 +79,10 @@ def result_dict(res: SweepResult | JobError) -> dict:
     }
 
 
-def render_json(results: list[SweepResult | JobError], meta: dict | None = None,
-                timestamp: bool = True) -> str:
+def render_json(results: list[SweepResult | JobError], meta: dict, timestamp: bool) -> str:
     doc: dict = {}
     if timestamp:
         doc["generated"] = datetime.now(timezone.utc).isoformat()
-    if meta:
-        doc.update(meta)
+    doc.update(meta)
     doc["jobs"] = [result_dict(r) for r in results]
     return json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"

@@ -16,6 +16,12 @@ def rng():
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260810)))
 
 
+def constant_cutoff(*cutoffs):
+    """A ``PowerLaw`` lower bound that is the same in every direction: one row per cutoff."""
+    rows = np.asarray(cutoffs, dtype=float)[:, np.newaxis]
+    return lambda sigma: np.repeat(rows, len(sigma), axis=1)
+
+
 def fd_partial(f, alpha, x, step=1e-4):
     """Nested central finite differences of f.eval; oracle for analytic partials."""
     alpha = tuple(int(a) for a in alpha)

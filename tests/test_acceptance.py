@@ -18,7 +18,7 @@ from nonlocal_limits.engine import (IntegrationPlan, body_quadrature_nodes, cone
 from nonlocal_limits.functionals import (FunctionalSpec, derivative_norm_p, evaluate,
                                          local_limit, uniform_bound_check)
 from nonlocal_limits.functions import make_function, polynomial_function
-from nonlocal_limits.mollifiers import certification_grids, certify
+from nonlocal_limits.mollifiers import certify
 
 INTERVAL = ConvexBody.box([1.0])
 GAUSS1 = make_function("gaussian", 1)
@@ -195,7 +195,7 @@ def test_criterion_11_mollifier_certification():
     for kind in ("shell", "fractional"):
         for dim in (1, 2):
             p = 2.0 if kind == "fractional" else None
-            rep = certify(kind, dim, *certification_grids(kind, p), p)
+            rep = certify(kind, dim, p)
             worst_norm = max(worst_norm, max(rep.normalization_residuals.values()))
             worst_tail = max(worst_tail, max(rep.tail_residuals.values()))
     ok = worst_norm <= 1e-10 and worst_tail <= 1e-10

@@ -32,8 +32,8 @@ def _axis_reduction_gauge(body, pts):
     if body.kind == "lp_ball":
         q, radius = body.params
         return np.sum(np.abs(pts) ** q, axis=-1) ** (1.0 / q) / radius
-    nm = np.asarray(body._normals)
-    return np.max((pts @ nm.T) / np.asarray(body._offsets), axis=-1)
+    nm = np.asarray(body.params[0])
+    return np.max((pts @ nm.T) / np.asarray(body.params[1]), axis=-1)
 
 
 @pytest.mark.parametrize("body", [

@@ -15,7 +15,7 @@ from nonlocal_limits import cli
 from nonlocal_limits.config import ConfigError, load_config, parse_config
 from nonlocal_limits.engine import SHIFTS, lattice_sizes
 from nonlocal_limits.functionals import P_RANGE
-from nonlocal_limits.mollifiers import certification_grids, certify
+from nonlocal_limits.mollifiers import certify
 
 
 def base_config(**overrides):
@@ -89,6 +89,17 @@ def test_run_json_format(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["jobs"][0]["verdict"] == "pass"
     assert len(doc["jobs"][0]["points"]) == 4
+
+
+def test_job_without_tolerance_reports_the_default(tmp_path):
+    # the config is the one place the default tolerance is set
+    job = {**base_config()["jobs"][0],
+           "plan": {"method": "tensor_quadrature", "x_nodes": 40, "t_nodes": 16}}
+    del job["tolerance"]
+    out = tmp_path / "report.json"
+    cli.run(write_config(tmp_path, base_config(jobs=[job])),
+            {"output": str(out), "format": "json", "timestamp": False})
+    assert json.loads(out.read_text())["jobs"][0]["tolerance"] == 0.05
 
 
 def test_run_rejects_low_p(tmp_path, capsys):
@@ -298,12 +309,12 @@ def test_cli_import_leaves_jsonschema_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_check_identities_quick():
-    assert cli.check_identities(quick=True) == 0
+def test_check_identities_passes():
+    assert cli.check_identities() == 0
 
 
 def test_check_identities_corrupt_detected():
-    assert cli.check_identities(quick=True, corrupt=True) == 2
+    assert cli.check_identities(corrupt=True) == 2
 
 
 def test_certify_mollifiers_default():
@@ -320,7 +331,7 @@ def test_certify_mollifiers_broken_fixture(capsys):
 def test_broken_fixture_is_rejected_after_its_real_family_certified(capsys):
     # the per-process mass cache is keyed on the family's class, so the fixture
     # is never served the floats of the real shell family it overrides
-    certify("shell", 1, *certification_grids("shell"))
+    certify("shell", 1)
     assert cli.certify_mollifiers(broken=True) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1].startswith("broken fixture correctly rejected: ")
@@ -394,7 +405,7 @@ def test_main_entry(tmp_path):
 
 def test_traced_benchmark_child_runs():
     # the traced benchmark wraps package names; renaming one of them breaks this run
-    spec = {"root": str(ROOT), "argv": ["check-identities", "--quick"], "trace": True}
+    spec = {"root": str(ROOT), "argv": ["check-identities"], "trace": True}
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

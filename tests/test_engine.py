@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import constant_cutoff
 
 from nonlocal_limits import engine
 from nonlocal_limits.bodies import ConvexBody
@@ -26,7 +27,8 @@ def ones_kernel(x, sigma, t):
 def test_constant_kernel_box_measure():
     # product of measures: box 2 x two directions x radial length 0.5 = 2
     plan = IntegrationPlan.monte_carlo(samples=20_000, seed=1)
-    law = PowerLaw(0.0, 0.5, 1.0)  # uniform radial density, no importance weighting
+    # uniform radial density, no importance weighting
+    law = PowerLaw(0.0, constant_cutoff(0.5), 1.0)
     est, = integrate_double(ones_kernel, plan, 1.0, 1, law)
     assert est.stderr < 0.02
     assert abs(est.value - 2.0) <= 3 * max(est.stderr, 1e-12)
@@ -35,7 +37,7 @@ def test_constant_kernel_box_measure():
 def test_matched_importance_has_zero_variance():
     # integrand 1/t^2 over the law's shape t^-2: per-sample payoff is constant
     plan = IntegrationPlan.monte_carlo(samples=5_000, seed=2)
-    law = PowerLaw(-2.0, 0.25, 2.0)
+    law = PowerLaw(-2.0, constant_cutoff(0.25), 2.0)
     est, = integrate_double(lambda x, s, t: np.ones_like(t), plan, 1.0, 1, law)
     expected = 2.0 * 2.0 * (1.0 / 0.25 - 1.0 / 2.0)  # box x sphere x int t^-2
     assert est.value == pytest.approx(expected, rel=1e-12)
@@ -45,14 +47,13 @@ def test_matched_importance_has_zero_variance():
 def test_empty_plan_rejected():
     plan = IntegrationPlan.monte_carlo(samples=0, seed=0)
     with pytest.raises(ValueError, match="empty plan"):
-        integrate_double(ones_kernel, plan, 1.0, 1, PowerLaw(0.0, 0.5, 1.0))
+        integrate_double(ones_kernel, plan, 1.0, 1, PowerLaw(0.0, constant_cutoff(0.5), 1.0))
 
 
-def test_power_law_rejects_empty_radial_interval():
-    with pytest.raises(ValueError, match="radial interval"):
-        PowerLaw(-3.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="radial interval"):
-        PowerLaw(-3.0, 2.0, 1.0)
+def test_power_law_rejects_exponent_minus_one():
+    # t^-1 has a log inverse CDF, which no radial law here needs
+    with pytest.raises(ValueError, match="must not be -1"):
+        PowerLaw(-1.0, constant_cutoff(0.5), 1.0)
 
 
 def test_nonfinite_kernel_reports_coordinates():
@@ -62,12 +63,12 @@ def test_nonfinite_kernel_reports_coordinates():
         return np.full_like(t, np.nan)
 
     with pytest.raises(EngineError, match="nonfinite kernel value at x="):
-        integrate_double(bad, plan, 1.0, 1, PowerLaw(0.0, 0.5, 1.0))
+        integrate_double(bad, plan, 1.0, 1, PowerLaw(0.0, constant_cutoff(0.5), 1.0))
 
 
 def test_determinism_bitwise():
     plan = IntegrationPlan.monte_carlo(samples=30_000, seed=9, workers=3)
-    law = PowerLaw(-1.5, 0.1, 2.0)
+    law = PowerLaw(-1.5, constant_cutoff(0.1), 2.0)
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) / t
     a, = integrate_double(kernel, plan, 1.0, 1, law)
     b, = integrate_double(kernel, plan, 1.0, 1, law)
@@ -75,7 +76,7 @@ def test_determinism_bitwise():
 
 
 def test_seed_independence():
-    law = PowerLaw(-1.5, 0.1, 2.0)
+    law = PowerLaw(-1.5, constant_cutoff(0.1), 2.0)
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) / t
     est = []
     for seed in (101, 202):
@@ -86,7 +87,7 @@ def test_seed_independence():
 
 
 def test_worker_split_covers_all_samples():
-    law = PowerLaw(0.0, 0.5, 1.0)
+    law = PowerLaw(0.0, constant_cutoff(0.5), 1.0)
     for workers in (1, 2, 5):
         plan = IntegrationPlan.monte_carlo(samples=10_001, seed=3, workers=workers)
         est, = integrate_double(ones_kernel, plan, 1.0, 1, law)
@@ -95,7 +96,7 @@ def test_worker_split_covers_all_samples():
 
 
 def test_quadrature_matches_monte_carlo_on_smooth_kernel():
-    law = PowerLaw(-1.0, 0.2, 1.5)
+    law = PowerLaw(-1.5, constant_cutoff(0.2), 1.5)
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) * t
     qplan = IntegrationPlan.quadrature(x_nodes=80, t_nodes=48)
     quad, = integrate_double(kernel, qplan, 3.0, 1, law)
@@ -109,18 +110,19 @@ def test_quadrature_matches_monte_carlo_on_smooth_kernel():
 def test_quadrature_integrates_every_point_of_a_law():
     # one cutoff row per point: each estimate is the quadrature of its own law
     cutoffs = [0.5, 0.25, 0.125]
-    law = PowerLaw(-1.0, lambda s: np.repeat([[c] for c in cutoffs], len(s), axis=1), 1.5)
+    law = PowerLaw(-1.5, constant_cutoff(*cutoffs), 1.5)
     kernel = lambda x, s, t: np.exp(-x * x).T * t
     plan = IntegrationPlan.quadrature(x_nodes=40, t_nodes=24)
     together = integrate_double(kernel, plan, 3.0, 1, law)
-    alone = [integrate_double(kernel, plan, 3.0, 1, PowerLaw(-1.0, c, 1.5))[0] for c in cutoffs]
+    alone = [integrate_double(kernel, plan, 3.0, 1, PowerLaw(-1.5, constant_cutoff(c), 1.5))[0]
+             for c in cutoffs]
     assert [e.value for e in together] == pytest.approx([e.value for e in alone], rel=1e-14)
 
 
 def test_importance_sampling_unbiased_over_repetitions():
     # closed-form radial integral oracle; mean over 50 independent estimates
     # must sit within the 1% critical value of its standard error
-    law = PowerLaw(-2.0, 0.5, 4.0)
+    law = PowerLaw(-2.0, constant_cutoff(0.5), 4.0)
     # integrand (1 + x^2) / t^2; x is shared, so the payoff row is broadcast to t's shape
     kernel = lambda x, s, t: np.broadcast_to(1.0 + x[:, 0] ** 2, t.shape)
     truth = 2.0 * (1.0 + 1.0 / 3.0) * 2.0 * (1.0 / 0.5 - 1.0 / 4.0)
@@ -275,7 +277,7 @@ def test_cone_rule_matches_volume_rule_on_monomials(body):
 # payoff (1 + x0^2) over the law's shape t^-2 on the box [-2, 2]^2: most of the
 # integrand sits where the N(0, 1) proposal is thin, and 4.6% of proposal
 # coordinates land outside the box
-MIXTURE_LAW = PowerLaw(-2.0, 0.5, 4.0)
+MIXTURE_LAW = PowerLaw(-2.0, constant_cutoff(0.5), 4.0)
 MIXTURE_TRUTH = (112.0 / 3.0) * 2.0 * math.pi * (1.0 / 0.5 - 1.0 / 4.0)
 
 
@@ -334,12 +336,13 @@ def test_mixture_weights_bounded_and_exact(n):
 
 
 def _record_blocks(monkeypatch):
-    """Each block's (x, sigma, t, factor) as the engine weighs its payoffs, in block order."""
+    """Each block's (x, sigma, t, factor) as the engine weighs its payoffs, in block order;
+    the factor is the first point's row."""
     blocks = []
     weighted = engine._weighted_payoffs
 
     def recording(kernel, x, sigma, t, factor):
-        blocks.append((x, sigma, t, np.broadcast_to(factor, t.shape[1:])))
+        blocks.append((x, sigma, t, np.broadcast_to(factor, t.shape)[0]))
         return weighted(kernel, x, sigma, t, factor)
 
     monkeypatch.setattr(engine, "_weighted_payoffs", recording)
@@ -357,7 +360,8 @@ def test_single_row_chunk_is_a_box_row(monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", 1)
     blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan.monte_carlo(samples=2000, seed=1)
-    integrate_double(ones_kernel, plan, 8.5, 2, PowerLaw(0.0, 0.5, 1.0), GAUSS2_PROPOSAL)
+    integrate_double(ones_kernel, plan, 8.5, 2, PowerLaw(0.0, constant_cutoff(0.5), 1.0),
+                     GAUSS2_PROPOSAL)
     n1, n2 = lattice_sizes(plan.samples, True)
     share = n1 / (n1 + n2)
     assert len(blocks) == SHIFTS * (n1 + n2)
@@ -372,7 +376,8 @@ def test_single_row_chunk_is_a_box_row(monkeypatch):
 def test_out_of_box_proposal_draw_gets_zero_weight(monkeypatch):
     blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan.monte_carlo(samples=SHIFTS * 4000, seed=4)
-    integrate_double(ones_kernel, plan, 0.5, 2, PowerLaw(0.0, 0.5, 1.0), GAUSS2_PROPOSAL)
+    integrate_double(ones_kernel, plan, 0.5, 2, PowerLaw(0.0, constant_cutoff(0.5), 1.0),
+                     GAUSS2_PROPOSAL)
     n1, n2 = lattice_sizes(plan.samples, True)
     # one block per run: the proposal lattice's SHIFTS runs come first, then the box lattice's
     assert [len(x) for x, _, _, _ in blocks] == [n1] * SHIFTS + [n2] * SHIFTS
@@ -388,7 +393,7 @@ def test_no_proposal_keeps_the_uniform_box(monkeypatch):
     np.testing.assert_array_equal(outer_points(u, 3.0, None), (-3.0 + 6.0 * u).T)
     blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan.monte_carlo(samples=3200, seed=5)
-    integrate_double(ones_kernel, plan, 3.0, 2, PowerLaw(0.0, 0.5, 1.0))
+    integrate_double(ones_kernel, plan, 3.0, 2, PowerLaw(0.0, constant_cutoff(0.5), 1.0))
     assert lattice_sizes(plan.samples, False) == (0, 199)
     assert [len(x) for x, _, _, _ in blocks] == [199] * SHIFTS
     for x, _, _, factor in blocks:
@@ -495,8 +500,8 @@ def test_block_streams_and_offsets():
             u = shift[:, np.newaxis]
             np.testing.assert_array_equal(x[:1], outer_points(u[:2], 2.0, proposal))
             np.testing.assert_array_equal(sigma[:1], engine._directions(u[2:3], 2))
-            t0 = MIXTURE_LAW.sample(u[3], MIXTURE_LAW.prepare(u))
-            np.testing.assert_array_equal(t[0, :1], t0)
+            t0 = MIXTURE_LAW.sample(u[3], MIXTURE_LAW.prepare(sigma[:1]))
+            np.testing.assert_array_equal(t[:, :1], t0)
 
 
 def test_power_law_bitwise_against_unprepared_formulas():
@@ -506,18 +511,14 @@ def test_power_law_bitwise_against_unprepared_formulas():
     sigma = rng.normal(size=(1000, 2))
     v = rng.random(1000)
     cutoff = lambda s: 0.05 + np.abs(s[:, 0])
-    for exponent in (-3.0, -1.0, -2.5, 0.0):
+    for exponent in (-3.0, -2.0, -2.5, 0.0):
         law = PowerLaw(exponent, cutoff, 2.0)
         lo = np.minimum(cutoff(sigma), 0.5 * 2.0)
         s1 = exponent + 1.0
         aux = law.prepare(sigma)
-        if s1 == 0.0:
-            t_old = lo * (2.0 / lo) ** v
-            mass_old = np.log(2.0 / lo)
-        else:
-            a_s = lo ** s1
-            t_old = (a_s + v * (2.0 ** s1 - a_s)) ** (1.0 / s1)
-            mass_old = (2.0 ** s1 - lo ** s1) / s1
+        a_s = lo ** s1
+        t_old = (a_s + v * (2.0 ** s1 - a_s)) ** (1.0 / s1)
+        mass_old = (2.0 ** s1 - lo ** s1) / s1
         np.testing.assert_array_equal(law.sample(v, aux), t_old)
         np.testing.assert_array_equal(law.mass(aux), mass_old)
 
@@ -653,9 +654,11 @@ def test_pass_bitwise_at_any_worker_count_and_block_size(dim, monkeypatch):
 def test_constant_and_matched_kernels_stay_exact(dim):
     plan = IntegrationPlan.monte_carlo(samples=5000, seed=dim)
     box = 2.0 ** dim * engine.sphere_measure(dim)
-    est, = integrate_double(ones_kernel, plan, 1.0, dim, PowerLaw(0.0, 0.5, 1.0))
+    est, = integrate_double(ones_kernel, plan, 1.0, dim,
+                            PowerLaw(0.0, constant_cutoff(0.5), 1.0))
     assert est.value == pytest.approx(0.5 * box, rel=1e-12) and est.stderr <= 1e-12 * box
-    est, = integrate_double(ones_kernel, plan, 1.0, dim, PowerLaw(-2.0, 0.25, 2.0))
+    est, = integrate_double(ones_kernel, plan, 1.0, dim,
+                            PowerLaw(-2.0, constant_cutoff(0.25), 2.0))
     assert est.value == pytest.approx(3.5 * box, rel=1e-12) and est.stderr <= 1e-12 * box
 
 

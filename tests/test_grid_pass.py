@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import constant_cutoff
 
 from nonlocal_limits import engine, functionals, functions
 from nonlocal_limits.bodies import ConvexBody
@@ -120,7 +121,7 @@ def test_uniform_bound_check_runs_one_pass(monkeypatch):
 
 
 # a radial law of three points: one cutoff row per point
-THREE_POINT_LAW = PowerLaw(-2.0, lambda sigma: np.full((3, len(sigma)), 0.5), 4.0)
+THREE_POINT_LAW = PowerLaw(-2.0, constant_cutoff(0.5, 0.5, 0.5), 4.0)
 
 
 def test_nonfinite_payoff_names_its_point_and_first_bad_row():
@@ -144,7 +145,7 @@ def test_sweep_runs_one_pass(monkeypatch):
     calls = counting_integrator(monkeypatch)
     plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
     spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.4, "shell")
-    res = sweep(spec, Schedule(0.4, points=5), plan)
+    res = sweep(spec, Schedule(0.4, points=5), plan, tolerance=0.05)
     assert len(calls) == 1 and len(res.points) == 5
     assert [info["method"] for info in res.info["point_info"]] == ["monte_carlo"] * 5
 
@@ -154,7 +155,7 @@ def test_mollified_sweep_needs_a_kind(monkeypatch):
     plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
     with pytest.raises(SpecError, match="mollifier kind"):
         sweep(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.4), Schedule(0.4, points=5),
-              plan)
+              plan, tolerance=0.05)
     assert calls == []
 
 
@@ -165,7 +166,7 @@ def test_level_set_spec_takes_no_kind(monkeypatch):
         functionals.validate_spec(spec)
     plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
     with pytest.raises(SpecError, match="level-set functionals take no mollifier kind"):
-        sweep(spec, Schedule(0.2, points=5), plan)
+        sweep(spec, Schedule(0.2, points=5), plan, tolerance=0.05)
     assert calls == []
 
 
@@ -193,7 +194,8 @@ def test_small_radius_bias_uses_the_pass_box():
     assert bias / own == pytest.approx((box / own_box) ** 2, rel=1e-12)
 
 
-@pytest.mark.parametrize("law", [PowerLaw(-2.0, 0.5, 4.0), THREE_POINT_LAW], ids=["K=1", "K=3"])
+@pytest.mark.parametrize("law", [PowerLaw(-2.0, constant_cutoff(0.5), 4.0), THREE_POINT_LAW],
+                         ids=["K=1", "K=3"])
 @pytest.mark.parametrize("plan", [
     IntegrationPlan.monte_carlo(samples=100, seed=3),
     IntegrationPlan.quadrature(x_nodes=8, t_nodes=8)],

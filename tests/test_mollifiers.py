@@ -53,7 +53,7 @@ def test_certification_passes_builtins():
     for kind in ("shell", "fractional"):
         for dim in (1, 2):
             p = 2.0 if kind == "fractional" else None
-            report = certify(kind, dim, *certification_grids(kind, p), p)
+            report = certify(kind, dim, p)
             assert max(report.normalization_residuals.values()) <= 1e-10
             assert max(report.tail_residuals.values()) <= 1e-10
             assert report.max_final_tail <= 1e-3
@@ -62,10 +62,10 @@ def test_certification_passes_builtins():
 @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
 def test_fractional_certifies_above_p2(p):
     # the profile depends on eps p only: the scaled grid keeps the p = 2 tails
-    deltas, epsilons = certification_grids("fractional", p)
+    epsilons = certification_grids("fractional", p)[1]
     assert [eps * p for eps in epsilons] == pytest.approx(
         [eps * 2.0 for eps in certification_grids("fractional", 2.0)[1]], rel=1e-15)
-    report = certify("fractional", 2, deltas, epsilons, p)
+    report = certify("fractional", 2, p)
     assert report.max_final_tail == pytest.approx(1.0 - 0.05 ** 2e-4, rel=1e-12)
     assert report.max_final_tail <= 1e-3
 
@@ -81,9 +81,33 @@ def test_certification_rejects_broken_normalization():
     m.make_mollifier = lambda kind, dim, eps, p=None: Broken(kind, dim, eps, p)
     try:
         with pytest.raises(CertificationError, match="normalization"):
-            certify("shell", 1, (0.1,), (0.5, 0.2))
+            certify("shell", 1)
     finally:
         m.make_mollifier = original
+
+
+def test_certification_rejects_tails_off_their_closed_form(monkeypatch):
+    # the mass density of rate 2a, 2a R^(-2a) e^(-2a y), keeps unit mass but moves the tails
+    import nonlocal_limits.mollifiers as m
+
+    class FastDecay(m.MollifierFamily):
+        def log_radius_mass_mp(self, y):
+            scale, rate = self._log_mass_constants
+            return 2 * scale * mpmath.mpf(self.support_upper) ** (-rate) * mpmath.exp(-2 * rate * y)
+
+    monkeypatch.setattr(m, "make_mollifier",
+                        lambda kind, dim, eps, p=None: FastDecay(kind, dim, eps, p))
+    with pytest.raises(CertificationError, match="disagrees with its closed form"):
+        certify("shell", 1)
+
+
+def test_certification_rejects_a_grid_that_does_not_concentrate(monkeypatch):
+    # eps = 0.2 leaves the shell's mass above delta = 0.05 at 0.75
+    import nonlocal_limits.mollifiers as m
+
+    monkeypatch.setitem(m._DEFAULT_EPSILONS, "shell", (0.5, 0.2))
+    with pytest.raises(CertificationError, match="concentration condition violated"):
+        certify("shell", 1)
 
 
 ORACLE_FAMILIES = [("shell", 1, 0.2, None), ("shell", 2, 0.05, None), ("shell", 3, 0.5, None),
@@ -165,18 +189,12 @@ def test_fractional_dim2_after_dim1_makes_no_quadrature(monkeypatch):
     monkeypatch.setattr(m, "_masses", {})
     monkeypatch.setattr(mpmath, "quad",
                         lambda *args, **kwargs: calls.append(1) or quad(*args, **kwargs))
-    grids = certification_grids("fractional", 2.0)
-    first = certify("fractional", 1, *grids, 2.0)
+    first = certify("fractional", 1, 2.0)
     assert len(calls) == 5 * (1 + 4)  # one normalization and four tails per epsilon
-    second = certify("fractional", 2, *grids, 2.0)
+    second = certify("fractional", 2, 2.0)
     assert len(calls) == 5 * (1 + 4)
     assert second.normalization_residuals == first.normalization_residuals
     assert second.tail_residuals == first.tail_residuals
-
-
-def test_certification_rejects_empty_grids():
-    with pytest.raises(ValueError):
-        certify("shell", 1, (), (0.1,))
 
 
 def test_shell_member_does_not_depend_on_p(monkeypatch):
