@@ -18,7 +18,7 @@ from .functions import as_points
 
 Array = np.ndarray
 
-_EUCLID_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi ** 2 / 2.0}
+_EUCLID_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
 def _unit_lp_ball_volume(dim: int, q: float) -> float:

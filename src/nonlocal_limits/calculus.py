@@ -18,12 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .engine import gauss_legendre, tensor_grid
-from .functions import TestFunction, as_points
+from .functions import MAX_DIM, TestFunction, as_points
 
 Array = np.ndarray
 
 MAX_ORDER = 6
-MAX_DIM = 4
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import calculus
 from .bodies import ConvexBody
-from .config import ConfigError, load_config
+from .config import ConfigError, check_override, load_config
 from .convergence import sweep
 from .engine import EngineError, sphere_body_identity_check
 from .functions import make_function, polynomial_function
@@ -112,7 +112,12 @@ def run(config_path: str, overrides: dict | None = None) -> int:
 # check-identities
 # ---------------------------------------------------------------------------
 
-def check_identities(seed: int = 20260810, corrupt: bool = False) -> int:
+def check_identities(seed: int, corrupt: bool) -> int:
+    try:
+        check_override("seed", seed)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     cases, max_m = 1000, 4
     funcs = [make_function("gaussian", 1), make_function("sine_bump", 1),
@@ -215,7 +220,7 @@ def check_identities(seed: int = 20260810, corrupt: bool = False) -> int:
 # certify-mollifiers
 # ---------------------------------------------------------------------------
 
-def certify_mollifiers(config_path: str | None = None, broken: bool = False) -> int:
+def certify_mollifiers(config_path: str | None, broken: bool) -> int:
     """Certify the families of the config's mollified jobs, or four default families."""
     families = [("shell", 1, None), ("shell", 2, None),
                 ("fractional", 1, 2.0), ("fractional", 2, 2.0)]

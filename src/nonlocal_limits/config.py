@@ -8,7 +8,7 @@ A JSON ``integer`` is a Python int, never a bool or a float such as 3.0.
 
 Each job becomes one ``FunctionalSpec`` at the schedule's start, and
 ``functionals.validate_spec`` is the one home of the rules a job must keep
-(the p range, integrable functions, which theorems take a mollifier kind);
+(the p range, no identity-test polynomial, which theorems take a mollifier kind);
 a job that breaks one is a ``ConfigError`` naming the job.  This module
 checks only what is no spec's business: the schema, bodies, plans and the
 schedule.
@@ -209,6 +209,13 @@ def _huge_integers(node, path: str = "") -> list[str]:
     return [path.lstrip("/")] if isinstance(node, int) and abs(node) > sys.float_info.max else []
 
 
+def check_override(key: str, value) -> None:
+    """Raise ``ConfigError`` unless ``value`` keeps the rule of the config field ``key``."""
+    error = _schema_error(value, CONFIG_SCHEMA["properties"][key])
+    if error is not None:
+        raise ConfigError(f"override {key}={value!r} invalid: {error[1]}")
+
+
 def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Validate a raw config dict and build the runnable experiment."""
     error = _schema_error(raw, CONFIG_SCHEMA)
@@ -218,9 +225,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
 
     overrides = overrides or {}
     for key, value in overrides.items():
-        error = _schema_error(value, CONFIG_SCHEMA["properties"][key])
-        if error is not None:
-            raise ConfigError(f"override {key}={value!r} invalid: {error[1]}")
+        check_override(key, value)
     seed = overrides.get("seed", raw.get("seed", 0))
     workers = overrides.get("workers", raw.get("workers", 1))
     output = overrides.get("output", raw.get("output"))

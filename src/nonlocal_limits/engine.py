@@ -173,7 +173,8 @@ class MollifierRadial:
 
 @dataclass(frozen=True)
 class IntegrationPlan:
-    """How to integrate: seeded parallel Monte Carlo or tensor quadrature."""
+    """How to integrate: ``IntegrationPlan("monte_carlo", samples=..., seed=..., workers=...)``
+    or ``IntegrationPlan("tensor_quadrature", x_nodes=..., t_nodes=...)``."""
 
     method: str
     samples: int = 0
@@ -181,16 +182,6 @@ class IntegrationPlan:
     workers: int = 1
     x_nodes: int = 200
     t_nodes: int = 64
-
-    @staticmethod
-    def monte_carlo(samples: int, **options) -> "IntegrationPlan":
-        """A Monte Carlo plan; ``options`` are seed and workers."""
-        return IntegrationPlan("monte_carlo", samples=samples, **options)
-
-    @staticmethod
-    def quadrature(**nodes) -> "IntegrationPlan":
-        """A tensor quadrature plan; ``nodes`` are x_nodes and t_nodes."""
-        return IntegrationPlan("tensor_quadrature", **nodes)
 
 
 @dataclass

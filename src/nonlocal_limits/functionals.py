@@ -37,13 +37,12 @@ from .calculus import (centered_remainder, direction_bound, directional_m_form,
                        m_form_tableau, multi_indices, taylor_remainder)
 from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw, cone_nodes,
                      gauss_legendre, integrate_double, sphere_measure, tensor_grid)
-from .functions import TestFunction
+from .functions import MAX_DIM, TestFunction
 from .mollifiers import KINDS, MollifierFamily, ensure_certified, make_mollifier
 
 THEOREMS = ("nguyen_centered", "bbm_centered", "nguyen_taylor", "bbm_taylor")
 
 MAX_M = 3
-MAX_DIM = 3
 P_RANGE = (1.0, 8.0)
 
 
@@ -84,8 +83,8 @@ def validate_spec(spec: FunctionalSpec) -> None:
     if spec.f.dim != spec.body.dim:
         raise SpecError(f"function dim {spec.f.dim} != body dim {spec.body.dim}")
     if not spec.f.integrable:
-        raise SpecError(f"function {spec.f.name!r} is registered for identity tests "
-                        f"only and is rejected by the functional evaluators")
+        raise SpecError(f"function {spec.f.name!r} is for identity tests only and is "
+                        f"rejected by the functional evaluators")
     if spec.f.smoothness_order < spec.m + 1:
         raise SpecError("function smoothness must exceed the remainder order")
     if spec.parameter <= 0:
@@ -364,14 +363,10 @@ def local_limit(spec: FunctionalSpec) -> float:
 
 @dataclass
 class BoundReport:
-    deltas: list[float]
     values: list[float]
     derivative_norm: float
-    bound_factor: float
-    ratios: list[float]
     max_ratio: float
     passed: bool
-    worst_delta: float
 
 
 def derivative_norm_p(f: TestFunction, m: int, p: float) -> float:
@@ -403,12 +398,8 @@ def uniform_bound_check(spec: FunctionalSpec, delta_grid, plan: IntegrationPlan)
     if not deltas:
         raise ValueError("delta_grid must be nonempty")
     norm = derivative_norm_p(spec.f, spec.m, spec.p)
-    values, ratios = [], []
-    for delta in deltas:
-        values.append(evaluate(replace(spec, parameter=delta, grid=tuple(deltas)), plan).value)
-        ratios.append(values[-1] / norm if norm > 0 else 0.0)
-    max_ratio = max(ratios)
-    worst = deltas[ratios.index(max_ratio)]
-    return BoundReport(deltas=deltas, values=values, derivative_norm=norm,
-                       bound_factor=BOUND_FACTOR, ratios=ratios, max_ratio=max_ratio,
-                       passed=max_ratio <= BOUND_FACTOR, worst_delta=worst)
+    values = [evaluate(replace(spec, parameter=delta, grid=tuple(deltas)), plan).value
+              for delta in deltas]
+    max_ratio = max(values) / norm if norm > 0 else 0.0
+    return BoundReport(values=values, derivative_norm=norm, max_ratio=max_ratio,
+                       passed=max_ratio <= BOUND_FACTOR)

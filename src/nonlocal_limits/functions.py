@@ -18,6 +18,9 @@ Array = np.ndarray
 #: ``Profile1D.proposal`` value of an axis whose outer-point law is N(0, 1)
 NORMAL = "normal"
 
+#: highest dimension of a test function, a body and a functional
+MAX_DIM = 3
+
 
 def as_points(x, dim: int) -> Array:
     """Coerce ``x`` to a float array whose last axis has length ``dim``.
@@ -69,9 +72,6 @@ class Profile1D:
 class GaussianProfile(Profile1D):
     """exp(-u^2); derivatives via the Hermite recurrence."""
 
-    support = None
-    bound_range = 8.0
-
     def proposal(self) -> str:
         return NORMAL
 
@@ -101,8 +101,6 @@ class PolynomialProfile(Profile1D):
 class SineProfile(Profile1D):
     """sin(omega*u + phase)."""
 
-    support = None
-
     def __init__(self, omega: float, phase: float):
         self.omega = omega
         self.phase = phase
@@ -117,8 +115,6 @@ class SineProfile(Profile1D):
 
 class ExpProfile(Profile1D):
     """exp(u); only used inside products with compactly supported factors."""
-
-    support = None
 
     def derivative(self, k: int, u: Array) -> Array:
         return np.exp(np.asarray(u, dtype=float))
@@ -282,8 +278,8 @@ class TestFunction:
         Euclidean radius outside which the function and its derivatives up to
         ``smoothness_order - 1`` stay below ``tail_tol``.
     integrable : bool
-        False for polynomial registry entries, which exist only for algebraic
-        identity tests and are rejected by the functional evaluators.
+        False for ``polynomial_function`` output, which exists only for the
+        algebraic identity tests and is rejected by the functional evaluators.
     proposal : OuterProposal | None
         Law for the outer point of Monte Carlo pair integrals, built from the
         profiles' own axis laws; None when some profile has none, in which
@@ -391,37 +387,12 @@ def _zero(dim: int) -> TestFunction:
                         support_radius=1.0)
 
 
-def _quadratic(dim: int) -> TestFunction:
-    # x_1^2; polynomial entries carry an artificial support radius and are
-    # only admitted by the algebraic operators, never by the functionals.
-    profiles: list[Profile1D] = [PolynomialProfile([0.0, 0.0, 1.0])]
-    profiles += [PolynomialProfile([1.0]) for _ in range(dim - 1)]
-    return TestFunction("quadratic", profiles, support_radius=4.0, integrable=False)
-
-
-def _cubic(dim: int) -> TestFunction:
-    profiles: list[Profile1D] = [PolynomialProfile([0.0, 0.0, 0.0, 1.0])]
-    profiles += [PolynomialProfile([1.0]) for _ in range(dim - 1)]
-    return TestFunction("cubic", profiles, support_radius=4.0, integrable=False)
-
-
-def _cross(dim: int) -> TestFunction:
-    if dim < 2:
-        raise ValueError("cross requires dim >= 2")
-    profiles: list[Profile1D] = [PolynomialProfile([0.0, 1.0]), PolynomialProfile([0.0, 1.0])]
-    profiles += [PolynomialProfile([1.0]) for _ in range(dim - 2)]
-    return TestFunction("cross", profiles, support_radius=4.0, integrable=False)
-
-
 _BUILDERS = {
     "gaussian": _gaussian,
     "poly_bump": _poly_bump,
     "sine_bump": _sine_bump,
     "exp_bump": _exp_bump,
     "zero": _zero,
-    "quadratic": _quadratic,
-    "cubic": _cubic,
-    "cross": _cross,
 }
 
 
@@ -434,13 +405,13 @@ def make_function(name: str, dim: int) -> TestFunction:
     """Build (and cache) a registered test function of the given dimension."""
     if name not in _BUILDERS:
         raise KeyError(f"unknown test function {name!r}; known: {list_functions()}")
-    if not 1 <= dim <= 4:
-        raise ValueError("dim must be in 1..4")
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in 1..{MAX_DIM}")
     return _BUILDERS[name](dim)
 
 
 def polynomial_function(coeff_lists) -> TestFunction:
-    """Ad-hoc tensor polynomial for identity tests (not registered, not integrable),
-    bounded on [-4, 4] per axis like the registry's polynomial entries."""
+    """Tensor polynomial for the algebraic identity tests, one coefficient list
+    per axis: not registered, not integrable, and bounded on [-4, 4] per axis."""
     profiles = [PolynomialProfile(c) for c in coeff_lists]
     return TestFunction("polynomial", profiles, support_radius=4.0, integrable=False)

@@ -40,7 +40,7 @@ def _level_set_sweep(m):
     # shared by criteria 1 and 10
     key = f"m{m}"
     if key not in _LEVEL_SET_SWEEPS:
-        plan = IntegrationPlan.monte_carlo(samples=200_000, seed=11)
+        plan = IntegrationPlan("monte_carlo", samples=200_000, seed=11)
         spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, m, 2.0, 0.2)
         _LEVEL_SET_SWEEPS[key] = sweep(spec, Schedule(0.2, 0.5, 7), plan, tolerance=0.03)
     return _LEVEL_SET_SWEEPS[key]
@@ -55,7 +55,7 @@ def test_criterion_01_level_set_limit_m1():
 
 
 def test_criterion_02_mollified_limit_m2():
-    plan = IntegrationPlan.quadrature(x_nodes=200, t_nodes=48)
+    plan = IntegrationPlan("tensor_quadrature", x_nodes=200, t_nodes=48)
     spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 2, 2.0, 0.4, "shell")
     res = sweep(spec, Schedule(0.4, 0.5, 7), plan, tolerance=0.05)
     # oracle: int (f'')^2 = 3 sqrt(pi/2), constant (5/16)(2/5)
@@ -66,7 +66,7 @@ def test_criterion_02_mollified_limit_m2():
 
 
 def test_criterion_03_taylor_variants_collapse_at_m1():
-    plan = IntegrationPlan.monte_carlo(samples=100_000, seed=31)
+    plan = IntegrationPlan("monte_carlo", samples=100_000, seed=31)
     worst = 0.0
     for delta in (0.1, 0.02):
         a = evaluate(FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, delta), plan)
@@ -184,7 +184,7 @@ def test_criterion_10_uniform_boundedness():
     spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1)
     deltas = [pt.parameter for pt in _level_set_sweep(1).points]
     report = uniform_bound_check(spec, deltas,
-                                 IntegrationPlan.monte_carlo(samples=50_000, seed=13))
+                                 IntegrationPlan("monte_carlo", samples=50_000, seed=13))
     _report(10, "level-set sweep bounded by 50x the derivative norm",
             report.passed, f"observed max ratio {report.max_ratio:.3f}")
 

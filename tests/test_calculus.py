@@ -31,7 +31,7 @@ def test_directional_form_quadratic():
 
 def test_directional_form_cross_term():
     # f(x, y) = x y: ordered-tuple expansion gives 2 * d2f/dxdy = 2 for direction (1, 1)
-    f = make_function("cross", 2)
+    f = polynomial_function([[0.0, 1.0], [0.0, 1.0]])
     val = calculus.directional_m_form(f, [0.2, -0.4], [1.0, 1.0], 2)
     assert float(val) == pytest.approx(2.0)
 

@@ -147,10 +147,12 @@ def test_parse_config_defaults_and_overrides():
 
 
 def test_parse_config_rejects_poly_function():
+    # identity-test polynomials come from polynomial_function, never from the registry
     cfg = base_config()
-    cfg["jobs"][0]["function"] = "quadratic"
-    with pytest.raises(ConfigError, match="identity tests only"):
-        parse_config(cfg)
+    for name in ("quadratic", "cubic", "cross"):
+        cfg["jobs"][0]["function"] = name
+        with pytest.raises(ConfigError, match=f"unknown test function {name!r}"):
+            parse_config(cfg)
 
 
 def test_parse_config_requires_mollifier_for_bbm():
@@ -220,6 +222,15 @@ def test_main_rejects_out_of_range_overrides(tmp_path, capsys, argv):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: override {argv[0][2:]}=")
+
+
+def test_check_identities_rejects_a_negative_seed(capsys):
+    # the config's seed rule, checked before any suite runs
+    assert cli.main(["check-identities", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: override seed=-1 invalid: ")
 
 
 def test_load_config_bad_json(tmp_path):
@@ -310,20 +321,28 @@ def test_cli_import_leaves_jsonschema_out():
 
 
 def test_check_identities_passes():
-    assert cli.check_identities() == 0
+    assert cli.check_identities(20260810, False) == 0
+
+
+def test_check_identities_default_seed_is_the_parsers(capsys):
+    # argparse holds the one default seed; check_identities itself has none
+    assert cli.main(["check-identities"]) == 0
+    via_main = capsys.readouterr()
+    assert cli.check_identities(20260810, False) == 0
+    assert capsys.readouterr() == via_main
 
 
 def test_check_identities_corrupt_detected():
-    assert cli.check_identities(corrupt=True) == 2
+    assert cli.check_identities(20260810, True) == 2
 
 
 def test_certify_mollifiers_default():
-    assert cli.certify_mollifiers() == 0
+    assert cli.certify_mollifiers(None, False) == 0
 
 
 def test_certify_mollifiers_broken_fixture(capsys):
     # a rejected fixture is the expected outcome: the exit code is the real families'
-    assert cli.certify_mollifiers(broken=True) == 0
+    assert cli.certify_mollifiers(None, True) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1].startswith("broken fixture correctly rejected: ") and "normalization" in out[-1]
 
@@ -332,7 +351,7 @@ def test_broken_fixture_is_rejected_after_its_real_family_certified(capsys):
     # the per-process mass cache is keyed on the family's class, so the fixture
     # is never served the floats of the real shell family it overrides
     certify("shell", 1)
-    assert cli.certify_mollifiers(broken=True) == 0
+    assert cli.certify_mollifiers(None, True) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1].startswith("broken fixture correctly rejected: ")
 
@@ -349,7 +368,7 @@ def test_broken_fixture_that_passes_exits_two(monkeypatch, capsys):
 
     monkeypatch.setattr(m, "_masses", {})
     monkeypatch.setattr(m.MollifierFamily, "log_radius_mass_mp", undo_the_fixture_scale)
-    assert cli.certify_mollifiers(broken=True) == 2
+    assert cli.certify_mollifiers(None, True) == 2
     assert capsys.readouterr().out.splitlines()[-1] == (
         "broken fixture: certification unexpectedly passed")
 
@@ -357,7 +376,7 @@ def test_broken_fixture_that_passes_exits_two(monkeypatch, capsys):
 def test_certify_mollifiers_from_config(tmp_path, capsys):
     cfg = base_config()
     cfg["jobs"][0].update({"theorem": "bbm_centered", "mollifier": {"kind": "shell"}})
-    assert cli.certify_mollifiers(write_config(tmp_path, cfg)) == 0
+    assert cli.certify_mollifiers(write_config(tmp_path, cfg), False) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1 and out[0].startswith("shell (dim=1): ok")
 
@@ -366,7 +385,7 @@ def test_certify_mollifiers_from_config_without_a_mollified_job(tmp_path, capsys
     # a config names its families; one without any is not the four default families
     monkeypatch.setattr(cli, "certify", lambda *args: pytest.fail("certify was called"))
     path = write_config(tmp_path, base_config())
-    assert cli.certify_mollifiers(path) == 0
+    assert cli.certify_mollifiers(path, False) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"{path}: no mollified job, so no family to certify"]
 
@@ -579,8 +598,8 @@ def _one_job_configs(draw):
 
 
 def _breaks_a_spec_rule(job) -> bool:
-    """Whether ``job`` breaks a rule of ``functionals.validate_spec``: the p range, a
-    function registered for identity tests only, or a block on the wrong theorem."""
+    """Whether ``job`` breaks a rule of ``functionals.validate_spec`` or names an unknown
+    function: the p range, an unregistered name, or a block on the wrong theorem."""
     return (not P_RANGE[0] < job["p"] <= P_RANGE[1] or job["function"] in ("cross", "quadratic")
             or job["theorem"].startswith("bbm") != ("mollifier" in job))
 

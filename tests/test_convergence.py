@@ -68,7 +68,7 @@ def test_schedule_validation():
 def test_sweep_level_set_gaussian():
     f = make_function("gaussian", 1)
     body = ConvexBody.box([1.0])
-    plan = IntegrationPlan.monte_carlo(samples=200_000, seed=11)
+    plan = IntegrationPlan("monte_carlo", samples=200_000, seed=11)
     spec = FunctionalSpec("nguyen_centered", f, body, 1, 2.0, 0.2)
     res = sweep(spec, Schedule(0.2, 0.5, 7), plan, tolerance=0.03)
     assert res.passed
@@ -84,7 +84,7 @@ def test_sweep_level_set_gaussian():
 def test_sweep_mollified_quadrature():
     f = make_function("gaussian", 1)
     body = ConvexBody.box([1.0])
-    plan = IntegrationPlan.quadrature(x_nodes=160, t_nodes=40)
+    plan = IntegrationPlan("tensor_quadrature", x_nodes=160, t_nodes=40)
     spec = FunctionalSpec("bbm_centered", f, body, 2, 2.0, 0.4, "shell")
     res = sweep(spec, Schedule(0.4, 0.5, 7), plan, tolerance=0.05)
     assert res.passed
@@ -96,7 +96,7 @@ def test_sweep_fractional_quadrature():
     # most of the fractional profile's mass lies at radii where R rounds to 0;
     # the leading-term payoff there keeps the values climbing to the target
     f = make_function("poly_bump", 1)
-    plan = IntegrationPlan.quadrature(x_nodes=120, t_nodes=32)
+    plan = IntegrationPlan("tensor_quadrature", x_nodes=120, t_nodes=32)
     spec = FunctionalSpec("bbm_centered", f, ConvexBody.box([1.0]), 1, 2.0, 0.4, "fractional")
     res = sweep(spec, Schedule(0.4, 0.5, 5), plan, tolerance=0.05)
     assert res.passed
@@ -108,7 +108,7 @@ def test_sweep_polytope_body_uses_quadrature_target():
     # l1 unit ball: int |y|^2 = 2/3, so the target is 2 (pi/2) (2/3) for the 2-D Gaussian
     diamond = ConvexBody.polytope([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1, 1, 1, 1])
     f = make_function("gaussian", 2)
-    plan = IntegrationPlan.monte_carlo(samples=150_000, seed=2)
+    plan = IntegrationPlan("monte_carlo", samples=150_000, seed=2)
     spec = FunctionalSpec("nguyen_centered", f, diamond, 1, 2.0, 0.1)
     res = sweep(spec, Schedule(0.1, 0.5, 4), plan, tolerance=0.2)
     assert res.target == pytest.approx(2.0 * math.pi / 3.0, rel=1e-10)
@@ -126,7 +126,7 @@ def test_sweep_target_does_not_depend_on_the_seed(body, theorem, kind, target):
     spec = FunctionalSpec(theorem, make_function("gaussian", 2), body, 1, 2.0, 0.4, kind)
     targets = set()
     for seed in (1311, 703):
-        plan = IntegrationPlan.monte_carlo(samples=2_000, seed=seed)
+        plan = IntegrationPlan("monte_carlo", samples=2_000, seed=seed)
         res = sweep(spec, Schedule(0.4, 0.5, 4), plan, tolerance=0.05)
         targets.add(res.target)
     assert len(targets) == 1
@@ -136,7 +136,7 @@ def test_sweep_target_does_not_depend_on_the_seed(body, theorem, kind, target):
 def test_sweep_points_strictly_decreasing():
     f = make_function("gaussian", 1)
     body = ConvexBody.box([1.0])
-    plan = IntegrationPlan.monte_carlo(samples=20_000, seed=1)
+    plan = IntegrationPlan("monte_carlo", samples=20_000, seed=1)
     res = sweep(FunctionalSpec("nguyen_centered", f, body, 1, 2.0, 0.2), Schedule(0.2, 0.5, 4),
                 plan, tolerance=0.05)
     params = [pt.parameter for pt in res.points]

@@ -26,7 +26,7 @@ def ones_kernel(x, sigma, t):
 
 def test_constant_kernel_box_measure():
     # product of measures: box 2 x two directions x radial length 0.5 = 2
-    plan = IntegrationPlan.monte_carlo(samples=20_000, seed=1)
+    plan = IntegrationPlan("monte_carlo", samples=20_000, seed=1)
     # uniform radial density, no importance weighting
     law = PowerLaw(0.0, constant_cutoff(0.5), 1.0)
     est, = integrate_double(ones_kernel, plan, 1.0, 1, law)
@@ -36,7 +36,7 @@ def test_constant_kernel_box_measure():
 
 def test_matched_importance_has_zero_variance():
     # integrand 1/t^2 over the law's shape t^-2: per-sample payoff is constant
-    plan = IntegrationPlan.monte_carlo(samples=5_000, seed=2)
+    plan = IntegrationPlan("monte_carlo", samples=5_000, seed=2)
     law = PowerLaw(-2.0, constant_cutoff(0.25), 2.0)
     est, = integrate_double(lambda x, s, t: np.ones_like(t), plan, 1.0, 1, law)
     expected = 2.0 * 2.0 * (1.0 / 0.25 - 1.0 / 2.0)  # box x sphere x int t^-2
@@ -45,7 +45,7 @@ def test_matched_importance_has_zero_variance():
 
 
 def test_empty_plan_rejected():
-    plan = IntegrationPlan.monte_carlo(samples=0, seed=0)
+    plan = IntegrationPlan("monte_carlo", samples=0, seed=0)
     with pytest.raises(ValueError, match="empty plan"):
         integrate_double(ones_kernel, plan, 1.0, 1, PowerLaw(0.0, constant_cutoff(0.5), 1.0))
 
@@ -57,7 +57,7 @@ def test_power_law_rejects_exponent_minus_one():
 
 
 def test_nonfinite_kernel_reports_coordinates():
-    plan = IntegrationPlan.monte_carlo(samples=100, seed=0)
+    plan = IntegrationPlan("monte_carlo", samples=100, seed=0)
 
     def bad(x, sigma, t):
         return np.full_like(t, np.nan)
@@ -67,7 +67,7 @@ def test_nonfinite_kernel_reports_coordinates():
 
 
 def test_determinism_bitwise():
-    plan = IntegrationPlan.monte_carlo(samples=30_000, seed=9, workers=3)
+    plan = IntegrationPlan("monte_carlo", samples=30_000, seed=9, workers=3)
     law = PowerLaw(-1.5, constant_cutoff(0.1), 2.0)
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) / t
     a, = integrate_double(kernel, plan, 1.0, 1, law)
@@ -80,7 +80,7 @@ def test_seed_independence():
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) / t
     est = []
     for seed in (101, 202):
-        plan = IntegrationPlan.monte_carlo(samples=40_000, seed=seed)
+        plan = IntegrationPlan("monte_carlo", samples=40_000, seed=seed)
         est += integrate_double(kernel, plan, 1.0, 1, law)
     z = abs(est[0].value - est[1].value) / math.hypot(est[0].stderr, est[1].stderr)
     assert z <= 4.0
@@ -89,7 +89,7 @@ def test_seed_independence():
 def test_worker_split_covers_all_samples():
     law = PowerLaw(0.0, constant_cutoff(0.5), 1.0)
     for workers in (1, 2, 5):
-        plan = IntegrationPlan.monte_carlo(samples=10_001, seed=3, workers=workers)
+        plan = IntegrationPlan("monte_carlo", samples=10_001, seed=3, workers=workers)
         est, = integrate_double(ones_kernel, plan, 1.0, 1, law)
         assert est.info["workers"] == workers
         assert abs(est.value - 2.0) <= 4 * max(est.stderr, 1e-12)
@@ -98,9 +98,9 @@ def test_worker_split_covers_all_samples():
 def test_quadrature_matches_monte_carlo_on_smooth_kernel():
     law = PowerLaw(-1.5, constant_cutoff(0.2), 1.5)
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) * t
-    qplan = IntegrationPlan.quadrature(x_nodes=80, t_nodes=48)
+    qplan = IntegrationPlan("tensor_quadrature", x_nodes=80, t_nodes=48)
     quad, = integrate_double(kernel, qplan, 3.0, 1, law)
-    mplan = IntegrationPlan.monte_carlo(samples=300_000, seed=5)
+    mplan = IntegrationPlan("monte_carlo", samples=300_000, seed=5)
     mc, = integrate_double(kernel, mplan, 3.0, 1, law)
     assert quad.stderr == 0.0
     gap = abs(quad.value - mc.value)
@@ -112,7 +112,7 @@ def test_quadrature_integrates_every_point_of_a_law():
     cutoffs = [0.5, 0.25, 0.125]
     law = PowerLaw(-1.5, constant_cutoff(*cutoffs), 1.5)
     kernel = lambda x, s, t: np.exp(-x * x).T * t
-    plan = IntegrationPlan.quadrature(x_nodes=40, t_nodes=24)
+    plan = IntegrationPlan("tensor_quadrature", x_nodes=40, t_nodes=24)
     together = integrate_double(kernel, plan, 3.0, 1, law)
     alone = [integrate_double(kernel, plan, 3.0, 1, PowerLaw(-1.5, constant_cutoff(c), 1.5))[0]
              for c in cutoffs]
@@ -128,7 +128,7 @@ def test_importance_sampling_unbiased_over_repetitions():
     truth = 2.0 * (1.0 + 1.0 / 3.0) * 2.0 * (1.0 / 0.5 - 1.0 / 4.0)
     values = []
     for rep in range(50):
-        plan = IntegrationPlan.monte_carlo(samples=2_000, seed=1000 + rep)
+        plan = IntegrationPlan("monte_carlo", samples=2_000, seed=1000 + rep)
         values.append(integrate_double(kernel, plan, 1.0, 1, law)[0].value)
     values = np.asarray(values)
     z = abs(values.mean() - truth) / (values.std(ddof=1) / math.sqrt(len(values)))
@@ -140,7 +140,7 @@ def test_mollifier_radial_law_normalizes():
     moll = make_mollifier("shell", 1, 0.3)
     body = ConvexBody.box([1.0])
     law = MollifierRadial([moll], body.gauge)
-    plan = IntegrationPlan.monte_carlo(samples=20_000, seed=4)
+    plan = IntegrationPlan("monte_carlo", samples=20_000, seed=4)
     est, = integrate_double(ones_kernel, plan, 1.0, 1, law)
     assert est.value == pytest.approx(4.0, rel=1e-12)  # box 2 x sphere 2 x mass 1
 
@@ -288,7 +288,7 @@ def mixture_kernel(x, sigma, t):
 def _repeated_z(samples, workers, reps, seed0):
     values = []
     for rep in range(reps):
-        plan = IntegrationPlan.monte_carlo(samples=samples, seed=seed0 + rep, workers=workers)
+        plan = IntegrationPlan("monte_carlo", samples=samples, seed=seed0 + rep, workers=workers)
         values.append(integrate_double(mixture_kernel, plan, 2.0, 2, MIXTURE_LAW,
                                        GAUSS2_PROPOSAL)[0].value)
     values = np.asarray(values)
@@ -359,7 +359,7 @@ def test_single_row_chunk_is_a_box_row(monkeypatch):
     # one-point blocks: the last point of each shift's box lattice is a block of its own
     monkeypatch.setattr(engine, "_CHUNK", 1)
     blocks = _record_blocks(monkeypatch)
-    plan = IntegrationPlan.monte_carlo(samples=2000, seed=1)
+    plan = IntegrationPlan("monte_carlo", samples=2000, seed=1)
     integrate_double(ones_kernel, plan, 8.5, 2, PowerLaw(0.0, constant_cutoff(0.5), 1.0),
                      GAUSS2_PROPOSAL)
     n1, n2 = lattice_sizes(plan.samples, True)
@@ -375,7 +375,7 @@ def test_single_row_chunk_is_a_box_row(monkeypatch):
 
 def test_out_of_box_proposal_draw_gets_zero_weight(monkeypatch):
     blocks = _record_blocks(monkeypatch)
-    plan = IntegrationPlan.monte_carlo(samples=SHIFTS * 4000, seed=4)
+    plan = IntegrationPlan("monte_carlo", samples=SHIFTS * 4000, seed=4)
     integrate_double(ones_kernel, plan, 0.5, 2, PowerLaw(0.0, constant_cutoff(0.5), 1.0),
                      GAUSS2_PROPOSAL)
     n1, n2 = lattice_sizes(plan.samples, True)
@@ -392,7 +392,7 @@ def test_no_proposal_keeps_the_uniform_box(monkeypatch):
     u = np.random.default_rng(5).random((2, 100))
     np.testing.assert_array_equal(outer_points(u, 3.0, None), (-3.0 + 6.0 * u).T)
     blocks = _record_blocks(monkeypatch)
-    plan = IntegrationPlan.monte_carlo(samples=3200, seed=5)
+    plan = IntegrationPlan("monte_carlo", samples=3200, seed=5)
     integrate_double(ones_kernel, plan, 3.0, 2, PowerLaw(0.0, constant_cutoff(0.5), 1.0))
     assert lattice_sizes(plan.samples, False) == (0, 199)
     assert [len(x) for x, _, _, _ in blocks] == [199] * SHIFTS
@@ -421,7 +421,7 @@ class _RecordingExecutor:
 
 def test_threads_capped_at_cpu_count(monkeypatch):
     # three or more blocks, so the cap is the CPU count and not the block count
-    plan = IntegrationPlan.monte_carlo(samples=3 * engine._CHUNK + 1, seed=9, workers=6)
+    plan = IntegrationPlan("monte_carlo", samples=3 * engine._CHUNK + 1, seed=9, workers=6)
     reference, = integrate_double(mixture_kernel, plan, 2.0, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
@@ -448,8 +448,8 @@ def _assert_same_at_workers(run, monkeypatch):
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
     results = set()
     for workers in (1, 2, 3):
-        est = run(IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31,
-                                              workers=workers))
+        est = run(IntegrationPlan("monte_carlo", samples=BLOCKED_SAMPLES, seed=31,
+                                  workers=workers))
         results.add((est.value, est.stderr))
     assert len(results) == 1
 
@@ -473,7 +473,7 @@ def test_kernel_calls_are_the_blocks_of_each_run(chunk, monkeypatch):
     # lattice first and shift by shift, each a C-contiguous batch of outer points
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     calls = []
-    plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31)
+    plan = IntegrationPlan("monte_carlo", samples=BLOCKED_SAMPLES, seed=31)
     est, = integrate_double(_record_kernel_calls(calls), plan, 2.0, 2, MIXTURE_LAW,
                             GAUSS2_PROPOSAL)
     sizes = lattice_sizes(plan.samples, True)
@@ -488,7 +488,7 @@ def test_block_streams_and_offsets():
     # the first point of a run is its shift itself: shift r is drawn from
     # SeedSequence((seed, 1, r)), proposal lattice first, and every run starts a block
     calls = []
-    plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=31)
+    plan = IntegrationPlan("monte_carlo", samples=BLOCKED_SAMPLES, seed=31)
     integrate_double(_record_kernel_calls(calls), plan, 2.0, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
     assert len(calls) == 2 * SHIFTS
     for r in (0, 7, SHIFTS - 1):
@@ -545,7 +545,7 @@ def test_hit_fraction_counts_nonzero_payoffs_per_row():
         evaluated.extend(columns)
         return np.stack([np.ones(len(x)), (columns % 4 == 0) * 2.0, np.zeros(len(x))])
 
-    plan = IntegrationPlan.monte_carlo(samples=BLOCKED_SAMPLES, seed=1)
+    plan = IntegrationPlan("monte_carlo", samples=BLOCKED_SAMPLES, seed=1)
     n = sum(lattice_sizes(plan.samples, True))
     full, quarter, none = integrate_double(kernel, plan, 8.5, 2, law, GAUSS2_PROPOSAL)
     assert full.info["hit_fraction"] == 1.0 and none.info["hit_fraction"] == 0.0
@@ -626,7 +626,7 @@ def test_lattice_sizes_are_primes_within_the_plan():
         with pytest.raises(ValueError, match="samples"):
             lattice_sizes(samples, mixture)
     with pytest.raises(ValueError, match="lattice without points"):
-        integrate_double(ones_kernel, IntegrationPlan.monte_carlo(samples=31), 2.0, 2,
+        integrate_double(ones_kernel, IntegrationPlan("monte_carlo", samples=31), 2.0, 2,
                          MIXTURE_LAW, GAUSS2_PROPOSAL)
 
 
@@ -641,7 +641,7 @@ def _three_point_pass(dim, plan):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_pass_bitwise_at_any_worker_count_and_block_size(dim, monkeypatch):
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
-    plan = IntegrationPlan.monte_carlo(samples=3000, seed=12)
+    plan = IntegrationPlan("monte_carlo", samples=3000, seed=12)
     reference = _three_point_pass(dim, plan)  # one block per run of 149 or 37 points
     monkeypatch.setattr(engine, "_CHUNK", 100)
     for workers in (1, 2, 5):
@@ -652,7 +652,7 @@ def test_pass_bitwise_at_any_worker_count_and_block_size(dim, monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_constant_and_matched_kernels_stay_exact(dim):
-    plan = IntegrationPlan.monte_carlo(samples=5000, seed=dim)
+    plan = IntegrationPlan("monte_carlo", samples=5000, seed=dim)
     box = 2.0 ** dim * engine.sphere_measure(dim)
     est, = integrate_double(ones_kernel, plan, 1.0, dim,
                             PowerLaw(0.0, constant_cutoff(0.5), 1.0))
@@ -669,7 +669,7 @@ def test_stderr_matches_the_seed_to_seed_spread():
     grid = (0.4, 0.2, 0.1)
     values, stderrs = [], []
     for seed in range(7100, 7120):
-        plan = IntegrationPlan.monte_carlo(samples=20_000, seed=seed)
+        plan = IntegrationPlan("monte_carlo", samples=20_000, seed=seed)
         points = [evaluate(FunctionalSpec("bbm_centered", gauss, ellipse, 1, 2.0, eps,
                                           "shell", grid), plan)
                   for eps in grid]

@@ -12,7 +12,7 @@ from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, outer_poi
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_norm_p,
                                          evaluate, local_limit, theorem_constant,
                                          uniform_bound_check)
-from nonlocal_limits.functions import make_function
+from nonlocal_limits.functions import list_functions, make_function, polynomial_function
 
 
 INTERVAL = ConvexBody.box([1.0])
@@ -25,7 +25,7 @@ BODY_SUITE = [ConvexBody.box([1.0]), ConvexBody.ball(1.0, 2),
 
 
 def mc_plan(samples=200_000, seed=7, **kw):
-    return IntegrationPlan.monte_carlo(samples=samples, seed=seed, **kw)
+    return IntegrationPlan("monte_carlo", samples=samples, seed=seed, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def test_m1_collapse_matched_seeds():
 
 def test_mollified_quadrature_near_limit():
     spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.02, "shell")
-    est = evaluate(spec, IntegrationPlan.quadrature(x_nodes=160, t_nodes=48))
+    est = evaluate(spec, IntegrationPlan("tensor_quadrature", x_nodes=160, t_nodes=48))
     assert est.value == pytest.approx(2.0 * ROOT_PI_HALF, rel=0.02)
 
 
@@ -238,13 +238,13 @@ def test_m3_mollified_matches_hand_oracle():
     target = (10.0 / 243.0) * ROOT_PI_HALF
     spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 3, 2.0, 0.02, "shell")
     assert local_limit(spec) == pytest.approx(target, rel=1e-10)
-    est = evaluate(spec, IntegrationPlan.quadrature(x_nodes=200, t_nodes=48))
+    est = evaluate(spec, IntegrationPlan("tensor_quadrature", x_nodes=200, t_nodes=48))
     assert est.value == pytest.approx(target, rel=0.01)
 
 
 def test_general_exponents_track_local_limits():
     # exponent plumbing (kernels, importance laws, constants) beyond p = 2
-    qplan = IntegrationPlan.quadrature(x_nodes=200, t_nodes=48)
+    qplan = IntegrationPlan("tensor_quadrature", x_nodes=200, t_nodes=48)
     for m, p in ((1, 1.5), (1, 3.0), (2, 3.0)):
         spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, m, p, 0.02, "shell")
         value = evaluate(spec, qplan).value
@@ -276,7 +276,7 @@ def test_spec_validation_errors():
     with pytest.raises(SpecError, match="mollifier"):
         evaluate(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1), mc_plan(samples=10))
     with pytest.raises(SpecError, match="identity tests"):
-        evaluate(FunctionalSpec("nguyen_centered", make_function("quadratic", 1),
+        evaluate(FunctionalSpec("nguyen_centered", polynomial_function([[0.0, 0.0, 1.0]]),
                                 INTERVAL, 1, 2.0, 0.1), mc_plan(samples=10))
     with pytest.raises(SpecError, match="parameter"):
         evaluate(FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, -0.1),
@@ -284,6 +284,13 @@ def test_spec_validation_errors():
     with pytest.raises(SpecError):
         evaluate(FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 4, 2.0, 0.1),
                  mc_plan(samples=10))
+
+
+def test_every_registered_function_is_valid_in_a_spec():
+    # the registry holds no identity-test polynomial, so validate_spec accepts every name
+    for name in list_functions():
+        functionals.validate_spec(FunctionalSpec("nguyen_centered", make_function(name, 1),
+                                                 INTERVAL, 1, 2.0, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +388,7 @@ def test_leading_term_payoff_matches_exact_remainder(theorem, m, monkeypatch):
 
     monkeypatch.setattr(functionals, "integrate_double", capture)
     spec = FunctionalSpec(theorem, GAUSS1, INTERVAL, m, p, eps, "shell")
-    est, = functionals._mollified_pass([spec], IntegrationPlan.quadrature(), box)
+    est, = functionals._mollified_pass([spec], IntegrationPlan("tensor_quadrature"), box)
     t_c = np.finfo(float).eps ** (1.0 / (m + 1))
     per_row = est.info["small_radius_bias"] / (2.0 * box * 2.0 * spec.mollifier.mass_below(t_c))
 
@@ -413,5 +420,5 @@ def test_fractional_profile_at_small_index_is_finite():
     eps = 0.00625
     spec = FunctionalSpec("bbm_centered", make_function("poly_bump", 1), INTERVAL, 1, 2.0,
                           eps, "fractional")
-    est = evaluate(spec, IntegrationPlan.quadrature(x_nodes=200, t_nodes=48))
+    est = evaluate(spec, IntegrationPlan("tensor_quadrature", x_nodes=200, t_nodes=48))
     assert math.isfinite(est.value)

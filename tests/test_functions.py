@@ -35,7 +35,7 @@ def test_proposals_follow_the_profiles(rng):
     assert gauss.axes == (NORMAL, NORMAL)
     bump = make_function("poly_bump", 2).proposal
     assert bump.axes == (2.0, 2.0)
-    assert make_function("quadratic", 2).proposal is None
+    assert polynomial_function([[0.0, 0.0, 1.0], [1.0]]).proposal is None
     # densities match the closed forms
     x = rng.uniform(-3.0, 3.0, size=(200, 2))
     np.testing.assert_allclose(gauss.pdf(x), np.exp(-0.5 * (x ** 2).sum(axis=1)) / (2 * math.pi),
@@ -146,8 +146,14 @@ def test_registry_contents():
         assert required in names
     with pytest.raises(KeyError):
         make_function("nope", 1)
-    assert not make_function("quadratic", 1).integrable
     assert make_function("zero", 2).sup_abs == 0.0
+
+
+def test_make_function_stops_at_three_dimensions():
+    # the engine, sphere rules, polytopes and validate_spec all stop at 3
+    assert make_function("gaussian", 3).dim == 3
+    with pytest.raises(ValueError, match="dim must be in 1..3"):
+        make_function("gaussian", 4)
 
 
 def test_polynomial_function_helper():

@@ -55,7 +55,7 @@ def test_grid_pass_is_bitwise_the_single_point_passes(case, monkeypatch):
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
     seen = set()
     for workers in (1, 2, 3):
-        plan = IntegrationPlan.monte_carlo(samples=3500, seed=17, workers=workers)
+        plan = IntegrationPlan("monte_carlo", samples=3500, seed=17, workers=workers)
         together = [evaluate(spec, plan) for spec in grid_specs(case)]
         # a shell's box grows with epsilon: its lone points run on the grid's box
         if CASES[case][4] == "shell":
@@ -75,7 +75,7 @@ def test_grid_pass_is_bitwise_the_single_point_passes(case, monkeypatch):
 
 def test_exact_zero_point_skips_the_pass(monkeypatch):
     calls = counting_integrator(monkeypatch)
-    plan = IntegrationPlan.monte_carlo(samples=2000, seed=5)
+    plan = IntegrationPlan("monte_carlo", samples=2000, seed=5)
     zero, *points = grid_specs("level-set-2d")
     assert evaluate(zero, plan).info["exact_zero"] == "threshold above remainder range"
     assert calls == []
@@ -86,7 +86,7 @@ def test_exact_zero_point_skips_the_pass(monkeypatch):
 
 def test_pass_is_kept_for_one_grid_and_plan_only(monkeypatch):
     calls = counting_integrator(monkeypatch)
-    plan = IntegrationPlan.monte_carlo(samples=2000, seed=5)
+    plan = IntegrationPlan("monte_carlo", samples=2000, seed=5)
     _, first, second, third = grid_specs("level-set-2d")
     kept = [evaluate(spec, plan) for spec in (first, second, third)]
     assert len(calls) == 1
@@ -106,12 +106,12 @@ def test_pass_is_kept_for_one_grid_and_plan_only(monkeypatch):
 def test_parameter_must_be_on_its_grid():
     spec = replace(grid_specs("level-set-2d")[1], grid=(0.3, 0.1))
     with pytest.raises(SpecError, match="grid"):
-        evaluate(spec, IntegrationPlan.monte_carlo(samples=100, seed=1))
+        evaluate(spec, IntegrationPlan("monte_carlo", samples=100, seed=1))
 
 
 def test_uniform_bound_check_runs_one_pass(monkeypatch):
     calls = counting_integrator(monkeypatch)
-    plan = IntegrationPlan.monte_carlo(samples=5000, seed=9)
+    plan = IntegrationPlan("monte_carlo", samples=5000, seed=9)
     deltas = [0.2, 0.1, 0.05]
     spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1)
     report = uniform_bound_check(spec, deltas, plan)
@@ -133,7 +133,7 @@ def test_nonfinite_payoff_names_its_point_and_first_bad_row():
         out[1, 1:] = np.nan  # the first block: the 3 proposal points of shift 0
         return out
 
-    plan = IntegrationPlan.monte_carlo(samples=100, seed=3)
+    plan = IntegrationPlan("monte_carlo", samples=100, seed=3)
     with pytest.raises(EngineError) as err:
         integrate_double(kernel, plan, 2.0, 2, THREE_POINT_LAW, GAUSS2.proposal)
     message = str(err.value)
@@ -143,7 +143,7 @@ def test_nonfinite_payoff_names_its_point_and_first_bad_row():
 
 def test_sweep_runs_one_pass(monkeypatch):
     calls = counting_integrator(monkeypatch)
-    plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
+    plan = IntegrationPlan("monte_carlo", samples=5000, seed=2)
     spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.4, "shell")
     res = sweep(spec, Schedule(0.4, points=5), plan, tolerance=0.05)
     assert len(calls) == 1 and len(res.points) == 5
@@ -152,7 +152,7 @@ def test_sweep_runs_one_pass(monkeypatch):
 
 def test_mollified_sweep_needs_a_kind(monkeypatch):
     calls = counting_integrator(monkeypatch)
-    plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
+    plan = IntegrationPlan("monte_carlo", samples=5000, seed=2)
     with pytest.raises(SpecError, match="mollifier kind"):
         sweep(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0, 0.4), Schedule(0.4, points=5),
               plan, tolerance=0.05)
@@ -164,7 +164,7 @@ def test_level_set_spec_takes_no_kind(monkeypatch):
     spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.2, "shell")
     with pytest.raises(SpecError, match="level-set functionals take no mollifier kind"):
         functionals.validate_spec(spec)
-    plan = IntegrationPlan.monte_carlo(samples=5000, seed=2)
+    plan = IntegrationPlan("monte_carlo", samples=5000, seed=2)
     with pytest.raises(SpecError, match="level-set functionals take no mollifier kind"):
         sweep(spec, Schedule(0.2, points=5), plan, tolerance=0.05)
     assert calls == []
@@ -172,7 +172,7 @@ def test_level_set_spec_takes_no_kind(monkeypatch):
 
 def test_mollified_pass_uses_the_largest_box_of_its_points(monkeypatch):
     calls = counting_integrator(monkeypatch)
-    plan = IntegrationPlan.monte_carlo(samples=2000, seed=5)
+    plan = IntegrationPlan("monte_carlo", samples=2000, seed=5)
     specs = grid_specs("shell-2d")
     for spec in specs:
         evaluate(spec, plan)
@@ -183,7 +183,7 @@ def test_mollified_pass_uses_the_largest_box_of_its_points(monkeypatch):
 
 
 def test_small_radius_bias_uses_the_pass_box():
-    plan = IntegrationPlan.monte_carlo(samples=2000, seed=5)
+    plan = IntegrationPlan("monte_carlo", samples=2000, seed=5)
     largest, _, smallest = grid_specs("shell-2d")
     box, own_box = (functionals._box_radius(spec) for spec in (largest, smallest))
     bias = evaluate(smallest, plan).info["small_radius_bias"]
@@ -197,8 +197,8 @@ def test_small_radius_bias_uses_the_pass_box():
 @pytest.mark.parametrize("law", [PowerLaw(-2.0, constant_cutoff(0.5), 4.0), THREE_POINT_LAW],
                          ids=["K=1", "K=3"])
 @pytest.mark.parametrize("plan", [
-    IntegrationPlan.monte_carlo(samples=100, seed=3),
-    IntegrationPlan.quadrature(x_nodes=8, t_nodes=8)],
+    IntegrationPlan("monte_carlo", samples=100, seed=3),
+    IntegrationPlan("tensor_quadrature", x_nodes=8, t_nodes=8)],
     ids=["monte_carlo", "quadrature"])
 def test_kernel_of_the_wrong_shape_raises(plan, law):
     # without the point axis, the n payoffs of a block would pass for n points
@@ -209,7 +209,7 @@ def test_kernel_of_the_wrong_shape_raises(plan, law):
 @pytest.mark.parametrize("case", ["level-set-2d", "shell-2d"])
 def test_pass_evaluates_f_at_x_once_per_block(case, monkeypatch):
     # m = 1 centered: per sample one f(x) shared by the K points, and one f(y) per point
-    plan = IntegrationPlan.monte_carlo(samples=3500, seed=23)
+    plan = IntegrationPlan("monte_carlo", samples=3500, seed=23)
     evaluate(grid_specs(case)[-1], replace(plan, seed=24))  # warm every cached bound
     sizes = []
     real = functions.TestFunction.eval

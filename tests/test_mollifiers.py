@@ -234,7 +234,7 @@ def test_fractional_reproduces_gagliardo_scaling():
     f = make_function("gaussian", 1)
     body = ConvexBody.box([1.0])
     spec = FunctionalSpec("bbm_centered", f, body, 1, p, eps, "fractional")
-    plan = IntegrationPlan.quadrature(x_nodes=160, t_nodes=96)
+    plan = IntegrationPlan("tensor_quadrature", x_nodes=160, t_nodes=96)
     value = evaluate(spec, plan).value
 
     ep = eps * p
