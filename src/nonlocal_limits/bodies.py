@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import as_points
+from .functions import MAX_DIM, as_points
 
 Array = np.ndarray
 
@@ -191,8 +191,8 @@ def _polytope_vertices(normals: Array, offsets: Array) -> Array:
     and the point satisfies all facet inequalities.
     """
     facets, dim = normals.shape
-    if dim > 3:
-        raise ValueError("polytope bodies supported for dim <= 3")
+    if dim > MAX_DIM:
+        raise ValueError(f"polytope bodies supported for dim <= {MAX_DIM}")
     vertices: list[Array] = []
     for idx in itertools.combinations(range(facets), dim):
         a, b = normals[list(idx)], offsets[list(idx)]

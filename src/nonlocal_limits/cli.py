@@ -112,6 +112,22 @@ def run(config_path: str, overrides: dict | None = None) -> int:
 # check-identities
 # ---------------------------------------------------------------------------
 
+def _worst_by_batch(cases, residual) -> float:
+    """Largest |residual(f, m, *points)| over cases (f, m, *points), one call per (f, m).
+
+    Each group's points are stacked into (n, dim) batches; the calculus routines
+    act elementwise, so every case's residual is the one it has on its own.
+    """
+    groups: dict[tuple, list] = {}
+    for f, m, *points in cases:
+        groups.setdefault((f, m), []).append(points)
+    worst = 0.0
+    for (f, m), rows in groups.items():
+        batches = [np.array(column) for column in zip(*rows)]
+        worst = max(worst, float(np.max(np.abs(residual(f, m, *batches)))))
+    return worst
+
+
 def check_identities(seed: int, corrupt: bool) -> int:
     try:
         check_override("seed", seed)
@@ -130,22 +146,25 @@ def check_identities(seed: int, corrupt: bool) -> int:
         if residual > tol:
             failures.append(label)
 
-    # segment remainder vs m-th difference
-    worst = 0.0
+    # segment remainder vs m-th difference; this suite, the leading-monomial and the swap
+    # suite draw their cases one at a time (dims differ) and evaluate them by batch
+    remainder_cases = []
     for _ in range(cases):
         f = funcs[rng.integers(len(funcs))]
         m = int(rng.integers(1, max_m + 1))
-        x = rng.uniform(-2, 2, f.dim)
-        h = rng.uniform(-0.5, 0.5, f.dim)
+        remainder_cases.append((f, m, rng.uniform(-2, 2, f.dim), rng.uniform(-0.5, 0.5, f.dim)))
+
+    def remainder_vs_difference(f, m, x, h):
         lhs = calculus.centered_remainder(f, x, x + m * h, m)
         difference = calculus.forward_difference(f, x, h, m)
         if corrupt:  # negative control: flip the sign of the j = 1 term, (-1)^(m+1) m f(x + h)
             difference = difference - 2.0 * (-1.0) ** (m + 1) * m * f.eval(x + h)
-        rhs = (-1.0) ** m * difference
-        worst = max(worst, abs(float(lhs - rhs)))
-    record("segment remainder vs difference", worst, ALGEBRAIC_TOL)
+        return lhs - (-1.0) ** m * difference
 
-    # differences annihilate low-degree polynomials
+    record("segment remainder vs difference",
+           _worst_by_batch(remainder_cases, remainder_vs_difference), ALGEBRAIC_TOL)
+
+    # differences annihilate low-degree polynomials: each case builds its own polynomial
     worst = 0.0
     for _ in range(cases // 2):
         m = int(rng.integers(1, max_m + 1))
@@ -157,27 +176,32 @@ def check_identities(seed: int, corrupt: bool) -> int:
     record("difference annihilates degree < m", worst, ALGEBRAIC_TOL)
 
     # leading-monomial scaling
-    worst = 0.0
+    monomial_cases = []
     for m in range(1, max_m + 1):
         f = polynomial_function([[0.0] * m + [1.0]])
         for _ in range(50):
-            x = rng.uniform(-2, 2, 1)
-            h = rng.uniform(-1, 1, 1)
-            got = float(calculus.forward_difference(f, x, h, m))
-            worst = max(worst, abs(got - math.factorial(m) * float(h[0]) ** m))
-    record("difference of leading monomial", worst, ALGEBRAIC_TOL)
+            monomial_cases.append((f, m, rng.uniform(-2, 2, 1), rng.uniform(-1, 1, 1)))
+
+    def leading_monomial(f, m, x, h):
+        exact = [math.factorial(m) * step ** m for step in h[:, 0].tolist()]
+        return calculus.forward_difference(f, x, h, m) - exact
+
+    record("difference of leading monomial",
+           _worst_by_batch(monomial_cases, leading_monomial), ALGEBRAIC_TOL)
 
     # swap antisymmetry of the segment remainder
-    worst = 0.0
+    swap_cases = []
     for _ in range(cases // 2):
         f = funcs[rng.integers(len(funcs))]
         m = int(rng.integers(1, max_m + 1))
-        x = rng.uniform(-2, 2, f.dim)
-        y = rng.uniform(-2, 2, f.dim)
-        a = calculus.centered_remainder(f, x, y, m)
-        b = calculus.centered_remainder(f, y, x, m)
-        worst = max(worst, abs(float(a - (-1.0) ** m * b)))
-    record("segment remainder swap symmetry", worst, ALGEBRAIC_TOL)
+        swap_cases.append((f, m, rng.uniform(-2, 2, f.dim), rng.uniform(-2, 2, f.dim)))
+
+    def swap_symmetry(f, m, x, y):
+        return (calculus.centered_remainder(f, x, y, m)
+                - (-1.0) ** m * calculus.centered_remainder(f, y, x, m))
+
+    record("segment remainder swap symmetry",
+           _worst_by_batch(swap_cases, swap_symmetry), ALGEBRAIC_TOL)
 
     # cube mean-value identity for the difference
     worst = 0.0

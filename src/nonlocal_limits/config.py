@@ -27,8 +27,8 @@ import numpy as np
 from .bodies import from_descriptor
 from .convergence import Schedule
 from .engine import IntegrationPlan, lattice_sizes
-from .functionals import THEOREMS, FunctionalSpec, SpecError, validate_spec
-from .functions import list_functions, make_function
+from .functionals import MAX_M, THEOREMS, FunctionalSpec, SpecError, validate_spec
+from .functions import MAX_DIM, list_functions, make_function
 from .mollifiers import KINDS as MOLLIFIER_KINDS
 
 
@@ -41,20 +41,20 @@ _BODY_SCHEMA = {
     "oneOf": [
         {"properties": {"kind": {"const": "ball"},
                         "radius": {"type": "number", "exclusiveMinimum": 0},
-                        "dim": {"type": "integer", "minimum": 1, "maximum": 3}},
+                        "dim": {"type": "integer", "minimum": 1, "maximum": MAX_DIM}},
          "required": ["kind", "radius", "dim"], "additionalProperties": False},
         {"properties": {"kind": {"const": "box"},
-                        "half_widths": {"type": "array", "minItems": 1, "maxItems": 3,
+                        "half_widths": {"type": "array", "minItems": 1, "maxItems": MAX_DIM,
                                         "items": {"type": "number", "exclusiveMinimum": 0}}},
          "required": ["kind", "half_widths"], "additionalProperties": False},
         {"properties": {"kind": {"const": "ellipsoid"},
-                        "semi_axes": {"type": "array", "minItems": 1, "maxItems": 3,
+                        "semi_axes": {"type": "array", "minItems": 1, "maxItems": MAX_DIM,
                                       "items": {"type": "number", "exclusiveMinimum": 0}}},
          "required": ["kind", "semi_axes"], "additionalProperties": False},
         {"properties": {"kind": {"const": "lp_ball"},
                         "exponent": {"type": "number", "minimum": 1},
                         "radius": {"type": "number", "exclusiveMinimum": 0},
-                        "dim": {"type": "integer", "minimum": 1, "maximum": 3}},
+                        "dim": {"type": "integer", "minimum": 1, "maximum": MAX_DIM}},
          "required": ["kind", "exponent", "radius", "dim"], "additionalProperties": False},
         {"properties": {"kind": {"const": "polytope"},
                         "normals": {"type": "array", "items": {"type": "array",
@@ -84,7 +84,7 @@ _JOB_SCHEMA = {
         "theorem": {"enum": list(THEOREMS)},
         "function": {"type": "string"},
         "body": _BODY_SCHEMA,
-        "m": {"type": "integer", "minimum": 1, "maximum": 3},
+        "m": {"type": "integer", "minimum": 1, "maximum": MAX_M},
         "p": {"type": "number"},
         "mollifier": {
             "type": "object",

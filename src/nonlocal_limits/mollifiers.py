@@ -14,10 +14,12 @@ Both are evaluated at gauge radii r = ||x - y||_K by the mollified functionals.
 On its support (0, R] each has radial mass (r / R)^a below r, with a = N or
 eps p (``MollifierFamily.rate``).  ``certify`` checks both conditions on the
 family's own delta and epsilon grids (``certification_grids``) against
-40-digit tanh-sinh quadrature of the mass per unit log-radius,
-r^N rho(r) = a R^-a e^(-a y) at r = e^(-y) (``log_radius_mass_mp``), integrated
-in the unit-scale variable s = a (y - log(1/R)) and computed once per distinct
-integral per process.
+40-digit quadrature of the mass per unit log-radius,
+r^N rho(r) = a R^-a e^(-a y) at r = e^(-y) (``log_radius_mass_mp``).  The
+quadrature runs in the mass variable w = e^(-s) = (r / R)^a, s = a (y - log(1/R)),
+where a true oracle is flat: a Gauss-Legendre rule capped at degree 4 either
+meets its own error estimate or the certification fails.  Each distinct
+integral is computed once per process.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ CERTIFY_DPS = 40
 #: ``certify``'s gates: |numeric mass - 1|, |numeric tail - closed form|, and the
 #: closed-form tail at the smallest epsilon
 NORM_TOL, TAIL_MATCH_TOL, FINAL_TAIL_TOL = 1e-10, 1e-10, 1e-3
+
+#: highest degree of the certification's Gauss-Legendre rule: 3 * 2^(4-1) = 24 nodes
+MASS_RULE_DEGREE = 4
 
 
 class CertificationError(RuntimeError):
@@ -131,14 +136,17 @@ _masses: dict[tuple, float] = {}
 
 
 def _numeric_mass(family: MollifierFamily, delta: float = 0.0) -> float:
-    """Radial mass above ``delta`` by log-radius quadrature: the normalization at 0.
+    """Radial mass above ``delta`` by quadrature in the mass variable: the normalization at 0.
 
     In y = log(1/r) the mass is the integral of ``family.log_radius_mass_mp``
-    over [log(1/R), log(1/delta)], R = support_upper: the endpoint singularity
-    becomes exponential decay, which tanh-sinh integrates to full precision
-    whatever the singularity strength.  The exact substitution
-    s = a (y - log(1/R)), a the rate, sets that decay to the unit scale e^(-s),
-    so a small eps p costs no more nodes than a large one.  Each distinct
+    over [log(1/R), log(1/delta)], R = support_upper.  The exact substitution
+    w = e^(-s), s = a (y - log(1/R)) and a the rate, maps it to [(delta/R)^a, 1]
+    with integrand oracle(y) / (a w).  The closed-form mass below r is w itself,
+    so a true oracle gives the integrand 1 whatever the singularity strength or
+    the size of eps p, and Gauss-Legendre converges at degree 2 (9 nodes).  The
+    rule stops at degree ``MASS_RULE_DEGREE``: an oracle that is not flat in w
+    (singular, say) ends in CertificationError when the rule's own error
+    estimate exceeds ``NORM_TOL``, not in ever finer rules.  Each distinct
     integral is computed once per process: the key is the family's class, its
     oracle constants, R and delta, and the fractional oracle does not depend
     on dim.
@@ -149,10 +157,18 @@ def _numeric_mass(family: MollifierFamily, delta: float = 0.0) -> float:
     if key not in _masses:
         a = family._log_mass_constants[1]
         with mpmath.workdps(CERTIFY_DPS):
-            lo = -mpmath.log(mpmath.mpf(family.support_upper))
-            hi = a * (mpmath.log(1.0 / mpmath.mpf(delta)) - lo) if delta > 0 else mpmath.inf
-            _masses[key] = float(mpmath.quad(
-                lambda s: family.log_radius_mass_mp(lo + s / a) / a, [0, hi]))
+            upper = mpmath.mpf(family.support_upper)
+            lo = -mpmath.log(upper)
+            mass, error = mpmath.quad(
+                lambda w: family.log_radius_mass_mp(lo - mpmath.log(w) / a) / (a * w),
+                [(mpmath.mpf(delta) / upper) ** a, 1], method="gauss-legendre",
+                maxdegree=MASS_RULE_DEGREE, error=True)
+        if error > NORM_TOL:
+            raise CertificationError(
+                f"{family.kind}(eps={family.epsilon}, dim={family.dim}): mass above "
+                f"delta={delta} has quadrature error estimate {float(error):.3e} "
+                f"> {NORM_TOL:.1e}")
+        _masses[key] = float(mass)
     return _masses[key]
 
 

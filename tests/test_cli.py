@@ -11,10 +11,11 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nonlocal_limits import cli
+from nonlocal_limits import calculus, cli
 from nonlocal_limits.config import ConfigError, load_config, parse_config
 from nonlocal_limits.engine import SHIFTS, lattice_sizes
 from nonlocal_limits.functionals import P_RANGE
+from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import certify
 
 
@@ -334,6 +335,32 @@ def test_check_identities_default_seed_is_the_parsers(capsys):
 
 def test_check_identities_corrupt_detected():
     assert cli.check_identities(20260810, True) == 2
+
+
+def test_check_identities_corrupt_fails_only_the_remainder_line(capsys):
+    # the negative control reaches the batched segment-remainder suite and nothing else
+    assert cli.check_identities(20260810, True) == 2
+    failed = [line.split("  max residual")[0].rstrip()
+              for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["segment remainder vs difference"]
+
+
+def test_worst_by_batch_is_the_case_by_case_maximum(rng):
+    # a batch per (f, m) gives every case bitwise the residual it has on its own
+    funcs = [make_function("gaussian", 1), make_function("sine_bump", 1),
+             make_function("gaussian", 2)]
+    cases = []
+    for _ in range(60):
+        f = funcs[rng.integers(len(funcs))]
+        m = int(rng.integers(1, 5))
+        cases.append((f, m, rng.uniform(-2, 2, f.dim), rng.uniform(-2, 2, f.dim)))
+
+    def swap(f, m, x, y):
+        return (calculus.centered_remainder(f, x, y, m)
+                - (-1.0) ** m * calculus.centered_remainder(f, y, x, m))
+
+    one_by_one = max(abs(float(swap(f, m, x, y))) for f, m, x, y in cases)
+    assert cli._worst_by_batch(cases, swap) == one_by_one
 
 
 def test_certify_mollifiers_default():

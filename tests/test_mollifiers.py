@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -50,13 +51,12 @@ def test_inverse_mass_round_trip(rng):
 
 
 def test_certification_passes_builtins():
-    for kind in ("shell", "fractional"):
-        for dim in (1, 2):
-            p = 2.0 if kind == "fractional" else None
-            report = certify(kind, dim, p)
-            assert max(report.normalization_residuals.values()) <= 1e-10
-            assert max(report.tail_residuals.values()) <= 1e-10
-            assert report.max_final_tail <= 1e-3
+    for kind, dim, p in [("shell", 1, None), ("shell", 2, None), ("shell", 3, None),
+                         ("fractional", 1, 2.0), ("fractional", 2, 2.0), ("fractional", 3, 4.0)]:
+        report = certify(kind, dim, p)
+        assert max(report.normalization_residuals.values()) <= 1e-10
+        assert max(report.tail_residuals.values()) <= 1e-10
+        assert report.max_final_tail <= 1e-3
 
 
 @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
@@ -99,6 +99,39 @@ def test_certification_rejects_tails_off_their_closed_form(monkeypatch):
                         lambda kind, dim, eps, p=None: FastDecay(kind, dim, eps, p))
     with pytest.raises(CertificationError, match="disagrees with its closed form"):
         certify("shell", 1)
+
+
+def test_certification_rejects_an_oracle_singular_in_the_mass_variable(monkeypatch):
+    # rate a/2 makes the integrand in w = (r/R)^a proportional to w^(-1/2); the capped
+    # Gauss-Legendre rule misses its error estimate instead of refining for seconds
+    import nonlocal_limits.mollifiers as m
+
+    class HalfRate(m.MollifierFamily):
+        def log_radius_mass_mp(self, y):
+            scale, rate = self._log_mass_constants
+            return scale * mpmath.exp(-rate * y / 2)
+
+    monkeypatch.setattr(m, "make_mollifier",
+                        lambda kind, dim, eps, p=None: HalfRate(kind, dim, eps, p))
+    start = time.perf_counter()
+    with pytest.raises(CertificationError, match="error estimate"):
+        certify("shell", 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_default_families_certify_in_few_oracle_calls(monkeypatch):
+    # a true oracle is flat in the mass variable, so each integral stops at 9 nodes
+    import nonlocal_limits.mollifiers as m
+
+    calls = []
+    oracle = m.MollifierFamily.log_radius_mass_mp
+    monkeypatch.setattr(m, "_masses", {})
+    monkeypatch.setattr(m.MollifierFamily, "log_radius_mass_mp",
+                        lambda self, y: calls.append(1) or oracle(self, y))
+    for kind, dim, p in [("shell", 1, None), ("shell", 2, None),
+                         ("fractional", 1, 2.0), ("fractional", 2, 2.0)]:
+        certify(kind, dim, p)
+    assert len(calls) <= 500
 
 
 def test_certification_rejects_a_grid_that_does_not_concentrate(monkeypatch):
@@ -169,7 +202,8 @@ def test_numeric_mass_is_bitwise_the_r_space_route(family):
 
 @pytest.mark.parametrize("kind,dim,eps,p", ORACLE_FAMILIES)
 def test_numeric_mass_is_bitwise_the_y_space_route(kind, dim, eps, p):
-    # the unit-scale variable s = a (y - log(1/R)) changes only tanh-sinh's nodes
+    # the mass variable w = (r/R)^a makes a true oracle flat, so Gauss-Legendre in w
+    # rounds to the same double as tanh-sinh in y
     family = make_mollifier(kind, dim, eps, p)
     upper = family.support_upper
     for delta in (0.0, 0.05 * upper, 0.5 * upper):
