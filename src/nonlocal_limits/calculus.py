@@ -3,9 +3,12 @@
 ``m_form`` is the one routine that builds the diagonal m-form
 sum_{|a|=m} (m!/a!) c_a y^a; the directional form, its direction bound, the
 local-limit tableau and ``bodies.zpm_norm`` each call it with their own
-coefficients.  Also higher-order differences, binomial segment remainders,
-Taylor polynomials and remainders, plus quadrature residuals for the two
-mean-value identities used as correctness gates.
+coefficients.  ``m_form_gram`` integrates the square of the form over an x
+rule times a y rule through Gram matrices, for every p = 2 integral.  Also
+higher-order differences, binomial segment remainders, Taylor polynomials and
+remainders, plus quadrature residuals for the two mean-value identities used
+as correctness gates; their sums are ``math.fsum``, so the residuals do not
+depend on the BLAS thread count.
 
 All operations are pure and broadcast over point batches of shape ``(..., dim)``.
 """
@@ -80,9 +83,7 @@ def directional_m_form(f: TestFunction, x, y, m: int) -> Array:
     """
     if m > f.smoothness_order:
         raise ValueError(f"m={m} exceeds smoothness_order={f.smoothness_order}")
-    x = as_points(x, f.dim)
-    return m_form((f.partial(alpha, x) for alpha in multi_indices(f.dim, m)),
-                  as_points(y, f.dim), m)
+    return m_form(f.partials(multi_indices(f.dim, m), x), as_points(y, f.dim), m)
 
 
 def direction_bound(f: TestFunction, m: int, sigma) -> Array:
@@ -134,10 +135,10 @@ def taylor_polynomial(f: TestFunction, y, x, degree: int) -> Array:
     x = as_points(x, f.dim)
     y = as_points(y, f.dim)
     diff = x - y
+    alphas = [alpha for order in range(degree + 1) for alpha in multi_indices(f.dim, order)]
     out = 0.0
-    for order in range(degree + 1):
-        for alpha in multi_indices(f.dim, order):
-            out = out + f.partial(alpha, y) * monomial(diff, alpha) / multi_factorial(alpha)
+    for alpha, partial in zip(alphas, f.partials(alphas, y)):
+        out = out + partial * monomial(diff, alpha) / multi_factorial(alpha)
     return out
 
 
@@ -171,7 +172,8 @@ def mean_value_identity_check(f: TestFunction, x, h, m: int) -> float:
     shift = sum(ts.T)  # (nodes^m,)
     pts = x[np.newaxis, :] + shift[:, np.newaxis] * h[np.newaxis, :]
     form = directional_m_form(f, pts, np.broadcast_to(h, pts.shape), m)
-    integral = float(np.dot(w, form))
+    # a correctly rounded sum: a BLAS dot splits it by thread count
+    integral = math.fsum(w * form)
     lhs = float(forward_difference(f, x, h, m))
     return abs(lhs - integral)
 
@@ -194,11 +196,35 @@ def taylor_kernel_identity_check(f: TestFunction, x, h: float, m: int) -> float:
     pts = np.broadcast_to(x, (prod.size, f.dim)).copy()
     pts[:, -1] += prod * h
     alpha = (0,) * (f.dim - 1) + (m,)
-    integral = float(np.dot(w * weight, f.partial(alpha, pts)))
+    integral = math.fsum(w * weight * f.partial(alpha, pts))
     shifted = x.copy()
     shifted[-1] += h
     lhs = float(taylor_remainder(f, shifted, x, m))
     return abs(lhs - h ** m * integral)
+
+
+def m_form_gram(f: TestFunction, m: int, xs: Array, wx: Array, ys: Array, wy: Array) -> float:
+    """sum_ij wx_i wy_j (diagonal m-form at xs[i] in direction ys[j])^2, in Gram form.
+
+    With a_a = (m!/a!) d^a f on the x rule and b_a = y^a on the y rule, the sum
+    is sum_ab A_ab B_ab over the Gram matrices A_ab = sum_i wx_i a_a a_b and
+    B_ab = sum_j wy_j b_a b_b: (N_x + N_y) #a^2 work, where the squared
+    tableau takes N_x N_y #a.  Each entry is an ``np.sum`` of products, so the
+    value does not depend on the BLAS thread count.
+    """
+    alphas = multi_indices(f.dim, m)
+    xs = as_points(xs, f.dim)
+    ys = as_points(ys, f.dim)
+    a = [multinomial(m, alpha) * partial
+         for alpha, partial in zip(alphas, f.partials(alphas, xs))]
+    b = [monomial(ys, alpha) for alpha in alphas]
+    total = 0.0
+    for i in range(len(alphas)):
+        wa, wb = wx * a[i], wy * b[i]
+        for j in range(i, len(alphas)):
+            term = float(np.sum(wa * a[j])) * float(np.sum(wb * b[j]))
+            total += term if i == j else 2.0 * term
+    return total
 
 
 def m_form_tableau(f: TestFunction, m: int, xs: Array, ys: Array) -> Array:
@@ -209,5 +235,5 @@ def m_form_tableau(f: TestFunction, m: int, xs: Array, ys: Array) -> Array:
     """
     xs = as_points(xs, f.dim)
     ys = as_points(ys, f.dim)
-    return m_form((f.partial(alpha, xs)[:, np.newaxis] for alpha in multi_indices(f.dim, m)),
+    return m_form((partial[:, np.newaxis] for partial in f.partials(multi_indices(f.dim, m), xs)),
                   ys[np.newaxis], m)

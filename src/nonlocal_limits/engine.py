@@ -553,21 +553,32 @@ def _graded_gauss(n: int) -> tuple[Array, Array]:
     return u * u * (3.0 - 2.0 * u), 6.0 * w * u * (1.0 - u)
 
 
-def sphere_quadrature(dim: int) -> tuple[Array, Array]:
+def sphere_quadrature(dim: int, body: ConvexBody | None = None) -> tuple[Array, Array]:
     """Directions and weights with sum w_i g(sigma_i) ~ surface integral over the sphere.
 
     The rule is split at the coordinate planes: graded Gauss-Legendre in the
     angle per quadrant (2-D, 192 nodes), and in the cosine of the polar angle
     times the azimuth per octant cell (3-D, 3200 nodes); the sphere's area
-    element is d(cos) d(azimuth).  In 1-D the sphere is {-1, 1}.
+    element is d(cos) d(azimuth).  In 1-D the sphere is {-1, 1}.  Given a 2-D
+    box or polytope ``body``, the circle is also split at its vertex
+    directions, where its gauge has kinks, and each arc gets the quadrant's
+    graded rule; without one, or for a smooth gauge, the rule is the plain one.
     """
     if dim == 1:
         return np.array([[-1.0], [1.0]]), np.ones(2)
     if dim not in _SPHERE_NODES:
         raise ValueError("dim must be 1, 2 or 3")
     t, wt = _graded_gauss(_SPHERE_NODES[dim])
-    theta = 0.5 * math.pi * np.concatenate([t + k for k in range(4)])
-    wtheta = np.tile(0.5 * math.pi * wt, 4)
+    # arc ends in quadrants: the axes, then any kink of the gauge
+    ends = np.arange(5.0)
+    if dim == 2 and body is not None and body.kind in ("box", "polytope"):
+        vertices = _facets(body)[2]
+        kinks = np.mod(np.arctan2(vertices[:, 1], vertices[:, 0]) / (0.5 * math.pi), 4.0)
+        ends = np.unique(np.concatenate([ends, kinks]))
+        ends = ends[np.concatenate([[True], np.diff(ends) > 1e-12])]
+        ends[-1] = 4.0
+    theta = 0.5 * math.pi * np.concatenate([a + (b - a) * t for a, b in zip(ends, ends[1:])])
+    wtheta = 0.5 * math.pi * np.concatenate([(b - a) * wt for a, b in zip(ends, ends[1:])])
     if dim == 2:
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1), wtheta
     pts, w = tensor_grid([(np.concatenate([t, -t]), np.tile(wt, 2)), (theta, wtheta)])
@@ -604,6 +615,17 @@ def _facet_cells(on: Array, unit: Array) -> tuple[Array, Array]:
     return np.concatenate(pts), np.concatenate(wts)
 
 
+def _facets(body: ConvexBody) -> tuple[Array, Array, Array]:
+    """Facet normals, offsets and vertices of a box or polytope."""
+    if body.kind == "box":
+        half = np.asarray(body.params)
+        normals = np.concatenate([np.eye(body.dim), -np.eye(body.dim)])
+        offsets = np.concatenate([half, half])
+        return normals, offsets, np.array(list(itertools.product(*[(-h, h) for h in half])))
+    normals, offsets = map(np.asarray, body.params)
+    return normals, offsets, _polytope_vertices(normals, offsets)
+
+
 def cone_nodes(body: ConvexBody) -> tuple[Array, Array]:
     """Boundary points z_j and weights w_j of the cone-measure rule of K.
 
@@ -627,14 +649,7 @@ def cone_nodes(body: ConvexBody) -> tuple[Array, Array]:
                 else np.full(dim, body.params[-1]))
         norm = np.sum(np.abs(omega) ** q, axis=1) ** (1.0 / q)
         return semi * omega / norm[:, np.newaxis], float(np.prod(semi)) * w * norm ** (-dim)
-    if body.kind == "box":
-        half = np.asarray(body.params)
-        normals = np.concatenate([np.eye(dim), -np.eye(dim)])
-        offsets = np.concatenate([half, half])
-        vertices = np.array(list(itertools.product(*[(-h, h) for h in half])))
-    else:
-        normals, offsets = map(np.asarray, body.params)
-        vertices = _polytope_vertices(normals, offsets)
+    normals, offsets, vertices = _facets(body)
     pts, wts, seen = [], [], set()
     for normal, offset in zip(normals, offsets):
         scale = np.abs(vertices) @ np.abs(normal) + offset

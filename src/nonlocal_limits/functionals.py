@@ -4,7 +4,7 @@ Level-set (threshold) variants integrate delta^p / gauge^(dim + m p) over the
 pair region where a remainder exceeds delta; mollified variants integrate
 |remainder|^p / gauge^(m p) against a concentration profile of the gauge
 distance, using the leading term c_m t^m d^m f(x)[sigma] of the remainder
-below the radius t_c = eps^(1/(m+1)), where rounding swamps it.  Each
+below the radius t_c = (eps / c_m)^(1/(m+1)), where rounding swamps it.  Each
 functional has a centered-remainder and a Taylor-remainder form, giving
 the four theorem tags used throughout configs and reports:
 
@@ -21,7 +21,22 @@ and differ only in the constant in front of it.  The inner integrand is
 positively homogeneous of degree m p in y, so ``local_limit`` computes I by
 deterministic quadrature for every body: a tensor Gauss-Legendre grid in x
 times the cone-measure boundary rule ``engine.cone_nodes`` in y, divided by
-dim + m p.  No target depends on the seed or the worker count.
+dim + m p.  For p = 2 the x and y sums factor through Gram matrices
+(``calculus.m_form_gram``); other p sum the N_x x N_z tableau of m-form values.
+No target depends on the seed or the worker count.
+
+A Monte Carlo mollified pass with p = 2 in dim <= 2 uses the payoff's t-free
+leading term l(x, sigma) = (c_m |d^m f(x)[sigma]|)^2 gauge(sigma)^-(2m+N) as a
+control variate: the kernel returns payoff - l (exactly 0 below t_c, where the
+payoff is l), and the pass adds back C, the integral of l over box x sphere,
+by Gram quadrature on an x grid split at the profiles' breakpoints and a
+circle rule split at the gauge's kinks.  C is the local limit itself, up to
+the box tail, so the sampled part is the gap F_eps - limit, whose variance
+vanishes with eps; ``hit_fraction`` then counts the nonzero gaps, and each
+point reports C as ``lead_integral``.  For other p, |d^m f(x)[sigma]|^p has
+kinks or a high degree that no fixed rule for C resolves to the sampling
+error, and 3-D box and polytope gauges would need a kink-split sphere rule,
+so those passes, quadrature plans and level sets keep the plain payoff.
 """
 
 from __future__ import annotations
@@ -33,10 +48,11 @@ from functools import lru_cache
 import numpy as np
 
 from .bodies import ConvexBody
-from .calculus import (centered_remainder, direction_bound, directional_m_form,
+from .calculus import (centered_remainder, direction_bound, directional_m_form, m_form_gram,
                        m_form_tableau, multi_indices, taylor_remainder)
 from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw, cone_nodes,
-                     gauss_legendre, integrate_double, sphere_measure, tensor_grid)
+                     gauss_legendre, integrate_double, sphere_measure, sphere_quadrature,
+                     tensor_grid)
 from .functions import MAX_DIM, TestFunction
 from .mollifiers import KINDS, MollifierFamily, ensure_certified, make_mollifier
 
@@ -237,15 +253,43 @@ def _small_radius_bias(spec: FunctionalSpec, box_radius: float, t_c: float,
             * spec.mollifier.mass_below(t_c / body.inner_radius) * row)
 
 
+def _lead_integral(f: TestFunction, body: ConvexBody, m: int, c_m: float,
+                   box_radius: float) -> float:
+    """C = integral over the box [-box_radius, box_radius]^N and the unit sphere of the
+    leading term (c_m d^m f(x)[sigma])^2 gauge(sigma)^-(2m+N), in Gram form.
+
+    The x rule is ``_split_grid``, the sigma rule ``sphere_quadrature`` split at
+    the gauge's kinks; neither is the cone rule of ``local_limit``, so C checks
+    the target instead of repeating it.
+    """
+    xs, wx = _split_grid(f, box_radius)
+    sigma, ws = sphere_quadrature(body.dim, body)
+    wy = ws * body.gauge(sigma) ** (-2.0 * m - body.dim)
+    return c_m ** 2 * m_form_gram(f, m, xs, wx, sigma, wy)
+
+
 def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
                     box_radius: float) -> list[IntegralEstimate]:
     spec = specs[0]
     f, body, m, p = spec.f, spec.body, spec.m, spec.p
     remainder = _remainder(spec.theorem)
     mp = m * p
-    # relative errors: about eps / t^m from rounding in R, about t in its leading term
-    t_c = float(np.finfo(float).eps) ** (1.0 / (m + 1))
     c_m = float(m) ** -m if spec.theorem.endswith("centered") else 1.0 / math.factorial(m)
+    # relative errors: about eps / (c_m t^m) from rounding in R, about t in its leading term
+    t_c = (float(np.finfo(float).eps) / c_m) ** (1.0 / (m + 1))
+    # the control variate needs a Gram form (p = 2) and a kink-split sphere rule (dim <= 2)
+    lead = plan.method == "monte_carlo" and p == 2.0 and body.dim <= 2
+
+    def lead_kernel(x, sigma, t):
+        # payoff - l = (a^2 - b^2) g^-(2m+N), a = R / t^m and b = c_m D its t -> 0 limit;
+        # below t_c the payoff is l itself
+        g_lead = body.gauge(sigma) ** (-mp - body.dim)
+        out, fx = np.empty(t.shape), f.eval(x)
+        b = c_m * directional_m_form(f, x, sigma, m)
+        for j, tj in enumerate(t):
+            a = remainder(f, x, x + tj[:, np.newaxis] * sigma, m, fx) / np.maximum(tj, t_c) ** m
+            out[j] = np.where(tj < t_c, 0.0, (a - b) * (a + b) * g_lead)
+        return out
 
     def kernel(x, sigma, t):
         # |R|^p (t g)^-mp rho t^(N-1) over the law's shape (t g)^(N-1) rho g, per profile
@@ -262,9 +306,16 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
         return out
 
     law = MollifierRadial([point.mollifier for point in specs], body.gauge)
-    estimates = integrate_double(kernel, plan, box_radius, body.dim, law, f.proposal)
+    estimates = integrate_double(lead_kernel if lead else kernel, plan, box_radius, body.dim,
+                                 law, f.proposal)
     for point, est in zip(specs, estimates):
         est.info["small_radius_bias"] = _small_radius_bias(point, box_radius, t_c, c_m)
+    if lead:
+        # the law's mass is 1, so every point adds back the same C
+        lead_integral = _lead_integral(f, body, m, c_m, box_radius)
+        for est in estimates:
+            est.value += lead_integral
+            est.info["lead_integral"] = lead_integral
     return estimates
 
 
@@ -328,13 +379,31 @@ def evaluate(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
 # Local limits
 # ---------------------------------------------------------------------------
 
-_OUTER_NODES_DEFAULT = {1: 160, 2: 96, 3: 40}
+#: Gauss-Legendre nodes per axis of the target grid, and per panel of the split grid
+_OUTER_NODES = {1: 160, 2: 96, 3: 56}
+
+
+def _panels(half: float, cuts, n: int):
+    """n Gauss-Legendre nodes and weights on each panel of [-half, half] cut at ``cuts``."""
+    ends = [-half, *sorted(c for c in cuts if -half < c < half), half]
+    xg, wg = gauss_legendre(n)
+    pieces = [(0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg)
+              for a, b in zip(ends, ends[1:])]
+    return np.concatenate([x for x, _ in pieces]), np.concatenate([w for _, w in pieces])
 
 
 def _outer_grid(f: TestFunction):
     """Tensor Gauss-Legendre grid on the support box of f."""
-    xg, wg = gauss_legendre(_OUTER_NODES_DEFAULT[f.dim])
-    return tensor_grid([(f.support_radius * xg, f.support_radius * wg)] * f.dim)
+    return tensor_grid([_panels(f.support_radius, (), _OUTER_NODES[f.dim])] * f.dim)
+
+
+def _split_grid(f: TestFunction, box_radius: float):
+    """Tensor grid on the box [-box_radius, box_radius]^N, each axis clipped to its
+    profile's support and cut at the profile's breakpoints, where it is not analytic."""
+    n = _OUTER_NODES[f.dim]
+    return tensor_grid([_panels(box_radius if prof.support is None
+                                else min(box_radius, prof.support), prof.breakpoints, n)
+                        for prof in f.profiles])
 
 
 @lru_cache(maxsize=None)
@@ -342,6 +411,8 @@ def _shared_integral_quadrature(f: TestFunction, body: ConvexBody, m: int, p: fl
     # |m-form(x)[y]|^p is homogeneous of degree m p in y: the cone rule integrates it over K
     xs, wx = _outer_grid(f)
     zs, wz = cone_nodes(body)
+    if p == 2.0:
+        return m_form_gram(f, m, xs, wx, zs, wz) / (body.dim + m * p)
     total = 0.0
     block = max(1, (1 << 22) // len(wz))
     for start in range(0, len(wx), block):

@@ -46,12 +46,18 @@ class Profile1D:
     support: float | None = None
     #: default half-width used for numerical sup bounds when support is None
     bound_range: float = 8.0
+    #: points where the profile is not analytic; quadratures in x split there
+    breakpoints: tuple[float, ...] = ()
 
     def value(self, u: Array) -> Array:
         return self.derivative(0, u)
 
     def derivative(self, k: int, u: Array) -> Array:
         raise NotImplementedError
+
+    def derivatives(self, orders, u: Array) -> dict[int, Array]:
+        """``derivative(k, u)`` for each k in ``orders``, bitwise, keyed by k."""
+        return {k: self.derivative(k, u) for k in orders}
 
     def proposal(self) -> float | str | None:
         """Outer-point law for this axis: the half-width of a uniform law on the
@@ -76,14 +82,19 @@ class GaussianProfile(Profile1D):
         return NORMAL
 
     def derivative(self, k: int, u: Array) -> Array:
+        return self.derivatives((k,), u)[k]
+
+    def derivatives(self, orders, u: Array) -> dict[int, Array]:
+        """One exponential and one Hermite recurrence up to the highest order."""
         u = np.asarray(u, dtype=float)
-        if k == 0:
-            return np.exp(-u * u)
-        h_prev = np.zeros_like(u)
-        h = np.ones_like(u)
-        for j in range(k):
+        damp = np.exp(-u * u)
+        out = {0: damp} if 0 in orders else {}
+        h_prev, h = 0.0, 1.0
+        for j in range(max(orders)):
             h, h_prev = 2.0 * u * h - 2.0 * j * h_prev, h
-        return (-1.0) ** k * h * np.exp(-u * u)
+            if j + 1 in orders:
+                out[j + 1] = (-1.0) ** (j + 1) * h * damp
+        return out
 
 
 class PolynomialProfile(Profile1D):
@@ -158,6 +169,7 @@ class PlateauProfile(Profile1D):
         self.r0 = r0
         self.r1 = r1
         self.support = r1
+        self.breakpoints = (-r1, -r0, r0, r1)
 
     def _transition_derivs(self, k: int, s: Array) -> list[Array]:
         # derivatives of T = v/(u+v) via v^{(j)} = sum C(j,i) T^{(i)} d^{(j-i)}
@@ -198,6 +210,7 @@ class ProductProfile(Profile1D):
         sups = [p.support for p in (a, b) if p.support is not None]
         self.support = min(sups) if sups else None
         self.bound_range = min(p.bound_range for p in (a, b))
+        self.breakpoints = tuple(sorted(set(a.breakpoints) | set(b.breakpoints)))
 
     def derivative(self, k: int, u: Array) -> Array:
         u = np.asarray(u, dtype=float)
@@ -314,16 +327,27 @@ class TestFunction:
 
     def partial(self, alpha, x) -> Array:
         """Exact partial derivative for the multi-index ``alpha``."""
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.dim:
-            raise ValueError(f"multi-index length {len(alpha)} != dim {self.dim}")
-        if sum(alpha) > self.smoothness_order:
-            raise ValueError(f"derivative order {sum(alpha)} exceeds "
-                             f"smoothness_order {self.smoothness_order}")
+        return self.partials([alpha], x)[0]
+
+    def partials(self, alphas, x) -> list[Array]:
+        """``partial(alpha, x)`` for each multi-index of ``alphas``, each axis's 1-D
+        derivatives evaluated once for all of them."""
+        alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
+        for alpha in alphas:
+            if len(alpha) != self.dim:
+                raise ValueError(f"multi-index length {len(alpha)} != dim {self.dim}")
+            if sum(alpha) > self.smoothness_order:
+                raise ValueError(f"derivative order {sum(alpha)} exceeds "
+                                 f"smoothness_order {self.smoothness_order}")
         pts = as_points(x, self.dim)
-        out = np.ones(pts.shape[:-1])
-        for i, prof in enumerate(self.profiles):
-            out = out * prof.derivative(alpha[i], pts[..., i])
+        tables = [prof.derivatives({alpha[i] for alpha in alphas}, pts[..., i])
+                  for i, prof in enumerate(self.profiles)]
+        out = []
+        for alpha in alphas:
+            value = np.ones(pts.shape[:-1])
+            for i, table in enumerate(tables):
+                value = value * table[alpha[i]]
+            out.append(value)
         return out
 
     def sup_partial(self, alpha) -> float:

@@ -471,8 +471,9 @@ def test_traced_benchmark_child_certifies_four_families():
 
 
 def test_traced_benchmark_child_charges_the_m_form_layers(tmp_path):
-    # a refactor that routes around a wrapped name would leave its layer at zero calls
-    job = {**base_config()["jobs"][0], "plan": {"method": "tensor_quadrature"}}
+    # a refactor that routes around a wrapped name would leave its layer at zero calls;
+    # p = 3 keeps the target on the tableau (a p = 2 target is a Gram sum)
+    job = {**base_config()["jobs"][0], "p": 3.0, "plan": {"method": "tensor_quadrature"}}
     path = write_config(tmp_path, base_config(jobs=[job]))
     spec = {"root": str(ROOT), "argv": ["run", "--config", path, "--no-timestamp"], "trace": True}
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],

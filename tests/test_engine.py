@@ -183,6 +183,28 @@ def test_sphere_quadrature_matches_closed_moments(p):
     assert abs(w @ np.abs(dirs[:, 0]) ** p / (4.0 * math.pi / (p + 1.0)) - 1.0) <= 1e-8
 
 
+HEXAGON = ConvexBody.polytope([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.8660254037844386],
+                               [-0.5, -0.8660254037844386], [-0.5, 0.8660254037844386],
+                               [0.5, -0.8660254037844386]], [1.0] * 6)
+
+
+@pytest.mark.parametrize("body, moment", [
+    # int_K y1^2: (2/3) a^3 2b on the box [a, b]; 5 sqrt(3) / 9 on the unit-inradius hexagon
+    (ConvexBody.box([1.0, 0.5]), 2.0 / 3.0),
+    (HEXAGON, 5.0 * math.sqrt(3.0) / 9.0)])
+def test_sphere_rule_split_at_gauge_kinks(body, moment):
+    # surface integral of gauge^-(N+2) sigma1^2 = (N + 2) int_K y1^2; the gauge has kinks at
+    # the vertex directions, which only the split rule resolves
+    def surface(dirs, w):
+        return w @ (body.gauge(dirs) ** -4.0 * dirs[:, 0] ** 2)
+
+    assert surface(*sphere_quadrature(2, body)) == pytest.approx(4.0 * moment, rel=1e-13)
+    assert abs(surface(*sphere_quadrature(2)) / (4.0 * moment) - 1.0) > 1e-4
+    dirs, w = sphere_quadrature(2)
+    smooth = sphere_quadrature(2, ConvexBody.ellipsoid([2.0, 1.0]))
+    assert np.array_equal(smooth[0], dirs) and np.array_equal(smooth[1], w)
+
+
 def test_sphere_constant_values():
     assert sphere_constant(1, 2.0) == pytest.approx(2.0, rel=1e-12)
     # int_0^2pi cos^2 = pi

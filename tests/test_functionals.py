@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from nonlocal_limits import functionals
 from nonlocal_limits.bodies import ConvexBody
-from nonlocal_limits.calculus import centered_remainder, directional_m_form
-from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, outer_points,
+from nonlocal_limits.calculus import centered_remainder, directional_m_form, m_form_tableau
+from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, cone_nodes, outer_points,
                                     outer_weights)
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_norm_p,
                                          evaluate, local_limit, theorem_constant,
@@ -157,6 +158,68 @@ def test_local_limit_monte_carlo_agrees():
     spec = FunctionalSpec("nguyen_centered", GAUSS2, ellipse, 1, 2.0, 0.1)
     exact = local_limit(spec) / theorem_constant("nguyen_centered", 1, 2.0, 2)
     assert abs(value - exact) <= max(3 * stderr, 0.02 * exact)
+
+
+LEAD_BODIES = [INTERVAL, ConvexBody.ellipsoid([2.0, 1.0]), ConvexBody.box([1.0, 0.5]), HEXAGON,
+               ConvexBody.lp_ball(1.5, 1.0, 2), L4_BALL]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("body", LEAD_BODIES, ids=lambda b: f"{b.kind}{b.dim}-{b.params[0]}")
+def test_lead_integral_matches_local_limit(body, m):
+    # C integrates the leading term over box x sphere with the kink-split sphere rule; by
+    # the sphere-to-body identity it is the p = 2 target, which takes the cone rule over K
+    f = make_function("gaussian", body.dim)
+    for theorem, c_m in (("bbm_centered", float(m) ** -m), ("bbm_taylor", 1 / math.factorial(m))):
+        lead = functionals._lead_integral(f, body, m, c_m, 7.5)
+        target = local_limit(FunctionalSpec(theorem, f, body, m, 2.0, 0.1, "shell"))
+        assert lead == pytest.approx(target, rel=1e-12)
+
+
+def tableau_integral(f, body, m, p):
+    # the reference: the N_x x N_z tableau of m-form values on the target's grids
+    xs, wx = functionals._outer_grid(f)
+    zs, wz = cone_nodes(body)
+    return float(wx @ np.abs(m_form_tableau(f, m, xs, zs)) ** p @ wz) / (body.dim + m * p)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "poly_bump", "sine_bump"])
+@pytest.mark.parametrize("body", [INTERVAL, ConvexBody.ellipsoid([2.0, 1.0]),
+                                  ConvexBody.box([1.0, 0.5]), HEXAGON, L4_BALL],
+                         ids=lambda b: f"{b.kind}{b.dim}")
+def test_gram_targets_match_tableau(name, body):
+    f = make_function(name, body.dim)
+    for m in (1, 2, 3):
+        gram = functionals._shared_integral_quadrature.__wrapped__(f, body, m, 2.0)
+        assert gram == pytest.approx(tableau_integral(f, body, m, 2.0), rel=1e-13)
+
+
+def test_gram_target_matches_tableau_on_3d_ball(monkeypatch):
+    # a coarser outer grid keeps the 3-D tableau small; the identity does not depend on it
+    monkeypatch.setitem(functionals._OUTER_NODES, 3, 16)
+    f, ball = make_function("gaussian", 3), ConvexBody.ball(1.0, 3)
+    gram = functionals._shared_integral_quadrature.__wrapped__(f, ball, 2, 2.0)
+    assert gram == pytest.approx(tableau_integral(f, ball, 2, 2.0), rel=1e-13)
+
+
+def test_lead_integral_split_rule_is_converged(monkeypatch):
+    # poly_bump's plateau is not analytic at +-0.8 and +-2: panels end there
+    f, body = make_function("poly_bump", 2), ConvexBody.box([1.0, 0.5])
+    lead = functionals._lead_integral(f, body, 2, 1.0, 4.0)
+    monkeypatch.setitem(functionals._OUTER_NODES, 2, 400)
+    assert lead == pytest.approx(functionals._lead_integral(f, body, 2, 1.0, 4.0), rel=1e-12)
+
+
+def test_lead_control_variate_matches_quadrature_in_1d():
+    # Monte Carlo integrates payoff - l and adds C back; quadrature integrates the payoff
+    spec = FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 2, 2.0, 0.1, "shell")
+    mc = evaluate(spec, mc_plan(samples=100_000, seed=5))
+    quad = evaluate(spec, IntegrationPlan("tensor_quadrature", x_nodes=200, t_nodes=48))
+    assert mc.info["lead_integral"] == pytest.approx(local_limit(spec), rel=1e-12)
+    assert "lead_integral" not in quad.info
+    assert 0.0 < mc.stderr and abs(mc.value - quad.value) <= 4.0 * mc.stderr
+    # other exponents keep the plain payoff
+    assert "lead_integral" not in evaluate(replace(spec, p=3.0), mc_plan(samples=20_000)).info
 
 
 def test_local_limit_zero_function():
@@ -389,7 +452,8 @@ def test_leading_term_payoff_matches_exact_remainder(theorem, m, monkeypatch):
     monkeypatch.setattr(functionals, "integrate_double", capture)
     spec = FunctionalSpec(theorem, GAUSS1, INTERVAL, m, p, eps, "shell")
     est, = functionals._mollified_pass([spec], IntegrationPlan("tensor_quadrature"), box)
-    t_c = np.finfo(float).eps ** (1.0 / (m + 1))
+    c_m = float(m) ** -m if theorem == "bbm_centered" else 1.0 / math.factorial(m)
+    t_c = (np.finfo(float).eps / c_m) ** (1.0 / (m + 1))
     per_row = est.info["small_radius_bias"] / (2.0 * box * 2.0 * spec.mollifier.mass_below(t_c))
 
     x = np.linspace(-2.5, 2.5, 41)

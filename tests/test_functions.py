@@ -30,6 +30,34 @@ def test_gaussian_value_is_bitwise_the_hermite_formula(rng):
     np.testing.assert_array_equal(_bits(GaussianProfile().derivative(0, u)), _bits(reference))
 
 
+def test_gaussian_derivatives_are_bitwise_the_hermite_formula(rng):
+    # reference: the Hermite recurrence from arrays of zeros and ones, one order at a time;
+    # the profile runs one recurrence from scalars for all orders
+    u = np.concatenate([rng.normal(size=4000) * 3.0, [0.0, -0.0]])
+    profile = GaussianProfile()
+    batch = profile.derivatives(set(range(7)), u)
+    for k in range(1, 7):
+        h_prev, h = np.zeros_like(u), np.ones_like(u)
+        for j in range(k):
+            h, h_prev = 2.0 * u * h - 2.0 * j * h_prev, h
+        reference = (-1.0) ** k * h * np.exp(-u * u)
+        np.testing.assert_array_equal(_bits(profile.derivative(k, u)), _bits(reference))
+        np.testing.assert_array_equal(_bits(batch[k]), _bits(reference))
+
+
+def test_batched_partials_are_bitwise_the_per_axis_products(rng):
+    for name, dim in SMOOTH:
+        f = make_function(name, dim)
+        x = rng.uniform(-2.5, 2.5, size=(500, dim))
+        alphas = [alpha for order in range(4) for alpha in multi_indices(dim, order)]
+        for alpha, batch in zip(alphas, f.partials(alphas, x)):
+            reference = np.ones(len(x))
+            for i, prof in enumerate(f.profiles):
+                reference = reference * prof.derivative(alpha[i], x[:, i])
+            np.testing.assert_array_equal(_bits(batch), _bits(reference))
+            np.testing.assert_array_equal(_bits(f.partial(alpha, x)), _bits(reference))
+
+
 def test_proposals_follow_the_profiles(rng):
     gauss = make_function("gaussian", 2).proposal
     assert gauss.axes == (NORMAL, NORMAL)
