@@ -32,7 +32,11 @@ proposal lattice first, so the numbers depend on (seed, samples) only; the
 worker count just sets how many threads run the blocks.
 One pass integrates the K points of a parameter grid over one outer box:
 every point shares a block's outer points, weights, directions and direction
-state, and is bitwise a pass of its own on that box.
+state.  The radial law sets what else they share.  A ``MollifierRadial``
+point draws its own radius and is bitwise a pass of its own on that box;
+``PowerLaw`` points are the rungs of one ladder of strata of each ray, so a
+point shares the draws of the strata above it and lies within noise of its
+lone pass.
 
 Everything else is deterministic quadrature.  ``sphere_quadrature`` is the
 one unit-sphere rule.  Integrals over a body K of integrands positively
@@ -49,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -101,39 +106,74 @@ def gauss_legendre(n: int, unit: bool = False) -> tuple[Array, Array]:
 # ---------------------------------------------------------------------------
 
 class PowerLaw:
-    """Density proportional to t^exponent on [t_min(sigma), t_max], exponent != -1.
+    """Density proportional to t^exponent on a ladder of strata of each ray, exponent != -1.
 
     The unnormalised radial shape is t^exponent.  With exponent = -(1 + m p)
     this matches the radial weight of the level-set kernels exactly, so their
-    per-sample payoff is flat in t.  The lower bound t_min is a callable of
-    the direction batch (n, dim) returning per-direction cutoffs, one row
-    per point of a pass; directions whose cutoff reaches t_max keep a
-    degenerate-free interval and rely on the kernel vanishing there.
+    per-sample payoff is flat in t.  Point k of a pass integrates over
+    [lo_k(sigma), t_max], where lo_k = cutoffs[k] * reach(sigma), capped at
+    t_max / 2; ``reach`` is a callable of the direction batch (n, dim)
+    returning (n,).  The cutoffs must not increase, so the lower bounds cut
+    each ray into strata [lo_k, lo_(k-1)], lo_0 = t_max, and point k's range
+    is strata 1..k.  Row k of t is drawn inside stratum k, every row from the
+    ray's one radial uniform.  ``mass`` is the shape's mass over each point's
+    range, so a stratum's is the difference of two rows.  A kernel that gives
+    point k the payoffs of strata 1..k weighted by their share of its mass
+    is unbiased; with one point the stratum is the whole range.  Capped or
+    equal cutoffs give strata of zero width, where t is their common bound.
     """
 
-    def __init__(self, exponent: float, t_min, t_max: float):
+    def __init__(self, exponent: float, cutoffs, reach, t_max: float):
         self.exponent = float(exponent)
         self.t_max = float(t_max)
-        self.t_min = t_min
+        self.reach = reach
         self._s = self.exponent + 1.0
         if self._s == 0.0:
             raise ValueError("the exponent must not be -1: its inverse CDF is a log")
+        cutoffs = np.asarray(cutoffs, dtype=float)
+        if np.any(np.diff(cutoffs) > 0.0):
+            raise ValueError(f"the cutoffs must not increase; got {cutoffs.tolist()}")
+        # lo_k^s = cutoffs[k]^s reach^s: one power per direction, not one per row
+        self._cutoffs_s = cutoffs ** self._s
+        self._top_s = self.t_max ** self._s
+        self._cap_s = (0.5 * self.t_max) ** self._s
+        self._kept = threading.local()
 
     def prepare(self, sigma: Array) -> Array:
-        """The lower bounds (K, n) raised to exponent + 1."""
-        lo = np.minimum(np.asarray(self.t_min(sigma), dtype=float), 0.5 * self.t_max)
-        return lo ** self._s
+        """The lower bounds (K, n) raised to exponent + 1; each thread keeps its last."""
+        lo_s = self._lower_s(sigma)
+        self._kept.last = (sigma, lo_s)
+        return lo_s
+
+    def _lower_s(self, sigma: Array) -> Array:
+        lo_s = np.multiply.outer(self._cutoffs_s, self.reach(sigma) ** self._s)
+        # lo <= t_max / 2 in the power exponent + 1, which reverses order when negative
+        return (np.maximum if self._s < 0.0 else np.minimum)(lo_s, self._cap_s, out=lo_s)
 
     def sample(self, v: Array, lo_s: Array) -> Array:
-        b_s = self.t_max ** self._s
-        return (lo_s + v * (b_s - lo_s)) ** (1.0 / self._s)
+        """t (K, n): row k at the quantile v of stratum k."""
+        t = np.empty(np.broadcast_shapes(np.shape(lo_s), np.shape(v)))
+        np.subtract(self._top_s, lo_s[0], out=t[0])
+        np.subtract(lo_s[:-1], lo_s[1:], out=t[1:])
+        t *= v
+        t += lo_s
+        return np.power(t, 1.0 / self._s, out=t)
 
     def mass(self, lo_s):
-        """Integral of the shape t^exponent over [lo, t_max]."""
-        return (self.t_max ** self._s - lo_s) / self._s
+        """Integral of the shape t^exponent over each point's range [lo_k, t_max]."""
+        return (self._top_s - lo_s) / self._s
+
+    def prepared(self, sigma: Array) -> Array:
+        """``prepare(sigma)``, to be read only.  A kernel asks for the directions its block
+        has just prepared, so the thread's last bounds serve, and are let go, when they
+        were of ``sigma`` itself."""
+        kept = self._kept.__dict__.pop("last", None)
+        return kept[1] if kept is not None and kept[0] is sigma else self._lower_s(sigma)
 
     def pdf(self, t: Array, lo_s) -> Array:
-        return np.asarray(t, dtype=float) ** self.exponent / self.mass(lo_s)
+        """Density of each row's draw on its stratum."""
+        strata = np.diff(self.mass(lo_s), axis=0, prepend=0.0)
+        return np.asarray(t, dtype=float) ** self.exponent / strata
 
 
 class MollifierRadial:

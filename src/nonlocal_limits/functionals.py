@@ -37,11 +37,20 @@ point reports C as ``lead_integral``.  For other p, |d^m f(x)[sigma]|^p has
 kinks or a high degree that no fixed rule for C resolves to the sampling
 error, and 3-D box and polytope gauges would need a kink-split sphere rule,
 so those passes, quadrature plans and level sets keep the plain payoff.
+
+A level-set pass sorts its thresholds delta_1 > .. > delta_K, whatever the
+grid's order, and their exact cutoffs cut each ray into the strata of
+``engine.PowerLaw``; the remainder is evaluated once per stratum, K times per
+ray, and point j averages the j strata of its range [lo_j, t_max].  The
+smallest threshold thus averages K radial draws per ray, the largest keeps
+the plain estimator, and ``hit_fraction`` counts the rays on which any of a
+point's strata fires.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -165,16 +174,15 @@ def _level_set_radial_cutoff(spec: FunctionalSpec) -> float:
     return _cutoff_scale(spec) * (spec.parameter / spec.f.m_form_bound(spec.m)) ** (1.0 / spec.m)
 
 
-def _directional_cutoff(spec: FunctionalSpec, deltas):
-    """Per-direction exact cutoffs t_min(sigma), one row per delta; sharper than the uniform."""
-    scale, m, f = _cutoff_scale(spec), spec.m, spec.f
-    delta = np.asarray(deltas, dtype=float)[:, np.newaxis]
+def _reach(spec: FunctionalSpec):
+    """The per-direction factor of the exact cutoffs: the cutoff of threshold delta in
+    direction sigma is ``_cutoff_scale(spec)`` delta^(1/m) times reach(sigma)."""
+    m, f = spec.m, spec.f
 
-    def cutoff(sigma):
-        bound = np.maximum(direction_bound(f, m, sigma), 1e-300)
-        return scale * (delta / bound) ** (1.0 / m)
+    def reach(sigma):
+        return np.maximum(direction_bound(f, m, sigma), 1e-300) ** (-1.0 / m)
 
-    return cutoff
+    return reach
 
 
 def _level_set_tail_bounds(spec: FunctionalSpec, box_radius: float,
@@ -199,28 +207,73 @@ def _level_set_box(spec: FunctionalSpec) -> tuple[float, float]:
 
 def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
                     box_radius: float) -> list[IntegralEstimate]:
+    """One pass over the thresholds of ``specs``, its estimates in their order.
+
+    The thresholds delta_1 > .. > delta_K cut each ray at their cutoffs
+    lo_1 >= .. >= lo_K into the strata of ``PowerLaw``, and the remainder is
+    evaluated once per stratum.  Point j integrates over [lo_j, t_max], the
+    strata 1..j, and no threshold fires below its own cutoff, so its payoff
+    delta_j^p g^-(N+mp) sum_(k<=j) w_k 1{|R_k| > delta_j} / mass_j, times the
+    law's mass_j, is unbiased: a stratified estimate on j draws per ray.
+    """
     spec = specs[0]
     f, body, m, p = spec.f, spec.body, spec.m, spec.p
     remainder = _remainder(spec.theorem)
     t_max = _level_set_box(spec)[1]
-    deltas = [s.parameter for s in specs]
+    order = sorted(range(len(specs)), key=lambda i: -specs[i].parameter)
+    deltas = [specs[i].parameter for i in order]
     power = body.dim + m * p
+    scales = np.array([delta ** p for delta in deltas])[:, np.newaxis]
+    law = PowerLaw(-(1.0 + m * p), [_cutoff_scale(spec) * delta ** (1.0 / m) for delta in deltas],
+                   _reach(spec), t_max)
+
+    # each thread's blocks reuse one histogram: with a fresh one per block the heap shrank
+    # and grew again between blocks (a 2M-sample 2-D pass took 32k minor faults, not 2k)
+    workspace = threading.local()
+
+    def first_points(x, sigma, tk, fx, k, columns):
+        """Where stratum k starts to pay in the flat histogram: row j of the first point
+        j >= k with |R_k| > delta_j, or the spare row K if none fires, then the column.
+        A function of its own, so that a stratum's arrays are freed before the next's."""
+        size = np.abs(remainder(f, x, x + tk[:, np.newaxis] * sigma, m, fx))
+        first = np.full(len(tk), len(deltas), dtype=np.min_scalar_type(len(deltas)))
+        for delta in deltas[k:]:
+            first -= size > delta
+        index = np.multiply(first, len(tk), dtype=np.intp)
+        index += columns
+        return index
 
     def kernel(x, sigma, t):
-        # delta^p (t g)^-(N+mp) t^(N-1) over the law's shape t^-(1+mp), per threshold
-        out, fx = np.empty(t.shape), f.eval(x)
-        g_pow = body.gauge(sigma) ** (-power)
-        for j, delta in enumerate(deltas):
-            fires = np.abs(remainder(f, x, x + t[j][:, np.newaxis] * sigma, m, fx)) > delta
-            out[j] = np.where(fires, delta ** p * g_pow, 0.0)
+        # delta^p (t g)^-(N+mp) t^(N-1) over the law's shape t^-(1+mp), per stratum
+        (rows, n), fx = t.shape, f.eval(x)
+        mass = law.mass(law.prepared(sigma))
+        paid = getattr(workspace, "paid", None)
+        if paid is None or paid.size < (rows + 1) * n:
+            paid = workspace.paid = np.empty((rows + 1) * n)
+        paid = paid[:(rows + 1) * n]
+        paid.fill(0.0)
+        # each stratum adds its mass, point k's range less point k - 1's, where it starts to
+        # pay; the rows summed up to j are then what point j's strata pay
+        columns = np.arange(n)
+        for k, tk in enumerate(t):
+            stratum = mass[k] - mass[k - 1] if k else mass[0]
+            np.add.at(paid, first_points(x, sigma, tk, fx, k, columns), stratum)
+        paid = paid.reshape(-1, n)
+        for j in range(1, rows):
+            paid[j] += paid[j - 1]
+        # a share of each point's mass: the engine multiplies by that mass
+        out = np.divide(paid[:-1], mass, out=mass)
+        out *= body.gauge(sigma) ** (-power)
+        out *= scales
         return out
 
-    law = PowerLaw(-(1.0 + m * p), _directional_cutoff(spec, deltas), t_max)
-    estimates = integrate_double(kernel, plan, box_radius, body.dim, law, f.proposal)
-    for point, est in zip(specs, estimates):
-        t_min = _level_set_radial_cutoff(point)
-        est.info.update(_level_set_tail_bounds(point, box_radius, t_max, t_min),
+    estimates = [None] * len(specs)
+    for i, est in zip(order, integrate_double(kernel, plan, box_radius, body.dim, law,
+                                              f.proposal)):
+        t_min = _level_set_radial_cutoff(specs[i])
+        est.info.update(_level_set_tail_bounds(specs[i], box_radius, t_max, t_min),
                         radial_bounds=(t_min, t_max))
+        estimates[i] = est
     return estimates
 
 

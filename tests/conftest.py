@@ -16,10 +16,9 @@ def rng():
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260810)))
 
 
-def constant_cutoff(*cutoffs):
-    """A ``PowerLaw`` lower bound that is the same in every direction: one row per cutoff."""
-    rows = np.asarray(cutoffs, dtype=float)[:, np.newaxis]
-    return lambda sigma: np.repeat(rows, len(sigma), axis=1)
+def flat_reach(sigma):
+    """A ``PowerLaw`` reach of 1 in every direction: each point's cutoff is its own number."""
+    return np.ones(len(sigma))
 
 
 def fd_partial(f, alpha, x, step=1e-4):

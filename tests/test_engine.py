@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import constant_cutoff
+from conftest import flat_reach
 
 from nonlocal_limits import engine
 from nonlocal_limits.bodies import ConvexBody
@@ -28,7 +28,7 @@ def test_constant_kernel_box_measure():
     # product of measures: box 2 x two directions x radial length 0.5 = 2
     plan = IntegrationPlan("monte_carlo", samples=20_000, seed=1)
     # uniform radial density, no importance weighting
-    law = PowerLaw(0.0, constant_cutoff(0.5), 1.0)
+    law = PowerLaw(0.0, (0.5,), flat_reach, 1.0)
     est, = integrate_double(ones_kernel, plan, 1.0, 1, law)
     assert est.stderr < 0.02
     assert abs(est.value - 2.0) <= 3 * max(est.stderr, 1e-12)
@@ -37,7 +37,7 @@ def test_constant_kernel_box_measure():
 def test_matched_importance_has_zero_variance():
     # integrand 1/t^2 over the law's shape t^-2: per-sample payoff is constant
     plan = IntegrationPlan("monte_carlo", samples=5_000, seed=2)
-    law = PowerLaw(-2.0, constant_cutoff(0.25), 2.0)
+    law = PowerLaw(-2.0, (0.25,), flat_reach, 2.0)
     est, = integrate_double(lambda x, s, t: np.ones_like(t), plan, 1.0, 1, law)
     expected = 2.0 * 2.0 * (1.0 / 0.25 - 1.0 / 2.0)  # box x sphere x int t^-2
     assert est.value == pytest.approx(expected, rel=1e-12)
@@ -47,13 +47,13 @@ def test_matched_importance_has_zero_variance():
 def test_empty_plan_rejected():
     plan = IntegrationPlan("monte_carlo", samples=0, seed=0)
     with pytest.raises(ValueError, match="empty plan"):
-        integrate_double(ones_kernel, plan, 1.0, 1, PowerLaw(0.0, constant_cutoff(0.5), 1.0))
+        integrate_double(ones_kernel, plan, 1.0, 1, PowerLaw(0.0, (0.5,), flat_reach, 1.0))
 
 
 def test_power_law_rejects_exponent_minus_one():
     # t^-1 has a log inverse CDF, which no radial law here needs
     with pytest.raises(ValueError, match="must not be -1"):
-        PowerLaw(-1.0, constant_cutoff(0.5), 1.0)
+        PowerLaw(-1.0, (0.5,), flat_reach, 1.0)
 
 
 def test_nonfinite_kernel_reports_coordinates():
@@ -63,12 +63,12 @@ def test_nonfinite_kernel_reports_coordinates():
         return np.full_like(t, np.nan)
 
     with pytest.raises(EngineError, match="nonfinite kernel value at x="):
-        integrate_double(bad, plan, 1.0, 1, PowerLaw(0.0, constant_cutoff(0.5), 1.0))
+        integrate_double(bad, plan, 1.0, 1, PowerLaw(0.0, (0.5,), flat_reach, 1.0))
 
 
 def test_determinism_bitwise():
     plan = IntegrationPlan("monte_carlo", samples=30_000, seed=9, workers=3)
-    law = PowerLaw(-1.5, constant_cutoff(0.1), 2.0)
+    law = PowerLaw(-1.5, (0.1,), flat_reach, 2.0)
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) / t
     a, = integrate_double(kernel, plan, 1.0, 1, law)
     b, = integrate_double(kernel, plan, 1.0, 1, law)
@@ -76,7 +76,7 @@ def test_determinism_bitwise():
 
 
 def test_seed_independence():
-    law = PowerLaw(-1.5, constant_cutoff(0.1), 2.0)
+    law = PowerLaw(-1.5, (0.1,), flat_reach, 2.0)
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) / t
     est = []
     for seed in (101, 202):
@@ -87,7 +87,7 @@ def test_seed_independence():
 
 
 def test_worker_split_covers_all_samples():
-    law = PowerLaw(0.0, constant_cutoff(0.5), 1.0)
+    law = PowerLaw(0.0, (0.5,), flat_reach, 1.0)
     for workers in (1, 2, 5):
         plan = IntegrationPlan("monte_carlo", samples=10_001, seed=3, workers=workers)
         est, = integrate_double(ones_kernel, plan, 1.0, 1, law)
@@ -96,7 +96,7 @@ def test_worker_split_covers_all_samples():
 
 
 def test_quadrature_matches_monte_carlo_on_smooth_kernel():
-    law = PowerLaw(-1.5, constant_cutoff(0.2), 1.5)
+    law = PowerLaw(-1.5, (0.2,), flat_reach, 1.5)
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) * t
     qplan = IntegrationPlan("tensor_quadrature", x_nodes=80, t_nodes=48)
     quad, = integrate_double(kernel, qplan, 3.0, 1, law)
@@ -108,21 +108,24 @@ def test_quadrature_matches_monte_carlo_on_smooth_kernel():
 
 
 def test_quadrature_integrates_every_point_of_a_law():
-    # one cutoff row per point: each estimate is the quadrature of its own law
+    # row k weighted by its stratum's share of point k's mass integrates stratum k,
+    # so the strata 1..k together integrate point k's own range [lo_k, t_max]
     cutoffs = [0.5, 0.25, 0.125]
-    law = PowerLaw(-1.5, constant_cutoff(*cutoffs), 1.5)
-    kernel = lambda x, s, t: np.exp(-x * x).T * t
+    law = PowerLaw(-1.5, cutoffs, flat_reach, 1.5)
+    mass = law.mass(law.prepare(np.ones((1, 1))))
+    share = np.diff(mass, axis=0, prepend=0.0) / mass
+    kernel = lambda x, s, t: np.exp(-x * x).T * t * share
     plan = IntegrationPlan("tensor_quadrature", x_nodes=40, t_nodes=24)
-    together = integrate_double(kernel, plan, 3.0, 1, law)
-    alone = [integrate_double(kernel, plan, 3.0, 1, PowerLaw(-1.5, constant_cutoff(c), 1.5))[0]
-             for c in cutoffs]
-    assert [e.value for e in together] == pytest.approx([e.value for e in alone], rel=1e-14)
+    strata = [e.value for e in integrate_double(kernel, plan, 3.0, 1, law)]
+    alone = [integrate_double(lambda x, s, t: np.exp(-x * x).T * t, plan, 3.0, 1,
+                              PowerLaw(-1.5, (c,), flat_reach, 1.5))[0].value for c in cutoffs]
+    assert np.cumsum(strata) == pytest.approx(alone, rel=1e-12)
 
 
 def test_importance_sampling_unbiased_over_repetitions():
     # closed-form radial integral oracle; mean over 50 independent estimates
     # must sit within the 1% critical value of its standard error
-    law = PowerLaw(-2.0, constant_cutoff(0.5), 4.0)
+    law = PowerLaw(-2.0, (0.5,), flat_reach, 4.0)
     # integrand (1 + x^2) / t^2; x is shared, so the payoff row is broadcast to t's shape
     kernel = lambda x, s, t: np.broadcast_to(1.0 + x[:, 0] ** 2, t.shape)
     truth = 2.0 * (1.0 + 1.0 / 3.0) * 2.0 * (1.0 / 0.5 - 1.0 / 4.0)
@@ -299,7 +302,7 @@ def test_cone_rule_matches_volume_rule_on_monomials(body):
 # payoff (1 + x0^2) over the law's shape t^-2 on the box [-2, 2]^2: most of the
 # integrand sits where the N(0, 1) proposal is thin, and 4.6% of proposal
 # coordinates land outside the box
-MIXTURE_LAW = PowerLaw(-2.0, constant_cutoff(0.5), 4.0)
+MIXTURE_LAW = PowerLaw(-2.0, (0.5,), flat_reach, 4.0)
 MIXTURE_TRUTH = (112.0 / 3.0) * 2.0 * math.pi * (1.0 / 0.5 - 1.0 / 4.0)
 
 
@@ -382,7 +385,7 @@ def test_single_row_chunk_is_a_box_row(monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", 1)
     blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan("monte_carlo", samples=2000, seed=1)
-    integrate_double(ones_kernel, plan, 8.5, 2, PowerLaw(0.0, constant_cutoff(0.5), 1.0),
+    integrate_double(ones_kernel, plan, 8.5, 2, PowerLaw(0.0, (0.5,), flat_reach, 1.0),
                      GAUSS2_PROPOSAL)
     n1, n2 = lattice_sizes(plan.samples, True)
     share = n1 / (n1 + n2)
@@ -398,7 +401,7 @@ def test_single_row_chunk_is_a_box_row(monkeypatch):
 def test_out_of_box_proposal_draw_gets_zero_weight(monkeypatch):
     blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan("monte_carlo", samples=SHIFTS * 4000, seed=4)
-    integrate_double(ones_kernel, plan, 0.5, 2, PowerLaw(0.0, constant_cutoff(0.5), 1.0),
+    integrate_double(ones_kernel, plan, 0.5, 2, PowerLaw(0.0, (0.5,), flat_reach, 1.0),
                      GAUSS2_PROPOSAL)
     n1, n2 = lattice_sizes(plan.samples, True)
     # one block per run: the proposal lattice's SHIFTS runs come first, then the box lattice's
@@ -415,7 +418,7 @@ def test_no_proposal_keeps_the_uniform_box(monkeypatch):
     np.testing.assert_array_equal(outer_points(u, 3.0, None), (-3.0 + 6.0 * u).T)
     blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan("monte_carlo", samples=3200, seed=5)
-    integrate_double(ones_kernel, plan, 3.0, 2, PowerLaw(0.0, constant_cutoff(0.5), 1.0))
+    integrate_double(ones_kernel, plan, 3.0, 2, PowerLaw(0.0, (0.5,), flat_reach, 1.0))
     assert lattice_sizes(plan.samples, False) == (0, 199)
     assert [len(x) for x, _, _, _ in blocks] == [199] * SHIFTS
     for x, _, _, factor in blocks:
@@ -527,22 +530,57 @@ def test_block_streams_and_offsets():
 
 
 def test_power_law_bitwise_against_unprepared_formulas():
-    # prepare() returns lo ** (exponent + 1); t and mass must equal the
-    # formulas that raise lo themselves, bit for bit
+    # prepare() returns lo ** (exponent + 1), lo = cutoff * reach capped at t_max / 2; row k
+    # of t lies in its stratum [lo_k, lo_(k-1)], lo_0 = t_max, at the quantile v of its mass
     rng = np.random.default_rng(17)
     sigma = rng.normal(size=(1000, 2))
     v = rng.random(1000)
-    cutoff = lambda s: 0.05 + np.abs(s[:, 0])
+    reach = lambda s: 0.05 + np.abs(s[:, 0])
+    cutoffs = np.array([4.0, 1.0, 0.5, 0.5, 0.1])
     for exponent in (-3.0, -2.0, -2.5, 0.0):
-        law = PowerLaw(exponent, cutoff, 2.0)
-        lo = np.minimum(cutoff(sigma), 0.5 * 2.0)
         s1 = exponent + 1.0
+        law = PowerLaw(exponent, cutoffs, reach, 2.0)
+        lo = np.minimum(np.multiply.outer(cutoffs, reach(sigma)), 0.5 * 2.0)
         aux = law.prepare(sigma)
-        a_s = lo ** s1
-        t_old = (a_s + v * (2.0 ** s1 - a_s)) ** (1.0 / s1)
-        mass_old = (2.0 ** s1 - lo ** s1) / s1
-        np.testing.assert_array_equal(law.sample(v, aux), t_old)
-        np.testing.assert_array_equal(law.mass(aux), mass_old)
+        np.testing.assert_allclose(aux, lo ** s1, rtol=1e-14, atol=0.0)
+        hi = np.concatenate([np.full((1, 1000), 2.0), aux[:-1] ** (1.0 / s1)])
+        t = law.sample(v, aux)
+        assert np.all((aux ** (1.0 / s1) * (1 - 1e-12) <= t) & (t <= hi * (1 + 1e-12)))
+        # equal or capped cutoffs give strata of zero width, where t is their bound
+        width = hi ** s1 - aux
+        wide = np.abs(width) > 1e-9 * np.abs(aux)
+        assert np.any(~wide) and np.all(t[~wide] == aux[~wide] ** (1.0 / s1))
+        np.testing.assert_allclose(((t ** s1 - aux) / np.where(wide, width, 1.0))[wide],
+                                   np.broadcast_to(v, t.shape)[wide], rtol=1e-9, atol=1e-12)
+        # a stratum's mass, the difference of two points' masses, is its own integral
+        strata = np.diff(law.mass(aux), axis=0, prepend=0.0)
+        np.testing.assert_allclose(strata, (hi ** s1 - aux) / s1, rtol=1e-9,
+                                   atol=1e-12 * np.max(law.mass(aux)))
+        assert np.all(strata >= 0.0)
+        # one point: its stratum is its whole range, and t and the masses are the old formulas
+        one = PowerLaw(exponent, cutoffs[2:3], reach, 2.0)
+        a_s = one.prepare(sigma)
+        np.testing.assert_array_equal(one.sample(v, a_s),
+                                      (a_s + v * (2.0 ** s1 - a_s)) ** (1.0 / s1))
+        np.testing.assert_array_equal(one.mass(a_s), (2.0 ** s1 - a_s) / s1)
+
+
+def test_power_law_prepared_is_the_last_prepare_of_the_thread():
+    law = PowerLaw(-2.0, (0.5, 0.25), lambda s: 1.0 + np.abs(s[:, 0]), 4.0)
+    sigma = np.random.default_rng(3).normal(size=(50, 2))
+    lo_s = law.prepare(sigma)
+    assert law.prepared(sigma) is lo_s
+    # taken once; another batch, or the same one again, is prepared afresh
+    again = law.prepared(sigma)
+    assert again is not lo_s and np.array_equal(again, lo_s)
+    law.prepare(sigma)
+    other = sigma[::-1].copy()
+    assert np.array_equal(law.prepared(other), lo_s[:, ::-1])
+
+
+def test_power_law_rejects_increasing_cutoffs():
+    with pytest.raises(ValueError, match="must not increase"):
+        PowerLaw(-2.0, (0.1, 0.2), flat_reach, 4.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -559,7 +597,7 @@ def test_lattice_directions_cover_the_sphere_uniformly(dim):
 def test_hit_fraction_counts_nonzero_payoffs_per_row():
     # three points: every payoff nonzero, every fourth evaluated pair nonzero, none;
     # the box holds every proposal point, so no weight is 0
-    law = PowerLaw(-2.0, lambda sigma: np.full((3, len(sigma)), 0.5), 4.0)
+    law = PowerLaw(-2.0, (0.5, 0.5, 0.5), flat_reach, 4.0)
     evaluated = []
 
     def kernel(x, sigma, t):
@@ -653,7 +691,7 @@ def test_lattice_sizes_are_primes_within_the_plan():
 
 
 def _three_point_pass(dim, plan):
-    law = PowerLaw(-1.5, lambda s: np.repeat([[0.1], [0.2], [0.3]], len(s), axis=1), 2.0)
+    law = PowerLaw(-1.5, (0.3, 0.2, 0.1), flat_reach, 2.0)
     kernel = lambda x, s, t: np.exp(-(x * x).sum(axis=1)) * np.cos(t) * (1.5 + s[:, 0])
     proposal = make_function("gaussian", dim).proposal
     return [(e.value, e.stderr, e.info["hit_fraction"])
@@ -677,10 +715,10 @@ def test_constant_and_matched_kernels_stay_exact(dim):
     plan = IntegrationPlan("monte_carlo", samples=5000, seed=dim)
     box = 2.0 ** dim * engine.sphere_measure(dim)
     est, = integrate_double(ones_kernel, plan, 1.0, dim,
-                            PowerLaw(0.0, constant_cutoff(0.5), 1.0))
+                            PowerLaw(0.0, (0.5,), flat_reach, 1.0))
     assert est.value == pytest.approx(0.5 * box, rel=1e-12) and est.stderr <= 1e-12 * box
     est, = integrate_double(ones_kernel, plan, 1.0, dim,
-                            PowerLaw(-2.0, constant_cutoff(0.25), 2.0))
+                            PowerLaw(-2.0, (0.25,), flat_reach, 2.0))
     assert est.value == pytest.approx(3.5 * box, rel=1e-12) and est.stderr <= 1e-12 * box
 
 

@@ -8,8 +8,8 @@ import pytest
 from nonlocal_limits import functionals
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import centered_remainder, directional_m_form, m_form_tableau
-from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, cone_nodes, outer_points,
-                                    outer_weights)
+from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, cone_nodes, gauss_legendre,
+                                    outer_points, outer_weights)
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_norm_p,
                                          evaluate, local_limit, theorem_constant,
                                          uniform_bound_check)
@@ -486,3 +486,96 @@ def test_fractional_profile_at_small_index_is_finite():
                           eps, "fractional")
     est = evaluate(spec, IntegrationPlan("tensor_quadrature", x_nodes=200, t_nodes=48))
     assert math.isfinite(est.value)
+
+
+# ---------------------------------------------------------------------------
+# the level-set ladder against a closed-form firing set
+# ---------------------------------------------------------------------------
+
+def _gaussian_level_set_oracle(delta, p=2.0):
+    """nguyen_centered, m = 1, exp(-x^2) on the interval [-1, 1] (gauge 1), on the pass's
+    box and t_max: |f(x) - f(y)| > delta exactly where e^-y^2 > e^-x^2 + delta, |y| < r1,
+    or e^-y^2 < e^-x^2 - delta, |y| > r2; t = (y - x) sigma carries each y-interval to a
+    t-interval, whose t^-(1+p) mass is closed-form, and a composite Gauss rule takes x."""
+    spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, p, delta)
+    radius, t_max = functionals._level_set_box(spec)
+    xg, wg = gauss_legendre(8, unit=True)
+    edges = np.linspace(-radius, radius, 4001)
+    x = (edges[:-1, np.newaxis] + np.diff(edges)[:, np.newaxis] * xg).ravel()
+    wx = (np.diff(edges)[:, np.newaxis] * wg).ravel()
+    a = np.exp(-x * x)
+    inner, outer = a + delta < 1.0, a > delta
+    r1 = np.sqrt(-np.log(np.where(inner, a + delta, 0.5)))
+    r2 = np.sqrt(-np.log(np.where(outer, a - delta, 0.5)))
+    total = 0.0
+    for sigma in (-1.0, 1.0):
+        for lo_y, hi_y, fires in ((-r1, r1, inner), (-np.inf, -r2, outer), (r2, np.inf, outer)):
+            ends = np.sort([(lo_y - x) * sigma, (hi_y - x) * sigma], axis=0)
+            t1, t2 = np.maximum(ends[0], 0.0), np.minimum(ends[1], t_max)
+            keep = fires & (t2 > t1)
+            t1, t2 = np.where(keep, t1, 1.0), np.where(keep, t2, 1.0)
+            total += float(wx @ ((t1 ** -p - t2 ** -p) / p))
+    return delta ** p * total
+
+
+@pytest.mark.parametrize("grid", [(0.2, 0.1, 0.05, 0.025), (0.05,)], ids=["ladder", "one-stratum"])
+def test_level_set_ladder_is_unbiased_against_the_closed_form(grid):
+    # the mean of 40 seeded passes lies within 2.576 standard errors of the oracle at
+    # every point; one threshold is a single stratum [lo, t_max], the plain law
+    values = np.array([[evaluate(FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0,
+                                                delta, None, grid), mc_plan(2000, seed)).value
+                        for delta in grid] for seed in range(880, 920)])
+    error = values.mean(axis=0) - [_gaussian_level_set_oracle(delta) for delta in grid]
+    assert np.all(np.abs(error) <= 2.576 * values.std(axis=0, ddof=1) / math.sqrt(len(values)))
+
+
+def test_level_set_stderr_matches_the_seed_to_seed_spread():
+    # 20 seeds of the 2-D ellipse m = 1 sweep: each point's sd across seeds over its
+    # median stderr, in the band of the lattice test
+    ellipse = ConvexBody.ellipsoid([2.0, 1.0])
+    grid = tuple(0.2 * 0.5 ** k for k in range(6))
+    values, stderrs = [], []
+    for seed in range(7300, 7320):
+        points = [evaluate(FunctionalSpec("nguyen_centered", GAUSS2, ellipse, 1, 2.0, delta,
+                                          None, grid), mc_plan(50_000, seed))
+                  for delta in grid]
+        values.append([e.value for e in points])
+        stderrs.append([e.stderr for e in points])
+    ratios = np.std(values, axis=0, ddof=1) / np.median(stderrs, axis=0)
+    assert np.all((0.6 <= ratios) & (ratios <= 1.6)), ratios
+
+
+@pytest.mark.parametrize("theorem, m", [("nguyen_centered", 1), ("nguyen_taylor", 2)])
+def test_level_set_kernel_is_the_sum_over_strata(theorem, m, monkeypatch):
+    # reference: point j's payoff times its mass is delta_j^p g^-(N+mp) times the sum over
+    # strata k <= j of w_k 1{|R_k| > delta_j}, w_k = mass_k - mass_(k-1)
+    body, grid = ConvexBody.ellipsoid([2.0, 1.0]), (0.2, 0.1, 0.05, 0.025, 0.0125)
+    captured = {}
+
+    def capture(kernel, plan, radius, dim, law, proposal):
+        captured.update(kernel=kernel, law=law)
+        return [IntegralEstimate(0.0, 0.0) for _ in grid]
+
+    monkeypatch.setattr(functionals, "integrate_double", capture)
+    specs = [FunctionalSpec(theorem, GAUSS2, body, m, 2.0, delta, None, grid) for delta in grid]
+    functionals._level_set_pass(specs, mc_plan(samples=1), 3.0)
+    kernel, law = captured["kernel"], captured["law"]
+
+    rng = np.random.default_rng(23)
+    n = 4000
+    x = rng.normal(size=(n, 2))
+    sigma = rng.normal(size=(n, 2))
+    sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+    lo_s = law.prepare(sigma)
+    t = law.sample(rng.random(n), lo_s)
+    payoff = kernel(x, sigma, t) * law.mass(lo_s)
+
+    remainder = functionals._remainder(theorem)
+    size = np.abs([remainder(GAUSS2, x, x + tk[:, np.newaxis] * sigma, m) for tk in t])
+    strata = np.diff(law.mass(lo_s), axis=0, prepend=0.0)
+    g_pow = body.gauge(sigma) ** (-(2 + m * 2.0))
+    reference = np.array([delta ** 2 * g_pow * sum(strata[k] * (size[k] > delta)
+                                                   for k in range(j + 1))
+                          for j, delta in enumerate(grid)])
+    assert np.count_nonzero(reference[-1]) > n // 4
+    np.testing.assert_allclose(payoff, reference, rtol=1e-12, atol=0.0)

@@ -1,11 +1,14 @@
-"""One Monte Carlo pass per grid: every point of a grid is bitwise its own K = 1 pass on the
-grid's one outer box."""
+"""One Monte Carlo pass per grid.  A mollified point is bitwise its own K = 1 pass on the
+grid's one outer box; the points of a level-set pass share the strata of one radial ladder,
+so each lies within noise of its lone pass, and a lone point is the plain estimator."""
 
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import constant_cutoff
+from conftest import flat_reach
 
 from nonlocal_limits import engine, functionals, functions
 from nonlocal_limits.bodies import ConvexBody
@@ -49,7 +52,11 @@ def counting_integrator(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case", CASES)
+MOLLIFIED_CASES = [case for case in CASES if CASES[case][4] is not None]
+LEVEL_SET_CASES = [case for case in CASES if CASES[case][4] is None]
+
+
+@pytest.mark.parametrize("case", MOLLIFIED_CASES)
 def test_grid_pass_is_bitwise_the_single_point_passes(case, monkeypatch):
     # 32 blocks, one per (lattice, shift) run, on 1, 2 and 3 threads
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
@@ -67,10 +74,145 @@ def test_grid_pass_is_bitwise_the_single_point_passes(case, monkeypatch):
         assert [(e.value, e.stderr, e.info) for e in together] == \
                [(e.value, e.stderr, e.info) for e in alone]
         seen.add(tuple((e.value, e.stderr) for e in together))
-        sampled = [e for e in together if "exact_zero" not in e.info]
-        assert all(e.info["method"] == "monte_carlo" and e.value > 0.0 for e in sampled)
-        assert len(sampled) == len(together) - (case == "level-set-2d")
+        assert all(e.info["method"] == "monte_carlo" and e.value > 0.0 for e in together)
     assert len(seen) == 1
+
+
+def _level_set_grid(case, plan):
+    """Each point's value, stderr and info but the worker count."""
+    return [(e.value, e.stderr, {k: v for k, v in e.info.items() if k != "workers"})
+            for e in (evaluate(spec, plan) for spec in grid_specs(case))]
+
+
+@pytest.mark.parametrize("case", LEVEL_SET_CASES)
+def test_level_set_grid_pass_is_bitwise_at_any_worker_count_and_block_size(case, monkeypatch):
+    # each thread keeps its own histogram and prepared bounds: more threads than cores,
+    # switched every microsecond, must not mix them up
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    plan = IntegrationPlan("monte_carlo", samples=3500, seed=17)
+    reference = _level_set_grid(case, plan)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 5):
+            functionals._grid_pass.cache_clear()
+            assert _level_set_grid(case, replace(plan, workers=workers)) == reference
+        # a block of at most 40 points cuts every run of the pass
+        monkeypatch.setattr(engine, "_CHUNK", 40)
+        for workers in (1, 5):
+            functionals._grid_pass.cache_clear()
+            assert _level_set_grid(case, replace(plan, workers=workers)) == reference
+    finally:
+        sys.setswitchinterval(interval)
+    sampled = [info for _, _, info in reference if "exact_zero" not in info]
+    assert len(sampled) == len(reference) - (case == "level-set-2d")
+    assert all(info["method"] == "monte_carlo" for info in sampled)
+
+
+@pytest.mark.parametrize("case", LEVEL_SET_CASES)
+def test_level_set_grid_points_lie_within_noise_of_their_lone_passes(case):
+    # a point shares its strata with the larger thresholds in a grid and has one alone;
+    # the largest sampled threshold has the one stratum [lo, t_max] either way
+    plan = IntegrationPlan("monte_carlo", samples=20_000, seed=17)
+    together = [evaluate(spec, plan) for spec in grid_specs(case)]
+    alone = [evaluate(spec, plan) for spec in grid_specs(case, grid=False)]
+    sampled = [(a, b) for a, b in zip(together, alone) if "exact_zero" not in a.info]
+    assert sampled[0][0].value == pytest.approx(sampled[0][1].value, rel=1e-12)
+    for grid_point, lone in sampled:
+        assert grid_point.value > 0.0
+        gap = abs(grid_point.value - lone.value)
+        assert gap <= 3.0 * math.hypot(grid_point.stderr, lone.stderr)
+    # the smaller thresholds average more strata per ray
+    assert all(a.stderr < b.stderr for a, b in sampled[1:])
+
+
+class _PlainLaw:
+    """The radial law of one threshold drawn on its whole range [lo, t_max], lo raised to
+    exponent + 1 row by row: the estimator a level-set point had before the ladder."""
+
+    def __init__(self, spec):
+        m, self.t_max = spec.m, functionals._level_set_box(spec)[1]
+        self.s = -m * spec.p
+        self.cutoff = lambda sigma: functionals._cutoff_scale(spec) * (spec.parameter / np.maximum(
+            functionals.direction_bound(spec.f, m, sigma), 1e-300)) ** (1.0 / m)
+
+    def prepare(self, sigma):
+        return np.minimum(self.cutoff(sigma), 0.5 * self.t_max)[np.newaxis] ** self.s
+
+    def sample(self, v, lo_s):
+        return (lo_s + v * (self.t_max ** self.s - lo_s)) ** (1.0 / self.s)
+
+    def mass(self, lo_s):
+        return (self.t_max ** self.s - lo_s) / self.s
+
+
+@pytest.mark.parametrize("case", LEVEL_SET_CASES)
+def test_lone_level_set_point_is_the_plain_estimator(case):
+    # the ladder's lower bounds are cutoff^s reach^s, one power per direction, where the plain
+    # law raised each row's cutoff: the radii differ in the last bits, no indicator flips
+    theorem, f, body, m, _, _ = CASES[case]
+    spec = grid_specs(case, grid=False)[-1]
+    remainder, delta, p = functionals._remainder(theorem), spec.parameter, spec.p
+
+    def kernel(x, sigma, t):
+        fires = np.abs(remainder(f, x, x + t[0][:, np.newaxis] * sigma, m, f.eval(x))) > delta
+        payoff = delta ** p * body.gauge(sigma) ** -(body.dim + m * p)
+        return np.where(fires, payoff, 0.0)[np.newaxis]
+
+    plan = IntegrationPlan("monte_carlo", samples=20_000, seed=29)
+    lone = evaluate(spec, plan)
+    plain, = integrate_double(kernel, plan, functionals._box_radius(spec), body.dim,
+                              _PlainLaw(spec), f.proposal)
+    assert lone.value == pytest.approx(plain.value, rel=1e-12)
+    assert lone.stderr == pytest.approx(plain.stderr, rel=1e-9)
+    assert lone.info["hit_fraction"] == plain.info["hit_fraction"] > 0.0
+
+
+@pytest.mark.parametrize("order", [sorted, lambda grid: sorted(grid, key=lambda v: (v * 7) % 1)],
+                         ids=["increasing", "shuffled"])
+def test_level_set_thresholds_in_any_order(order):
+    # the pass sorts its thresholds into the ladder and returns each estimate under its own
+    plan = IntegrationPlan("monte_carlo", samples=3500, seed=5)
+    specs = grid_specs("level-set-2d")[1:]
+    decreasing = {spec.parameter: evaluate(spec, plan) for spec in specs}
+    grid = tuple(order(spec.parameter for spec in specs))
+    assert grid != specs[0].grid[1:]
+    for spec in specs:
+        est = evaluate(replace(spec, grid=grid), plan)
+        assert (est.value, est.stderr, est.info) == \
+               (decreasing[spec.parameter].value, decreasing[spec.parameter].stderr,
+                decreasing[spec.parameter].info)
+
+
+def test_capped_cutoffs_give_zero_width_strata(monkeypatch):
+    # thresholds far above the remainder range have cutoffs beyond t_max / 2, where the law
+    # caps them: the second stratum has zero width, at t_max / 2, and neither point fires
+    draws = []
+    real = functionals.integrate_double
+
+    def recording(kernel, plan, radius, dim, law, proposal):
+        def recorded(x, sigma, t):
+            draws.append(np.array(t))
+            return kernel(x, sigma, t)
+        return real(recorded, plan, radius, dim, law, proposal)
+
+    monkeypatch.setattr(functionals, "integrate_double", recording)
+    grid = (60.0, 40.0, 0.1, 0.05)
+    specs = [FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, delta, None, grid)
+             for delta in grid]
+    box, t_max = functionals._level_set_box(specs[0])
+    bound = max(float(functionals.direction_bound(GAUSS1, 1, np.array([[s]]))[0]) for s in (-1, 1))
+    assert 40.0 / bound > 0.5 * t_max
+    plan = IntegrationPlan("monte_carlo", samples=2000, seed=4)
+    capped = functionals._level_set_pass(specs, plan, box)
+    t = np.concatenate(draws, axis=1)
+    assert np.all(np.isfinite(t)) and np.all(t[0] >= 0.5 * t_max * (1.0 - 1e-12))
+    np.testing.assert_allclose(t[1], 0.5 * t_max, rtol=1e-12)
+    assert [e.value for e in capped[:2]] == [0.0, 0.0]
+    # the small thresholds' strata start below the cap and their values stay in noise
+    alone = functionals._level_set_pass(specs[2:], plan, box)
+    for est, lone in zip(capped[2:], alone):
+        assert abs(est.value - lone.value) <= 3.0 * math.hypot(est.stderr, lone.stderr)
 
 
 def test_exact_zero_point_skips_the_pass(monkeypatch):
@@ -116,12 +258,13 @@ def test_uniform_bound_check_runs_one_pass(monkeypatch):
     spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1)
     report = uniform_bound_check(spec, deltas, plan)
     assert len(calls) == 1
-    alone = [evaluate(replace(spec, parameter=delta), plan).value for delta in deltas]
-    assert report.values == alone
+    grid = [evaluate(replace(spec, parameter=delta, grid=tuple(deltas)), plan).value
+            for delta in deltas]
+    assert report.values == grid and len(calls) == 1
 
 
 # a radial law of three points: one cutoff row per point
-THREE_POINT_LAW = PowerLaw(-2.0, constant_cutoff(0.5, 0.5, 0.5), 4.0)
+THREE_POINT_LAW = PowerLaw(-2.0, (0.5, 0.5, 0.5), flat_reach, 4.0)
 
 
 def test_nonfinite_payoff_names_its_point_and_first_bad_row():
@@ -194,7 +337,7 @@ def test_small_radius_bias_uses_the_pass_box():
     assert bias / own == pytest.approx((box / own_box) ** 2, rel=1e-12)
 
 
-@pytest.mark.parametrize("law", [PowerLaw(-2.0, constant_cutoff(0.5), 4.0), THREE_POINT_LAW],
+@pytest.mark.parametrize("law", [PowerLaw(-2.0, (0.5,), flat_reach, 4.0), THREE_POINT_LAW],
                          ids=["K=1", "K=3"])
 @pytest.mark.parametrize("plan", [
     IntegrationPlan("monte_carlo", samples=100, seed=3),
