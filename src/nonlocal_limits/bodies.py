@@ -1,4 +1,4 @@
-"""Origin-symmetric convex bodies: gauge norms, membership, volumes, m-form norms.
+"""Origin-symmetric convex bodies: gauge norms, inner and outer radii, volumes.
 
 A body K defines the gauge ||x||_K = inf{lam > 0 : x/lam in K}, which is a norm
 whose unit ball is K.  Supported kinds: ball, box, ellipsoid, lp_ball, and
@@ -127,24 +127,6 @@ class ConvexBody:
             total = total + np.abs(pts[..., i]) ** q
         return total ** (1.0 / q) / radius
 
-    def contains(self, x) -> Array:
-        return self.gauge(x) <= 1.0
-
-    def scaled(self, lam: float) -> "ConvexBody":
-        """The dilated body lam*K."""
-        if lam <= 0:
-            raise ValueError("scale must be positive")
-        if self.kind == "ball":
-            return ConvexBody.ball(lam * self.params[0], self.dim)
-        if self.kind == "box":
-            return ConvexBody.box([lam * w for w in self.params])
-        if self.kind == "ellipsoid":
-            return ConvexBody.ellipsoid([lam * a for a in self.params])
-        if self.kind == "lp_ball":
-            return ConvexBody.lp_ball(self.params[0], lam * self.params[1], self.dim)
-        normals, offsets = self.params
-        return ConvexBody.polytope(normals, lam * np.asarray(offsets))
-
     @property
     def volume(self) -> float | None:
         """Closed-form volume, or None for a polytope."""
@@ -228,32 +210,3 @@ def from_descriptor(desc: dict) -> ConvexBody:
         return ConvexBody.polytope(desc["normals"], desc["offsets"])
     raise ValueError(f"unknown body kind {kind!r}")
 
-
-def zpm_norm(body: ConvexBody, coeffs, m: int, p: float) -> float:
-    """Norm of a symmetric m-form coefficient vector induced by the body.
-
-    Coefficients are indexed by the lexicographic multi-index order of
-    ``calculus.multi_indices(dim, m)``.  Each monomial y^a carries the
-    multinomial weight m!/a!, so feeding the order-m partial derivatives of f
-    makes the integrand equal the diagonal m-form of f.  The value is
-
-        ((dim + m p) / (m^(m p + 1) p) * integral_K |form(y)|^p dy)^(1/p),
-
-    where the integrand is homogeneous of degree m p, so the cone-measure
-    rule ``engine.cone_nodes`` gives (dim + m p) times the integral.
-    """
-    from .calculus import m_form, multi_indices
-    from .engine import cone_nodes
-
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    alphas = multi_indices(body.dim, m)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (len(alphas),):
-        raise ValueError(f"expected {len(alphas)} coefficients for dim={body.dim}, m={m}")
-    z, w = cone_nodes(body)
-    form = m_form(coeffs, z, m)
-    constant = 1.0 / (m ** (m * p + 1) * p)
-    return float((constant * float(np.dot(w, np.abs(form) ** p))) ** (1.0 / p))

@@ -1,10 +1,10 @@
 """Multi-index calculus on test functions.
 
 ``m_form`` is the one routine that builds the diagonal m-form
-sum_{|a|=m} (m!/a!) c_a y^a; the directional form, its direction bound, the
-local-limit tableau and ``bodies.zpm_norm`` each call it with their own
-coefficients.  ``m_form_gram`` integrates the square of the form over an x
-rule times a y rule through Gram matrices, for every p = 2 integral.  Also
+sum_{|a|=m} (m!/a!) c_a y^a; the directional form, its direction bound and
+the local-limit tableau each call it with their own coefficients.
+``m_form_gram`` integrates the square of the form over an x rule times a y
+rule through Gram matrices, for every p = 2 integral.  Also
 higher-order differences, binomial segment remainders, Taylor polynomials and
 remainders, plus quadrature residuals for the two mean-value identities used
 as correctness gates; their sums are ``math.fsum``, so the residuals do not

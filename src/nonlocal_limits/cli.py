@@ -87,9 +87,11 @@ def run(config_path: str, overrides: dict | None = None) -> int:
             print(f"{job.name}: error: {message}", file=sys.stderr)
             continue
         results.append(res)
+        ratio = res.info.get("max_ratio_to_target")
+        bound = "" if ratio is None else f" max_ratio={ratio:.4g}"
         print(f"{job.name}: {spec.theorem} m={spec.m} p={spec.p} "
               f"limit={res.extrapolated_limit:.6g} target={res.target:.6g} "
-              f"rel_gap={res.rel_gap:.3g} [{res.verdict}]", file=sys.stderr)
+              f"rel_gap={res.rel_gap:.3g}{bound} [{res.verdict}]", file=sys.stderr)
 
     meta = {"seed": config.seed, "workers": config.workers}
     if config.format == "json":

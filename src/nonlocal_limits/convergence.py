@@ -141,7 +141,10 @@ def sweep(spec: FunctionalSpec, schedule: Schedule, plan: IntegrationPlan,
     as its grid, so a Monte Carlo plan runs all points in one pass over shared
     draws (common random numbers stabilize the fitted differences); ``spec``'s
     own parameter and grid are not read.  The target is the quadrature local
-    limit, and the fit uses every point.
+    limit, and the fit uses every point.  Both families are bounded by a
+    constant times the target at every parameter, so ``info`` reports
+    ``max_ratio_to_target``, the largest point value over the target, when the
+    target is nonzero.
     """
     params = schedule.values()
     specs = [replace(spec, parameter=value, grid=tuple(params)) for value in params]
@@ -166,9 +169,12 @@ def sweep(spec: FunctionalSpec, schedule: Schedule, plan: IntegrationPlan,
     # a schedule has at least 4 points, so the residual has a degree of freedom
     fit_noise = math.sqrt(rss / (len(points) - 3))
     uncertainty = max(min(pt.stderr for pt in points), fit_noise)
+    info = {"point_info": infos}
+    if target != 0.0:
+        info["max_ratio_to_target"] = max(pt.value for pt in points) / target
     return SweepResult(spec=spec, points=points,
                        extrapolated_limit=limit, fitted_rate=rate,
                        aitken_limit=accel, aitken_fallback=fallback,
                        target=target, rel_gap=rel_gap, tolerance=tolerance,
                        verdict=verdict, limit_uncertainty=uncertainty,
-                       info={"point_info": infos})
+                       info=info)

@@ -40,9 +40,9 @@ lone pass.
 
 Everything else is deterministic quadrature.  ``sphere_quadrature`` is the
 one unit-sphere rule.  Integrals over a body K of integrands positively
-homogeneous in y (the local-limit targets, ``bodies.zpm_norm``) use
-``cone_nodes``: the radial direction is integrated in closed form, leaving a
-quadrature on the boundary of K weighted by the cone measure (Lasserre 1998).
+homogeneous in y (the local-limit targets) use ``cone_nodes``: the radial
+direction is integrated in closed form, leaving a quadrature on the boundary
+of K weighted by the cone measure (Lasserre 1998).
 The tensor volume rule ``body_quadrature_nodes`` of ball, box and ellipsoid
 is the reference the sphere-to-body check and the cone-rule tests compare
 against.
@@ -508,7 +508,7 @@ def _monte_carlo(kernel, plan, radius, dim, law, proposal) -> list[IntegralEstim
     columns = SHIFTS * n
     return [IntegralEstimate(float(row.mean()), float(row.std(ddof=1)) / math.sqrt(SHIFTS),
                              info={"method": "monte_carlo", "samples": columns,
-                                   "workers": plan.workers, "hit_fraction": int(h) / columns})
+                                   "hit_fraction": int(h) / columns})
             for row, h in zip(sums / n, hits)]
 
 
@@ -707,14 +707,8 @@ def cone_nodes(body: ConvexBody) -> tuple[Array, Array]:
 
 
 # ---------------------------------------------------------------------------
-# Sphere constants and the sphere-to-body reduction check
+# The sphere-to-body reduction check
 # ---------------------------------------------------------------------------
-
-def sphere_constant(dim: int, p: float) -> float:
-    """The classical sphere moment: surface integral of |e . sigma|^p."""
-    dirs, w = sphere_quadrature(dim)
-    return float(np.dot(w, np.abs(dirs[:, 0]) ** p))
-
 
 def sphere_body_identity_check(g, body: ConvexBody, m: int,
                                p: float) -> tuple[float, float, float]:

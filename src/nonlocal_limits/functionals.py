@@ -58,7 +58,7 @@ import numpy as np
 
 from .bodies import ConvexBody
 from .calculus import (centered_remainder, direction_bound, directional_m_form, m_form_gram,
-                       m_form_tableau, multi_indices, taylor_remainder)
+                       m_form_tableau, taylor_remainder)
 from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw, cone_nodes,
                      gauss_legendre, integrate_double, sphere_measure, sphere_quadrature,
                      tensor_grid)
@@ -480,50 +480,3 @@ def local_limit(spec: FunctionalSpec) -> float:
     shared = _shared_integral_quadrature(spec.f, spec.body, spec.m, float(spec.p))
     return theorem_constant(spec.theorem, spec.m, spec.p, spec.body.dim) * shared
 
-
-# ---------------------------------------------------------------------------
-# Boundedness diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BoundReport:
-    values: list[float]
-    derivative_norm: float
-    max_ratio: float
-    passed: bool
-
-
-def derivative_norm_p(f: TestFunction, m: int, p: float) -> float:
-    """sum over |alpha| = m of integral |d^alpha f|^p over the support box.
-
-    One natural reading of the p-norm of the full order-m derivative vector;
-    ``BOUND_FACTOR`` absorbs the convention.
-    """
-    xs, wx = _outer_grid(f)
-    total = 0.0
-    for alpha in multi_indices(f.dim, m):
-        total += float(wx @ np.abs(f.partial(alpha, xs)) ** p)
-    return total
-
-
-#: how far above ``derivative_norm_p`` a level-set value may lie in ``uniform_bound_check``
-BOUND_FACTOR = 50.0
-
-
-def uniform_bound_check(spec: FunctionalSpec, delta_grid, plan: IntegrationPlan) -> BoundReport:
-    """Evaluate a level-set functional along a grid and compare to the derivative norm.
-
-    The functional must stay below BOUND_FACTOR * derivative_norm_p at every
-    threshold; the report records the observed maximum ratio.
-    """
-    if not spec.theorem.startswith("nguyen"):
-        raise SpecError("uniform_bound_check applies to the level-set functionals")
-    deltas = [float(d) for d in delta_grid]
-    if not deltas:
-        raise ValueError("delta_grid must be nonempty")
-    norm = derivative_norm_p(spec.f, spec.m, spec.p)
-    values = [evaluate(replace(spec, parameter=delta, grid=tuple(deltas)), plan).value
-              for delta in deltas]
-    max_ratio = max(values) / norm if norm > 0 else 0.0
-    return BoundReport(values=values, derivative_norm=norm, max_ratio=max_ratio,
-                       passed=max_ratio <= BOUND_FACTOR)

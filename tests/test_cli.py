@@ -82,14 +82,29 @@ def test_run_reproducible_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_run_json_format(tmp_path):
+def test_run_json_format(tmp_path, capsys):
+    # a level-set Monte Carlo sweep, a mollified quadrature sweep and a sweep of the zero
+    # function, whose target is 0 and which reports no ratio to it
+    demo = base_config()["jobs"][0]
+    mollified = {**demo, "name": "mollified", "theorem": "bbm_centered",
+                 "mollifier": {"kind": "shell"},
+                 "schedule": {"start": 0.4, "ratio": 0.5, "points": 4},
+                 "plan": {"method": "tensor_quadrature", "x_nodes": 40, "t_nodes": 16}}
+    zero = {**demo, "name": "zero", "function": "zero"}
     out = tmp_path / "report.json"
-    code = cli.run(write_config(tmp_path, base_config()),
+    code = cli.run(write_config(tmp_path, base_config(jobs=[demo, mollified, zero])),
                    {"output": str(out), "format": "json", "timestamp": False})
     assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["jobs"][0]["verdict"] == "pass"
-    assert len(doc["jobs"][0]["points"]) == 4
+    jobs = json.loads(out.read_text())["jobs"]
+    assert [job["verdict"] for job in jobs] == ["pass"] * 3
+    assert all(len(job["points"]) == 4 for job in jobs)
+    for job in jobs[:2]:
+        largest = max(point["value"] for point in job["points"])
+        assert job["info"]["max_ratio_to_target"] == largest / job["target"]
+    assert jobs[2]["target"] == 0.0 and "max_ratio_to_target" not in jobs[2]["info"]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3 and all(line.endswith(" [pass]") for line in lines)
+    assert [" max_ratio=" in line for line in lines] == [True, True, False]
 
 
 def test_job_without_tolerance_reports_the_default(tmp_path):

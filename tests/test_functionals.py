@@ -10,9 +10,8 @@ from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import centered_remainder, directional_m_form, m_form_tableau
 from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, cone_nodes, gauss_legendre,
                                     outer_points, outer_weights)
-from nonlocal_limits.functionals import (FunctionalSpec, SpecError, derivative_norm_p,
-                                         evaluate, local_limit, theorem_constant,
-                                         uniform_bound_check)
+from nonlocal_limits.functionals import (FunctionalSpec, SpecError, evaluate, local_limit,
+                                         theorem_constant)
 from nonlocal_limits.functions import list_functions, make_function, polynomial_function
 
 
@@ -93,24 +92,24 @@ def test_local_limit_ratio_shared_factor():
 
 
 def test_classical_ball_reduction():
-    # the ball limit reduces to (1/p) K_{dim,p} int |grad f|^p
-    from nonlocal_limits.engine import sphere_constant
+    # the ball limit reduces to (1/p) K_{dim,p} int |grad f|^p, with the sphere
+    # constants K_(1,2) = 2 and K_(2,2) = pi
     spec = FunctionalSpec("nguyen_centered", GAUSS1, ConvexBody.ball(1.0, 1), 1, 2.0, 0.1)
-    target = 0.5 * sphere_constant(1, 2.0) * ROOT_PI_HALF
+    target = 0.5 * 2.0 * ROOT_PI_HALF
     assert local_limit(spec) == pytest.approx(target, rel=1e-3)
 
     spec2 = FunctionalSpec("nguyen_centered", GAUSS2, ConvexBody.ball(1.0, 2), 1, 2.0, 0.1)
-    grad_sq = derivative_norm_p(GAUSS2, 1, 2.0)  # == int |grad f|^2 for m = 1
-    target2 = 0.5 * sphere_constant(2, 2.0) * grad_sq
+    # gradient-energy oracle: int |grad e^(-|x|^2)|^2 = 8 pi int r^3 e^(-2 r^2) dr = pi
+    target2 = 0.5 * math.pi * math.pi
     assert local_limit(spec2) == pytest.approx(target2, rel=1e-3)
 
 
 def test_classical_ball_reduction_dim3():
     gauss3 = make_function("gaussian", 3)
-    from nonlocal_limits.engine import sphere_constant
     # gradient-energy oracle: 16 pi int r^4 e^{-2 r^2} dr = 16 pi (3/32) sqrt(pi/2)
     energy = 16.0 * math.pi * (3.0 / 32.0) * ROOT_PI_HALF
-    target = 0.5 * sphere_constant(3, 2.0) * energy
+    # the sphere constant K_(3,2) = 4 pi / 3
+    target = 0.5 * (4.0 * math.pi / 3.0) * energy
     spec = FunctionalSpec("nguyen_centered", gauss3, ConvexBody.ball(1.0, 3), 1, 2.0, 0.1)
     assert local_limit(spec) == pytest.approx(target, rel=1e-3)
 
@@ -118,11 +117,12 @@ def test_classical_ball_reduction_dim3():
 def test_gauge_scaling_covariance():
     # dilation of the body scales the shared integral, so the limit, by lam^(dim + m p)
     for lam in (0.5, 2.0):
-        for body, m in ((INTERVAL, 1), (ConvexBody.ellipsoid([2.0, 1.0]), 2)):
+        for body, m, dilated in ((INTERVAL, 1, ConvexBody.box([lam])),
+                                 (ConvexBody.ellipsoid([2.0, 1.0]), 2,
+                                  ConvexBody.ellipsoid([2.0 * lam, lam]))):
             f = make_function("gaussian", body.dim)
             base = local_limit(FunctionalSpec("nguyen_centered", f, body, m, 2.0, 0.1))
-            scaled = local_limit(FunctionalSpec("nguyen_centered", f, body.scaled(lam), m, 2.0,
-                                                0.1))
+            scaled = local_limit(FunctionalSpec("nguyen_centered", f, dilated, m, 2.0, 0.1))
             assert scaled / base == pytest.approx(lam ** (body.dim + 2 * m), rel=0.01)
 
 
@@ -153,7 +153,7 @@ def test_local_limit_monte_carlo_agrees():
                          outer_points(rng.random((2, n - k)), radius, None)])
     wx = outer_weights(xs, radius, GAUSS2.proposal, k / n, 1.0)
     ys = rng.uniform(-1.0, 1.0, size=(n, 2)) * [2.0, 1.0]
-    payoff = wx * 8.0 * ellipse.contains(ys) * directional_m_form(GAUSS2, xs, ys, 1) ** 2
+    payoff = wx * 8.0 * (ellipse.gauge(ys) <= 1.0) * directional_m_form(GAUSS2, xs, ys, 1) ** 2
     value, stderr = payoff.mean(), payoff.std(ddof=1) / math.sqrt(n)
     spec = FunctionalSpec("nguyen_centered", GAUSS2, ellipse, 1, 2.0, 0.1)
     exact = local_limit(spec) / theorem_constant("nguyen_centered", 1, 2.0, 2)
@@ -356,28 +356,6 @@ def test_every_registered_function_is_valid_in_a_spec():
                                                  INTERVAL, 1, 2.0, 0.1))
 
 
-# ---------------------------------------------------------------------------
-# boundedness diagnostic
-# ---------------------------------------------------------------------------
-
-def test_uniform_bound_check():
-    spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1)
-    grid = [0.2 * 0.5 ** i for i in range(5)]
-    report = uniform_bound_check(spec, grid, mc_plan(samples=50_000))
-    assert report.passed
-    assert report.max_ratio <= 50.0
-    # derivative-norm oracle for the gaussian: sqrt(pi/2)
-    assert report.derivative_norm == pytest.approx(ROOT_PI_HALF, rel=1e-10)
-    assert report.max_ratio == pytest.approx(1.0, rel=0.25)
-
-
-def test_uniform_bound_check_zero_function():
-    z = make_function("zero", 1)
-    spec = FunctionalSpec("nguyen_centered", z, INTERVAL, 1, 2.0, 0.1)
-    report = uniform_bound_check(spec, [0.1, 0.05], mc_plan(samples=100))
-    assert report.passed and report.max_ratio == 0.0
-
-
 def test_polytope_and_lp_bodies_evaluate():
     diamond = ConvexBody.polytope([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1, 1, 1, 1])
     lp = ConvexBody.lp_ball(3.0, 1.0, 2)
@@ -389,15 +367,6 @@ def test_polytope_and_lp_bodies_evaluate():
         assert est.value > 0.0
         # finite-parameter value within 25% of the limit: a smoke bound only
         assert abs(est.value - target) / target < 0.25
-
-
-def test_uniform_bound_check_empty_grid():
-    spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1)
-    with pytest.raises(ValueError):
-        uniform_bound_check(spec, [], mc_plan(samples=100))
-    with pytest.raises(SpecError):
-        uniform_bound_check(FunctionalSpec("bbm_centered", GAUSS1, INTERVAL, 1, 2.0,
-                                           0.1, "shell"), [0.1], mc_plan(samples=100))
 
 
 @pytest.mark.parametrize("theorem", ["nguyen_centered", "bbm_centered"])

@@ -14,7 +14,7 @@ from nonlocal_limits import engine, functionals, functions
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.convergence import Schedule, sweep
 from nonlocal_limits.engine import EngineError, IntegrationPlan, PowerLaw, integrate_double
-from nonlocal_limits.functionals import FunctionalSpec, SpecError, evaluate, uniform_bound_check
+from nonlocal_limits.functionals import FunctionalSpec, SpecError, evaluate
 from nonlocal_limits.functions import make_function
 
 GAUSS1 = make_function("gaussian", 1)
@@ -79,8 +79,8 @@ def test_grid_pass_is_bitwise_the_single_point_passes(case, monkeypatch):
 
 
 def _level_set_grid(case, plan):
-    """Each point's value, stderr and info but the worker count."""
-    return [(e.value, e.stderr, {k: v for k, v in e.info.items() if k != "workers"})
+    """Each point's value, stderr and info."""
+    return [(e.value, e.stderr, e.info)
             for e in (evaluate(spec, plan) for spec in grid_specs(case))]
 
 
@@ -249,18 +249,6 @@ def test_parameter_must_be_on_its_grid():
     spec = replace(grid_specs("level-set-2d")[1], grid=(0.3, 0.1))
     with pytest.raises(SpecError, match="grid"):
         evaluate(spec, IntegrationPlan("monte_carlo", samples=100, seed=1))
-
-
-def test_uniform_bound_check_runs_one_pass(monkeypatch):
-    calls = counting_integrator(monkeypatch)
-    plan = IntegrationPlan("monte_carlo", samples=5000, seed=9)
-    deltas = [0.2, 0.1, 0.05]
-    spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1)
-    report = uniform_bound_check(spec, deltas, plan)
-    assert len(calls) == 1
-    grid = [evaluate(replace(spec, parameter=delta, grid=tuple(deltas)), plan).value
-            for delta in deltas]
-    assert report.values == grid and len(calls) == 1
 
 
 # a radial law of three points: one cutoff row per point
