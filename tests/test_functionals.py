@@ -356,6 +356,32 @@ def test_every_registered_function_is_valid_in_a_spec():
                                                  INTERVAL, 1, 2.0, 0.1))
 
 
+# ---------------------------------------------------------------------------
+# boundedness diagnostic: a sweep's largest value over its target
+# ---------------------------------------------------------------------------
+
+def test_uniform_bound_check():
+    from nonlocal_limits.convergence import Schedule, sweep
+    spec = FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, 0.1)
+    res = sweep(spec, Schedule(0.2, 0.5, 5), mc_plan(samples=50_000), tolerance=0.05)
+    # the target is the local limit, sqrt(pi/2) for the gaussian
+    assert res.target == pytest.approx(ROOT_PI_HALF, rel=1e-3)
+    ratio = res.info["max_ratio_to_target"]
+    assert ratio == max(pt.value for pt in res.points) / res.target
+    assert ratio == pytest.approx(1.0, rel=0.25)
+
+
+def test_uniform_bound_check_zero_function():
+    from nonlocal_limits.convergence import Schedule, sweep
+    z = make_function("zero", 1)
+    spec = FunctionalSpec("nguyen_centered", z, INTERVAL, 1, 2.0, 0.1)
+    res = sweep(spec, Schedule(0.1, 0.5, 4), mc_plan(samples=100), tolerance=0.05)
+    # a zero target has no ratio to report, and every point is zero
+    assert res.target == 0.0
+    assert "max_ratio_to_target" not in res.info
+    assert all(pt.value == 0.0 for pt in res.points)
+
+
 def test_polytope_and_lp_bodies_evaluate():
     diamond = ConvexBody.polytope([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1, 1, 1, 1])
     lp = ConvexBody.lp_ball(3.0, 1.0, 2)
