@@ -120,11 +120,18 @@ def centered_remainder(f: TestFunction, x, y, m: int, fx=None) -> Array:
         raise ValueError("m must be >= 1")
     x = as_points(x, f.dim)
     y = as_points(y, f.dim)
-    out = 0.0
-    for j in range(m + 1):
-        point = x if j == 0 else y if j == m else ((m - j) * x + j * y) / m
-        value = fx if j == 0 and fx is not None else f.eval(point)
-        out = out + (-1.0) ** j * math.comb(m, j) * value
+    # 0.0 + f(x), then each term in place: bitwise the sum started from 0.0
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    out = np.add(f.eval(x) if fx is None else fx, 0.0, out=np.empty(shape[:-1]))
+    point, step = (np.empty(shape), np.empty(shape)) if m > 1 else (None, None)
+    for j in range(1, m + 1):
+        if j < m:
+            np.multiply(x, m - j, out=point)
+            point += np.multiply(y, j, out=step)
+            point /= m
+        value = f.eval(point if j < m else y)
+        value *= (-1.0) ** j * math.comb(m, j)
+        out += value
     return out
 
 

@@ -22,14 +22,21 @@ q = (n1/n) p + (n2/n) / vol(box), n = n1 + n2, so every replicate is exactly
 unbiased, and the box share caps each weight at n / n2, about 5, times the
 plain uniform weight.  Proposal points outside the box get weight 0.  A
 function without a proposal keeps the box lattice only.  Generating vectors
-come from fast component-by-component construction (``generating_vector``).
+come from fast component-by-component construction (``generating_vector``),
+each coordinate one FFT convolution of 5-smooth length.  An angle coordinate
+u = {j / n + shift} (Box-Muller angles, the 2-D direction, the 3-D azimuth)
+needs no cos or sin per point: a shift is a rotation, so exp(2 pi i u) is
+the entry j of the lattice's table exp(2 pi i j / n), built once per pass,
+times exp(2 pi i shift) (``_turns``).
 
 A pass runs in blocks, each a run of at most _CHUNK points of one lattice
 under one shift.  A point depends on (seed, samples, lattice, shift, index)
 only, shift r being drawn from SeedSequence((seed, 1, r)) (keyed streams,
 Salmon et al. 2011), and each shift's payoffs are folded in point order,
-proposal lattice first, so the numbers depend on (seed, samples) only; the
-worker count just sets how many threads run the blocks.
+proposal lattice first, into 64 interleaved left-to-right sums per point and
+shift, keyed by the point's index in its run, so the numbers depend on
+(seed, samples) only; the worker count just sets how many threads run the
+blocks.
 One pass integrates the K points of a parameter grid over one outer box:
 every point shares a block's outer points, weights, directions and direction
 state.  The radial law sets what else they share.  A ``MollifierRadial``
@@ -70,6 +77,9 @@ _CHUNK = 1 << 14
 
 #: independent uniform shifts of the lattice rule; the stderr has SHIFTS - 1 degrees of freedom
 SHIFTS = 16
+
+#: interleaved left-to-right sums per point and shift in the fold (``_monte_carlo``)
+_LANES = 64
 
 #: share of each shift's points in the proposal lattice (``lattice_sizes``)
 PROPOSAL_SHARE = 0.8
@@ -134,6 +144,7 @@ class PowerLaw:
         if np.any(np.diff(cutoffs) > 0.0):
             raise ValueError(f"the cutoffs must not increase; got {cutoffs.tolist()}")
         # lo_k^s = cutoffs[k]^s reach^s: one power per direction, not one per row
+        self.cutoffs = cutoffs
         self._cutoffs_s = cutoffs ** self._s
         self._top_s = self.t_max ** self._s
         self._cap_s = (0.5 * self.t_max) ** self._s
@@ -148,7 +159,11 @@ class PowerLaw:
     def _lower_s(self, sigma: Array) -> Array:
         lo_s = np.multiply.outer(self._cutoffs_s, self.reach(sigma) ** self._s)
         # lo <= t_max / 2 in the power exponent + 1, which reverses order when negative
-        return (np.maximum if self._s < 0.0 else np.minimum)(lo_s, self._cap_s, out=lo_s)
+        (np.maximum if self._s < 0.0 else np.minimum)(lo_s, self._cap_s, out=lo_s)
+        if not np.isfinite(lo_s).all():
+            raise EngineError(f"a lower radial bound lo of the cutoffs {self.cutoffs.tolist()} "
+                              f"has lo^{self._s:g} out of floating-point range")
+        return lo_s
 
     def sample(self, v: Array, lo_s: Array) -> Array:
         """t (K, n): row k at the quantile v of stratum k."""
@@ -300,6 +315,20 @@ def _power_table(g: int, n: int) -> Array:
     return table
 
 
+def _smooth_length(least: int) -> int:
+    """The least 2^a 3^b 5^c >= ``least``, a length that numpy's FFT takes fast."""
+    best = 1 << max(least - 1, 0).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # odd times the least power of two that reaches ``least``
+            best = min(best, odd << max(-(-least // odd) - 1, 0).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 @lru_cache(maxsize=None)
 def generating_vector(n: int, s: int) -> Array:
     """Generating vector (s,) of an n-point rank-1 lattice, n prime; built once, read-only.
@@ -310,7 +339,7 @@ def generating_vector(n: int, s: int) -> Array:
     worst-case error P_2 of the first j coordinates.  Ordering z and k by
     powers of a primitive root g makes the matrix omega(k z mod n / n)
     circulant, so each coordinate is one cyclic convolution of length n - 1,
-    done as a zero-padded power-of-two FFT (n - 1 may have a large prime
+    done as a zero-padded FFT of 5-smooth length (n - 1 may have a large prime
     factor, where a direct FFT is slow).
     Candidates within 1e-12 of the least error are ties, and the smallest
     wins.
@@ -318,7 +347,7 @@ def generating_vector(n: int, s: int) -> Array:
     z = np.ones(s, dtype=np.int64)
     if n > 3:
         powers = _power_table(_primitive_root(n), n)
-        size = 1 << (2 * n - 4).bit_length()  # holds the 2(n - 1) - 1 terms of the linear one
+        size = _smooth_length(2 * n - 3)  # holds the 2(n - 1) - 1 terms of the linear one
         spectrum = np.fft.rfft(_korobov(powers / n), size)
         inverse = powers[-np.arange(n - 1) % (n - 1)]  # g^-b mod n
         k = np.arange(n)
@@ -337,40 +366,81 @@ def generating_vector(n: int, s: int) -> Array:
     return z
 
 
+def _residues(index: Array, z: Array, n: int) -> Array:
+    """index z mod n (s, len(index)) in floats, exactly: the products stay below 2^53, and
+    with n at most _MAX_POINTS a quotient is never within rounding of an integer above its
+    floor."""
+    j = np.multiply.outer(z.astype(float), index)
+    j -= np.floor(j / n) * n
+    return j
+
+
+def _shifted(j: Array, n: int, shift: Array) -> Array:
+    """The points {j / n + shift} of residues ``j`` (s, m), in place; ``shift`` is (s, 1)."""
+    j /= n
+    j += shift
+    j -= j >= 1.0
+    return j
+
+
 def _lattice(index: Array, z: Array, n: int, shift: Array) -> Array:
     """Points {index z / n + shift} of a shifted lattice, coordinate-major: (s, len(index));
     ``shift`` is (s, 1)."""
-    # index z mod n in floats, exactly: the products stay below 2^53, and with n at most
-    # _MAX_POINTS a quotient is never within rounding of an integer above its floor
-    u = np.multiply.outer(z.astype(float), index)
-    u -= np.floor(u / n) * n
-    u /= n
-    u += shift
-    u -= u >= 1.0
-    return u
+    return _shifted(_residues(index, z, n), n, shift)
 
 
-def _directions(u: Array, dim: int) -> Array:
-    """Unit vectors (n, dim) from uniform coordinates ``u`` (1 or 2, n).
+def _unit(angle) -> Array:
+    """exp(i angle), its real part np.cos and its imaginary part np.sin of ``angle``."""
+    out = np.empty(np.shape(angle), dtype=complex)
+    out.real = np.cos(angle)
+    out.imag = np.sin(angle)
+    return out
 
-    1-D: the sign of u - 1/2; 2-D: angle 2 pi u; 3-D: height 2u - 1 and
-    azimuth 2 pi u' (Archimedes' map keeps the sphere's area).
+
+def _circle(n: int) -> Array:
+    """The table exp(2 pi i j / n), j = 0 .. n - 1, of an n-point lattice; the entries past
+    n / 2 are the conjugates of those below, so no angle is above pi."""
+    # built through _unit's own array: filling the table in place with out= took a fresh
+    # run of acceptance from 25k to 48k minor page faults
+    half = n // 2 + 1
+    table = np.empty(n, dtype=complex)
+    table[:half] = _unit(2.0 * math.pi * np.arange(half) / n)
+    table[half:] = np.conj(table[n - half:0:-1])
+    return table
+
+
+def _turns(j: Array, circle: Array, rotation: Array) -> Array:
+    """exp(2 pi i u) of the lattice points u = {j / n + shift}: a shift is a rotation, so
+    each is the table entry of its residue j times ``rotation`` = exp(2 pi i shift), (s, 1).
+    A run's first point, j = 0, gets the rotation itself, bitwise."""
+    turns = circle.take(j.astype(np.intp))
+    turns *= rotation
+    return turns
+
+
+def _directions(u: Array, turn, dim: int) -> Array:
+    """Unit vectors (n, dim) from uniform coordinates ``u`` (1 or 2, n) and the ``turn``
+    exp(2 pi i u[-1]) (n,) of the last, a C-contiguous complex row (None in 1-D).
+
+    1-D: the sign of u - 1/2; 2-D: the turn itself, angle 2 pi u; 3-D: height 2u - 1
+    and azimuth 2 pi u' (Archimedes' map keeps the sphere's area).
     """
     if dim == 1:
         return np.where(u[0] < 0.5, -1.0, 1.0)[:, np.newaxis]
-    angle = 2.0 * math.pi * u[-1]
     if dim == 2:
-        return np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        # (cos, sin) pairs are the memory layout of the complex row
+        return turn.view(float).reshape(-1, 2)
     height = 2.0 * u[0] - 1.0
     ring = np.sqrt(np.maximum(0.0, 1.0 - height * height))
-    return np.stack([ring * np.cos(angle), ring * np.sin(angle), height], axis=1)
+    return np.stack([ring * turn.real, ring * turn.imag, height], axis=1)
 
 
-def outer_points(u: Array, radius: float, proposal) -> Array:
+def outer_points(u: Array, radius: float, proposal, turns=None) -> Array:
     """Outer points (n, dim) from uniforms ``u`` (coordinates, n): the proposal's own
-    map, or -radius + 2 radius u on the box [-radius, radius]^dim without one."""
+    map, given the ``turns`` exp(2 pi i u) of its angle coordinates (``proposal.angles``),
+    or -radius + 2 radius u on the box [-radius, radius]^dim without one."""
     if proposal is not None:
-        return proposal.transform(u)
+        return proposal.transform(u, turns)
     return (-radius + 2.0 * radius * u).T
 
 
@@ -449,11 +519,15 @@ def _monte_carlo(kernel, plan, radius, dim, law, proposal) -> list[IntegralEstim
     lattices is drawn from SeedSequence((seed, 1, r)), proposal lattice first.
     Each block holds the points lo .. hi - 1 of one (lattice, shift) run, at
     most _CHUNK of them, so a point depends on (seed, samples, lattice, shift,
-    index) only.  Blocks run on min(workers, blocks,
-    cpu count) threads; the calling thread folds their payoffs (fresh arrays,
-    overwritten), block by block, into one left-to-right sum per point and
-    shift, proposal points first, so the K estimates are the same for every
-    worker count and block size.  A point's value is the mean of its SHIFTS replicate means, its
+    index) only.  An angle coordinate (a Box-Muller angle, the 2-D direction,
+    the 3-D azimuth) enters as exp(2 pi i u), from a table of the lattice
+    rotated by its shift (``_turns``), built once per pass.  Blocks run on
+    min(workers, blocks, cpu count) threads; the calling thread folds their
+    payoffs (fresh arrays, overwritten), block by block, into _LANES
+    interleaved left-to-right sums per point and shift, point i of a run in
+    lane i mod _LANES, proposal points first, and adds the lanes pairwise at
+    the end, so the K estimates are the same for every worker count and block
+    size.  A point's value is the mean of its SHIFTS replicate means, its
     stderr their sample sd over sqrt(SHIFTS), and ``hit_fraction`` its share
     of nonzero payoffs.
     """
@@ -463,41 +537,73 @@ def _monte_carlo(kernel, plan, radius, dim, law, proposal) -> list[IntegralEstim
     # the outer point's coordinates in each lattice; the direction's and v follow
     coords = (proposal.coordinates if n1 else 0, dim)
     tail = (1 if dim < 3 else 2) + 1
+    # the angle coordinates of each lattice: the proposal's, then the direction's last
+    direction = [(c + dim - 2,) if dim > 1 else () for c in coords]
+    angles = [np.array(rows, dtype=np.intp)
+              for rows in ((proposal.angles if n1 else ()) + direction[0], direction[1])]
     vectors = [generating_vector(size, c + tail) if size else None
                for size, c in zip(sizes, coords)]
-    shifts = []
+    circles = [_circle(size) if size and rows.size else None for size, rows in zip(sizes, angles)]
+    shifts = [np.zeros((SHIFTS, c + tail, 1)) for c in coords]
     for r in range(SHIFTS):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, 1, r))))
-        shifts.append([rng.random((c + tail, 1)) if size else None
-                       for size, c in zip(sizes, coords)])
+        for size, drawn in zip(sizes, shifts):
+            if size:
+                rng.random(out=drawn[r])
+    # exp(2 pi i shift) of each angle coordinate: the rotation of the lattice's table
+    rotations = [_unit(2.0 * math.pi * drawn[:, rows]) for drawn, rows in zip(shifts, angles)]
     blocks = [(lattice, r, lo, min(lo + _CHUNK, size)) for lattice, size in enumerate(sizes)
               for r in range(SHIFTS) for lo in range(0, size, _CHUNK)]
 
     def block(spec) -> Array:
         lattice, r, lo, hi = spec
-        c = coords[lattice]
-        u = _lattice(np.arange(lo, hi), vectors[lattice], sizes[lattice], shifts[r][lattice])
+        c, rows = coords[lattice], angles[lattice]
+        j = _residues(np.arange(lo, hi), vectors[lattice], sizes[lattice])
+        turns = None
+        if rows.size:
+            turns = _turns(j.take(rows, axis=0), circles[lattice], rotations[lattice][r])
+        u = _shifted(j, sizes[lattice], shifts[lattice][r])
         # the box map is a transposed view, and the kernels run slower on one
-        x = np.ascontiguousarray(outer_points(u[:c], radius, proposal if lattice == 0 else None))
+        x = np.ascontiguousarray(outer_points(u[:c], radius, proposal if lattice == 0 else None,
+                                              turns))
         if proposal is None:
             weight = np.array([mass * (2.0 * radius) ** dim])
         else:
             weight = outer_weights(x, radius, proposal, n1 / n, mass)
-        sigma = _directions(u[c:-1], dim)
+        # the direction's turn as a copy, so that the proposal's is freed before the kernel runs
+        sigma = _directions(u[c:-1], turns[-1].copy() if dim > 1 else None, dim)
+        del turns
         aux = law.prepare(sigma)
         t = law.sample(u[-1], aux)
         return _weighted_payoffs(kernel, x, sigma, t, law.mass(aux) * weight)
 
     def fold(results) -> tuple[Array, Array]:
-        sums = hits = None
-        for (_, r, _, _), values in zip(blocks, results):
-            if sums is None:
-                sums, hits = np.zeros((len(values), SHIFTS)), np.zeros(len(values), dtype=int)
+        lanes = hits = pad = None
+        for (_, r, lo, hi), values in zip(blocks, results):
+            if lanes is None:
+                lanes = np.zeros((len(values), SHIFTS, _LANES))
+                hits = np.zeros(len(values), dtype=int)
+                pad = np.empty((len(values), _LANES))
             hits += np.count_nonzero(values, axis=1)
-            # sums + first payoff is the next step of the shift's left-to-right sum
-            values[:, 0] += sums[:, r]
-            sums[:, r] = np.add.accumulate(values, axis=1, out=values)[:, -1]
-        return sums, hits
+            # lane + payoff is the next step of that lane's left-to-right sum; a part
+            # row at either end of the block is padded with zeros, which add nothing
+            head = min(-lo % _LANES, hi - lo)
+            whole = (hi - lo - head) // _LANES * _LANES
+            if head:
+                pad.fill(0.0)
+                pad[:, lo % _LANES:lo % _LANES + head] = values[:, :head]
+                lanes[:, r] += pad
+            if whole:
+                rows = values[:, head:head + whole].reshape(len(values), -1, _LANES)
+                rows[:, 0] += lanes[:, r]
+                np.add.reduce(rows, axis=1, out=lanes[:, r])
+            if head + whole < hi - lo:
+                pad.fill(0.0)
+                pad[:, :hi - lo - head - whole] = values[:, head + whole:]
+                lanes[:, r] += pad
+        while lanes.shape[-1] > 1:
+            lanes = lanes[..., 0::2] + lanes[..., 1::2]
+        return lanes[..., 0], hits
 
     threads = min(plan.workers, len(blocks), os.cpu_count() or 1)
     if threads > 1:

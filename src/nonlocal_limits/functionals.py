@@ -205,6 +205,18 @@ def _level_set_box(spec: FunctionalSpec) -> tuple[float, float]:
     return r, spec.m * (r + spec.f.support_radius) + 2.0
 
 
+def _segment_ends(workspace, x, t, sigma):
+    """The far ends y = x + t sigma (n, dim) of the segments, in the thread's own buffer
+    ``workspace.y``: the next call overwrites them."""
+    y = getattr(workspace, "y", None)
+    if y is None or y.size < x.size:
+        y = workspace.y = np.empty(x.size)
+    y = y[:x.size].reshape(x.shape)
+    np.multiply(t[:, np.newaxis], sigma, out=y)
+    y += x
+    return y
+
+
 def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
                     box_radius: float) -> list[IntegralEstimate]:
     """One pass over the thresholds of ``specs``, its estimates in their order.
@@ -235,7 +247,7 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
         """Where stratum k starts to pay in the flat histogram: row j of the first point
         j >= k with |R_k| > delta_j, or the spare row K if none fires, then the column.
         A function of its own, so that a stratum's arrays are freed before the next's."""
-        size = np.abs(remainder(f, x, x + tk[:, np.newaxis] * sigma, m, fx))
+        size = np.abs(remainder(f, x, _segment_ends(workspace, x, tk, sigma), m, fx))
         first = np.full(len(tk), len(deltas), dtype=np.min_scalar_type(len(deltas)))
         for delta in deltas[k:]:
             first -= size > delta
@@ -332,6 +344,7 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
     t_c = (float(np.finfo(float).eps) / c_m) ** (1.0 / (m + 1))
     # the control variate needs a Gram form (p = 2) and a kink-split sphere rule (dim <= 2)
     lead = plan.method == "monte_carlo" and p == 2.0 and body.dim <= 2
+    workspace = threading.local()
 
     def lead_kernel(x, sigma, t):
         # payoff - l = (a^2 - b^2) g^-(2m+N), a = R / t^m and b = c_m D its t -> 0 limit;
@@ -340,7 +353,8 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
         out, fx = np.empty(t.shape), f.eval(x)
         b = c_m * directional_m_form(f, x, sigma, m)
         for j, tj in enumerate(t):
-            a = remainder(f, x, x + tj[:, np.newaxis] * sigma, m, fx) / np.maximum(tj, t_c) ** m
+            y = _segment_ends(workspace, x, tj, sigma)
+            a = remainder(f, x, y, m, fx) / np.maximum(tj, t_c) ** m
             out[j] = np.where(tj < t_c, 0.0, (a - b) * (a + b) * g_lead)
         return out
 
@@ -350,7 +364,7 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
         g_dim = g ** (-body.dim)
         out, fx = np.empty(t.shape), f.eval(x)
         for j, tj in enumerate(t):
-            vals = np.abs(remainder(f, x, x + tj[:, np.newaxis] * sigma, m, fx))
+            vals = np.abs(remainder(f, x, _segment_ends(workspace, x, tj, sigma), m, fx))
             out[j] = vals ** p * (np.maximum(tj, t_c) * g) ** (-mp) * g_dim
             small = tj < t_c
             if np.any(small):

@@ -87,7 +87,9 @@ class GaussianProfile(Profile1D):
     def derivatives(self, orders, u: Array) -> dict[int, Array]:
         """One exponential and one Hermite recurrence up to the highest order."""
         u = np.asarray(u, dtype=float)
-        damp = np.exp(-u * u)
+        damp = np.multiply(u, u, out=np.empty_like(u))
+        np.negative(damp, out=damp)
+        np.exp(damp, out=damp)
         out = {0: damp} if 0 in orders else {}
         h_prev, h = 0.0, 1.0
         for j in range(max(orders)):
@@ -242,21 +244,23 @@ class OuterProposal:
         #: uniform coordinates per point: a Box-Muller pair per two normal axes, one per
         #: uniform axis
         self.coordinates = 2 * math.ceil(len(self._normal) / 2) + len(self._uniform)
+        #: the coordinates that are angles, the second of each Box-Muller pair
+        self.angles = tuple(range(1, 2 * math.ceil(len(self._normal) / 2), 2))
 
-    def transform(self, u: Array) -> Array:
-        """Points (n, dim) of the law from uniforms ``u`` of shape (coordinates, n).
+    def transform(self, u: Array, turns) -> Array:
+        """Points (n, dim) of the law from uniforms ``u`` of shape (coordinates, n) and
+        ``turns``, whose row i is exp(2 pi i u[angles[i]]).
 
         Normal axes take Box-Muller pairs (u, u'): radius sqrt(-2 log(1 - u))
         at angle 2 pi u', a lone normal axis its cosine; each uniform axis of
         half-width h maps its coordinate to -h + 2 h u.
         """
         out = np.empty((u.shape[1], self.dim))
-        for pair in range(0, len(self._normal), 2):
+        for pair, turn in zip(range(0, len(self._normal), 2), turns if self.angles else ()):
             radius = np.sqrt(-2.0 * np.log1p(-u[pair]))
-            angle = 2.0 * math.pi * u[pair + 1]
-            out[:, self._normal[pair]] = radius * np.cos(angle)
+            out[:, self._normal[pair]] = radius * turn.real
             if pair + 1 < len(self._normal):
-                out[:, self._normal[pair + 1]] = radius * np.sin(angle)
+                out[:, self._normal[pair + 1]] = radius * turn.imag
         first = self.coordinates - len(self._uniform)
         for row, (i, half) in enumerate(self._uniform, start=first):
             out[:, i] = -half + 2.0 * half * u[row]
@@ -320,9 +324,10 @@ class TestFunction:
 
     def eval(self, x) -> Array:
         pts = as_points(x, self.dim)
-        out = np.ones(pts.shape[:-1])
-        for i, prof in enumerate(self.profiles):
-            out = out * prof.value(pts[..., i])
+        # bitwise the product started from 1: each factor is a fresh array
+        out = self.profiles[0].value(pts[..., 0])
+        for i, prof in enumerate(self.profiles[1:], start=1):
+            out *= prof.value(pts[..., i])
         return out
 
     def partial(self, alpha, x) -> Array:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from nonlocal_limits import functionals
+from nonlocal_limits import engine, functionals
 
 
 @pytest.fixture(autouse=True)
@@ -19,6 +21,26 @@ def rng():
 def flat_reach(sigma):
     """A ``PowerLaw`` reach of 1 in every direction: each point's cutoff is its own number."""
     return np.ones(len(sigma))
+
+
+def libm_turns(u, proposal):
+    """exp(2 pi i u) of the angle coordinates ``proposal.angles`` of uniforms ``u``, by
+    np.cos and np.sin: the ``turns`` that ``OuterProposal.transform`` takes."""
+    angle = 2.0 * math.pi * u[list(proposal.angles)]
+    turns = np.empty(angle.shape, dtype=complex)
+    turns.real, turns.imag = np.cos(angle), np.sin(angle)
+    return turns
+
+
+def lattice_run(n, shift, rows):
+    """A whole run of the n-point lattice shifted by ``shift`` (s, 1), on the angle path
+    of the engine's blocks: its points u (s, n) and the turns exp(2 pi i u) of its rows
+    ``rows`` from the lattice's rotation table (None without rows)."""
+    j = engine._residues(np.arange(n), engine.generating_vector(n, len(shift)), n)
+    rows = list(rows)
+    turns = (engine._turns(j[rows], engine._circle(n), engine._unit(2.0 * math.pi * shift[rows]))
+             if rows else None)
+    return engine._shifted(j, n, shift), turns
 
 
 def fd_partial(f, alpha, x, step=1e-4):

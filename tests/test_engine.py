@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import flat_reach
+from conftest import flat_reach, lattice_run, libm_turns
 
 from nonlocal_limits import engine
 from nonlocal_limits.bodies import ConvexBody
@@ -340,7 +340,8 @@ def _mixture_points(rng, n, radius):
     """n points per shift split as a pass splits them: proposal points, then box points."""
     n1, n2 = lattice_sizes(SHIFTS * n, True)
     prop = GAUSS2_PROPOSAL
-    x = np.concatenate([outer_points(rng.random((prop.coordinates, n1)), radius, prop),
+    u = rng.random((prop.coordinates, n1))
+    x = np.concatenate([outer_points(u, radius, prop, libm_turns(u, prop)),
                         outer_points(rng.random((2, n2)), radius, None)])
     return x, n1, n2
 
@@ -514,7 +515,8 @@ def test_kernel_calls_are_the_blocks_of_each_run(chunk, monkeypatch):
 
 def test_block_streams_and_offsets():
     # the first point of a run is its shift itself: shift r is drawn from
-    # SeedSequence((seed, 1, r)), proposal lattice first, and every run starts a block
+    # SeedSequence((seed, 1, r)), proposal lattice first, and every run starts a block;
+    # its angles are bitwise np.cos and np.sin of 2 pi times the shift
     calls = []
     plan = IntegrationPlan("monte_carlo", samples=BLOCKED_SAMPLES, seed=31)
     integrate_double(_record_kernel_calls(calls), plan, 2.0, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
@@ -526,8 +528,10 @@ def test_block_streams_and_offsets():
         for lattice, shift, proposal in ((0, first, GAUSS2_PROPOSAL), (1, second, None)):
             x, sigma, t = calls[lattice * SHIFTS + r]
             u = shift[:, np.newaxis]
-            np.testing.assert_array_equal(x[:1], outer_points(u[:2], 2.0, proposal))
-            np.testing.assert_array_equal(sigma[:1], engine._directions(u[2:3], 2))
+            np.testing.assert_array_equal(
+                x[:1], outer_points(u[:2], 2.0, proposal, libm_turns(u[:2], GAUSS2_PROPOSAL)))
+            angle = 2.0 * math.pi * u[2]
+            np.testing.assert_array_equal(sigma[:1], np.stack([np.cos(angle), np.sin(angle)], 1))
             t0 = MIXTURE_LAW.sample(u[3], MIXTURE_LAW.prepare(sigma[:1]))
             np.testing.assert_array_equal(t[:, :1], t0)
 
@@ -589,12 +593,60 @@ def test_power_law_rejects_increasing_cutoffs():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_lattice_directions_cover_the_sphere_uniformly(dim):
     # unit vectors whose second moments over a lattice are those of the sphere, I / dim
-    z = engine.generating_vector(4999, 2)
-    u = engine._lattice(np.arange(4999), z, 4999, np.array([[0.3], [0.7]]))
-    sigma = engine._directions(u[:1 if dim < 3 else 2], dim)
+    rows = 1 if dim < 3 else 2
+    u, turns = lattice_run(4999, np.array([[0.3], [0.7]]), [rows - 1])
+    sigma = engine._directions(u[:rows], turns[0], dim)
     assert sigma.shape == (4999, dim)
     np.testing.assert_allclose(np.linalg.norm(sigma, axis=1), 1.0, rtol=1e-15)
     np.testing.assert_allclose(sigma.T @ sigma / 4999, np.eye(dim) / dim, atol=2e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rotated_lattice_angles_match_libm(seed):
+    # a whole run's turns from the rotation table are np.cos and np.sin of 2 pi u to
+    # within the rounding of 2 pi u itself, with u from _lattice; the first is the shift's
+    n = 4999
+    shift = np.random.default_rng(seed).random((4, 1))
+    shift[0] = 0.0 if seed == 0 else shift[0]
+    u = engine._lattice(np.arange(n), engine.generating_vector(n, 4), n, shift)
+    _, turns = lattice_run(n, shift, range(4))
+    angle = 2.0 * math.pi * u
+    np.testing.assert_allclose(turns.real, np.cos(angle), rtol=0.0, atol=4e-15)
+    np.testing.assert_allclose(turns.imag, np.sin(angle), rtol=0.0, atol=4e-15)
+    np.testing.assert_array_equal(turns[:, 0], engine._unit(2.0 * math.pi * shift[:, 0]))
+    np.testing.assert_allclose(np.abs(turns), 1.0, rtol=1e-15)
+    for dim in (2, 3):
+        sigma = engine._directions(u[:dim - 1], turns[dim - 2], dim)
+        np.testing.assert_allclose(np.linalg.norm(sigma, axis=1), 1.0, rtol=1e-15)
+
+
+def test_fold_is_lanes_of_left_to_right_sums():
+    # point i of a shift's run goes to lane i mod 64, each lane a left-to-right sum,
+    # and the 64 lanes are added pairwise: an explicit loop over the kernel's payoffs
+    law = PowerLaw(0.0, (0.5,), flat_reach, 1.0)
+    rng = np.random.default_rng(5)
+    calls = []
+
+    def kernel(x, sigma, t):
+        calls.append(np.exp(rng.normal(size=t.shape) * 4.0))
+        return calls[-1]
+
+    plan = IntegrationPlan("monte_carlo", samples=SHIFTS * 300, seed=4)
+    n = lattice_sizes(plan.samples, False)[1]
+    factor = law.mass(law.prepare(np.ones((1, 1)))) * np.array([2.0 * 2.0])
+    est, = integrate_double(kernel, plan, 1.0, 1, law)
+    assert len(calls) == SHIFTS and all(c.shape == (1, n) for c in calls)
+    sums = []
+    for values in calls:
+        lanes = [0.0] * 64
+        for i, v in enumerate((values * factor)[0]):
+            lanes[i % 64] += v
+        while len(lanes) > 1:
+            lanes = [a + b for a, b in zip(lanes[0::2], lanes[1::2])]
+        sums.append(lanes[0])
+    row = np.array(sums) / n
+    assert est.value == float(row.mean())
+    assert est.stderr == float(row.std(ddof=1)) / math.sqrt(SHIFTS)
 
 
 def test_hit_fraction_counts_nonzero_payoffs_per_row():
@@ -648,6 +700,35 @@ def _brute_force_cbc(n, s):
         z.append(1 + int(np.flatnonzero(errors <= errors.min() + tie)[0]))
         product = product * (1.0 + _korobov(k * z[-1] % n / n))
     return z
+
+
+#: generating vectors of the lattice sizes that 200k to 2M samples give, as built with a
+#: power-of-two FFT; the first three coordinates are the s = 3 vector
+PINNED_VECTORS = {
+    99991: [1, 38280, 47972, 35176], 24989: [1, 9239, 10787, 9506],
+    49999: [1, 18358, 11064, 4254], 12497: [1, 4753, 5589, 3588],
+    6257: [1, 1732, 2978, 542], 9973: [1, 2757, 753, 2536], 2521: [1, 733, 195, 486],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_VECTORS))
+def test_generating_vectors_of_the_workload_sizes_are_pinned(n):
+    # the brute-force check stops at n = 1009; a tie flipped by the FFT length would show here
+    assert engine.generating_vector(n, 4).tolist() == PINNED_VECTORS[n]
+    assert engine.generating_vector(n, 3).tolist() == PINNED_VECTORS[n][:3]
+
+
+def test_smooth_fft_length_is_the_least_5_smooth_number():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for least in list(range(1, 400)) + [2 * 99991 - 3, 2 * 24989 - 3, 2 * 9973 - 3]:
+        size = engine._smooth_length(least)
+        assert size >= least and smooth(size)
+        assert not any(smooth(k) for k in range(least, size))
 
 
 def test_fast_cbc_equals_brute_force_cbc():

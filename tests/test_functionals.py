@@ -4,6 +4,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from conftest import libm_turns
 
 from nonlocal_limits import functionals
 from nonlocal_limits.bodies import ConvexBody
@@ -149,7 +150,8 @@ def test_local_limit_monte_carlo_agrees():
     ellipse = ConvexBody.ellipsoid([2.0, 1.0])
     rng = np.random.default_rng(3)
     n, k, radius = 400_000, 320_000, GAUSS2.support_radius
-    xs = np.concatenate([outer_points(rng.random((2, k)), radius, GAUSS2.proposal),
+    u = rng.random((2, k))
+    xs = np.concatenate([outer_points(u, radius, GAUSS2.proposal, libm_turns(u, GAUSS2.proposal)),
                          outer_points(rng.random((2, n - k)), radius, None)])
     wx = outer_weights(xs, radius, GAUSS2.proposal, k / n, 1.0)
     ys = rng.uniform(-1.0, 1.0, size=(n, 2)) * [2.0, 1.0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_partial
+from conftest import fd_partial, lattice_run
 from nonlocal_limits.calculus import multi_indices, multinomial
 from nonlocal_limits.functions import (NORMAL, GaussianProfile, list_functions, make_function,
                                        polynomial_function)
@@ -28,6 +28,11 @@ def test_gaussian_value_is_bitwise_the_hermite_formula(rng):
     h = np.ones_like(u)  # Hermite polynomial of order 0
     reference = (-1.0) ** 0 * h * np.exp(-u * u)
     np.testing.assert_array_equal(_bits(GaussianProfile().derivative(0, u)), _bits(reference))
+    # a 0-d input, and a 1-D function at a scalar, give the same bits as an array entry
+    for k in (0, 3):
+        assert _bits(GaussianProfile().derivative(k, u[7])) == _bits(
+            GaussianProfile().derivative(k, u)[7])
+    assert _bits(make_function("gaussian", 1).eval(float(u[7]))) == _bits(reference[7])
 
 
 def test_gaussian_derivatives_are_bitwise_the_hermite_formula(rng):
@@ -72,11 +77,15 @@ def test_proposals_follow_the_profiles(rng):
     # Box-Muller pairs for normal axes, one affine coordinate per uniform axis
     assert (gauss.coordinates, bump.coordinates) == (2, 2)
     assert make_function("gaussian", 3).proposal.coordinates == 4
-    draws = gauss.transform(rng.random((2, 200_000)))
-    assert draws.shape == (200_000, 2)
+    # on the engine's angle path: a shifted lattice run and the turns of its angle coordinate
+    assert (gauss.angles, bump.angles) == ((1,), ())
+    u, turns = lattice_run(199_999, rng.random((2, 1)), gauss.angles)
+    draws = gauss.transform(u, turns)
+    assert draws.shape == (199_999, 2)
     assert np.abs(draws.mean(axis=0)).max() < 0.01 and np.abs(draws.var(axis=0) - 1).max() < 0.02
     assert abs(np.corrcoef(draws.T)[0, 1]) < 0.01
-    assert np.abs(bump.transform(rng.random((2, 1000)))).max() <= 2.0
+    u, turns = lattice_run(997, rng.random((2, 1)), bump.angles)
+    assert turns is None and np.abs(bump.transform(u, turns)).max() <= 2.0
 
 
 def test_partials_match_finite_differences(rng):
