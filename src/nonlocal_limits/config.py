@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import from_descriptor
-from .convergence import Schedule
+from .convergence import MAX_SCHEDULE_POINTS, Schedule
 from .engine import IntegrationPlan, lattice_sizes
 from .functionals import MAX_M, THEOREMS, FunctionalSpec, SpecError, validate_spec
 from .functions import MAX_DIM, list_functions, make_function
@@ -97,7 +97,7 @@ _JOB_SCHEMA = {
             "properties": {
                 "start": {"type": "number", "exclusiveMinimum": 0},
                 "ratio": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "points": {"type": "integer", "minimum": 4},
+                "points": {"type": "integer", "minimum": 4, "maximum": MAX_SCHEDULE_POINTS},
             },
             "required": ["start"],
             "additionalProperties": False,

@@ -19,6 +19,10 @@ from .functionals import FunctionalSpec, evaluate, local_limit
 RATE_RANGE = (0.2, 2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: points of a schedule at most: a Monte Carlo pass runs them all and keeps about six
+#: arrays of points x 16,384 floats per block thread
+MAX_SCHEDULE_POINTS = 64
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -33,8 +37,9 @@ class Schedule:
             raise ValueError("schedule start must be positive")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("schedule ratio must be in (0, 1)")
-        if self.points < 4:
-            raise ValueError("schedule needs at least 4 points")
+        if not 4 <= self.points <= MAX_SCHEDULE_POINTS:
+            raise ValueError(f"schedule needs 4 to {MAX_SCHEDULE_POINTS} points; "
+                             f"got {self.points}")
         vals = self.values()
         if not vals[-1] > 0.0 or not all(a > b for a, b in zip(vals, vals[1:])):
             raise ValueError("schedule values must stay positive and strictly decreasing "

@@ -2,12 +2,14 @@
 
 Double integrals over pairs (x, y) are computed in polar form y = x + t*sigma:
 x ranges over a truncation box, sigma over the Euclidean unit sphere, and the
-radial variable t is drawn from a pluggable importance law.  Kernels return
-the per-sample payoff in closed form: the pair integrand times t^(dim-1),
-divided by the law's unnormalised radial shape.  Both the Monte Carlo and the
-deterministic (dim = 1) paths multiply that payoff by the law's closed-form
-mass, so a law matched to the kernel's radial profile gives low variance and
-no density is evaluated on the hot path.
+radial variable t is a function of one more uniform coordinate v.  The engine
+integrates a kernel's payoffs over box x sphere x [0, 1): it hands the kernel
+the outer points, the directions and v, and multiplies the payoffs by the
+outer weight only.  Each kernel draws its own t = ``law.sample(v, aux)`` from
+a radial law matched to its radial profile (``PowerLaw``, ``MollifierRadial``)
+and returns the pair integrand times t^(dim-1) over the law's normalised
+density, in closed form, so the law's density factors cancel and no density
+is evaluated on the hot path.
 
 The Monte Carlo pair integral is a randomized rank-1 lattice rule (Dick, Kuo
 and Sloan 2013): SHIFTS independent uniform (Cranley-Patterson) shifts of two
@@ -37,13 +39,6 @@ proposal lattice first, into 64 interleaved left-to-right sums per point and
 shift, keyed by the point's index in its run, so the numbers depend on
 (seed, samples) only; the worker count just sets how many threads run the
 blocks.
-One pass integrates the K points of a parameter grid over one outer box:
-every point shares a block's outer points, weights, directions and direction
-state.  The radial law sets what else they share.  A ``MollifierRadial``
-point draws its own radius and is bitwise a pass of its own on that box;
-``PowerLaw`` points are the rungs of one ladder of strata of each ray, so a
-point shares the draws of the strata above it and lies within noise of its
-lone pass.
 
 Everything else is deterministic quadrature.  ``sphere_quadrature`` is the
 one unit-sphere rule.  Integrals over a body K of integrands positively
@@ -60,7 +55,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -120,16 +114,17 @@ class PowerLaw:
 
     The unnormalised radial shape is t^exponent.  With exponent = -(1 + m p)
     this matches the radial weight of the level-set kernels exactly, so their
-    per-sample payoff is flat in t.  Point k of a pass integrates over
+    payoff is flat in t.  Point k of a pass integrates over
     [lo_k(sigma), t_max], where lo_k = cutoffs[k] * reach(sigma), capped at
     t_max / 2; ``reach`` is a callable of the direction batch (n, dim)
     returning (n,).  The cutoffs must not increase, so the lower bounds cut
     each ray into strata [lo_k, lo_(k-1)], lo_0 = t_max, and point k's range
     is strata 1..k.  Row k of t is drawn inside stratum k, every row from the
     ray's one radial uniform.  ``mass`` is the shape's mass over each point's
-    range, so a stratum's is the difference of two rows.  A kernel that gives
-    point k the payoffs of strata 1..k weighted by their share of its mass
-    is unbiased; with one point the stratum is the whole range.  Capped or
+    range, so a stratum's is the difference of two rows and the normalised
+    density of row k is the shape over its stratum's mass.  A kernel that
+    gives point k the payoffs of strata 1..k, each over its own density, is
+    unbiased; with one point the stratum is the whole range.  Capped or
     equal cutoffs give strata of zero width, where t is their common bound.
     """
 
@@ -148,15 +143,9 @@ class PowerLaw:
         self._cutoffs_s = cutoffs ** self._s
         self._top_s = self.t_max ** self._s
         self._cap_s = (0.5 * self.t_max) ** self._s
-        self._kept = threading.local()
 
     def prepare(self, sigma: Array) -> Array:
-        """The lower bounds (K, n) raised to exponent + 1; each thread keeps its last."""
-        lo_s = self._lower_s(sigma)
-        self._kept.last = (sigma, lo_s)
-        return lo_s
-
-    def _lower_s(self, sigma: Array) -> Array:
+        """The lower bounds (K, n) raised to exponent + 1."""
         lo_s = np.multiply.outer(self._cutoffs_s, self.reach(sigma) ** self._s)
         # lo <= t_max / 2 in the power exponent + 1, which reverses order when negative
         (np.maximum if self._s < 0.0 else np.minimum)(lo_s, self._cap_s, out=lo_s)
@@ -178,13 +167,6 @@ class PowerLaw:
         """Integral of the shape t^exponent over each point's range [lo_k, t_max]."""
         return (self._top_s - lo_s) / self._s
 
-    def prepared(self, sigma: Array) -> Array:
-        """``prepare(sigma)``, to be read only.  A kernel asks for the directions its block
-        has just prepared, so the thread's last bounds serve, and are let go, when they
-        were of ``sigma`` itself."""
-        kept = self._kept.__dict__.pop("last", None)
-        return kept[1] if kept is not None and kept[0] is sigma else self._lower_s(sigma)
-
     def pdf(self, t: Array, lo_s) -> Array:
         """Density of each row's draw on its stratum."""
         strata = np.diff(self.mass(lo_s), axis=0, prepend=0.0)
@@ -195,11 +177,12 @@ class MollifierRadial:
     """Radial law matched to concentration profiles evaluated at gauge radii.
 
     Point j draws the gauge radius u from the radial mass measure of
-    ``families[j]`` and converts to the Euclidean radius t = u / ||sigma||_K.  The
-    unnormalised radial shape in t is u^(dim-1) rho(u) ||sigma||_K, whose
-    mass is 1; a kernel's payoff therefore carries neither rho nor the
-    Jacobian.  At small profile indices u can underflow to 0, so a kernel
-    must give a finite payoff at t = 0.
+    ``families[j]`` and converts to the Euclidean radius t = u / ||sigma||_K.
+    Its density in t is u^(dim-1) rho(u) ||sigma||_K, normalised because the
+    profile's radial mass is 1; a kernel's payoff therefore carries neither
+    rho nor the Jacobian.  ``prepare`` returns the gauge ||sigma||_K itself,
+    which a kernel reuses.  At small profile indices u can underflow to 0, so
+    a kernel must give a finite payoff at t = 0.
     """
 
     def __init__(self, families, gauge):
@@ -211,10 +194,6 @@ class MollifierRadial:
 
     def sample(self, v: Array, gauge_sigma: Array) -> Array:
         return np.stack([family.inverse_mass(v) for family in self.families]) / gauge_sigma
-
-    def mass(self, gauge_sigma) -> float:
-        """Mass of the radial shape: the profile's unit radial mass."""
-        return 1.0
 
     def pdf(self, t: Array, gauge_sigma: Array) -> Array:
         u = np.reshape(t, (len(self.families), -1)) * gauge_sigma
@@ -460,42 +439,43 @@ def outer_weights(x: Array, radius: float, proposal, share: float, mass: float) 
     return weight
 
 
-def _weighted_payoffs(kernel, x: Array, sigma: Array, t: Array, factor) -> Array:
-    """The kernel's payoffs times ``factor``; they must have t's shape (K, n) and be finite."""
-    values = kernel(x, sigma, t)
-    if np.shape(values) != t.shape:
+def _weighted_payoffs(kernel, x: Array, sigma: Array, v: Array, weight=None) -> Array:
+    """The kernel's payoffs, times the outer ``weight`` if given; they must be (K, n),
+    K >= 1, and finite."""
+    values = kernel(x, sigma, v)
+    if np.ndim(values) != 2 or len(values) == 0 or np.shape(values)[1] != len(v):
         raise EngineError(f"kernel returned payoffs of shape {np.shape(values)}, "
-                          f"expected t's shape {t.shape}: one row per point")
-    values = values * factor
+                          f"expected (K, {len(v)}): one row per point")
+    if weight is not None:
+        values = values * weight
     bad = ~np.isfinite(values)
     if np.any(bad):
         j, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise EngineError(
             f"nonfinite kernel value at x={x[i].tolist()}, sigma={sigma[i].tolist()}, "
-            f"t={float(t[j, i])!r} (point {j})")
+            f"v={float(v[i])!r} (point {j})")
     return values
 
 
-def integrate_double(kernel, plan: IntegrationPlan, radius: float, dim: int, law,
+def integrate_double(kernel, plan: IntegrationPlan, radius: float, dim: int,
                      proposal=None) -> list[IntegralEstimate]:
-    """Estimate the polar-form double integrals of K points over box x sphere x radius.
+    """Estimate the polar-form double integrals of K points over box x sphere x [0, 1).
 
     All K points share the outer box [-radius, radius]^dim and so each outer
-    point x and its weight; they differ in their radial draws and payoffs only.
+    point x, its weight, its direction and its radial coordinate v; they
+    differ in their payoffs only.
 
     Parameters
     ----------
-    kernel : callable(x, sigma, t) -> values
-        Vectorized payoffs of all points: x and sigma of shape (n, dim), t
-        and values of shape (K, n); any other shape of values raises
-        ``EngineError``.  The payoff is the pair integrand F(x, x + t sigma)
-        times t^(dim-1), divided by the law's unnormalised radial shape.
-    law : PowerLaw | MollifierRadial
-        Radial importance law; it sets K.  ``law.prepare(sigma)`` supplies
-        any per-direction state (gauge values or cutoffs) once for all
-        points, ``law.sample`` returns t of shape (K, n), and the estimate
-        multiplies each payoff by ``law.mass`` of that state, MC and
-        quadrature alike.
+    kernel : callable(x, sigma, v) -> values
+        Vectorized payoffs of all points: x and sigma of shape (n, dim), v of
+        shape (n,) in [0, 1), and values of shape (K, n) with K >= 1; any
+        other shape of values raises ``EngineError``.  The kernel draws the
+        radius t from v by its radial law, and the payoff is the pair
+        integrand F(x, x + t sigma) times t^(dim-1) over the law's normalised
+        density.  Monte Carlo multiplies it by the outer weight; quadrature
+        (dim = 1) takes v at the Gauss-Legendre nodes on [0, 1] and multiplies
+        by nothing.
     proposal : functions.OuterProposal | None
         Law for the outer point x on the Monte Carlo path, mixed with the
         uniform box (``outer_weights``); quadrature ignores it.
@@ -504,14 +484,14 @@ def integrate_double(kernel, plan: IntegrationPlan, radius: float, dim: int, law
         raise ValueError("dim must be 1, 2 or 3")
 
     if plan.method == "tensor_quadrature":
-        return _integrate_double_quadrature(kernel, plan, radius, dim, law)
+        return _integrate_double_quadrature(kernel, plan, radius, dim)
     if plan.method != "monte_carlo":
         raise ValueError(f"unknown integration method {plan.method!r}")
 
-    return _monte_carlo(kernel, plan, radius, dim, law, proposal)
+    return _monte_carlo(kernel, plan, radius, dim, proposal)
 
 
-def _monte_carlo(kernel, plan, radius, dim, law, proposal) -> list[IntegralEstimate]:
+def _monte_carlo(kernel, plan, radius, dim, proposal) -> list[IntegralEstimate]:
     """The pass: SHIFTS shifts of a proposal lattice of n1 points and a box lattice of n2.
 
     A point's uniform coordinates are the outer point's, then the
@@ -573,9 +553,7 @@ def _monte_carlo(kernel, plan, radius, dim, law, proposal) -> list[IntegralEstim
         # the direction's turn as a copy, so that the proposal's is freed before the kernel runs
         sigma = _directions(u[c:-1], turns[-1].copy() if dim > 1 else None, dim)
         del turns
-        aux = law.prepare(sigma)
-        t = law.sample(u[-1], aux)
-        return _weighted_payoffs(kernel, x, sigma, t, law.mass(aux) * weight)
+        return _weighted_payoffs(kernel, x, sigma, u[-1], weight)
 
     def fold(results) -> tuple[Array, Array]:
         lanes = hits = pad = None
@@ -618,22 +596,19 @@ def _monte_carlo(kernel, plan, radius, dim, law, proposal) -> list[IntegralEstim
             for row, h in zip(sums / n, hits)]
 
 
-def _integrate_double_quadrature(kernel, plan, radius, dim, law):
+def _integrate_double_quadrature(kernel, plan, radius, dim):
     if dim != 1:
         raise ValueError("tensor quadrature for pair integrals is dim=1 only")
     xg, wx = gauss_legendre(plan.x_nodes)
     x, wx = radius * xg, radius * wx
     v, wv = gauss_legendre(plan.t_nodes, unit=True)
+    # the full tensor batch (x_i, v_j): every radial node at every x node
+    xx = np.repeat(x, v.size)[:, np.newaxis]
+    vv = np.tile(v, x.size)
 
     totals = 0.0
     for s in (-1.0, 1.0):
-        aux = law.prepare(np.array([[s]]))
-        t = law.sample(v, aux)
-        # full tensor batch (x_i, t_j) of every point
-        xx = np.repeat(x, t.shape[1])[:, np.newaxis]
-        tt = np.tile(t, x.size)
-        ss = np.full((len(xx), 1), s)
-        vals = _weighted_payoffs(kernel, xx, ss, tt, law.mass(aux))
+        vals = _weighted_payoffs(kernel, xx, np.full((len(xx), 1), s), vv)
         totals = totals + np.array([wx @ row.reshape(x.size, -1) @ wv for row in vals])
     return [IntegralEstimate(float(total), 0.0, info={"method": "tensor_quadrature",
                                                       "x_nodes": plan.x_nodes,

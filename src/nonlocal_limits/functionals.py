@@ -25,6 +25,16 @@ dim + m p.  For p = 2 the x and y sums factor through Gram matrices
 (``calculus.m_form_gram``); other p sum the N_x x N_z tableau of m-form values.
 No target depends on the seed or the worker count.
 
+The Monte Carlo points of a parameter grid run in one pass over the largest
+of their outer boxes (``engine.integrate_double``): every point shares a
+block's outer points, weights, directions and radial coordinate v, and each
+pass builds its radial law, which sets what else they share.  Its kernel
+prepares the law's direction state once per block and draws the radii t from
+v.  A mollified point draws its own radius from ``engine.MollifierRadial`` and
+is bitwise a pass of its own on that box; level-set points are the rungs of
+one ladder of strata of each ray (``engine.PowerLaw``), so a point shares the
+draws of the strata above it and lies within noise of its lone pass.
+
 A Monte Carlo mollified pass with p = 2 in dim <= 2 uses the payoff's t-free
 leading term l(x, sigma) = (c_m |d^m f(x)[sigma]|)^2 gauge(sigma)^-(2m+N) as a
 control variate: the kernel returns payoff - l (exactly 0 below t_c, where the
@@ -39,8 +49,8 @@ error, and 3-D box and polytope gauges would need a kink-split sphere rule,
 so those passes, quadrature plans and level sets keep the plain payoff.
 
 A level-set pass sorts its thresholds delta_1 > .. > delta_K, whatever the
-grid's order, and their exact cutoffs cut each ray into the strata of
-``engine.PowerLaw``; the remainder is evaluated once per stratum, K times per
+grid's order, and their exact cutoffs cut each ray into the strata of its
+``PowerLaw``; the remainder is evaluated once per stratum, K times per
 ray, and point j averages the j strata of its range [lo_j, t_max].  The
 smallest threshold thus averages K radial draws per ray, the largest keeps
 the plain estimator, and ``hit_fraction`` counts the rays on which any of a
@@ -225,8 +235,8 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
     lo_1 >= .. >= lo_K into the strata of ``PowerLaw``, and the remainder is
     evaluated once per stratum.  Point j integrates over [lo_j, t_max], the
     strata 1..j, and no threshold fires below its own cutoff, so its payoff
-    delta_j^p g^-(N+mp) sum_(k<=j) w_k 1{|R_k| > delta_j} / mass_j, times the
-    law's mass_j, is unbiased: a stratified estimate on j draws per ray.
+    delta_j^p g^-(N+mp) sum_(k<=j) w_k 1{|R_k| > delta_j}, w_k the mass of
+    stratum k, is unbiased: a stratified estimate on j draws per ray.
     """
     spec = specs[0]
     f, body, m, p = spec.f, spec.body, spec.m, spec.p
@@ -255,10 +265,11 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
         index += columns
         return index
 
-    def kernel(x, sigma, t):
-        # delta^p (t g)^-(N+mp) t^(N-1) over the law's shape t^-(1+mp), per stratum
-        (rows, n), fx = t.shape, f.eval(x)
-        mass = law.mass(law.prepared(sigma))
+    def kernel(x, sigma, v):
+        # delta^p (t g)^-(N+mp) t^(N-1) over the density t^-(1+mp) / w_k of stratum k
+        fx, lo_s = f.eval(x), law.prepare(sigma)
+        t, mass = law.sample(v, lo_s), law.mass(lo_s)
+        rows, n = t.shape
         paid = getattr(workspace, "paid", None)
         if paid is None or paid.size < (rows + 1) * n:
             paid = workspace.paid = np.empty((rows + 1) * n)
@@ -273,15 +284,12 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
         paid = paid.reshape(-1, n)
         for j in range(1, rows):
             paid[j] += paid[j - 1]
-        # a share of each point's mass: the engine multiplies by that mass
-        out = np.divide(paid[:-1], mass, out=mass)
-        out *= body.gauge(sigma) ** (-power)
+        out = np.multiply(paid[:-1], body.gauge(sigma) ** (-power), out=mass)
         out *= scales
         return out
 
     estimates = [None] * len(specs)
-    for i, est in zip(order, integrate_double(kernel, plan, box_radius, body.dim, law,
-                                              f.proposal)):
+    for i, est in zip(order, integrate_double(kernel, plan, box_radius, body.dim, f.proposal)):
         t_min = _level_set_radial_cutoff(specs[i])
         est.info.update(_level_set_tail_bounds(specs[i], box_radius, t_max, t_min),
                         radial_bounds=(t_min, t_max))
@@ -345,11 +353,13 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
     # the control variate needs a Gram form (p = 2) and a kink-split sphere rule (dim <= 2)
     lead = plan.method == "monte_carlo" and p == 2.0 and body.dim <= 2
     workspace = threading.local()
+    law = MollifierRadial([point.mollifier for point in specs], body.gauge)
 
-    def lead_kernel(x, sigma, t):
+    def lead_kernel(x, sigma, v):
         # payoff - l = (a^2 - b^2) g^-(2m+N), a = R / t^m and b = c_m D its t -> 0 limit;
         # below t_c the payoff is l itself
-        g_lead = body.gauge(sigma) ** (-mp - body.dim)
+        g = law.prepare(sigma)
+        t, g_lead = law.sample(v, g), g ** (-mp - body.dim)
         out, fx = np.empty(t.shape), f.eval(x)
         b = c_m * directional_m_form(f, x, sigma, m)
         for j, tj in enumerate(t):
@@ -358,10 +368,10 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
             out[j] = np.where(tj < t_c, 0.0, (a - b) * (a + b) * g_lead)
         return out
 
-    def kernel(x, sigma, t):
-        # |R|^p (t g)^-mp rho t^(N-1) over the law's shape (t g)^(N-1) rho g, per profile
-        g = body.gauge(sigma)
-        g_dim = g ** (-body.dim)
+    def kernel(x, sigma, v):
+        # |R|^p (t g)^-mp rho t^(N-1) over the law's density (t g)^(N-1) rho g, per profile
+        g = law.prepare(sigma)
+        t, g_dim = law.sample(v, g), g ** (-body.dim)
         out, fx = np.empty(t.shape), f.eval(x)
         for j, tj in enumerate(t):
             vals = np.abs(remainder(f, x, _segment_ends(workspace, x, tj, sigma), m, fx))
@@ -372,13 +382,12 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
                 out[j, small] = (c_m * form) ** p * g[small] ** (-mp - body.dim)
         return out
 
-    law = MollifierRadial([point.mollifier for point in specs], body.gauge)
     estimates = integrate_double(lead_kernel if lead else kernel, plan, box_radius, body.dim,
-                                 law, f.proposal)
+                                 f.proposal)
     for point, est in zip(specs, estimates):
         est.info["small_radius_bias"] = _small_radius_bias(point, box_radius, t_c, c_m)
     if lead:
-        # the law's mass is 1, so every point adds back the same C
+        # the law's density is normalised, so every point adds back the same C
         lead_integral = _lead_integral(f, body, m, c_m, box_radius)
         for est in estimates:
             est.value += lead_integral

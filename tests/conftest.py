@@ -23,6 +23,19 @@ def flat_reach(sigma):
     return np.ones(len(sigma))
 
 
+def drawn(law, kernel):
+    """The kernel of v that ``engine.integrate_double`` calls, from a radial ``law`` and a
+    ``kernel(x, sigma, t)`` whose payoff is over the law's unnormalised shape: it draws
+    t = law.sample(v, law.prepare(sigma)) as the passes do and multiplies by the shape's
+    ``mass``, so the payoff is over the normalised density.  A law without one
+    (``MollifierRadial``) is normalised already."""
+    def kernel_of_v(x, sigma, v):
+        aux = law.prepare(sigma)
+        payoff = kernel(x, sigma, law.sample(v, aux))
+        return payoff * law.mass(aux) if hasattr(law, "mass") else payoff
+    return kernel_of_v
+
+
 def libm_turns(u, proposal):
     """exp(2 pi i u) of the angle coordinates ``proposal.angles`` of uniforms ``u``, by
     np.cos and np.sin: the ``turns`` that ``OuterProposal.transform`` takes."""

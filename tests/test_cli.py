@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nonlocal_limits import calculus, cli
 from nonlocal_limits.config import ConfigError, load_config, parse_config
+from nonlocal_limits.convergence import MAX_SCHEDULE_POINTS
 from nonlocal_limits.engine import SHIFTS, lattice_sizes
 from nonlocal_limits.functionals import P_RANGE
 from nonlocal_limits.functions import make_function
@@ -293,6 +294,18 @@ def test_parse_config_bounds_quadrature_nodes(key):
     cfg["jobs"][0]["plan"][key] = 1025
     with pytest.raises(ConfigError, match=f"plan/{key}': 1025 is greater than the maximum"):
         parse_config(cfg)
+
+
+def test_run_bounds_schedule_points(tmp_path, capsys):
+    # parse only: a pass of MAX_SCHEDULE_POINTS points is never run here
+    cfg = base_config()
+    cfg["jobs"][0]["schedule"] = {"start": 0.2, "points": MAX_SCHEDULE_POINTS}
+    assert parse_config(cfg).jobs[0].schedule.points == 64
+    cfg["jobs"][0]["schedule"]["points"] = 65
+    assert cli.run(write_config(tmp_path, cfg), {}) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: config invalid at 'jobs/0/schedule/points': 65 is greater")
 
 
 INTEGRAL_FLOATS = {
@@ -660,6 +673,7 @@ def _breaks_a_spec_rule(job) -> bool:
 @example({"seed": 7, "jobs": [NUMERIC_FAILURES["huge-start"]]})
 @example({"seed": 7, "jobs": [numeric_failure_job(body={"half_widths": [math.nan, 1.0]})]})
 @example({"seed": 7, "jobs": [numeric_failure_job(schedule={"start": math.inf})]})
+@example({"seed": 7, "jobs": [numeric_failure_job(schedule={"start": 0.2, "points": 65})]})
 @example({"seed": 7, "jobs": [numeric_failure_job(body={"half_widths": [1.0]},
                                                   plan={"method": "tensor_quadrature",
                                                         "x_nodes": 10 ** 12})]})
@@ -679,11 +693,13 @@ def test_fuzzed_config_never_raises(cfg):
 
 
 def _not_a_config(node, key=None) -> bool:
-    """Whether ``node`` holds a nonfinite number or a quadrature node count over 1024."""
+    """Whether ``node`` holds a nonfinite number, a quadrature node count over 1024 or more
+    schedule points than ``MAX_SCHEDULE_POINTS``."""
     if isinstance(node, dict):
         return any(_not_a_config(value, name) for name, value in node.items())
     if isinstance(node, list):
         return any(_not_a_config(value) for value in node)
     if isinstance(node, float):
         return not math.isfinite(node)
-    return key in ("x_nodes", "t_nodes") and node > 1024
+    return (key in ("x_nodes", "t_nodes") and node > 1024
+            or key == "points" and node > MAX_SCHEDULE_POINTS)

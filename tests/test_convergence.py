@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonlocal_limits.bodies import ConvexBody
-from nonlocal_limits.convergence import Schedule, aitken, fit_power_law, sweep
+from nonlocal_limits.convergence import MAX_SCHEDULE_POINTS, Schedule, aitken, fit_power_law, sweep
 from nonlocal_limits.engine import IntegrationPlan
 from nonlocal_limits.functionals import FunctionalSpec
 from nonlocal_limits.functions import make_function
@@ -56,6 +56,10 @@ def test_schedule_validation():
         Schedule(start=0.1, ratio=1.5)
     with pytest.raises(ValueError):
         Schedule(start=0.1, points=3)
+    # a pass runs every point at once: 65 is one more than its memory allows
+    assert len(Schedule(start=0.1, points=MAX_SCHEDULE_POINTS).values()) == 64
+    with pytest.raises(ValueError, match="4 to 64 points; got 65"):
+        Schedule(start=0.1, points=65)
     # values that underflow to 0, or round to equal subnormals, are no schedule
     for start, ratio in ((1e-300, 1e-10), (5e-324, 0.9)):
         with pytest.raises(ValueError, match="strictly decreasing"):

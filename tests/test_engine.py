@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import flat_reach, lattice_run, libm_turns
+from conftest import drawn, flat_reach, lattice_run, libm_turns
 
 from nonlocal_limits import engine
 from nonlocal_limits.bodies import ConvexBody
@@ -28,7 +28,7 @@ def test_constant_kernel_box_measure():
     plan = IntegrationPlan("monte_carlo", samples=20_000, seed=1)
     # uniform radial density, no importance weighting
     law = PowerLaw(0.0, (0.5,), flat_reach, 1.0)
-    est, = integrate_double(ones_kernel, plan, 1.0, 1, law)
+    est, = integrate_double(drawn(law, ones_kernel), plan, 1.0, 1)
     assert est.stderr < 0.02
     assert abs(est.value - 2.0) <= 3 * max(est.stderr, 1e-12)
 
@@ -37,7 +37,7 @@ def test_matched_importance_has_zero_variance():
     # integrand 1/t^2 over the law's shape t^-2: per-sample payoff is constant
     plan = IntegrationPlan("monte_carlo", samples=5_000, seed=2)
     law = PowerLaw(-2.0, (0.25,), flat_reach, 2.0)
-    est, = integrate_double(lambda x, s, t: np.ones_like(t), plan, 1.0, 1, law)
+    est, = integrate_double(drawn(law, lambda x, s, t: np.ones_like(t)), plan, 1.0, 1)
     expected = 2.0 * 2.0 * (1.0 / 0.25 - 1.0 / 2.0)  # box x sphere x int t^-2
     assert est.value == pytest.approx(expected, rel=1e-12)
     assert est.stderr <= 1e-12 * expected
@@ -46,7 +46,7 @@ def test_matched_importance_has_zero_variance():
 def test_empty_plan_rejected():
     plan = IntegrationPlan("monte_carlo", samples=0, seed=0)
     with pytest.raises(ValueError, match="empty plan"):
-        integrate_double(ones_kernel, plan, 1.0, 1, PowerLaw(0.0, (0.5,), flat_reach, 1.0))
+        integrate_double(drawn(PowerLaw(0.0, (0.5,), flat_reach, 1.0), ones_kernel), plan, 1.0, 1)
 
 
 def test_power_law_rejects_exponent_minus_one():
@@ -62,15 +62,15 @@ def test_nonfinite_kernel_reports_coordinates():
         return np.full_like(t, np.nan)
 
     with pytest.raises(EngineError, match="nonfinite kernel value at x="):
-        integrate_double(bad, plan, 1.0, 1, PowerLaw(0.0, (0.5,), flat_reach, 1.0))
+        integrate_double(drawn(PowerLaw(0.0, (0.5,), flat_reach, 1.0), bad), plan, 1.0, 1)
 
 
 def test_determinism_bitwise():
     plan = IntegrationPlan("monte_carlo", samples=30_000, seed=9, workers=3)
     law = PowerLaw(-1.5, (0.1,), flat_reach, 2.0)
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) / t
-    a, = integrate_double(kernel, plan, 1.0, 1, law)
-    b, = integrate_double(kernel, plan, 1.0, 1, law)
+    a, = integrate_double(drawn(law, kernel), plan, 1.0, 1)
+    b, = integrate_double(drawn(law, kernel), plan, 1.0, 1)
     assert a.value == b.value and a.stderr == b.stderr
 
 
@@ -80,7 +80,7 @@ def test_seed_independence():
     est = []
     for seed in (101, 202):
         plan = IntegrationPlan("monte_carlo", samples=40_000, seed=seed)
-        est += integrate_double(kernel, plan, 1.0, 1, law)
+        est += integrate_double(drawn(law, kernel), plan, 1.0, 1)
     z = abs(est[0].value - est[1].value) / math.hypot(est[0].stderr, est[1].stderr)
     assert z <= 4.0
 
@@ -89,7 +89,7 @@ def test_worker_split_covers_all_samples():
     law = PowerLaw(0.0, (0.5,), flat_reach, 1.0)
     for workers in (1, 2, 5):
         plan = IntegrationPlan("monte_carlo", samples=10_001, seed=3, workers=workers)
-        est, = integrate_double(ones_kernel, plan, 1.0, 1, law)
+        est, = integrate_double(drawn(law, ones_kernel), plan, 1.0, 1)
         # the report records the worker count once, at its top level
         assert "workers" not in est.info
         assert abs(est.value - 2.0) <= 4 * max(est.stderr, 1e-12)
@@ -99,9 +99,9 @@ def test_quadrature_matches_monte_carlo_on_smooth_kernel():
     law = PowerLaw(-1.5, (0.2,), flat_reach, 1.5)
     kernel = lambda x, s, t: np.exp(-x[..., 0] ** 2) * t
     qplan = IntegrationPlan("tensor_quadrature", x_nodes=80, t_nodes=48)
-    quad, = integrate_double(kernel, qplan, 3.0, 1, law)
+    quad, = integrate_double(drawn(law, kernel), qplan, 3.0, 1)
     mplan = IntegrationPlan("monte_carlo", samples=300_000, seed=5)
-    mc, = integrate_double(kernel, mplan, 3.0, 1, law)
+    mc, = integrate_double(drawn(law, kernel), mplan, 3.0, 1)
     assert quad.stderr == 0.0
     gap = abs(quad.value - mc.value)
     assert gap <= max(3 * mc.stderr, 1e-3 * abs(quad.value))
@@ -116,10 +116,33 @@ def test_quadrature_integrates_every_point_of_a_law():
     share = np.diff(mass, axis=0, prepend=0.0) / mass
     kernel = lambda x, s, t: np.exp(-x * x).T * t * share
     plan = IntegrationPlan("tensor_quadrature", x_nodes=40, t_nodes=24)
-    strata = [e.value for e in integrate_double(kernel, plan, 3.0, 1, law)]
-    alone = [integrate_double(lambda x, s, t: np.exp(-x * x).T * t, plan, 3.0, 1,
-                              PowerLaw(-1.5, (c,), flat_reach, 1.5))[0].value for c in cutoffs]
+    strata = [e.value for e in integrate_double(drawn(law, kernel), plan, 3.0, 1)]
+    alone = [integrate_double(drawn(PowerLaw(-1.5, (c,), flat_reach, 1.5),
+                                    lambda x, s, t: np.exp(-x * x).T * t), plan, 3.0, 1)[0].value
+             for c in cutoffs]
     assert np.cumsum(strata) == pytest.approx(alone, rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("plan", [IntegrationPlan("monte_carlo", samples=3200, seed=6),
+                                  IntegrationPlan("tensor_quadrature", x_nodes=8, t_nodes=6)],
+                         ids=["monte_carlo", "quadrature"])
+def test_kernel_takes_v_in_the_unit_interval_and_returns_any_rows(plan, rows):
+    # both paths hand the kernel one v in [0, 1) per outer point, and each of the kernel's
+    # rows is a point: row k integrates 1 + k v over box x sphere x [0, 1), 4 (1 + k / 2)
+    calls = []
+
+    def kernel(x, sigma, v):
+        calls.append((len(x), sigma.shape, v.shape, v.min(), v.max()))
+        return 1.0 + np.arange(rows)[:, np.newaxis] * v
+
+    estimates = integrate_double(kernel, plan, 1.0, 1)
+    assert len(calls) == (SHIFTS if plan.method == "monte_carlo" else 2)
+    for n, sigma_shape, v_shape, low, high in calls:
+        assert sigma_shape == (n, 1) and v_shape == (n,) and 0.0 <= low and high < 1.0
+    rel = 1e-12 if plan.method == "tensor_quadrature" else 1e-2
+    assert [e.value for e in estimates] == pytest.approx([4.0 * (1.0 + k / 2.0)
+                                                          for k in range(rows)], rel=rel)
 
 
 def test_importance_sampling_unbiased_over_repetitions():
@@ -132,7 +155,7 @@ def test_importance_sampling_unbiased_over_repetitions():
     values = []
     for rep in range(50):
         plan = IntegrationPlan("monte_carlo", samples=2_000, seed=1000 + rep)
-        values.append(integrate_double(kernel, plan, 1.0, 1, law)[0].value)
+        values.append(integrate_double(drawn(law, kernel), plan, 1.0, 1)[0].value)
     values = np.asarray(values)
     z = abs(values.mean() - truth) / (values.std(ddof=1) / math.sqrt(len(values)))
     assert z <= 2.576
@@ -144,7 +167,7 @@ def test_mollifier_radial_law_normalizes():
     body = ConvexBody.box([1.0])
     law = MollifierRadial([moll], body.gauge)
     plan = IntegrationPlan("monte_carlo", samples=20_000, seed=4)
-    est, = integrate_double(ones_kernel, plan, 1.0, 1, law)
+    est, = integrate_double(drawn(law, ones_kernel), plan, 1.0, 1)
     assert est.value == pytest.approx(4.0, rel=1e-12)  # box 2 x sphere 2 x mass 1
 
 
@@ -313,12 +336,14 @@ def mixture_kernel(x, sigma, t):
     return np.broadcast_to(1.0 + x[:, 0] ** 2, t.shape)
 
 
+MIXTURE_KERNEL = drawn(MIXTURE_LAW, mixture_kernel)
+
+
 def _repeated_z(samples, workers, reps, seed0):
     values = []
     for rep in range(reps):
         plan = IntegrationPlan("monte_carlo", samples=samples, seed=seed0 + rep, workers=workers)
-        values.append(integrate_double(mixture_kernel, plan, 2.0, 2, MIXTURE_LAW,
-                                       GAUSS2_PROPOSAL)[0].value)
+        values.append(integrate_double(MIXTURE_KERNEL, plan, 2.0, 2, GAUSS2_PROPOSAL)[0].value)
     values = np.asarray(values)
     return abs(values.mean() - MIXTURE_TRUTH) / (values.std(ddof=1) / math.sqrt(reps))
 
@@ -365,14 +390,14 @@ def test_mixture_weights_bounded_and_exact(n):
 
 
 def _record_blocks(monkeypatch):
-    """Each block's (x, sigma, t, factor) as the engine weighs its payoffs, in block order;
-    the factor is the first point's row."""
+    """Each block's (x, sigma, v, weight) as the engine weighs its payoffs, in block order;
+    one weight per outer point."""
     blocks = []
     weighted = engine._weighted_payoffs
 
-    def recording(kernel, x, sigma, t, factor):
-        blocks.append((x, sigma, t, np.broadcast_to(factor, t.shape)[0]))
-        return weighted(kernel, x, sigma, t, factor)
+    def recording(kernel, x, sigma, v, weight):
+        blocks.append((x, sigma, v, np.broadcast_to(weight, v.shape)))
+        return weighted(kernel, x, sigma, v, weight)
 
     monkeypatch.setattr(engine, "_weighted_payoffs", recording)
     return blocks
@@ -389,29 +414,29 @@ def test_single_row_chunk_is_a_box_row(monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", 1)
     blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan("monte_carlo", samples=2000, seed=1)
-    integrate_double(ones_kernel, plan, 8.5, 2, PowerLaw(0.0, (0.5,), flat_reach, 1.0),
+    integrate_double(drawn(PowerLaw(0.0, (0.5,), flat_reach, 1.0), ones_kernel), plan, 8.5, 2,
                      GAUSS2_PROPOSAL)
     n1, n2 = lattice_sizes(plan.samples, True)
     share = n1 / (n1 + n2)
     assert len(blocks) == SHIFTS * (n1 + n2)
     for r in range(SHIFTS):
-        x, _, _, factor = blocks[SHIFTS * n1 + (r + 1) * n2 - 1]
+        x, _, _, weight = blocks[SHIFTS * n1 + (r + 1) * n2 - 1]
         assert x.shape == (1, 2) and np.all(np.abs(x) <= 8.5)
         q = share * GAUSS2_PROPOSAL.pdf(x) + (1.0 - share) / 17.0 ** 2
-        # the radial law's mass is 0.5
-        np.testing.assert_allclose(factor, 0.5 * 2.0 * math.pi / q, rtol=1e-15)
+        # the outer weight alone: the radial law's mass 0.5 is in the payoff
+        np.testing.assert_allclose(weight, 2.0 * math.pi / q, rtol=1e-15)
 
 
 def test_out_of_box_proposal_draw_gets_zero_weight(monkeypatch):
     blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan("monte_carlo", samples=SHIFTS * 4000, seed=4)
-    integrate_double(ones_kernel, plan, 0.5, 2, PowerLaw(0.0, (0.5,), flat_reach, 1.0),
+    integrate_double(drawn(PowerLaw(0.0, (0.5,), flat_reach, 1.0), ones_kernel), plan, 0.5, 2,
                      GAUSS2_PROPOSAL)
     n1, n2 = lattice_sizes(plan.samples, True)
     # one block per run: the proposal lattice's SHIFTS runs come first, then the box lattice's
     assert [len(x) for x, _, _, _ in blocks] == [n1] * SHIFTS + [n2] * SHIFTS
     x = np.concatenate([x for x, _, _, _ in blocks])
-    w = np.concatenate([factor for _, _, _, factor in blocks])
+    w = np.concatenate([weight for _, _, _, weight in blocks])
     outside = np.any(np.abs(x) > 0.5, axis=1)
     assert outside[:SHIFTS * n1].sum() > 16 * 1000 and not outside[SHIFTS * n1:].any()
     assert np.all(w[outside] == 0.0) and np.all(w[~outside] > 0.0)
@@ -422,12 +447,12 @@ def test_no_proposal_keeps_the_uniform_box(monkeypatch):
     np.testing.assert_array_equal(outer_points(u, 3.0, None), (-3.0 + 6.0 * u).T)
     blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan("monte_carlo", samples=3200, seed=5)
-    integrate_double(ones_kernel, plan, 3.0, 2, PowerLaw(0.0, (0.5,), flat_reach, 1.0))
+    integrate_double(drawn(PowerLaw(0.0, (0.5,), flat_reach, 1.0), ones_kernel), plan, 3.0, 2)
     assert lattice_sizes(plan.samples, False) == (0, 199)
     assert [len(x) for x, _, _, _ in blocks] == [199] * SHIFTS
-    for x, _, _, factor in blocks:
+    for x, _, _, weight in blocks:
         assert np.all(np.abs(x) <= 3.0)
-        assert np.all(factor == 0.5 * (2.0 * math.pi * 36.0))
+        assert np.all(weight == 2.0 * math.pi * 36.0)
 
 
 class _RecordingExecutor:
@@ -451,16 +476,16 @@ class _RecordingExecutor:
 def test_threads_capped_at_cpu_count(monkeypatch):
     # three or more blocks, so the cap is the CPU count and not the block count
     plan = IntegrationPlan("monte_carlo", samples=3 * engine._CHUNK + 1, seed=9, workers=6)
-    reference, = integrate_double(mixture_kernel, plan, 2.0, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+    reference, = integrate_double(MIXTURE_KERNEL, plan, 2.0, 2, GAUSS2_PROPOSAL)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
     _RecordingExecutor.requested = []
-    capped, = integrate_double(mixture_kernel, plan, 2.0, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+    capped, = integrate_double(MIXTURE_KERNEL, plan, 2.0, 2, GAUSS2_PROPOSAL)
     assert _RecordingExecutor.requested == [2]
     assert (capped.value, capped.stderr) == (reference.value, reference.stderr)
     # one thread runs the blocks in the calling thread, without a pool
     monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
-    integrate_double(mixture_kernel, plan, 2.0, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+    integrate_double(MIXTURE_KERNEL, plan, 2.0, 2, GAUSS2_PROPOSAL)
     assert _RecordingExecutor.requested == [2]
 
 
@@ -484,15 +509,15 @@ def _assert_same_at_workers(run, monkeypatch):
 
 
 def test_integrate_double_bitwise_across_workers(monkeypatch):
-    _assert_same_at_workers(lambda plan: integrate_double(mixture_kernel, plan, 2.0, 2,
-                                                          MIXTURE_LAW, GAUSS2_PROPOSAL)[0],
+    _assert_same_at_workers(lambda plan: integrate_double(MIXTURE_KERNEL, plan, 2.0, 2,
+                                                          GAUSS2_PROPOSAL)[0],
                             monkeypatch)
 
 
 def _record_kernel_calls(calls):
-    def kernel(x, sigma, t):
-        calls.append((x, sigma, t))
-        return mixture_kernel(x, sigma, t)
+    def kernel(x, sigma, v):
+        calls.append((x, sigma, v))
+        return MIXTURE_KERNEL(x, sigma, v)
     return kernel
 
 
@@ -503,8 +528,7 @@ def test_kernel_calls_are_the_blocks_of_each_run(chunk, monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     calls = []
     plan = IntegrationPlan("monte_carlo", samples=BLOCKED_SAMPLES, seed=31)
-    est, = integrate_double(_record_kernel_calls(calls), plan, 2.0, 2, MIXTURE_LAW,
-                            GAUSS2_PROPOSAL)
+    est, = integrate_double(_record_kernel_calls(calls), plan, 2.0, 2, GAUSS2_PROPOSAL)
     sizes = lattice_sizes(plan.samples, True)
     assert [len(x) for x, _, _ in calls] == _run_lengths(sizes)
     assert sum(len(x) for x, _, _ in calls) == est.info["samples"] == SHIFTS * sum(sizes)
@@ -516,24 +540,24 @@ def test_kernel_calls_are_the_blocks_of_each_run(chunk, monkeypatch):
 def test_block_streams_and_offsets():
     # the first point of a run is its shift itself: shift r is drawn from
     # SeedSequence((seed, 1, r)), proposal lattice first, and every run starts a block;
-    # its angles are bitwise np.cos and np.sin of 2 pi times the shift
+    # its angles are bitwise np.cos and np.sin of 2 pi times the shift, and its v is the
+    # shift's last coordinate
     calls = []
     plan = IntegrationPlan("monte_carlo", samples=BLOCKED_SAMPLES, seed=31)
-    integrate_double(_record_kernel_calls(calls), plan, 2.0, 2, MIXTURE_LAW, GAUSS2_PROPOSAL)
+    integrate_double(_record_kernel_calls(calls), plan, 2.0, 2, GAUSS2_PROPOSAL)
     assert len(calls) == 2 * SHIFTS
     for r in (0, 7, SHIFTS - 1):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((31, 1, r))))
         # a Box-Muller pair, the angle and v; the box lattice has 4 coordinates too
         first, second = rng.random(4), rng.random(4)
         for lattice, shift, proposal in ((0, first, GAUSS2_PROPOSAL), (1, second, None)):
-            x, sigma, t = calls[lattice * SHIFTS + r]
+            x, sigma, v = calls[lattice * SHIFTS + r]
             u = shift[:, np.newaxis]
             np.testing.assert_array_equal(
                 x[:1], outer_points(u[:2], 2.0, proposal, libm_turns(u[:2], GAUSS2_PROPOSAL)))
             angle = 2.0 * math.pi * u[2]
             np.testing.assert_array_equal(sigma[:1], np.stack([np.cos(angle), np.sin(angle)], 1))
-            t0 = MIXTURE_LAW.sample(u[3], MIXTURE_LAW.prepare(sigma[:1]))
-            np.testing.assert_array_equal(t[:, :1], t0)
+            np.testing.assert_array_equal(v[:1], u[3])
 
 
 def test_power_law_bitwise_against_unprepared_formulas():
@@ -570,19 +594,6 @@ def test_power_law_bitwise_against_unprepared_formulas():
         np.testing.assert_array_equal(one.sample(v, a_s),
                                       (a_s + v * (2.0 ** s1 - a_s)) ** (1.0 / s1))
         np.testing.assert_array_equal(one.mass(a_s), (2.0 ** s1 - a_s) / s1)
-
-
-def test_power_law_prepared_is_the_last_prepare_of_the_thread():
-    law = PowerLaw(-2.0, (0.5, 0.25), lambda s: 1.0 + np.abs(s[:, 0]), 4.0)
-    sigma = np.random.default_rng(3).normal(size=(50, 2))
-    lo_s = law.prepare(sigma)
-    assert law.prepared(sigma) is lo_s
-    # taken once; another batch, or the same one again, is prepared afresh
-    again = law.prepared(sigma)
-    assert again is not lo_s and np.array_equal(again, lo_s)
-    law.prepare(sigma)
-    other = sigma[::-1].copy()
-    assert np.array_equal(law.prepared(other), lo_s[:, ::-1])
 
 
 def test_power_law_rejects_increasing_cutoffs():
@@ -623,18 +634,17 @@ def test_rotated_lattice_angles_match_libm(seed):
 def test_fold_is_lanes_of_left_to_right_sums():
     # point i of a shift's run goes to lane i mod 64, each lane a left-to-right sum,
     # and the 64 lanes are added pairwise: an explicit loop over the kernel's payoffs
-    law = PowerLaw(0.0, (0.5,), flat_reach, 1.0)
     rng = np.random.default_rng(5)
     calls = []
 
-    def kernel(x, sigma, t):
-        calls.append(np.exp(rng.normal(size=t.shape) * 4.0))
+    def kernel(x, sigma, v):
+        calls.append(np.exp(rng.normal(size=(1, len(v))) * 4.0))
         return calls[-1]
 
     plan = IntegrationPlan("monte_carlo", samples=SHIFTS * 300, seed=4)
     n = lattice_sizes(plan.samples, False)[1]
-    factor = law.mass(law.prepare(np.ones((1, 1)))) * np.array([2.0 * 2.0])
-    est, = integrate_double(kernel, plan, 1.0, 1, law)
+    factor = np.array([2.0 * 2.0])  # the outer weight: box volume times sphere measure
+    est, = integrate_double(kernel, plan, 1.0, 1)
     assert len(calls) == SHIFTS and all(c.shape == (1, n) for c in calls)
     sums = []
     for values in calls:
@@ -652,17 +662,16 @@ def test_fold_is_lanes_of_left_to_right_sums():
 def test_hit_fraction_counts_nonzero_payoffs_per_row():
     # three points: every payoff nonzero, every fourth evaluated pair nonzero, none;
     # the box holds every proposal point, so no weight is 0
-    law = PowerLaw(-2.0, (0.5, 0.5, 0.5), flat_reach, 4.0)
     evaluated = []
 
-    def kernel(x, sigma, t):
+    def kernel(x, sigma, v):
         columns = np.arange(len(evaluated), len(evaluated) + len(x))
         evaluated.extend(columns)
         return np.stack([np.ones(len(x)), (columns % 4 == 0) * 2.0, np.zeros(len(x))])
 
     plan = IntegrationPlan("monte_carlo", samples=BLOCKED_SAMPLES, seed=1)
     n = sum(lattice_sizes(plan.samples, True))
-    full, quarter, none = integrate_double(kernel, plan, 8.5, 2, law, GAUSS2_PROPOSAL)
+    full, quarter, none = integrate_double(kernel, plan, 8.5, 2, GAUSS2_PROPOSAL)
     assert full.info["hit_fraction"] == 1.0 and none.info["hit_fraction"] == 0.0
     assert full.info["samples"] == len(evaluated) == SHIFTS * n
     assert quarter.info["hit_fraction"] == len(range(0, SHIFTS * n, 4)) / (SHIFTS * n)
@@ -770,8 +779,8 @@ def test_lattice_sizes_are_primes_within_the_plan():
         with pytest.raises(ValueError, match="samples"):
             lattice_sizes(samples, mixture)
     with pytest.raises(ValueError, match="lattice without points"):
-        integrate_double(ones_kernel, IntegrationPlan("monte_carlo", samples=31), 2.0, 2,
-                         MIXTURE_LAW, GAUSS2_PROPOSAL)
+        integrate_double(MIXTURE_KERNEL, IntegrationPlan("monte_carlo", samples=31), 2.0, 2,
+                         GAUSS2_PROPOSAL)
 
 
 def _three_point_pass(dim, plan):
@@ -779,7 +788,7 @@ def _three_point_pass(dim, plan):
     kernel = lambda x, s, t: np.exp(-(x * x).sum(axis=1)) * np.cos(t) * (1.5 + s[:, 0])
     proposal = make_function("gaussian", dim).proposal
     return [(e.value, e.stderr, e.info["hit_fraction"])
-            for e in integrate_double(kernel, plan, 2.0, dim, law, proposal)]
+            for e in integrate_double(drawn(law, kernel), plan, 2.0, dim, proposal)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -798,11 +807,11 @@ def test_pass_bitwise_at_any_worker_count_and_block_size(dim, monkeypatch):
 def test_constant_and_matched_kernels_stay_exact(dim):
     plan = IntegrationPlan("monte_carlo", samples=5000, seed=dim)
     box = 2.0 ** dim * engine.sphere_measure(dim)
-    est, = integrate_double(ones_kernel, plan, 1.0, dim,
-                            PowerLaw(0.0, (0.5,), flat_reach, 1.0))
+    est, = integrate_double(drawn(PowerLaw(0.0, (0.5,), flat_reach, 1.0), ones_kernel), plan,
+                            1.0, dim)
     assert est.value == pytest.approx(0.5 * box, rel=1e-12) and est.stderr <= 1e-12 * box
-    est, = integrate_double(ones_kernel, plan, 1.0, dim,
-                            PowerLaw(-2.0, (0.25,), flat_reach, 2.0))
+    est, = integrate_double(drawn(PowerLaw(-2.0, (0.25,), flat_reach, 2.0), ones_kernel), plan,
+                            1.0, dim)
     assert est.value == pytest.approx(3.5 * box, rel=1e-12) and est.stderr <= 1e-12 * box
 
 

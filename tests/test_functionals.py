@@ -9,8 +9,8 @@ from conftest import libm_turns
 from nonlocal_limits import functionals
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import centered_remainder, directional_m_form, m_form_tableau
-from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, cone_nodes, gauss_legendre,
-                                    outer_points, outer_weights)
+from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, MollifierRadial,
+                                    cone_nodes, gauss_legendre, outer_points, outer_weights)
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, evaluate, local_limit,
                                          theorem_constant)
 from nonlocal_limits.functions import list_functions, make_function, polynomial_function
@@ -27,6 +27,24 @@ BODY_SUITE = [ConvexBody.box([1.0]), ConvexBody.ball(1.0, 2),
 
 def mc_plan(samples=200_000, seed=7, **kw):
     return IntegrationPlan("monte_carlo", samples=samples, seed=seed, **kw)
+
+
+def capture_pass(monkeypatch, points=1):
+    """The kernel and the radial law of the next pass, filled in when it runs; the pass
+    then integrates nothing and returns ``points`` zero estimates."""
+    captured = {}
+
+    def capture(kernel, plan, radius, dim, proposal):
+        captured["kernel"] = kernel
+        return [IntegralEstimate(0.0, 0.0) for _ in range(points)]
+
+    for name in ("PowerLaw", "MollifierRadial"):
+        def built(*args, law=getattr(functionals, name)):
+            captured["law"] = law(*args)
+            return captured["law"]
+        monkeypatch.setattr(functionals, name, built)
+    monkeypatch.setattr(functionals, "integrate_double", capture)
+    return captured
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +417,11 @@ def test_polytope_and_lp_bodies_evaluate():
 
 @pytest.mark.parametrize("theorem", ["nguyen_centered", "bbm_centered"])
 def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
-    # reference: payoff x law.mass = pair integrand x t^(N-1) / law.pdf
+    # reference: payoff = pair integrand x t^(N-1) / law.pdf, t drawn from the kernel's v
     body, m, p, par = ConvexBody.ellipsoid([2.0, 1.0]), 2, 2.5, 0.05
     spec = FunctionalSpec(theorem, GAUSS2, body, m, p, par,
                           "shell" if theorem.startswith("bbm") else None)
-    captured = {}
-
-    def capture(kernel, plan, radius, dim, law, proposal):
-        captured.update(kernel=kernel, law=law)
-        return [IntegralEstimate(0.0, 0.0)]
-
-    monkeypatch.setattr(functionals, "integrate_double", capture)
+    captured = capture_pass(monkeypatch)
     evaluate(spec, mc_plan(samples=1))
     kernel, law = captured["kernel"], captured["law"]
 
@@ -418,9 +430,9 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     x = rng.uniform(-3.0, 3.0, size=(n, 2))
     sigma = rng.normal(size=(n, 2))
     sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
-    aux = law.prepare(sigma)
-    t = law.sample(rng.random(n), aux)[0]  # one point: row 0
-    payoff = (kernel(x, sigma, t[np.newaxis]) * law.mass(aux))[0]
+    v, aux = rng.random(n), law.prepare(sigma)
+    t = law.sample(v, aux)[0]  # one point: row 0
+    payoff = kernel(x, sigma, v)[0]
 
     remainder = centered_remainder(GAUSS2, x, x + t[:, np.newaxis] * sigma, m)
     gauge = body.gauge(t[:, np.newaxis] * sigma)
@@ -440,23 +452,25 @@ def test_leading_term_payoff_matches_exact_remainder(theorem, m, monkeypatch):
     # agree with the exact payoff, R in 50 digits, within the per-row share of
     # small_radius_bias, which grows at most like (t/t_c)^p above t_c
     p, eps, box = 2.0, 0.05, 7.0
-    captured = {}
-
-    def capture(kernel, plan, radius, dim, law, proposal):
-        captured["kernel"] = kernel
-        return [IntegralEstimate(0.0, 0.0)]
-
-    monkeypatch.setattr(functionals, "integrate_double", capture)
-    spec = FunctionalSpec(theorem, GAUSS1, INTERVAL, m, p, eps, "shell")
-    est, = functionals._mollified_pass([spec], IntegrationPlan("tensor_quadrature"), box)
     c_m = float(m) ** -m if theorem == "bbm_centered" else 1.0 / math.factorial(m)
     t_c = (np.finfo(float).eps / c_m) ** (1.0 / (m + 1))
+
+    class Pinned(MollifierRadial):
+        """Every radius at 0.25 t_c, which no shell profile draws."""
+
+        def sample(self, v, gauge_sigma):
+            return np.full((len(self.families), len(v)), 0.25 * t_c)
+
+    monkeypatch.setattr(functionals, "MollifierRadial", Pinned)
+    captured = capture_pass(monkeypatch)
+    spec = FunctionalSpec(theorem, GAUSS1, INTERVAL, m, p, eps, "shell")
+    est, = functionals._mollified_pass([spec], IntegrationPlan("tensor_quadrature"), box)
     per_row = est.info["small_radius_bias"] / (2.0 * box * 2.0 * spec.mollifier.mass_below(t_c))
 
     x = np.linspace(-2.5, 2.5, 41)
     xs = np.concatenate([x, x])[:, np.newaxis]
     sigma = np.repeat([[1.0], [-1.0]], x.size, axis=0)
-    lead = captured["kernel"](xs, sigma, np.full((1, 2 * x.size), 0.25 * t_c))[0]
+    lead = captured["kernel"](xs, sigma, np.zeros(2 * x.size))[0]
 
     def f(u):
         return mpmath.exp(-u * u)
@@ -544,16 +558,10 @@ def test_level_set_stderr_matches_the_seed_to_seed_spread():
 
 @pytest.mark.parametrize("theorem, m", [("nguyen_centered", 1), ("nguyen_taylor", 2)])
 def test_level_set_kernel_is_the_sum_over_strata(theorem, m, monkeypatch):
-    # reference: point j's payoff times its mass is delta_j^p g^-(N+mp) times the sum over
-    # strata k <= j of w_k 1{|R_k| > delta_j}, w_k = mass_k - mass_(k-1)
+    # reference: point j's payoff is delta_j^p g^-(N+mp) times the sum over strata k <= j
+    # of w_k 1{|R_k| > delta_j}, w_k = mass_k - mass_(k-1)
     body, grid = ConvexBody.ellipsoid([2.0, 1.0]), (0.2, 0.1, 0.05, 0.025, 0.0125)
-    captured = {}
-
-    def capture(kernel, plan, radius, dim, law, proposal):
-        captured.update(kernel=kernel, law=law)
-        return [IntegralEstimate(0.0, 0.0) for _ in grid]
-
-    monkeypatch.setattr(functionals, "integrate_double", capture)
+    captured = capture_pass(monkeypatch, len(grid))
     specs = [FunctionalSpec(theorem, GAUSS2, body, m, 2.0, delta, None, grid) for delta in grid]
     functionals._level_set_pass(specs, mc_plan(samples=1), 3.0)
     kernel, law = captured["kernel"], captured["law"]
@@ -563,9 +571,9 @@ def test_level_set_kernel_is_the_sum_over_strata(theorem, m, monkeypatch):
     x = rng.normal(size=(n, 2))
     sigma = rng.normal(size=(n, 2))
     sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
-    lo_s = law.prepare(sigma)
-    t = law.sample(rng.random(n), lo_s)
-    payoff = kernel(x, sigma, t) * law.mass(lo_s)
+    v, lo_s = rng.random(n), law.prepare(sigma)
+    t = law.sample(v, lo_s)
+    payoff = kernel(x, sigma, v)
 
     remainder = functionals._remainder(theorem)
     size = np.abs([remainder(GAUSS2, x, x + tk[:, np.newaxis] * sigma, m) for tk in t])

@@ -8,12 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import flat_reach
+from conftest import drawn, flat_reach
 
 from nonlocal_limits import engine, functionals, functions
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.convergence import Schedule, sweep
-from nonlocal_limits.engine import EngineError, IntegrationPlan, PowerLaw, integrate_double
+from nonlocal_limits.engine import SHIFTS, EngineError, IntegrationPlan, PowerLaw, integrate_double
 from nonlocal_limits.functionals import FunctionalSpec, SpecError, evaluate
 from nonlocal_limits.functions import make_function
 
@@ -86,7 +86,7 @@ def _level_set_grid(case, plan):
 
 @pytest.mark.parametrize("case", LEVEL_SET_CASES)
 def test_level_set_grid_pass_is_bitwise_at_any_worker_count_and_block_size(case, monkeypatch):
-    # each thread keeps its own histogram and prepared bounds: more threads than cores,
+    # each thread keeps its own histogram: more threads than cores,
     # switched every microsecond, must not mix them up
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
     plan = IntegrationPlan("monte_carlo", samples=3500, seed=17)
@@ -161,8 +161,8 @@ def test_lone_level_set_point_is_the_plain_estimator(case):
 
     plan = IntegrationPlan("monte_carlo", samples=20_000, seed=29)
     lone = evaluate(spec, plan)
-    plain, = integrate_double(kernel, plan, functionals._box_radius(spec), body.dim,
-                              _PlainLaw(spec), f.proposal)
+    plain, = integrate_double(drawn(_PlainLaw(spec), kernel), plan, functionals._box_radius(spec),
+                              body.dim, f.proposal)
     assert lone.value == pytest.approx(plain.value, rel=1e-12)
     assert lone.stderr == pytest.approx(plain.stderr, rel=1e-9)
     assert lone.info["hit_fraction"] == plain.info["hit_fraction"] > 0.0
@@ -188,15 +188,14 @@ def test_capped_cutoffs_give_zero_width_strata(monkeypatch):
     # thresholds far above the remainder range have cutoffs beyond t_max / 2, where the law
     # caps them: the second stratum has zero width, at t_max / 2, and neither point fires
     draws = []
-    real = functionals.integrate_double
+    sample = PowerLaw.sample
 
-    def recording(kernel, plan, radius, dim, law, proposal):
-        def recorded(x, sigma, t):
-            draws.append(np.array(t))
-            return kernel(x, sigma, t)
-        return real(recorded, plan, radius, dim, law, proposal)
+    def recording(law, v, lo_s):
+        t = sample(law, v, lo_s)
+        draws.append(t.copy())
+        return t
 
-    monkeypatch.setattr(functionals, "integrate_double", recording)
+    monkeypatch.setattr(PowerLaw, "sample", recording)
     grid = (60.0, 40.0, 0.1, 0.05)
     specs = [FunctionalSpec("nguyen_centered", GAUSS1, INTERVAL, 1, 2.0, delta, None, grid)
              for delta in grid]
@@ -258,18 +257,18 @@ THREE_POINT_LAW = PowerLaw(-2.0, (0.5, 0.5, 0.5), flat_reach, 4.0)
 def test_nonfinite_payoff_names_its_point_and_first_bad_row():
     seen = {}
 
-    def kernel(x, sigma, t):
-        seen.update(x=x.copy(), t=np.array(t))
-        out = np.ones(t.shape)
+    def kernel(x, sigma, v):
+        seen.update(x=x.copy(), v=np.array(v))
+        out = np.ones((3, len(v)))
         out[1, 1:] = np.nan  # the first block: the 3 proposal points of shift 0
         return out
 
     plan = IntegrationPlan("monte_carlo", samples=100, seed=3)
     with pytest.raises(EngineError) as err:
-        integrate_double(kernel, plan, 2.0, 2, THREE_POINT_LAW, GAUSS2.proposal)
+        integrate_double(kernel, plan, 2.0, 2, GAUSS2.proposal)
     message = str(err.value)
     assert f"x={seen['x'][1].tolist()}" in message
-    assert f"t={float(seen['t'][1, 1])!r}" in message and message.endswith("(point 1)")
+    assert f"v={float(seen['v'][1])!r}" in message and message.endswith("(point 1)")
 
 
 def test_sweep_runs_one_pass(monkeypatch):
@@ -333,8 +332,11 @@ def test_small_radius_bias_uses_the_pass_box():
     ids=["monte_carlo", "quadrature"])
 def test_kernel_of_the_wrong_shape_raises(plan, law):
     # without the point axis, the n payoffs of a block would pass for n points
-    with pytest.raises(EngineError, match=r"shape \(\d+,\), expected t's shape \((1|3), \d+\)"):
-        integrate_double(lambda x, sigma, t: np.ones(len(x)), plan, 2.0, 1, law)
+    def kernel(x, sigma, v):
+        return law.sample(v, law.prepare(sigma))[0]
+
+    with pytest.raises(EngineError, match=r"shape \(\d+,\), expected \(K, \d+\)"):
+        integrate_double(kernel, plan, 2.0, 1)
 
 
 @pytest.mark.parametrize("case", ["level-set-2d", "shell-2d"])
@@ -354,3 +356,34 @@ def test_pass_evaluates_f_at_x_once_per_block(case, monkeypatch):
     estimates = [evaluate(spec, plan) for spec in grid_specs(case)]
     sampled = [est for est in estimates if "exact_zero" not in est.info]
     assert sum(sizes) == sampled[0].info["samples"] * (1 + len(sampled))
+
+
+@pytest.mark.parametrize("plan", [IntegrationPlan("monte_carlo", samples=3500, seed=23),
+                                  IntegrationPlan("tensor_quadrature", x_nodes=16, t_nodes=8)],
+                         ids=["monte_carlo", "quadrature"])
+@pytest.mark.parametrize("case", ["taylor-shell-1d", "taylor-level-set-1d"])
+def test_pass_prepares_one_direction_state_per_block(case, plan, monkeypatch):
+    # a mollified block takes the gauge of its directions once, for its radii and its
+    # payoffs alike, and a level-set block the lower radial bounds of its directions once
+    owner, name = (ConvexBody, "gauge") if CASES[case][4] else (PowerLaw, "prepare")
+    prepared, blocks = [], []
+    method, real = getattr(owner, name), functionals.integrate_double
+
+    def counting(self, sigma):
+        prepared.append(len(sigma))
+        return method(self, sigma)
+
+    def integrate(kernel, *args):
+        def counted(x, sigma, v):
+            blocks.append(len(x))
+            return kernel(x, sigma, v)
+
+        before = len(prepared)
+        estimates = real(counted, *args)
+        assert prepared[before:] == blocks
+        return estimates
+
+    monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(functionals, "integrate_double", integrate)
+    evaluate(grid_specs(case)[-1], plan)
+    assert len(blocks) == (2 * SHIFTS if plan.method == "monte_carlo" else 2)
