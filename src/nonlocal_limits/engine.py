@@ -391,10 +391,10 @@ def _circle(n: int) -> Array:
 def _turns(j: Array, circle: Array, rotation: Array) -> Array:
     """exp(2 pi i u) of the lattice points u = {j / n + shift}: a shift is a rotation, so
     each is the table entry of its residue j times ``rotation`` = exp(2 pi i shift), (s, 1).
-    A run's first point, j = 0, gets the rotation itself, bitwise."""
-    turns = circle.take(j.astype(np.intp))
-    turns *= rotation
-    return turns
+    A run's first point, j = 0, gets the rotation itself, bitwise.  The product is out of
+    place: numpy's in-place product of a lone element rounds differently from its vector loop,
+    which changed a 1-point block of a 1-D proposal lattice."""
+    return np.multiply(circle.take(j.astype(np.intp)), rotation)
 
 
 def _directions(u: Array, turn, dim: int) -> Array:

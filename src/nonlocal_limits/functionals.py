@@ -48,6 +48,17 @@ kinks or a high degree that no fixed rule for C resolves to the sampling
 error, and 3-D box and polytope gauges would need a kink-split sphere rule,
 so those passes, quadrature plans and level sets keep the plain payoff.
 
+A Monte Carlo pass is a randomized rank-1 lattice rule, which converges fast
+only on periodic integrands.  A shell payoff is smooth in v but not periodic,
+so both kernels of a Monte Carlo shell pass draw their radii at the tent
+1 - |2v - 1| of v (``_tent``), which keeps the uniform law and makes the
+payoff's periodic extension continuous (Hickernell, MCQMC 2000); over 200
+seeds the variance of the ``bodies-2d`` shell points fell 2.4 to 17 fold.
+The other passes draw at v itself: quadrature hands the kernels
+Gauss-Legendre nodes, at which a tent would put a kink at v = 1/2, and the
+tent was mixed on fractional profiles (0.76 to 2.3 fold) and worse on the
+level sets of an ellipse (0.57 to 0.88 fold).
+
 A level-set pass sorts its thresholds delta_1 > .. > delta_K, whatever the
 grid's order, and their exact cutoffs cut each ray into the strata of its
 ``PowerLaw``; the remainder is evaluated once per stratum, K times per
@@ -341,6 +352,12 @@ def _lead_integral(f: TestFunction, body: ConvexBody, m: int, c_m: float,
     return c_m ** 2 * m_form_gram(f, m, xs, wx, sigma, wy)
 
 
+def _tent(v):
+    """The tent (baker's) map 1 - |2v - 1|: it keeps the uniform law on [0, 1), and the
+    periodic extension of a smooth function of the folded v is continuous."""
+    return 1.0 - np.abs(2.0 * v - 1.0)
+
+
 def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
                     box_radius: float) -> list[IntegralEstimate]:
     spec = specs[0]
@@ -352,6 +369,8 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
     t_c = (float(np.finfo(float).eps) / c_m) ** (1.0 / (m + 1))
     # the control variate needs a Gram form (p = 2) and a kink-split sphere rule (dim <= 2)
     lead = plan.method == "monte_carlo" and p == 2.0 and body.dim <= 2
+    # a shell payoff is smooth in v but not periodic: on the lattice, fold v by the tent
+    tent = plan.method == "monte_carlo" and spec.mollifier_kind == "shell"
     workspace = threading.local()
     law = MollifierRadial([point.mollifier for point in specs], body.gauge)
 
@@ -359,7 +378,7 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
         # payoff - l = (a^2 - b^2) g^-(2m+N), a = R / t^m and b = c_m D its t -> 0 limit;
         # below t_c the payoff is l itself
         g = law.prepare(sigma)
-        t, g_lead = law.sample(v, g), g ** (-mp - body.dim)
+        t, g_lead = law.sample(_tent(v) if tent else v, g), g ** (-mp - body.dim)
         out, fx = np.empty(t.shape), f.eval(x)
         b = c_m * directional_m_form(f, x, sigma, m)
         for j, tj in enumerate(t):
@@ -371,7 +390,7 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
     def kernel(x, sigma, v):
         # |R|^p (t g)^-mp rho t^(N-1) over the law's density (t g)^(N-1) rho g, per profile
         g = law.prepare(sigma)
-        t, g_dim = law.sample(v, g), g ** (-body.dim)
+        t, g_dim = law.sample(_tent(v) if tent else v, g), g ** (-body.dim)
         out, fx = np.empty(t.shape), f.eval(x)
         for j, tj in enumerate(t):
             vals = np.abs(remainder(f, x, _segment_ends(workspace, x, tj, sigma), m, fx))

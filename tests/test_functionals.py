@@ -417,7 +417,8 @@ def test_polytope_and_lp_bodies_evaluate():
 
 @pytest.mark.parametrize("theorem", ["nguyen_centered", "bbm_centered"])
 def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
-    # reference: payoff = pair integrand x t^(N-1) / law.pdf, t drawn from the kernel's v
+    # reference: payoff = pair integrand x t^(N-1) / law.pdf, t drawn from the kernel's v,
+    # which a Monte Carlo shell pass folds by the tent 1 - |2v - 1| first
     body, m, p, par = ConvexBody.ellipsoid([2.0, 1.0]), 2, 2.5, 0.05
     spec = FunctionalSpec(theorem, GAUSS2, body, m, p, par,
                           "shell" if theorem.startswith("bbm") else None)
@@ -431,7 +432,8 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     sigma = rng.normal(size=(n, 2))
     sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
     v, aux = rng.random(n), law.prepare(sigma)
-    t = law.sample(v, aux)[0]  # one point: row 0
+    folded = 1.0 - np.abs(2.0 * v - 1.0) if spec.mollifier_kind == "shell" else v
+    t = law.sample(folded, aux)[0]  # one point: row 0
     payoff = kernel(x, sigma, v)[0]
 
     remainder = centered_remainder(GAUSS2, x, x + t[:, np.newaxis] * sigma, m)
@@ -443,6 +445,34 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     reference = integrand * t / law.pdf(t, aux)[0]  # t^(N-1) with N = 2
     assert np.count_nonzero(payoff) > 100
     np.testing.assert_allclose(payoff, reference, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0], ids=["control-variate", "plain"])
+def test_shell_payoff_is_finite_where_the_tent_folds_to_0_and_1(p, monkeypatch):
+    # a Monte Carlo shell pass draws at 1 - |2v - 1|: v = 0 gives radius 0, below t_c, where
+    # payoff - l is exactly 0, and v = 1/2 gives the shell's edge; the plain kernel there is
+    # the unfolded one at 0 and 1
+    spec = FunctionalSpec("bbm_centered", GAUSS2, ConvexBody.ellipsoid([2.0, 1.0]), 2, p, 0.05,
+                          "shell")
+    kernels = []
+    for plan in (mc_plan(samples=1), IntegrationPlan("tensor_quadrature")):
+        captured = capture_pass(monkeypatch)
+        evaluate(spec, plan)
+        kernels.append(captured["kernel"])
+    rng = np.random.default_rng(13)
+    n = 2000
+    x = rng.uniform(-3.0, 3.0, size=(n, 2))
+    sigma = rng.normal(size=(n, 2))
+    sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+    folded, plain = kernels
+    for v, edge in ((0.0, 0.0), (0.5, 1.0)):
+        payoff = folded(x, sigma, np.full(n, v))
+        assert np.all(np.isfinite(payoff))
+        if p == 2.0:
+            assert np.count_nonzero(payoff) == (0 if v == 0.0 else n)
+        else:
+            assert np.count_nonzero(payoff) > n // 2
+            assert payoff.tobytes() == plain(x, sigma, np.full(n, edge)).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -13,7 +13,8 @@ from conftest import drawn, flat_reach
 from nonlocal_limits import engine, functionals, functions
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.convergence import Schedule, sweep
-from nonlocal_limits.engine import SHIFTS, EngineError, IntegrationPlan, PowerLaw, integrate_double
+from nonlocal_limits.engine import (SHIFTS, EngineError, IntegrationPlan, MollifierRadial, PowerLaw,
+                                   integrate_double)
 from nonlocal_limits.functionals import FunctionalSpec, SpecError, evaluate
 from nonlocal_limits.functions import make_function
 
@@ -387,3 +388,99 @@ def test_pass_prepares_one_direction_state_per_block(case, plan, monkeypatch):
     monkeypatch.setattr(functionals, "integrate_double", integrate)
     evaluate(grid_specs(case)[-1], plan)
     assert len(blocks) == (2 * SHIFTS if plan.method == "monte_carlo" else 2)
+
+
+MONTE_CARLO = IntegrationPlan("monte_carlo", samples=3500, seed=23)
+QUADRATURE = IntegrationPlan("tensor_quadrature", x_nodes=16, t_nodes=8)
+
+
+def radial_coordinates(spec, plan, monkeypatch):
+    """The estimate of ``spec``, the v each kernel call is handed and the v its radial law
+    samples at, block by block."""
+    handed, sampled = [], []
+    for law in (MollifierRadial, PowerLaw):
+        def recording(self, v, aux, sample=law.sample):
+            sampled.append(np.array(v))
+            return sample(self, v, aux)
+
+        monkeypatch.setattr(law, "sample", recording)
+    real = functionals.integrate_double
+
+    def integrate(kernel, *args):
+        def recorded(x, sigma, v):
+            handed.append(np.array(v))
+            return kernel(x, sigma, v)
+
+        return real(recorded, *args)
+
+    monkeypatch.setattr(functionals, "integrate_double", integrate)
+    est = evaluate(spec, plan)
+    assert len(handed) == len(sampled) > 0
+    return est, handed, sampled
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0], ids=["control-variate", "plain"])
+@pytest.mark.parametrize("case", ["shell-2d", "taylor-shell-1d"])
+def test_monte_carlo_shell_pass_samples_at_the_tent_of_v(case, p, monkeypatch):
+    # a shell payoff is smooth in v but not periodic, so both shell kernels fold v by the
+    # tent 1 - |2v - 1| before the radii are drawn
+    est, handed, sampled = radial_coordinates(replace(grid_specs(case)[-1], p=p), MONTE_CARLO,
+                                              monkeypatch)
+    assert ("lead_integral" in est.info) == (p == 2.0)
+    assert len(handed) == 2 * SHIFTS
+    for v, at in zip(handed, sampled):
+        assert at.tobytes() == (1.0 - np.abs(2.0 * v - 1.0)).tobytes()
+        assert not np.array_equal(at, v)
+
+
+@pytest.mark.parametrize("case, plan, p", [
+    ("taylor-shell-1d", QUADRATURE, 2.0),
+    ("taylor-shell-1d", QUADRATURE, 3.0),
+    ("fractional-1d", MONTE_CARLO, 2.0),
+    ("fractional-1d", MONTE_CARLO, 3.0),
+    ("taylor-level-set-1d", MONTE_CARLO, 2.0),
+    ("level-set-2d", MONTE_CARLO, 2.0),
+    ("taylor-level-set-1d", QUADRATURE, 2.0),
+], ids=["quadrature-shell-p2", "quadrature-shell-p3", "fractional-control-variate",
+        "fractional-plain", "taylor-level-set", "level-set-2d", "quadrature-level-set"])
+def test_other_passes_sample_at_v_itself(case, plan, p, monkeypatch):
+    # quadrature hands the kernels Gauss-Legendre nodes, which a tent would kink at v = 1/2,
+    # and the tent was no gain for fractional profiles and level sets: they sample at v
+    _, handed, sampled = radial_coordinates(replace(grid_specs(case)[-1], p=p), plan, monkeypatch)
+    assert [v.tobytes() for v in handed] == [at.tobytes() for at in sampled]
+
+
+@pytest.mark.parametrize("case", ["shell-2d", "taylor-shell-1d"])
+def test_shell_pass_is_bitwise_at_any_worker_count_and_block_size(case, monkeypatch):
+    # the tent folds each block's own v: blocks of one point and whole runs, on one thread
+    # and two, give the same numbers
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    plan = IntegrationPlan("monte_carlo", samples=400, seed=31)
+    runs = []
+    for chunk in (1, 1000):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        for workers in (1, 2):
+            functionals._grid_pass.cache_clear()
+            runs.append([(e.value, e.stderr, e.info) for e in
+                         (evaluate(spec, replace(plan, workers=workers))
+                          for spec in grid_specs(case))])
+    assert all(run == runs[0] for run in runs[1:])
+    assert all(value > 0.0 for value, _, _ in runs[0])
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0], ids=["control-variate", "plain"])
+def test_tent_shell_sweep_is_unbiased_against_quadrature(p):
+    # 20 seeds of a folded 1-D shell pass against the unfolded Gauss-Legendre rule on the
+    # same box; p = 4 keeps |R|^p smooth, so the rule is exact to far below the noise
+    specs = [replace(spec, p=p) for spec in grid_specs("taylor-shell-1d")]
+    box = max(functionals._box_radius(spec) for spec in specs)
+    rule = IntegrationPlan("tensor_quadrature", x_nodes=400, t_nodes=64)
+    reference = [functionals._mollified_pass([replace(spec, grid=())], rule, box)[0].value
+                 for spec in specs]
+    runs = [functionals._mollified_pass(specs, IntegrationPlan("monte_carlo", samples=3500,
+                                                               seed=seed), box)
+            for seed in range(101, 121)]
+    for j, ref in enumerate(reference):
+        mean = math.fsum(run[j].value for run in runs) / len(runs)
+        combined = math.sqrt(math.fsum(run[j].stderr ** 2 for run in runs)) / len(runs)
+        assert abs(mean - ref) <= 3.0 * combined
