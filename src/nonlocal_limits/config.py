@@ -267,6 +267,11 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if plan_raw["method"] == "tensor_quadrature" and body.dim != 1:
             raise ConfigError(f"{label}: tensor_quadrature needs a 1-D body, got dim "
                               f"{body.dim}; use monte_carlo")
+        # Gauss-Legendre loses its rate on a payoff that jumps in t, and stderr 0 would
+        # claim an exact value
+        if plan_raw["method"] == "tensor_quadrature" and job["theorem"].startswith("nguyen"):
+            raise ConfigError(f"{label}: tensor_quadrature has no error bound for the level-set "
+                              f"{job['theorem']} job, whose payoff jumps; use monte_carlo")
         try:
             schedule = Schedule(**job["schedule"])
         except ValueError as exc:

@@ -362,12 +362,6 @@ def _shifted(j: Array, n: int, shift: Array) -> Array:
     return j
 
 
-def _lattice(index: Array, z: Array, n: int, shift: Array) -> Array:
-    """Points {index z / n + shift} of a shifted lattice, coordinate-major: (s, len(index));
-    ``shift`` is (s, 1)."""
-    return _shifted(_residues(index, z, n), n, shift)
-
-
 def _unit(angle) -> Array:
     """exp(i angle), its real part np.cos and its imaginary part np.sin of ``angle``."""
     out = np.empty(np.shape(angle), dtype=complex)

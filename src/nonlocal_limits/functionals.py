@@ -35,10 +35,13 @@ is bitwise a pass of its own on that box; level-set points are the rungs of
 one ladder of strata of each ray (``engine.PowerLaw``), so a point shares the
 draws of the strata above it and lies within noise of its lone pass.
 
-A Monte Carlo mollified pass with p = 2 in dim <= 2 uses the payoff's t-free
-leading term l(x, sigma) = (c_m |d^m f(x)[sigma]|)^2 gauge(sigma)^-(2m+N) as a
-control variate: the kernel returns payoff - l (exactly 0 below t_c, where the
-payoff is l), and the pass adds back C, the integral of l over box x sphere,
+A mollified pass hands one kernel to every plan.  Per block it computes the
+gauge g = gauge(sigma), the radii t and g^-(mp+N) once; each row pays
+|R / t^m|^p g^-(mp+N), and below t_c the leading term l = b g^-(mp+N),
+b = |c_m d^m f(x)[sigma]|^p, computed on the columns that have such a row.
+With p = 2 in dim <= 2 a Monte Carlo pass uses l as a control variate: the
+kernel computes b on every column and subtracts it from every row (exactly
+0 below t_c), and the pass adds back C, the integral of l over box x sphere,
 by Gram quadrature on an x grid split at the profiles' breakpoints and a
 circle rule split at the gauge's kinks.  C is the local limit itself, up to
 the box tail, so the sampled part is the gap F_eps - limit, whose variance
@@ -50,14 +53,12 @@ so those passes, quadrature plans and level sets keep the plain payoff.
 
 A Monte Carlo pass is a randomized rank-1 lattice rule, which converges fast
 only on periodic integrands.  A shell payoff is smooth in v but not periodic,
-so both kernels of a Monte Carlo shell pass draw their radii at the tent
-1 - |2v - 1| of v (``_tent``), which keeps the uniform law and makes the
-payoff's periodic extension continuous (Hickernell, MCQMC 2000); over 200
-seeds the variance of the ``bodies-2d`` shell points fell 2.4 to 17 fold.
-The other passes draw at v itself: quadrature hands the kernels
-Gauss-Legendre nodes, at which a tent would put a kink at v = 1/2, and the
-tent was mixed on fractional profiles (0.76 to 2.3 fold) and worse on the
-level sets of an ellipse (0.57 to 0.88 fold).
+so a Monte Carlo shell pass draws its radii at the tent 1 - |2v - 1| of v
+(``_tent``), which keeps the uniform law and makes the payoff's periodic
+extension continuous (Hickernell, MCQMC 2000).  The other passes draw at v
+itself: quadrature hands the kernel Gauss-Legendre nodes, at which a tent
+would put a kink at v = 1/2, and the tent was mixed on fractional profiles
+and worse on the level sets of an ellipse.
 
 A level-set pass sorts its thresholds delta_1 > .. > delta_K, whatever the
 grid's order, and their exact cutoffs cut each ray into the strata of its
@@ -374,35 +375,29 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
     workspace = threading.local()
     law = MollifierRadial([point.mollifier for point in specs], body.gauge)
 
-    def lead_kernel(x, sigma, v):
-        # payoff - l = (a^2 - b^2) g^-(2m+N), a = R / t^m and b = c_m D its t -> 0 limit;
-        # below t_c the payoff is l itself
+    def kernel(x, sigma, v):
+        # |R|^p (t g)^-mp rho t^(N-1) over the law's density (t g)^(N-1) rho g, per profile, is
+        # |a|^p g^-(mp+N) with a = R / t^m; below t_c a row pays the t -> 0 limit b = |c_m D|^p
         g = law.prepare(sigma)
-        t, g_lead = law.sample(_tent(v) if tent else v, g), g ** (-mp - body.dim)
-        out, fx = np.empty(t.shape), f.eval(x)
-        b = c_m * directional_m_form(f, x, sigma, m)
+        t, fx = law.sample(_tent(v) if tent else v, g), f.eval(x)
+        small = t < t_c
+        # the control variate subtracts b from every row; otherwise only small rows read it
+        # (a view, not a mask, of all columns: gathering x doubled the cost of b)
+        columns = slice(None) if lead else np.flatnonzero(small.any(axis=0))
+        b = np.zeros(len(x))
+        if lead or columns.size:
+            b[columns] = np.abs(c_m * directional_m_form(f, x[columns], sigma[columns], m)) ** p
+        out = np.empty(t.shape)
         for j, tj in enumerate(t):
             y = _segment_ends(workspace, x, tj, sigma)
-            a = remainder(f, x, y, m, fx) / np.maximum(tj, t_c) ** m
-            out[j] = np.where(tj < t_c, 0.0, (a - b) * (a + b) * g_lead)
+            out[j] = np.abs(remainder(f, x, y, m, fx) / np.maximum(tj, t_c) ** m) ** p
+        np.copyto(out, b, where=small)
+        if lead:
+            out -= b
+        out *= g ** (-mp - body.dim)
         return out
 
-    def kernel(x, sigma, v):
-        # |R|^p (t g)^-mp rho t^(N-1) over the law's density (t g)^(N-1) rho g, per profile
-        g = law.prepare(sigma)
-        t, g_dim = law.sample(_tent(v) if tent else v, g), g ** (-body.dim)
-        out, fx = np.empty(t.shape), f.eval(x)
-        for j, tj in enumerate(t):
-            vals = np.abs(remainder(f, x, _segment_ends(workspace, x, tj, sigma), m, fx))
-            out[j] = vals ** p * (np.maximum(tj, t_c) * g) ** (-mp) * g_dim
-            small = tj < t_c
-            if np.any(small):
-                form = np.abs(directional_m_form(f, x[small], sigma[small], m))
-                out[j, small] = (c_m * form) ** p * g[small] ** (-mp - body.dim)
-        return out
-
-    estimates = integrate_double(lead_kernel if lead else kernel, plan, box_radius, body.dim,
-                                 f.proposal)
+    estimates = integrate_double(kernel, plan, box_radius, body.dim, f.proposal)
     for point, est in zip(specs, estimates):
         est.info["small_radius_bias"] = _small_radius_bias(point, box_radius, t_c, c_m)
     if lead:

@@ -111,8 +111,7 @@ def test_run_json_format(tmp_path, capsys):
 
 def test_job_without_tolerance_reports_the_default(tmp_path):
     # the config is the one place the default tolerance is set
-    job = {**base_config()["jobs"][0],
-           "plan": {"method": "tensor_quadrature", "x_nodes": 40, "t_nodes": 16}}
+    job = dict(base_config()["jobs"][0])
     del job["tolerance"]
     out = tmp_path / "report.json"
     cli.run(write_config(tmp_path, base_config(jobs=[job])),
@@ -196,10 +195,12 @@ def test_parse_config_requires_mollifier_for_bbm():
     {"plan": {"method": "monte_carlo", "samples": 20000, "t_nodes": 64}},
     # a level-set job never reads a mollifier block
     {"mollifier": {"kind": "shell"}},
+    # a level-set payoff jumps in t: a quadrature rule would report stderr 0 and be off
+    {"plan": {"method": "tensor_quadrature"}},
 ], ids=["quadrature-2d", "unbounded-polytope", "function-wrong-dim", "schedule-underflow",
         "huge-integer-start", "huge-integer-tolerance", "huge-integer-half-width",
         "quadrature-samples", "monte-carlo-x-nodes", "monte-carlo-t-nodes",
-        "level-set-mollifier"])
+        "level-set-mollifier", "level-set-quadrature"])
 def test_run_rejects_semantically_bad_config(tmp_path, capsys, job_update):
     cfg = base_config()
     cfg["jobs"][0].update(job_update)
@@ -290,7 +291,8 @@ def test_run_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
 def test_parse_config_bounds_quadrature_nodes(key):
     # parse only: a rule of 1024 nodes is never built here
     cfg = base_config()
-    cfg["jobs"][0]["plan"] = {"method": "tensor_quadrature", key: 1024}
+    cfg["jobs"][0].update({"theorem": "bbm_centered", "mollifier": {"kind": "shell"},
+                           "plan": {"method": "tensor_quadrature", key: 1024}})
     assert getattr(parse_config(cfg).jobs[0].plan, key) == 1024
     cfg["jobs"][0]["plan"][key] = 1025
     with pytest.raises(ConfigError, match=f"plan/{key}': 1025 is greater than the maximum"):
@@ -348,6 +350,28 @@ def test_cli_import_leaves_jsonschema_out():
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_quadrature_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the Gram (p = 2) and tableau (p = 3) targets and the quadrature pass reduce with @,
+    # which OpenBLAS may split across its threads
+    shell = {**base_config()["jobs"][0], "theorem": "bbm_centered", "mollifier": {"kind": "shell"},
+             "schedule": {"start": 0.4, "ratio": 0.5, "points": 4},
+             "plan": {"method": "tensor_quadrature", "x_nodes": 200, "t_nodes": 48}}
+    path = write_config(tmp_path, base_config(jobs=[{**shell, "name": f"shell-p{p}", "p": p}
+                                                    for p in (2.0, 3.0)]))
+    code = "import sys; from nonlocal_limits import cli; sys.exit(cli.main(sys.argv[1:]))"
+    reports = []
+    for threads in ("1", "4"):
+        out = tmp_path / f"report-{threads}.json"
+        proc = subprocess.run([sys.executable, "-c", code, "run", "--config", path, "--out",
+                               str(out), "--format", "json", "--no-timestamp"],
+                              cwd=ROOT, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                                   "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_check_identities_passes():
@@ -524,7 +548,7 @@ def test_traced_benchmark_child_certifies_four_families():
 def test_traced_benchmark_child_charges_the_m_form_layers(tmp_path):
     # a refactor that routes around a wrapped name would leave its layer at zero calls;
     # p = 3 keeps the target on the tableau (a p = 2 target is a Gram sum)
-    job = {**base_config()["jobs"][0], "p": 3.0, "plan": {"method": "tensor_quadrature"}}
+    job = {**base_config()["jobs"][0], "p": 3.0}
     path = write_config(tmp_path, base_config(jobs=[job]))
     spec = {"root": str(ROOT), "argv": ["run", "--config", path, "--no-timestamp"], "trace": True}
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],

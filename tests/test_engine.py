@@ -615,11 +615,12 @@ def test_lattice_directions_cover_the_sphere_uniformly(dim):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rotated_lattice_angles_match_libm(seed):
     # a whole run's turns from the rotation table are np.cos and np.sin of 2 pi u to
-    # within the rounding of 2 pi u itself, with u from _lattice; the first is the shift's
+    # within the rounding of 2 pi u itself, with u from _shifted; the first is the shift's
     n = 4999
     shift = np.random.default_rng(seed).random((4, 1))
     shift[0] = 0.0 if seed == 0 else shift[0]
-    u = engine._lattice(np.arange(n), engine.generating_vector(n, 4), n, shift)
+    u = engine._shifted(engine._residues(np.arange(n), engine.generating_vector(n, 4), n), n,
+                        shift)
     _, turns = lattice_run(n, shift, range(4))
     angle = 2.0 * math.pi * u
     np.testing.assert_allclose(turns.real, np.cos(angle), rtol=0.0, atol=4e-15)
@@ -755,7 +756,7 @@ def test_lattice_rule_integrates_fourier_modes_exactly():
     n = 1009
     z = engine.generating_vector(n, 4)
     shift = np.random.default_rng(8).random(4)
-    u = engine._lattice(np.arange(n), z, n, shift[:, np.newaxis])
+    u = engine._shifted(engine._residues(np.arange(n), z, n), n, shift[:, np.newaxis])
     assert u.shape == (4, n) and np.all((u >= 0.0) & (u < 1.0))
     for h in ([1, 0, 0, 0], [0, 3, 0, 0], [1, -1, 2, 0], [2, 5, -3, 7]):
         h = np.array(h)

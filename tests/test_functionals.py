@@ -451,9 +451,9 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
 def test_shell_payoff_is_finite_where_the_tent_folds_to_0_and_1(p, monkeypatch):
     # a Monte Carlo shell pass draws at 1 - |2v - 1|: v = 0 gives radius 0, below t_c, where
     # payoff - l is exactly 0, and v = 1/2 gives the shell's edge; the plain kernel there is
-    # the unfolded one at 0 and 1
-    spec = FunctionalSpec("bbm_centered", GAUSS2, ConvexBody.ellipsoid([2.0, 1.0]), 2, p, 0.05,
-                          "shell")
+    # the unfolded one at 0 and 1, and at radius 0 it pays exactly l = |c_m D|^p g^-(mp+N)
+    body, m = ConvexBody.ellipsoid([2.0, 1.0]), 2
+    spec = FunctionalSpec("bbm_centered", GAUSS2, body, m, p, 0.05, "shell")
     kernels = []
     for plan in (mc_plan(samples=1), IntegrationPlan("tensor_quadrature")):
         captured = capture_pass(monkeypatch)
@@ -465,6 +465,9 @@ def test_shell_payoff_is_finite_where_the_tent_folds_to_0_and_1(p, monkeypatch):
     sigma = rng.normal(size=(n, 2))
     sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
     folded, plain = kernels
+    lead = np.abs(m ** -m * directional_m_form(GAUSS2, x, sigma, m)) ** p
+    lead *= body.gauge(sigma) ** (-m * p - 2)
+    assert plain(x, sigma, np.zeros(n))[0].tobytes() == lead.tobytes()
     for v, edge in ((0.0, 0.0), (0.5, 1.0)):
         payoff = folded(x, sigma, np.full(n, v))
         assert np.all(np.isfinite(payoff))
@@ -521,12 +524,17 @@ def test_leading_term_payoff_matches_exact_remainder(theorem, m, monkeypatch):
 
 
 def test_fractional_profile_at_small_index_is_finite():
-    # gauge radii underflow to 0 here; below t_c the payoff does not depend on t
+    # gauge radii underflow to 0 here; below t_c the payoff does not depend on t.  On the
+    # lattice most radii fall below t_c, where payoff - l is 0: at seed 1 the control
+    # variate (p = 2) hits 727 of 4032 pairs and the plain payoff (p = 3) 3659
     eps = 0.00625
     spec = FunctionalSpec("bbm_centered", make_function("poly_bump", 1), INTERVAL, 1, 2.0,
                           eps, "fractional")
     est = evaluate(spec, IntegrationPlan("tensor_quadrature", x_nodes=200, t_nodes=48))
     assert math.isfinite(est.value)
+    for p, hits in ((2.0, 727), (3.0, 3659)):
+        est = evaluate(replace(spec, p=p), mc_plan(samples=4096, seed=1))
+        assert math.isfinite(est.value) and est.info["hit_fraction"] == hits / 4032
 
 
 # ---------------------------------------------------------------------------
