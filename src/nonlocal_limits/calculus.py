@@ -90,7 +90,9 @@ def direction_bound(f: TestFunction, m: int, sigma) -> Array:
     """Per-direction bound: sup_x |diagonal m-form at x in direction sigma|.
 
     Bounded by sum_{|a|=m} (m!/a!) |sigma^a| sup|d^a f|; exact truncation of the
-    level-set kernels only needs an over-estimate, which this is.
+    level-set kernels only needs an over-estimate, which this is when each
+    sup|d^a f| is one; each is a grid estimate that nothing proves to be a bound
+    (ROADMAP: certified derivative bounds, open).
     """
     return m_form((f.sup_partial(alpha) for alpha in multi_indices(f.dim, m)),
                   np.abs(as_points(sigma, f.dim)), m)

@@ -61,7 +61,7 @@ would put a kink at v = 1/2, and the tent was mixed on fractional profiles
 and worse on the level sets of an ellipse.
 
 A level-set pass sorts its thresholds delta_1 > .. > delta_K, whatever the
-grid's order, and their exact cutoffs cut each ray into the strata of its
+grid's order, and their cutoffs cut each ray into the strata of its
 ``PowerLaw``; the remainder is evaluated once per stratum, K times per
 ray, and point j averages the j strata of its range [lo_j, t_max].  The
 smallest threshold thus averages K radial draws per ray, the largest keeps
@@ -188,16 +188,18 @@ def _cutoff_scale(spec: FunctionalSpec) -> float:
 
 
 def _level_set_radial_cutoff(spec: FunctionalSpec) -> float:
-    """Largest Euclidean radius below which the threshold provably cannot fire.
+    """Largest Euclidean radius below which the threshold cannot fire, if M bounds.
 
-    Uses the direction-uniform bound M on the diagonal m-form; the indicator is
-    identically zero below the returned radius, so truncating there is exact.
+    Uses the direction-uniform bound M on the diagonal m-form; when M is a true bound
+    the indicator is identically zero below the returned radius, so truncating there
+    is exact.  M rests on ``Profile1D.sup_derivative``, a grid maximum times 1.02 that
+    nothing proves to be a bound (ROADMAP: certified derivative bounds, open).
     """
     return _cutoff_scale(spec) * (spec.parameter / spec.f.m_form_bound(spec.m)) ** (1.0 / spec.m)
 
 
 def _reach(spec: FunctionalSpec):
-    """The per-direction factor of the exact cutoffs: the cutoff of threshold delta in
+    """The per-direction factor of the cutoffs: the cutoff of threshold delta in
     direction sigma is ``_cutoff_scale(spec)`` delta^(1/m) times reach(sigma)."""
     m, f = spec.m, spec.f
 
@@ -234,8 +236,10 @@ def _segment_ends(workspace, x, t, sigma):
     if y is None or y.size < x.size:
         y = workspace.y = np.empty(x.size)
     y = y[:x.size].reshape(x.shape)
-    np.multiply(t[:, np.newaxis], sigma, out=y)
-    y += x
+    # a column at a time: a broadcast over the short last axis is slower in 2-D and 3-D
+    for i in range(x.shape[1]):
+        np.multiply(t, sigma[:, i], out=y[:, i])
+        y[:, i] += x[:, i]
     return y
 
 

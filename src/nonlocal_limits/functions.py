@@ -4,6 +4,12 @@ Every registered function is a tensor product of 1-D profiles, so an arbitrary
 partial derivative factors into exact 1-D derivatives, and the Monte Carlo
 proposal for the outer point factors into per-axis laws.  Functions are
 vectorized over point batches of shape ``(..., dim)``.
+
+Each profile implements one method, ``derivatives(orders, u)``, and computes every
+requested order in one pass over u: one Hermite recurrence for the Gaussian, one
+transition recursion for the plateau cutoff (its ramps share one exponential), one
+table per factor of a product, combined by the Leibniz rule.  ``derivative(k, u)`` is
+``derivatives((k,), u)[k]``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 Array = np.ndarray
 
@@ -53,11 +60,11 @@ class Profile1D:
         return self.derivative(0, u)
 
     def derivative(self, k: int, u: Array) -> Array:
-        raise NotImplementedError
+        return self.derivatives((k,), u)[k]
 
     def derivatives(self, orders, u: Array) -> dict[int, Array]:
-        """``derivative(k, u)`` for each k in ``orders``, bitwise, keyed by k."""
-        return {k: self.derivative(k, u) for k in orders}
+        """A fresh array of the k-th derivative at u for each k in ``orders``, keyed by k."""
+        raise NotImplementedError
 
     def proposal(self) -> float | str | None:
         """Outer-point law for this axis: the half-width of a uniform law on the
@@ -65,10 +72,9 @@ class Profile1D:
         return self.support
 
     def sup_derivative(self, k: int) -> float:
-        """Upper bound for sup |d^k profile| over the support.
-
-        Dense-grid maximum inflated by 2%; the inflation keeps the bound on the
-        safe (over-estimating) side, which is what radial truncation needs.
+        """Estimate of sup |d^k profile| over the support: a maximum over 8,193 grid points
+        times 1.02.  Radial truncation needs an over-estimate, and nothing proves that this
+        is one (ROADMAP: certified derivative bounds, open): a grid can miss a narrow peak.
         """
         half = self.support if self.support is not None else self.bound_range
         grid = np.linspace(-half, half, 8193)
@@ -80,9 +86,6 @@ class GaussianProfile(Profile1D):
 
     def proposal(self) -> str:
         return NORMAL
-
-    def derivative(self, k: int, u: Array) -> Array:
-        return self.derivatives((k,), u)[k]
 
     def derivatives(self, orders, u: Array) -> dict[int, Array]:
         """One exponential and one Hermite recurrence up to the highest order."""
@@ -105,10 +108,12 @@ class PolynomialProfile(Profile1D):
     bound_range = 4.0
 
     def __init__(self, coeffs):
-        self.poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
+        self.coef = np.asarray(coeffs, dtype=float)
 
-    def derivative(self, k: int, u: Array) -> Array:
-        return self.poly.deriv(k)(np.asarray(u, dtype=float)) if k else self.poly(np.asarray(u, dtype=float))
+    def derivatives(self, orders, u: Array) -> dict[int, Array]:
+        # + 0.0 maps -0.0 to 0.0 as np.polynomial.Polynomial.__call__ does
+        u = np.asarray(u, dtype=float) + 0.0
+        return {k: polyval(u, polyder(self.coef, k) if k else self.coef) for k in orders}
 
 
 class SineProfile(Profile1D):
@@ -118,9 +123,9 @@ class SineProfile(Profile1D):
         self.omega = omega
         self.phase = phase
 
-    def derivative(self, k: int, u: Array) -> Array:
-        u = np.asarray(u, dtype=float)
-        return self.omega ** k * np.sin(self.omega * u + self.phase + 0.5 * k * math.pi)
+    def derivatives(self, orders, u: Array) -> dict[int, Array]:
+        arg = self.omega * np.asarray(u, dtype=float) + self.phase
+        return {k: self.omega ** k * np.sin(arg + 0.5 * k * math.pi) for k in orders}
 
     def sup_derivative(self, k: int) -> float:
         return self.omega ** k
@@ -129,8 +134,9 @@ class SineProfile(Profile1D):
 class ExpProfile(Profile1D):
     """exp(u); only used inside products with compactly supported factors."""
 
-    def derivative(self, k: int, u: Array) -> Array:
-        return np.exp(np.asarray(u, dtype=float))
+    def derivatives(self, orders, u: Array) -> dict[int, Array]:
+        value = np.exp(np.asarray(u, dtype=float))
+        return {k: value.copy("K") for k in orders}
 
 
 def _ramp_derivatives(max_order: int):
@@ -140,20 +146,21 @@ def _ramp_derivatives(max_order: int):
     for _ in range(max_order):
         r = polys[-1]
         polys.append(w_sq * (r - r.deriv()))
-    return polys
+    return [r.coef for r in polys]
 
 
-_RAMP_POLYS = _ramp_derivatives(10)
+_RAMP_COEFS = _ramp_derivatives(10)
 
 
-def _ramp(k: int, s: Array) -> Array:
-    """k-th derivative of exp(-1/s) for s>0, zero for s<=0."""
+def _ramps(orders, s: Array) -> list[Array]:
+    """The k-th derivative of exp(-1/s), 0 for s <= 0, for each k in ``orders``."""
     s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
     pos = s > 0.0
-    sp = s[pos]
-    core = np.exp(-1.0 / sp)
-    out[pos] = core * _RAMP_POLYS[k](1.0 / sp) if k else core
+    w = 1.0 / s[pos]
+    core = np.exp(-w)  # bitwise exp(-1.0 / s): division rounds symmetrically in sign
+    out = [np.zeros_like(s) for _ in orders]
+    for k, ramp in zip(orders, out):
+        ramp[pos] = core * polyval(w, _RAMP_COEFS[k]) if k else core
     return out
 
 
@@ -175,8 +182,8 @@ class PlateauProfile(Profile1D):
 
     def _transition_derivs(self, k: int, s: Array) -> list[Array]:
         # derivatives of T = v/(u+v) via v^{(j)} = sum C(j,i) T^{(i)} d^{(j-i)}
-        u = [_ramp(j, s) for j in range(k + 1)]
-        v = [(-1.0) ** j * _ramp(j, 1.0 - s) for j in range(k + 1)]
+        u = _ramps(range(k + 1), s)
+        v = [(-1.0) ** j * r for j, r in enumerate(_ramps(range(k + 1), 1.0 - s))]
         d = [ui + vi for ui, vi in zip(u, v)]
         t: list[Array] = [v[0] / d[0]]
         for j in range(1, k + 1):
@@ -186,20 +193,21 @@ class PlateauProfile(Profile1D):
             t.append(acc / d[0])
         return t
 
-    def derivative(self, k: int, u: Array) -> Array:
+    def derivatives(self, orders, u: Array) -> dict[int, Array]:
+        """One transition recursion up to the highest order, on flat indices shared by
+        all orders (integer indexing is several times faster than a boolean mask)."""
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        a = np.abs(u)
-        if k == 0:
-            out[a <= self.r0] = 1.0
-        trans = (a > self.r0) & (a < self.r1)
-        if np.any(trans):
-            width = self.r1 - self.r0
-            s = (a[trans] - self.r0) / width
-            tk = self._transition_derivs(k, s)[k] / width ** k
-            if k % 2 == 1:
-                tk = tk * np.sign(u[trans])
-            out[trans] = tk
+        a = np.abs(u).reshape(-1)
+        trans = np.flatnonzero((a > self.r0) & (a < self.r1))
+        width = self.r1 - self.r0
+        t = self._transition_derivs(max(orders), (a[trans] - self.r0) / width)
+        sign = np.sign(u.take(trans)) if any(k % 2 for k in orders) else None
+        out = {}
+        for k in orders:
+            dk = np.zeros_like(a) if k else (a <= self.r0) * 1.0
+            tk = t[k] / width ** k
+            dk[trans] = tk * sign if k % 2 else tk
+            out[k] = dk.reshape(u.shape)
         return out
 
 
@@ -214,11 +222,16 @@ class ProductProfile(Profile1D):
         self.bound_range = min(p.bound_range for p in (a, b))
         self.breakpoints = tuple(sorted(set(a.breakpoints) | set(b.breakpoints)))
 
-    def derivative(self, k: int, u: Array) -> Array:
+    def derivatives(self, orders, u: Array) -> dict[int, Array]:
+        """Each factor's table up to the highest order once, then Leibniz per order."""
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        for j in range(k + 1):
-            out += math.comb(k, j) * self.a.derivative(j, u) * self.b.derivative(k - j, u)
+        below = range(max(orders) + 1)
+        # b first: the registry's plateau factor runs its recursion before a's table exists
+        b, a = self.b.derivatives(below, u), self.a.derivatives(below, u)
+        out = {k: np.zeros_like(u) for k in orders}
+        for k, dk in out.items():
+            for j in range(k + 1):
+                dk += math.comb(k, j) * a[j] * b[k - j]
         return out
 
 
@@ -356,7 +369,7 @@ class TestFunction:
         return out
 
     def sup_partial(self, alpha) -> float:
-        """Conservative upper bound for sup |partial(alpha, .)|."""
+        """Estimate of sup |partial(alpha, .)|: the product of the profiles' ``sup_derivative``."""
         key = tuple(int(a) for a in alpha)
         if key not in self._sup_cache:
             self._sup_cache[key] = math.prod(
@@ -367,8 +380,9 @@ class TestFunction:
         """Upper bound for sup_x max_{|s|=1} |sum_{|a|=m} (m!/a!) s^a d^a f(x)|.
 
         ``calculus.direction_bound`` at s = (1, ..., 1), which bounds |s^a| by 1.
-        Used for exact radial truncation of level-set kernels; over-estimation
-        is safe, under-estimation is not.
+        Used for the radial truncation of level-set kernels; over-estimation is
+        safe, under-estimation is not, and the bound rests on the unproven grid
+        estimate ``Profile1D.sup_derivative``.
         """
         if m not in self._bound_cache:
             from .calculus import direction_bound

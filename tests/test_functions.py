@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import fd_partial, lattice_run
+from nonlocal_limits import functions
 from nonlocal_limits.calculus import multi_indices, multinomial
-from nonlocal_limits.functions import (NORMAL, GaussianProfile, list_functions, make_function,
-                                       polynomial_function)
+from nonlocal_limits.functions import (NORMAL, ExpProfile, GaussianProfile, PlateauProfile,
+                                       PolynomialProfile, ProductProfile, SineProfile,
+                                       list_functions, make_function, polynomial_function)
 
 SMOOTH = [("gaussian", 1), ("gaussian", 2), ("poly_bump", 1), ("poly_bump", 2),
           ("sine_bump", 1), ("exp_bump", 1)]
@@ -48,6 +50,135 @@ def test_gaussian_derivatives_are_bitwise_the_hermite_formula(rng):
         reference = (-1.0) ** k * h * np.exp(-u * u)
         np.testing.assert_array_equal(_bits(profile.derivative(k, u)), _bits(reference))
         np.testing.assert_array_equal(_bits(batch[k]), _bits(reference))
+
+
+# References for the profiles' derivatives: the per-order formulas, one order at a time.
+
+def _ref_ramp(k, s):
+    # d^k/ds^k exp(-1/s) = R_k(1/s) exp(-1/s) with R_{j+1}(w) = w^2 (R_j - R_j'), 0 for s <= 0
+    r = np.polynomial.Polynomial([1.0])
+    for _ in range(k):
+        r = np.polynomial.Polynomial([0.0, 0.0, 1.0]) * (r - r.deriv())
+    out = np.zeros_like(s)
+    pos = s > 0.0
+    core = np.exp(-1.0 / s[pos])
+    out[pos] = core * r(1.0 / s[pos]) if k else core
+    return out
+
+
+def _ref_plateau(r0, r1):
+    def derivative(k, u):
+        u = np.asarray(u, dtype=float)
+        out = np.zeros_like(u)
+        a = np.abs(u)
+        if k == 0:
+            out[a <= r0] = 1.0
+        trans = (a > r0) & (a < r1)
+        if np.any(trans):
+            width = r1 - r0
+            s = (a[trans] - r0) / width
+            # T = v / (u + v): v^(j) = sum_i C(j, i) T^(i) d^(j - i), d = u + v
+            ramp_u = [_ref_ramp(j, s) for j in range(k + 1)]
+            ramp_v = [(-1.0) ** j * _ref_ramp(j, 1.0 - s) for j in range(k + 1)]
+            d = [p + q for p, q in zip(ramp_u, ramp_v)]
+            t = [ramp_v[0] / d[0]]
+            for j in range(1, k + 1):
+                acc = ramp_v[j].copy()
+                for i in range(j):
+                    acc -= math.comb(j, i) * t[i] * d[j - i]
+                t.append(acc / d[0])
+            tk = t[k] / width ** k
+            if k % 2 == 1:
+                tk = tk * np.sign(u[trans])
+            out[trans] = tk
+        return out
+    return derivative
+
+
+def _ref_sine(omega, phase):
+    return lambda k, u: omega ** k * np.sin(omega * np.asarray(u, dtype=float) + phase
+                                            + 0.5 * k * math.pi)
+
+
+def _ref_polynomial(coeffs):
+    return lambda k, u: np.polynomial.Polynomial(coeffs).deriv(k)(np.asarray(u, dtype=float))
+
+
+def _ref_exp(k, u):
+    return np.exp(np.asarray(u, dtype=float))
+
+
+def _ref_product(ref_a, ref_b):
+    def derivative(k, u):
+        out = np.zeros_like(np.asarray(u, dtype=float))
+        for j in range(k + 1):
+            out += math.comb(k, j) * ref_a(j, u) * ref_b(k - j, u)
+        return out
+    return derivative
+
+
+PROFILE_CASES = {
+    "plateau": (PlateauProfile(0.8, 2.0), _ref_plateau(0.8, 2.0)),
+    "poly_bump": (ProductProfile(PolynomialProfile([1.0, 0.5]), PlateauProfile(0.8, 2.0)),
+                  _ref_product(_ref_polynomial([1.0, 0.5]), _ref_plateau(0.8, 2.0))),
+    "sine_bump": (ProductProfile(SineProfile(1.3, 0.4), PlateauProfile(0.8, 2.0)),
+                  _ref_product(_ref_sine(1.3, 0.4), _ref_plateau(0.8, 2.0))),
+    "exp_bump": (ProductProfile(ExpProfile(), PlateauProfile(1.0, 2.0)),
+                 _ref_product(_ref_exp, _ref_plateau(1.0, 2.0))),
+    "sine": (SineProfile(1.3, 0.4), _ref_sine(1.3, 0.4)),
+    "exp": (ExpProfile(), _ref_exp),
+    "polynomial": (PolynomialProfile([1.0, 0.5]), _ref_polynomial([1.0, 0.5])),
+    # a negative constant term: orders above the degree are -0.0 at u < 0 and 0.0 at -0.0
+    "negative_polynomial": (PolynomialProfile([-1.5, 0.25, 0.0, 3.0]),
+                            _ref_polynomial([-1.5, 0.25, 0.0, 3.0])),
+}
+# unsorted, with gaps, one order alone, and every order up to smoothness_order
+ORDER_SETS = [(4, 1, 3), {0, 2, 5}, (6,), (0,), range(functions.TestFunction.smoothness_order + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_CASES))
+def test_profile_derivatives_are_bitwise_the_per_order_formulas(name, rng):
+    profile, reference = PROFILE_CASES[name]
+    edges = [0.8, 1.0, 2.0, np.nextafter(0.8, 1.0), np.nextafter(2.0, 0.0), 2.5, 7.0]
+    special = np.array([0.0, -0.0] + edges + [-e for e in edges])
+    u = np.concatenate([rng.uniform(-3.0, 3.0, size=2000), special])
+    for orders in ORDER_SETS:
+        table = profile.derivatives(orders, u)
+        assert sorted(table) == sorted(orders)
+        for k in orders:
+            np.testing.assert_array_equal(_bits(table[k]), _bits(reference(k, u)), err_msg=f"{k}")
+            np.testing.assert_array_equal(_bits(profile.derivative(k, u)), _bits(reference(k, u)))
+            # each order is an array of its own
+            assert not any(np.shares_memory(table[k], table[j]) for j in orders if j != k)
+        # 0-d inputs give the bits of the reference at a 0-d input
+        for point in special:
+            for x in (point, np.asarray(point)):
+                scalar = profile.derivatives(orders, x)
+                for k in orders:
+                    assert _bits(scalar[k]) == _bits(reference(k, x)), (k, point)
+
+
+def test_each_profile_table_is_built_once(monkeypatch):
+    # the plateau runs one transition recursion: its ramps at s and at 1 - s, once each
+    calls = []
+    ramps = functions._ramps
+    monkeypatch.setattr(functions, "_ramps",
+                        lambda orders, s: calls.append(tuple(orders)) or ramps(orders, s))
+    u = np.linspace(-2.5, 2.5, 101)
+    PlateauProfile(0.8, 2.0).derivatives(range(7), u)
+    assert calls == [tuple(range(7))] * 2
+    # a product asks each factor once for every order up to the highest requested
+    product = ProductProfile(PolynomialProfile([1.0, 0.5]), PlateauProfile(0.8, 2.0))
+    asked = {"a": [], "b": []}
+    for side in asked:
+        factor = getattr(product, side)
+        monkeypatch.setattr(factor, "derivatives",
+                            lambda orders, x, side=side, table=factor.derivatives:
+                            asked[side].append(tuple(orders)) or table(orders, x))
+    calls.clear()
+    product.derivatives({5, 0, 2}, u)
+    assert asked == {"a": [tuple(range(6))], "b": [tuple(range(6))]}
+    assert calls == [tuple(range(6))] * 2
 
 
 def test_batched_partials_are_bitwise_the_per_axis_products(rng):
