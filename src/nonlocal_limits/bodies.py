@@ -20,6 +20,11 @@ Array = np.ndarray
 
 _EUCLID_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
+#: the largest lp-ball exponent q: on the unit sphere the least sum |sigma_i|^q is
+#: dim^(1 - q/2), a normal double while q <= 2 + 2044 / log2(dim), about 1291 in 3-D;
+#: above it the gauge underflows to 0 (at q = 5000 in 2-D on the diagonal)
+MAX_LP_EXPONENT = 1000
+
 
 def _unit_lp_ball_volume(dim: int, q: float) -> float:
     return 2.0 ** dim * math.gamma(1.0 + 1.0 / q) ** dim / math.gamma(1.0 + dim / q)
@@ -67,8 +72,8 @@ class ConvexBody:
 
     @staticmethod
     def lp_ball(exponent: float, radius: float, dim: int) -> "ConvexBody":
-        if exponent < 1.0:
-            raise ValueError("lp exponent must be >= 1")
+        if not 1.0 <= exponent <= MAX_LP_EXPONENT:
+            raise ValueError(f"lp exponent must be in [1, {MAX_LP_EXPONENT:g}]; got {exponent}")
         if radius <= 0:
             raise ValueError("radius must be positive")
         # boundary Euclidean extremes sit on an axis and on the diagonal

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import from_descriptor
+from .bodies import MAX_LP_EXPONENT, from_descriptor
 from .convergence import MAX_SCHEDULE_POINTS, Schedule
 from .engine import IntegrationPlan, lattice_sizes
 from .functionals import MAX_M, THEOREMS, FunctionalSpec, SpecError, validate_spec
@@ -52,7 +52,8 @@ _BODY_SCHEMA = {
                                       "items": {"type": "number", "exclusiveMinimum": 0}}},
          "required": ["kind", "semi_axes"], "additionalProperties": False},
         {"properties": {"kind": {"const": "lp_ball"},
-                        "exponent": {"type": "number", "minimum": 1},
+                        "exponent": {"type": "number", "minimum": 1,
+                                     "maximum": MAX_LP_EXPONENT},
                         "radius": {"type": "number", "exclusiveMinimum": 0},
                         "dim": {"type": "integer", "minimum": 1, "maximum": MAX_DIM}},
          "required": ["kind", "exponent", "radius", "dim"], "additionalProperties": False},

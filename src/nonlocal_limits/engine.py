@@ -22,8 +22,9 @@ of a lattice mapped to the box, n1 and n2 primes (``lattice_sizes``).  Each
 point is weighted by the sphere measure over the realised mixture density
 q = (n1/n) p + (n2/n) / vol(box), n = n1 + n2, so every replicate is exactly
 unbiased, and the box share caps each weight at n / n2, about 5, times the
-plain uniform weight.  Proposal points outside the box get weight 0.  A
-function without a proposal keeps the box lattice only.  Generating vectors
+plain uniform weight.  Proposal points outside the box get weight 0.  A pass
+holds one record per lattice: the box lattice always, and first the proposal
+lattice when the function has a proposal.  Generating vectors
 come from fast component-by-component construction (``generating_vector``),
 each coordinate one FFT convolution of 5-smooth length.  An angle coordinate
 u = {j / n + shift} (Box-Muller angles, the 2-D direction, the 3-D azimuth)
@@ -408,15 +409,6 @@ def _directions(u: Array, turn, dim: int) -> Array:
     return np.stack([ring * turn.real, ring * turn.imag, height], axis=1)
 
 
-def outer_points(u: Array, radius: float, proposal, turns=None) -> Array:
-    """Outer points (n, dim) from uniforms ``u`` (coordinates, n): the proposal's own
-    map, given the ``turns`` exp(2 pi i u) of its angle coordinates (``proposal.angles``),
-    or -radius + 2 radius u on the box [-radius, radius]^dim without one."""
-    if proposal is not None:
-        return proposal.transform(u, turns)
-    return (-radius + 2.0 * radius * u).T
-
-
 def outer_weights(x: Array, radius: float, proposal, share: float, mass: float) -> Array:
     """Weights ``mass / q(x)`` of outer points under the defensive mixture.
 
@@ -486,11 +478,12 @@ def integrate_double(kernel, plan: IntegrationPlan, radius: float, dim: int,
 
 
 def _monte_carlo(kernel, plan, radius, dim, proposal) -> list[IntegralEstimate]:
-    """The pass: SHIFTS shifts of a proposal lattice of n1 points and a box lattice of n2.
+    """The pass: SHIFTS shifts of each lattice, the proposal lattice of n1 points first
+    when there is a proposal, then the box lattice of n2.
 
     A point's uniform coordinates are the outer point's, then the
-    direction's, then the radial uniform v, at most 7 in all; shift r of both
-    lattices is drawn from SeedSequence((seed, 1, r)), proposal lattice first.
+    direction's, then the radial uniform v, at most 7 in all; shift r of every
+    lattice is drawn from SeedSequence((seed, 1, r)), proposal lattice first.
     Each block holds the points lo .. hi - 1 of one (lattice, shift) run, at
     most _CHUNK of them, so a point depends on (seed, samples, lattice, shift,
     index) only.  An angle coordinate (a Box-Muller angle, the 2-D direction,
@@ -506,44 +499,40 @@ def _monte_carlo(kernel, plan, radius, dim, proposal) -> list[IntegralEstimate]:
     of nonzero payoffs.
     """
     mass = sphere_measure(dim)
-    sizes = lattice_sizes(plan.samples, proposal is not None)
-    n1, n = sizes[0], sum(sizes)
-    # the outer point's coordinates in each lattice; the direction's and v follow
-    coords = (proposal.coordinates if n1 else 0, dim)
+    n1, n2 = lattice_sizes(plan.samples, proposal is not None)
+    n = n1 + n2
+    # the direction's coordinates and v, which follow the outer point's
     tail = (1 if dim < 3 else 2) + 1
-    # the angle coordinates of each lattice: the proposal's, then the direction's last
-    direction = [(c + dim - 2,) if dim > 1 else () for c in coords]
-    angles = [np.array(rows, dtype=np.intp)
-              for rows in ((proposal.angles if n1 else ()) + direction[0], direction[1])]
-    vectors = [generating_vector(size, c + tail) if size else None
-               for size, c in zip(sizes, coords)]
-    circles = [_circle(size) if size and rows.size else None for size, rows in zip(sizes, angles)]
-    shifts = [np.zeros((SHIFTS, c + tail, 1)) for c in coords]
+    # one record per lattice: its points per shift, its outer law (None: the box map), the
+    # law's coordinate count and the rows that are angles, the law's and the direction's last
+    laws = [(n1, proposal, proposal.coordinates, proposal.angles)] if n1 else []
+    lattices = [(size, law, c, np.array(angles + ((c + dim - 2,) if dim > 1 else ()), np.intp))
+                for size, law, c, angles in laws + [(n2, None, dim, ())]]
+    vectors = [generating_vector(size, c + tail) for size, _, c, _ in lattices]
+    circles = [_circle(size) if rows.size else None for size, _, _, rows in lattices]
+    shifts = [np.zeros((SHIFTS, c + tail, 1)) for _, _, c, _ in lattices]
     for r in range(SHIFTS):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((plan.seed, 1, r))))
-        for size, drawn in zip(sizes, shifts):
-            if size:
-                rng.random(out=drawn[r])
+        for drawn in shifts:
+            rng.random(out=drawn[r])
     # exp(2 pi i shift) of each angle coordinate: the rotation of the lattice's table
-    rotations = [_unit(2.0 * math.pi * drawn[:, rows]) for drawn, rows in zip(shifts, angles)]
-    blocks = [(lattice, r, lo, min(lo + _CHUNK, size)) for lattice, size in enumerate(sizes)
+    rotations = [_unit(2.0 * math.pi * drawn[:, rows])
+                 for drawn, (_, _, _, rows) in zip(shifts, lattices)]
+    box_weight = np.array([mass * (2.0 * radius) ** dim])
+    blocks = [(i, r, lo, min(lo + _CHUNK, size)) for i, (size, *_) in enumerate(lattices)
               for r in range(SHIFTS) for lo in range(0, size, _CHUNK)]
 
     def block(spec) -> Array:
-        lattice, r, lo, hi = spec
-        c, rows = coords[lattice], angles[lattice]
-        j = _residues(np.arange(lo, hi), vectors[lattice], sizes[lattice])
-        turns = None
-        if rows.size:
-            turns = _turns(j.take(rows, axis=0), circles[lattice], rotations[lattice][r])
-        u = _shifted(j, sizes[lattice], shifts[lattice][r])
+        i, r, lo, hi = spec
+        size, law, c, rows = lattices[i]
+        j = _residues(np.arange(lo, hi), vectors[i], size)
+        turns = _turns(j.take(rows, axis=0), circles[i], rotations[i][r]) if rows.size else None
+        u = _shifted(j, size, shifts[i][r])
         # the box map is a transposed view, and the kernels run slower on one
-        x = np.ascontiguousarray(outer_points(u[:c], radius, proposal if lattice == 0 else None,
-                                              turns))
-        if proposal is None:
-            weight = np.array([mass * (2.0 * radius) ** dim])
-        else:
-            weight = outer_weights(x, radius, proposal, n1 / n, mass)
+        x = (law.transform(u[:c], turns) if law is not None
+             else np.ascontiguousarray((-radius + 2.0 * radius * u[:c]).T))
+        weight = (box_weight if proposal is None
+                  else outer_weights(x, radius, proposal, n1 / n, mass))
         # the direction's turn as a copy, so that the proposal's is freed before the kernel runs
         sigma = _directions(u[c:-1], turns[-1].copy() if dim > 1 else None, dim)
         del turns

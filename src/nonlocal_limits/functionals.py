@@ -132,8 +132,6 @@ def validate_spec(spec: FunctionalSpec) -> None:
     if not spec.f.integrable:
         raise SpecError(f"function {spec.f.name!r} is for identity tests only and is "
                         f"rejected by the functional evaluators")
-    if spec.f.smoothness_order < spec.m + 1:
-        raise SpecError("function smoothness must exceed the remainder order")
     if spec.parameter <= 0:
         raise SpecError("parameter must be positive")
     if spec.grid and spec.parameter not in spec.grid:
@@ -147,20 +145,14 @@ def validate_spec(spec: FunctionalSpec) -> None:
 
 
 def theorem_constant(theorem: str, m: int, p: float, dim: int) -> float:
-    """Constant multiplying the shared local integral.
-
-    The level-set constants are the mollified ones divided by m*p, computed
-    through that exact relation so the ratio is a single float division.
-    """
-    if theorem == "bbm_centered":
-        return (dim + m * p) / m ** (m * p)
-    if theorem == "nguyen_centered":
-        return theorem_constant("bbm_centered", m, p, dim) / (m * p)
-    if theorem == "bbm_taylor":
-        return (dim + m * p) / math.factorial(m) ** p
-    if theorem == "nguyen_taylor":
-        return theorem_constant("bbm_taylor", m, p, dim) / (m * p)
-    raise SpecError(f"unknown theorem {theorem!r}")
+    """Constant multiplying the shared local integral: (dim + m p) / m^(m p) (centered) or
+    (dim + m p) / (m!)^p (Taylor) for the mollified forms, and the level-set constants are
+    those divided by m p, one float division."""
+    if theorem not in THEOREMS:
+        raise SpecError(f"unknown theorem {theorem!r}")
+    mollified = (dim + m * p) / (m ** (m * p) if theorem.endswith("centered")
+                                 else math.factorial(m) ** p)
+    return mollified / (m * p) if theorem.startswith("nguyen") else mollified
 
 
 def _remainder(theorem: str):

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonlocal_limits.bodies import ConvexBody, from_descriptor
+from nonlocal_limits.bodies import MAX_LP_EXPONENT, ConvexBody, from_descriptor
 from nonlocal_limits.calculus import m_form
 from nonlocal_limits.engine import cone_nodes
+from nonlocal_limits.functionals import FunctionalSpec, local_limit
+from nonlocal_limits.functions import make_function
 
 BODIES = [
     ConvexBody.ball(1.0, 2),
@@ -87,6 +90,20 @@ def test_polytope_requires_symmetry():
         ConvexBody.polytope([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     with pytest.raises(ValueError):
         ConvexBody.polytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
+
+
+def test_lp_ball_exponent_is_bounded():
+    # above the bound the least sum |sigma_i|^q on the unit sphere leaves the normal doubles
+    # and the gauge underflows to 0 (at q = 5000 in 2-D on the diagonal)
+    with pytest.raises(ValueError, match="lp exponent must be in"):
+        ConvexBody.lp_ball(1000.5, 1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim in (2, 3):
+            body = ConvexBody.lp_ball(MAX_LP_EXPONENT, 1.0, dim)
+            spec = FunctionalSpec("nguyen_centered", make_function("gaussian", dim), body, 1,
+                                  2.0, 0.1)
+            assert math.isfinite(local_limit(spec))
 
 
 @settings(max_examples=60, deadline=None)

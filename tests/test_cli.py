@@ -311,6 +311,18 @@ def test_run_bounds_schedule_points(tmp_path, capsys):
     assert err[0].startswith("error: config invalid at 'jobs/0/schedule/points': 65 is greater")
 
 
+def test_run_bounds_lp_ball_exponent(tmp_path, capsys):
+    # parse only at the bound; above it the gauge can underflow to 0 (``ConvexBody.lp_ball``)
+    cfg = base_config()
+    cfg["jobs"][0]["body"] = {"kind": "lp_ball", "exponent": 1000, "radius": 1.0, "dim": 2}
+    assert parse_config(cfg).jobs[0].spec.body.params[0] == 1000.0
+    cfg["jobs"][0]["body"]["exponent"] = 1000.5
+    assert cli.run(write_config(tmp_path, cfg), {}) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: config invalid at 'jobs/0/body/exponent': 1000.5 is greater")
+
+
 INTEGRAL_FLOATS = {
     "seed": ({"seed": 3.0}, "seed"),
     "workers": ({"workers": 2.0}, "workers"),

@@ -10,8 +10,8 @@ from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import monomial, multi_indices
 from nonlocal_limits.engine import (PROPOSAL_SHARE, SHIFTS, EngineError, IntegrationPlan,
                                     MollifierRadial, PowerLaw, body_quadrature_nodes, cone_nodes,
-                                    gauss_legendre, integrate_double, lattice_sizes, outer_points,
-                                    outer_weights, sphere_body_identity_check, sphere_quadrature)
+                                    gauss_legendre, integrate_double, lattice_sizes, outer_weights,
+                                    sphere_body_identity_check, sphere_quadrature)
 from nonlocal_limits.functionals import FunctionalSpec, evaluate
 from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import make_mollifier
@@ -366,8 +366,8 @@ def _mixture_points(rng, n, radius):
     n1, n2 = lattice_sizes(SHIFTS * n, True)
     prop = GAUSS2_PROPOSAL
     u = rng.random((prop.coordinates, n1))
-    x = np.concatenate([outer_points(u, radius, prop, libm_turns(u, prop)),
-                        outer_points(rng.random((2, n2)), radius, None)])
+    x = np.concatenate([prop.transform(u, libm_turns(u, prop)),
+                        (-radius + 2.0 * radius * rng.random((2, n2))).T])
     return x, n1, n2
 
 
@@ -443,8 +443,6 @@ def test_out_of_box_proposal_draw_gets_zero_weight(monkeypatch):
 
 
 def test_no_proposal_keeps_the_uniform_box(monkeypatch):
-    u = np.random.default_rng(5).random((2, 100))
-    np.testing.assert_array_equal(outer_points(u, 3.0, None), (-3.0 + 6.0 * u).T)
     blocks = _record_blocks(monkeypatch)
     plan = IntegrationPlan("monte_carlo", samples=3200, seed=5)
     integrate_double(drawn(PowerLaw(0.0, (0.5,), flat_reach, 1.0), ones_kernel), plan, 3.0, 2)
@@ -550,14 +548,55 @@ def test_block_streams_and_offsets():
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((31, 1, r))))
         # a Box-Muller pair, the angle and v; the box lattice has 4 coordinates too
         first, second = rng.random(4), rng.random(4)
-        for lattice, shift, proposal in ((0, first, GAUSS2_PROPOSAL), (1, second, None)):
+        for lattice, shift in ((0, first), (1, second)):
             x, sigma, v = calls[lattice * SHIFTS + r]
             u = shift[:, np.newaxis]
-            np.testing.assert_array_equal(
-                x[:1], outer_points(u[:2], 2.0, proposal, libm_turns(u[:2], GAUSS2_PROPOSAL)))
+            outer = (GAUSS2_PROPOSAL.transform(u[:2], libm_turns(u[:2], GAUSS2_PROPOSAL))
+                     if lattice == 0 else (-2.0 + 4.0 * u[:2]).T)
+            np.testing.assert_array_equal(x[:1], outer)
             angle = 2.0 * math.pi * u[2]
             np.testing.assert_array_equal(sigma[:1], np.stack([np.cos(angle), np.sin(angle)], 1))
             np.testing.assert_array_equal(v[:1], u[3])
+
+
+def _rule_blocks(seed, sizes, s, chunk):
+    """Each block's points u (s, m) by the documented rule, in block order: per shift r one
+    SeedSequence((seed, 1, r)) stream draws the shift of each lattice in turn, and point j
+    of an n-point lattice with generating vector z is {(j z mod n) / n + shift}."""
+    shifts = [[] for _ in sizes]
+    for r in range(SHIFTS):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 1, r))))
+        for drawn_shifts in shifts:
+            drawn_shifts.append(rng.random(s)[:, np.newaxis])
+    blocks = []
+    for n, drawn_shifts in zip(sizes, shifts):
+        z = engine.generating_vector(n, s)
+        for shift in drawn_shifts:
+            for lo in range(0, n, chunk):
+                u = np.multiply.outer(z, np.arange(lo, min(lo + chunk, n))) % n / n + shift
+                u -= u >= 1.0
+                blocks.append(u)
+    return blocks
+
+
+@pytest.mark.parametrize("proposal", [GAUSS2_PROPOSAL, None], ids=["gaussian", "box-only"])
+def test_block_points_follow_the_draw_rule(proposal, monkeypatch):
+    # every run split into blocks: the proposal lattice's 2503 points and the box
+    # lattice's 631 (or 3121 without a proposal) each end in a part block
+    monkeypatch.setattr(engine, "_CHUNK", 500)
+    calls = []
+    plan = IntegrationPlan("monte_carlo", samples=BLOCKED_SAMPLES, seed=31)
+    integrate_double(_record_kernel_calls(calls), plan, 3.0, 2, proposal)
+    sizes = [n for n in lattice_sizes(plan.samples, proposal is not None) if n]
+    # the outer point's 2 coordinates (a Box-Muller pair or the box's), the angle and v
+    expected = _rule_blocks(plan.seed, sizes, 4, 500)
+    assert len(calls) == len(expected) and len(expected) > SHIFTS * len(sizes)
+    first_box = len(expected) - SHIFTS * -(-sizes[-1] // 500)
+    for k, ((x, _, v), u) in enumerate(zip(calls, expected)):
+        np.testing.assert_array_equal(v, u[-1])
+        if k >= first_box:
+            # the box map -radius + 2 radius u of the outer coordinates
+            np.testing.assert_array_equal(x, (-3.0 + 6.0 * u[:2]).T)
 
 
 def test_power_law_bitwise_against_unprepared_formulas():

@@ -10,7 +10,7 @@ from nonlocal_limits import functionals
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import centered_remainder, directional_m_form, m_form_tableau
 from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, MollifierRadial,
-                                    cone_nodes, gauss_legendre, outer_points, outer_weights)
+                                    cone_nodes, gauss_legendre, outer_weights)
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, evaluate, local_limit,
                                          theorem_constant)
 from nonlocal_limits.functions import list_functions, make_function, polynomial_function
@@ -72,6 +72,20 @@ def test_constant_ratio_is_m_times_p():
                 ratio = (theorem_constant("bbm_taylor", m, p, dim)
                          / theorem_constant("nguyen_taylor", m, p, dim))
                 assert ratio == pytest.approx(m * p, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+def test_theorem_constants_bitwise_against_their_formulas(p):
+    for m in (1, 2, 3):
+        for dim in (1, 2, 3):
+            formulas = {"bbm_centered": (dim + m * p) / m ** (m * p),
+                        "nguyen_centered": (dim + m * p) / m ** (m * p) / (m * p),
+                        "bbm_taylor": (dim + m * p) / math.factorial(m) ** p,
+                        "nguyen_taylor": (dim + m * p) / math.factorial(m) ** p / (m * p)}
+            for theorem, constant in formulas.items():
+                assert theorem_constant(theorem, m, p, dim) == constant
+    with pytest.raises(SpecError, match="unknown theorem"):
+        theorem_constant("bbm", 1, p, 1)
 
 
 def test_taylor_and_centered_agree_at_m1():
@@ -169,8 +183,8 @@ def test_local_limit_monte_carlo_agrees():
     rng = np.random.default_rng(3)
     n, k, radius = 400_000, 320_000, GAUSS2.support_radius
     u = rng.random((2, k))
-    xs = np.concatenate([outer_points(u, radius, GAUSS2.proposal, libm_turns(u, GAUSS2.proposal)),
-                         outer_points(rng.random((2, n - k)), radius, None)])
+    xs = np.concatenate([GAUSS2.proposal.transform(u, libm_turns(u, GAUSS2.proposal)),
+                         (-radius + 2.0 * radius * rng.random((2, n - k))).T])
     wx = outer_weights(xs, radius, GAUSS2.proposal, k / n, 1.0)
     ys = rng.uniform(-1.0, 1.0, size=(n, 2)) * [2.0, 1.0]
     payoff = wx * 8.0 * (ellipse.gauge(ys) <= 1.0) * directional_m_form(GAUSS2, xs, ys, 1) ** 2
