@@ -19,8 +19,8 @@ from .functionals import FunctionalSpec, evaluate, local_limit
 RATE_RANGE = (0.2, 2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: points of a schedule at most: a Monte Carlo pass runs them all and keeps about six
-#: arrays of points x 16,384 floats per block thread
+#: points of a schedule at most: a Monte Carlo pass runs them all and keeps about five
+#: arrays of points x 16,384 floats per block thread (three in a mollified sweep)
 MAX_SCHEDULE_POINTS = 64
 
 

@@ -32,8 +32,12 @@ needs no cos or sin per point: a shift is a rotation, so exp(2 pi i u) is
 the entry j of the lattice's table exp(2 pi i j / n), built once per pass,
 times exp(2 pi i shift) (``_turns``).
 
-A pass runs in blocks, each a run of at most _CHUNK points of one lattice
-under one shift.  A point depends on (seed, samples, lattice, shift, index)
+A pass runs in blocks, one per piece and shift, where a piece is a run of at
+most _CHUNK consecutive points of one lattice: the blocks go piece by piece,
+proposal lattice first, and each piece under every shift in turn.  The
+residues j z mod n of a piece and the table entries of its angle rows do not
+depend on the shift, so a thread builds them once per piece and its SHIFTS
+blocks share them.  A point depends on (seed, samples, lattice, shift, index)
 only, shift r being drawn from SeedSequence((seed, 1, r)) (keyed streams,
 Salmon et al. 2011), and each shift's payoffs are folded in point order,
 proposal lattice first, into 64 interleaved left-to-right sums per point and
@@ -56,6 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -318,28 +323,33 @@ def generating_vector(n: int, s: int) -> Array:
     1 .. (n - 1)/2 (z and n - z give the same rule) that minimises the
     worst-case error P_2 of the first j coordinates.  Ordering z and k by
     powers of a primitive root g makes the matrix omega(k z mod n / n)
-    circulant, so each coordinate is one cyclic convolution of length n - 1,
-    done as a zero-padded FFT of 5-smooth length (n - 1 may have a large prime
+    circulant, so each coordinate is one cyclic convolution of length n - 1.
+    Both of its sequences have period h = (n - 1)/2: g^h = -1 mod n, the
+    kernel is even about 1/2 and the product of the earlier coordinates is
+    symmetric under k -> n - k.  So the convolution is twice the one of length
+    h, done as a zero-padded FFT of 5-smooth length (h may have a large prime
     factor, where a direct FFT is slow).
-    Candidates within 1e-12 of the least error are ties, and the smallest
-    wins.
+    Candidates within 1e-12 of the least error, on the scale of the full
+    sum, are ties, and the smallest wins.
     """
     z = np.ones(s, dtype=np.int64)
     if n > 3:
-        powers = _power_table(_primitive_root(n), n)
-        size = _smooth_length(2 * n - 3)  # holds the 2(n - 1) - 1 terms of the linear one
+        h = (n - 1) // 2
+        powers = _power_table(_primitive_root(n), n)[:h]
+        size = _smooth_length(2 * h - 1)  # holds the 2h - 1 terms of the linear one
         spectrum = np.fft.rfft(_korobov(powers / n), size)
-        inverse = powers[-np.arange(n - 1) % (n - 1)]  # g^-b mod n
+        inverse = powers[-np.arange(h) % h]  # g^-b mod n, up to sign
         k = np.arange(n)
         product = 1.0 + _korobov(k / n)  # the first coordinate is z = 1
         for j in range(1, s):
-            # error[a] = sum_b omega(g^(a - b) / n) product[g^-b]: the candidate z = g^a
+            # error[a] = 2 sum_b omega(g^(a - b) / n) product[g^-b], b < h: the candidate z = g^a
             weights = product[inverse]
             linear = np.fft.irfft(spectrum * np.fft.rfft(weights, size), size)
+            linear[:h - 1] += linear[h:2 * h - 1]
             error = np.empty(n)
-            error[powers] = linear[:n - 1] + linear[n - 1:2 * n - 2]
-            half = error[1:(n - 1) // 2 + 1]
-            tie = 1e-12 * (math.pi ** 2 / 3.0) * float(np.abs(weights).sum())
+            error[powers] = error[n - powers] = 2.0 * linear[:h]
+            half = error[1:h + 1]
+            tie = 1e-12 * (math.pi ** 2 / 3.0) * 2.0 * float(np.abs(weights).sum())
             z[j] = 1 + int(np.flatnonzero(half <= half.min() + tie)[0])
             product *= 1.0 + _korobov(k * z[j] % n / n)
     z.flags.writeable = False
@@ -356,11 +366,11 @@ def _residues(index: Array, z: Array, n: int) -> Array:
 
 
 def _shifted(j: Array, n: int, shift: Array) -> Array:
-    """The points {j / n + shift} of residues ``j`` (s, m), in place; ``shift`` is (s, 1)."""
-    j /= n
-    j += shift
-    j -= j >= 1.0
-    return j
+    """The points {j / n + shift} (s, m) of residues ``j``, a fresh array; ``shift`` is (s, 1)."""
+    u = np.divide(j, n)
+    u += shift
+    u -= u >= 1.0
+    return u
 
 
 def _unit(angle) -> Array:
@@ -383,13 +393,14 @@ def _circle(n: int) -> Array:
     return table
 
 
-def _turns(j: Array, circle: Array, rotation: Array) -> Array:
+def _turns(entries: Array, rotation: Array) -> Array:
     """exp(2 pi i u) of the lattice points u = {j / n + shift}: a shift is a rotation, so
-    each is the table entry of its residue j times ``rotation`` = exp(2 pi i shift), (s, 1).
-    A run's first point, j = 0, gets the rotation itself, bitwise.  The product is out of
-    place: numpy's in-place product of a lone element rounds differently from its vector loop,
-    which changed a 1-point block of a 1-D proposal lattice."""
-    return np.multiply(circle.take(j.astype(np.intp)), rotation)
+    each is the ``entries`` circle[j] of the lattice's table (``_circle``) at its residue j
+    times ``rotation`` = exp(2 pi i shift), (s, 1).  A run's first point, j = 0, gets the
+    rotation itself, bitwise.  The product is out of place: numpy's in-place product of a
+    lone element rounds differently from its vector loop, which changed a 1-point block of a
+    1-D proposal lattice."""
+    return np.multiply(entries, rotation)
 
 
 def _directions(u: Array, turn, dim: int) -> Array:
@@ -426,16 +437,16 @@ def outer_weights(x: Array, radius: float, proposal, share: float, mass: float) 
 
 
 def _weighted_payoffs(kernel, x: Array, sigma: Array, v: Array, weight=None) -> Array:
-    """The kernel's payoffs, times the outer ``weight`` if given; they must be (K, n),
-    K >= 1, and finite."""
+    """The kernel's payoffs, times the outer ``weight`` if given, in place; they must be
+    (K, n), K >= 1, and finite."""
     values = kernel(x, sigma, v)
     if np.ndim(values) != 2 or len(values) == 0 or np.shape(values)[1] != len(v):
         raise EngineError(f"kernel returned payoffs of shape {np.shape(values)}, "
                           f"expected (K, {len(v)}): one row per point")
     if weight is not None:
-        values = values * weight
-    bad = ~np.isfinite(values)
-    if np.any(bad):
+        values *= weight
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values)
         j, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise EngineError(
             f"nonfinite kernel value at x={x[i].tolist()}, sigma={sigma[i].tolist()}, "
@@ -456,12 +467,14 @@ def integrate_double(kernel, plan: IntegrationPlan, radius: float, dim: int,
     kernel : callable(x, sigma, v) -> values
         Vectorized payoffs of all points: x and sigma of shape (n, dim), v of
         shape (n,) in [0, 1), and values of shape (K, n) with K >= 1; any
-        other shape of values raises ``EngineError``.  The kernel draws the
-        radius t from v by its radial law, and the payoff is the pair
-        integrand F(x, x + t sigma) times t^(dim-1) over the law's normalised
-        density.  Monte Carlo multiplies it by the outer weight; quadrature
-        (dim = 1) takes v at the Gauss-Legendre nodes on [0, 1] and multiplies
-        by nothing.
+        other shape of values raises ``EngineError``.  The values must be a
+        fresh float array that the kernel keeps no reference to: the engine
+        owns it and overwrites it.  The kernel draws the radius t from v by
+        its radial law, and the payoff is the pair integrand F(x, x + t sigma)
+        times t^(dim-1) over the law's normalised density.  Monte Carlo
+        multiplies it by the outer weight, in place; quadrature (dim = 1)
+        takes v at the Gauss-Legendre nodes on [0, 1] and multiplies by
+        nothing.
     proposal : functions.OuterProposal | None
         Law for the outer point x on the Monte Carlo path, mixed with the
         uniform box (``outer_weights``); quadrature ignores it.
@@ -484,19 +497,25 @@ def _monte_carlo(kernel, plan, radius, dim, proposal) -> list[IntegralEstimate]:
     A point's uniform coordinates are the outer point's, then the
     direction's, then the radial uniform v, at most 7 in all; shift r of every
     lattice is drawn from SeedSequence((seed, 1, r)), proposal lattice first.
-    Each block holds the points lo .. hi - 1 of one (lattice, shift) run, at
-    most _CHUNK of them, so a point depends on (seed, samples, lattice, shift,
-    index) only.  An angle coordinate (a Box-Muller angle, the 2-D direction,
-    the 3-D azimuth) enters as exp(2 pi i u), from a table of the lattice
-    rotated by its shift (``_turns``), built once per pass.  Blocks run on
-    min(workers, blocks, cpu count) threads; the calling thread folds their
-    payoffs (fresh arrays, overwritten), block by block, into _LANES
-    interleaved left-to-right sums per point and shift, point i of a run in
-    lane i mod _LANES, proposal points first, and adds the lanes pairwise at
-    the end, so the K estimates are the same for every worker count and block
-    size.  A point's value is the mean of its SHIFTS replicate means, its
-    stderr their sample sd over sqrt(SHIFTS), and ``hit_fraction`` its share
-    of nonzero payoffs.
+    A piece is the points lo .. hi - 1 of one lattice, at most _CHUNK of
+    them, and each block is one piece under one shift, in the order
+    (lattice, piece, shift), so a point depends on (seed, samples, lattice,
+    shift, index) only.  An angle coordinate (a Box-Muller angle, the 2-D
+    direction, the 3-D azimuth) enters as exp(2 pi i u), the entry of the
+    lattice's table at the point's residue rotated by its shift (``_turns``);
+    the table is built once per pass.  A thread keeps its last piece's
+    residues and table entries in a slot, so each is built once per piece and
+    thread, and the piece's blocks under every shift only shift the residues
+    and rotate the entries.  Blocks run on min(workers, blocks, cpu count)
+    threads; the calling thread folds their payoffs (fresh arrays, weighted
+    in place), block by block, into _LANES interleaved left-to-right sums per
+    point and shift, point i of a run in lane i mod _LANES, proposal points
+    first.  Each shift folds into lanes of its own and sees its blocks in
+    (lattice, piece) order, so interleaving the shifts moves no sum.  The
+    lanes are added pairwise at the end, so the K estimates are the same for
+    every worker count and block size.  A point's value is the mean of its
+    SHIFTS replicate means, its stderr their sample sd over sqrt(SHIFTS), and
+    ``hit_fraction`` its share of nonzero payoffs.
     """
     mass = sphere_measure(dim)
     n1, n2 = lattice_sizes(plan.samples, proposal is not None)
@@ -519,14 +538,22 @@ def _monte_carlo(kernel, plan, radius, dim, proposal) -> list[IntegralEstimate]:
     rotations = [_unit(2.0 * math.pi * drawn[:, rows])
                  for drawn, (_, _, _, rows) in zip(shifts, lattices)]
     box_weight = np.array([mass * (2.0 * radius) ** dim])
-    blocks = [(i, r, lo, min(lo + _CHUNK, size)) for i, (size, *_) in enumerate(lattices)
-              for r in range(SHIFTS) for lo in range(0, size, _CHUNK)]
+    blocks = [(i, lo, min(lo + _CHUNK, size), r) for i, (size, *_) in enumerate(lattices)
+              for lo in range(0, size, _CHUNK) for r in range(SHIFTS)]
+    # each thread's last piece: its (lattice, lo), residues and table entries of the angle rows
+    slots = threading.local()
 
     def block(spec) -> Array:
-        i, r, lo, hi = spec
+        i, lo, hi, r = spec
         size, law, c, rows = lattices[i]
-        j = _residues(np.arange(lo, hi), vectors[i], size)
-        turns = _turns(j.take(rows, axis=0), circles[i], rotations[i][r]) if rows.size else None
+        piece, j, entries = getattr(slots, "piece", (None, None, None))
+        if piece != (i, lo):
+            # the last piece's arrays go before this one's are built
+            slots.piece = j = entries = None
+            j = _residues(np.arange(lo, hi), vectors[i], size)
+            entries = circles[i].take(j.take(rows, axis=0).astype(np.intp)) if rows.size else None
+            slots.piece = ((i, lo), j, entries)
+        turns = _turns(entries, rotations[i][r]) if rows.size else None
         u = _shifted(j, size, shifts[i][r])
         # the box map is a transposed view, and the kernels run slower on one
         x = (law.transform(u[:c], turns) if law is not None
@@ -540,7 +567,7 @@ def _monte_carlo(kernel, plan, radius, dim, proposal) -> list[IntegralEstimate]:
 
     def fold(results) -> tuple[Array, Array]:
         lanes = hits = pad = None
-        for (_, r, lo, hi), values in zip(blocks, results):
+        for (_, lo, hi, r), values in zip(blocks, results):
             if lanes is None:
                 lanes = np.zeros((len(values), SHIFTS, _LANES))
                 hits = np.zeros(len(values), dtype=int)
@@ -744,6 +771,14 @@ def cone_nodes(body: ConvexBody) -> tuple[Array, Array]:
     z = A omega / |omega|_q with w = det(A) w_omega |omega|_q^-dim.  Boxes and
     polytopes use their facets: facet F_i at distance b_i/|n_i| from the
     origin contributes Gauss points on F_i with weight (b_i/|n_i|) dA.
+
+    The sphere rule is split at the axes only, so on an lp ball of large q
+    the gauge's near-kinks on the diagonals are under-resolved: the 2-D
+    ``nguyen_centered`` m = 1, p = 2 target of ``gaussian`` is off by -8.8e-5
+    relative at q = 20, -2.4e-3 at q = 100 and -2.9e-3 from q = 400 to 1000
+    against a 2000-node sphere rule, and in 3-D at q = 1000 by -1.6e-2
+    against the unit box's target; at q = 4 it agrees with the 2000-node rule
+    to 1e-13 (ROADMAP item 2).
     """
     dim = body.dim
     if body.kind in ("ball", "ellipsoid", "lp_ball"):

@@ -48,10 +48,12 @@ def libm_turns(u, proposal):
 def lattice_run(n, shift, rows):
     """A whole run of the n-point lattice shifted by ``shift`` (s, 1), on the angle path
     of the engine's blocks: its points u (s, n) and the turns exp(2 pi i u) of its rows
-    ``rows`` from the lattice's rotation table (None without rows)."""
+    ``rows``, the entries of the lattice's rotation table at their residues, rotated by the
+    shift (None without rows)."""
     j = engine._residues(np.arange(n), engine.generating_vector(n, len(shift)), n)
     rows = list(rows)
-    turns = (engine._turns(j[rows], engine._circle(n), engine._unit(2.0 * math.pi * shift[rows]))
+    turns = (engine._turns(engine._circle(n).take(j[rows].astype(np.intp)),
+                           engine._unit(2.0 * math.pi * shift[rows]))
              if rows else None)
     return engine._shifted(j, n, shift), turns
 

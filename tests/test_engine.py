@@ -404,9 +404,10 @@ def _record_blocks(monkeypatch):
 
 
 def _run_lengths(sizes):
-    """The points of each block: every (lattice, shift) run cut into _CHUNK pieces."""
-    return [min(engine._CHUNK, n - lo) for n in sizes for _ in range(SHIFTS)
-            for lo in range(0, n, engine._CHUNK)]
+    """The points of each block: every lattice's run cut into _CHUNK pieces, each piece
+    under every shift in turn."""
+    return [min(engine._CHUNK, n - lo) for n in sizes for lo in range(0, n, engine._CHUNK)
+            for _ in range(SHIFTS)]
 
 
 def test_single_row_chunk_is_a_box_row(monkeypatch):
@@ -420,7 +421,7 @@ def test_single_row_chunk_is_a_box_row(monkeypatch):
     share = n1 / (n1 + n2)
     assert len(blocks) == SHIFTS * (n1 + n2)
     for r in range(SHIFTS):
-        x, _, _, weight = blocks[SHIFTS * n1 + (r + 1) * n2 - 1]
+        x, _, _, weight = blocks[SHIFTS * n1 + SHIFTS * (n2 - 1) + r]
         assert x.shape == (1, 2) and np.all(np.abs(x) <= 8.5)
         q = share * GAUSS2_PROPOSAL.pdf(x) + (1.0 - share) / 17.0 ** 2
         # the outer weight alone: the radial law's mass 0.5 is in the payoff
@@ -521,8 +522,8 @@ def _record_kernel_calls(calls):
 
 @pytest.mark.parametrize("chunk", [engine._CHUNK, 1000])
 def test_kernel_calls_are_the_blocks_of_each_run(chunk, monkeypatch):
-    # every (lattice, shift) run cut into pieces of at most _CHUNK points, proposal
-    # lattice first and shift by shift, each a C-contiguous batch of outer points
+    # every lattice's run cut into pieces of at most _CHUNK points, proposal lattice
+    # first and each piece shift by shift, each a C-contiguous batch of outer points
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     calls = []
     plan = IntegrationPlan("monte_carlo", samples=BLOCKED_SAMPLES, seed=31)
@@ -532,7 +533,7 @@ def test_kernel_calls_are_the_blocks_of_each_run(chunk, monkeypatch):
     assert sum(len(x) for x, _, _ in calls) == est.info["samples"] == SHIFTS * sum(sizes)
     assert all(x.flags.c_contiguous and x.shape[1] == 2 for x, _, _ in calls)
     if chunk == 1000:
-        assert _run_lengths(sizes)[:3] == [1000, 1000, 503]
+        assert _run_lengths(sizes)[::SHIFTS][:3] == [1000, 1000, 503]
 
 
 def test_block_streams_and_offsets():
@@ -560,9 +561,10 @@ def test_block_streams_and_offsets():
 
 
 def _rule_blocks(seed, sizes, s, chunk):
-    """Each block's points u (s, m) by the documented rule, in block order: per shift r one
-    SeedSequence((seed, 1, r)) stream draws the shift of each lattice in turn, and point j
-    of an n-point lattice with generating vector z is {(j z mod n) / n + shift}."""
+    """Each block's points u (s, m) by the documented rule, in block order (lattice, piece,
+    shift): per shift r one SeedSequence((seed, 1, r)) stream draws the shift of each
+    lattice in turn, and point j of an n-point lattice with generating vector z is
+    {(j z mod n) / n + shift}."""
     shifts = [[] for _ in sizes]
     for r in range(SHIFTS):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 1, r))))
@@ -571,8 +573,8 @@ def _rule_blocks(seed, sizes, s, chunk):
     blocks = []
     for n, drawn_shifts in zip(sizes, shifts):
         z = engine.generating_vector(n, s)
-        for shift in drawn_shifts:
-            for lo in range(0, n, chunk):
+        for lo in range(0, n, chunk):
+            for shift in drawn_shifts:
                 u = np.multiply.outer(z, np.arange(lo, min(lo + chunk, n))) % n / n + shift
                 u -= u >= 1.0
                 blocks.append(u)
@@ -679,7 +681,7 @@ def test_fold_is_lanes_of_left_to_right_sums():
 
     def kernel(x, sigma, v):
         calls.append(np.exp(rng.normal(size=(1, len(v))) * 4.0))
-        return calls[-1]
+        return calls[-1].copy()  # the engine weighs the payoffs it gets in place
 
     plan = IntegrationPlan("monte_carlo", samples=SHIFTS * 300, seed=4)
     n = lattice_sizes(plan.samples, False)[1]
@@ -774,7 +776,8 @@ def test_smooth_fft_length_is_the_least_5_smooth_number():
                 k //= p
         return k == 1
 
-    for least in list(range(1, 400)) + [2 * 99991 - 3, 2 * 24989 - 3, 2 * 9973 - 3]:
+    for least in list(range(1, 400)) + [2 * 99991 - 3, 2 * 24989 - 3, 2 * 9973 - 3,
+                                         99991 - 2, 24989 - 2, 9973 - 2]:
         size = engine._smooth_length(least)
         assert size >= least and smooth(size)
         assert not any(smooth(k) for k in range(least, size))
@@ -783,6 +786,9 @@ def test_smooth_fft_length_is_the_least_5_smooth_number():
 def test_fast_cbc_equals_brute_force_cbc():
     assert engine.generating_vector(101, 4).tolist() == _brute_force_cbc(101, 4)
     assert engine.generating_vector(1009, 7).tolist() == _brute_force_cbc(1009, 7)
+    # 2027 - 2 = 2025 is 5-smooth, so its half-period FFT has no padding past the 2h - 1 terms
+    assert engine.generating_vector(2027, 5).tolist() == _brute_force_cbc(2027, 5)
+    assert engine.generating_vector(2503, 5).tolist() == _brute_force_cbc(2503, 5)
     # prefixes agree: the construction is coordinate by coordinate
     assert engine.generating_vector(101, 2).tolist() == _brute_force_cbc(101, 4)[:2]
     assert engine.generating_vector(2, 3).tolist() == [1, 1, 1]
@@ -823,10 +829,10 @@ def test_lattice_sizes_are_primes_within_the_plan():
                          GAUSS2_PROPOSAL)
 
 
-def _three_point_pass(dim, plan):
+def _three_point_pass(dim, plan, proposal=True):
     law = PowerLaw(-1.5, (0.3, 0.2, 0.1), flat_reach, 2.0)
     kernel = lambda x, s, t: np.exp(-(x * x).sum(axis=1)) * np.cos(t) * (1.5 + s[:, 0])
-    proposal = make_function("gaussian", dim).proposal
+    proposal = make_function("gaussian", dim).proposal if proposal else None
     return [(e.value, e.stderr, e.info["hit_fraction"])
             for e in integrate_double(drawn(law, kernel), plan, 2.0, dim, proposal)]
 
@@ -841,6 +847,57 @@ def test_pass_bitwise_at_any_worker_count_and_block_size(dim, monkeypatch):
         assert _three_point_pass(dim, replace(plan, workers=workers)) == reference
     monkeypatch.setattr(engine, "_CHUNK", 3)
     assert _three_point_pass(dim, plan) == reference
+
+
+#: repr of (value, stderr) of the three points of ``_three_point_pass`` at samples=20000,
+#: seed=77, in blocks of at most 200 points, as the pass gave them with its blocks in
+#: (lattice, shift, piece) order: the order of the blocks must not move a bit
+PINNED_PASSES = {
+    "2d-gaussian": [(43.17918503872174, 0.034425136693798014),
+                    (86.96420102870547, 0.014702074189289528),
+                    (142.50634015480284, 0.02390456501158157)],
+    "2d-box": [(43.183502925557875, 0.02234922846035508),
+               (86.98254671791426, 0.0005419360276963297),
+               (142.53634276755088, 0.0005211630612429824)],
+    "3d-gaussian": [(152.52078683812107, 0.23111934882144483),
+                    (306.5622072167778, 0.28020805722475417),
+                    (502.3525493924926, 0.45991158007392635)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PASSES))
+def test_pass_is_pinned_bitwise(name, monkeypatch):
+    # runs of 997 and 251 points, or 1249 without a proposal, each cut into pieces
+    monkeypatch.setattr(engine, "_CHUNK", 200)
+    dim = int(name[0])
+    plan = IntegrationPlan("monte_carlo", samples=20_000, seed=77)
+    got = _three_point_pass(dim, plan, proposal=name.endswith("gaussian"))
+    assert [(value, stderr) for value, stderr, _ in got] == PINNED_PASSES[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_residues_are_built_once_per_piece_and_thread(workers, monkeypatch):
+    # the SHIFTS blocks of a piece share its residues: one build per piece in one thread,
+    # at most one per thread and piece in more
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(engine, "_CHUNK", 200)
+    built = []
+    residues = engine._residues
+
+    def counting(index, z, n):
+        built.append((n, int(index[0])))
+        return residues(index, z, n)
+
+    monkeypatch.setattr(engine, "_residues", counting)
+    plan = IntegrationPlan("monte_carlo", samples=20_000, seed=77, workers=workers)
+    got = _three_point_pass(2, plan)
+    assert [(value, stderr) for value, stderr, _ in got] == PINNED_PASSES["2d-gaussian"]
+    pieces = [(n, lo) for n in lattice_sizes(plan.samples, True) for lo in range(0, n, 200)]
+    if workers == 1:
+        assert built == pieces
+    else:
+        assert sorted(set(built)) == sorted(pieces)
+        assert all(built.count(piece) <= workers for piece in pieces)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
