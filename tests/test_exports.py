@@ -44,3 +44,18 @@ def test_every_module_level_function_is_used_inside_the_package():
                     if isinstance(node, ast.FunctionDef)
                     and total[node.name] == Counter(name_nodes(node))[node.name])
     assert unused == [], f"module-level functions never used in src: {unused}"
+
+
+def test_every_module_level_constant_is_read_inside_the_package():
+    # a read is a loaded Name or an attribute; an import alone, like an assignment, is not
+    modules = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for module in modules for node in ast.walk(module)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assigned = {target.id for module in modules for node in module.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                for target in ast.walk(top) if isinstance(target, ast.Name)}
+    unused = sorted(assigned - read - {"__all__", "__version__"})
+    assert unused == [], f"module-level constants never read in src: {unused}"
