@@ -12,11 +12,11 @@ from .calculus import (centered_remainder, directional_m_form, forward_differenc
                        mean_value_identity_check, multi_indices, multinomial,
                        taylor_kernel_identity_check, taylor_polynomial, taylor_remainder)
 from .convergence import Schedule, SweepResult, aitken, fit_power_law, sweep
-from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw,
-                     integrate_double, sphere_body_identity_check, sphere_quadrature)
+from .engine import IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw, integrate_double
 from .functionals import FunctionalSpec, evaluate, local_limit, theorem_constant
 from .functions import TestFunction, list_functions, make_function, polynomial_function
 from .mollifiers import CertificationError, MollifierFamily, certify, make_mollifier
+from .quadrature import sphere_body_identity_check, sphere_quadrature
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

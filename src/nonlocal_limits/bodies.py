@@ -3,7 +3,8 @@
 A body K defines the gauge ||x||_K = inf{lam > 0 : x/lam in K}, which is a norm
 whose unit ball is K.  Supported kinds: ball, box, ellipsoid, lp_ball, and
 facet-represented symmetric polytopes.  Integrals over K are quadrature rules
-in ``engine``; nothing here draws random points in K.
+in ``quadrature``, which splits its sphere rule at each body's ``breakpoints``;
+nothing here draws random points in K.
 """
 
 from __future__ import annotations
@@ -131,6 +132,28 @@ class ConvexBody:
         for i in range(1, self.dim):
             total = total + np.abs(pts[..., i]) ** q
         return total ** (1.0 / q) / radius
+
+    def facets(self) -> tuple[Array, Array, Array]:
+        """Facet normals, offsets and vertices of a box or polytope."""
+        if self.kind == "box":
+            half = np.asarray(self.params)
+            normals = np.concatenate([np.eye(self.dim), -np.eye(self.dim)])
+            offsets = np.concatenate([half, half])
+            return normals, offsets, np.array(list(itertools.product(*[(-h, h) for h in half])))
+        normals, offsets = map(np.asarray, self.params)
+        return normals, offsets, _polytope_vertices(normals, offsets)
+
+    @property
+    def breakpoints(self) -> Array:
+        """The 2-D directions, in quarter turns in [0, 4), where the gauge is not smooth: the
+        vertex directions of a box or polytope, and the diagonals of an lp ball, where a
+        large exponent turns sharply.  None for other kinds and dims."""
+        if self.dim != 2 or self.kind in ("ball", "ellipsoid"):
+            return np.empty(0)
+        if self.kind == "lp_ball":
+            return np.arange(0.5, 4.0)
+        vertices = self.facets()[2]
+        return np.mod(np.arctan2(vertices[:, 1], vertices[:, 0]) / (0.5 * math.pi), 4.0)
 
     @property
     def volume(self) -> float | None:

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import gauss_legendre, tensor_grid
 from .functions import MAX_DIM, TestFunction, as_points
+from .quadrature import gauss_legendre, tensor_grid
 
 Array = np.ndarray
 

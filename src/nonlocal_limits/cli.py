@@ -24,9 +24,10 @@ from . import calculus
 from .bodies import ConvexBody
 from .config import ConfigError, check_override, load_config
 from .convergence import sweep
-from .engine import EngineError, sphere_body_identity_check
+from .engine import EngineError
 from .functions import make_function, polynomial_function
 from .mollifiers import CertificationError, certify
+from .quadrature import sphere_body_identity_check
 from .report import JobError, render_csv, render_json
 
 ALGEBRAIC_TOL = 1e-12

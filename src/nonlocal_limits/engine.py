@@ -45,19 +45,12 @@ shift, keyed by the point's index in its run, so the numbers depend on
 (seed, samples) only; the worker count just sets how many threads run the
 blocks.
 
-Everything else is deterministic quadrature.  ``sphere_quadrature`` is the
-one unit-sphere rule.  Integrals over a body K of integrands positively
-homogeneous in y (the local-limit targets) use ``cone_nodes``: the radial
-direction is integrated in closed form, leaving a quadrature on the boundary
-of K weighted by the cone measure (Lasserre 1998).
-The tensor volume rule ``body_quadrature_nodes`` of ball, box and ellipsoid
-is the reference the sphere-to-body check and the cone-rule tests compare
-against.
+A tensor quadrature plan (1-D only) takes its rules in x and in v from
+``quadrature``, the home of every deterministic rule.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -67,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bodies import ConvexBody, _polytope_vertices
+from .quadrature import _panels, gauss_legendre
 
 Array = np.ndarray
 
@@ -87,9 +80,6 @@ PROPOSAL_SHARE = 0.8
 #: points per shift at most: building a generating vector takes about 120 bytes per point
 _MAX_POINTS = 1 << 20
 
-#: body kinds with a tensor Gauss-Legendre volume rule (``body_quadrature_nodes``)
-TENSOR_QUADRATURE_KINDS = ("ball", "box", "ellipsoid")
-
 _SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
@@ -99,16 +89,6 @@ class EngineError(RuntimeError):
 
 def sphere_measure(dim: int) -> float:
     return _SPHERE_MEASURE[dim]
-
-
-@lru_cache(maxsize=None)
-def gauss_legendre(n: int, unit: bool = False) -> tuple[Array, Array]:
-    """n-point Gauss-Legendre rule on [-1, 1], or on [0, 1] if ``unit``; built once, read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    if unit:
-        nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +589,7 @@ def _monte_carlo(kernel, plan, radius, dim, proposal) -> list[IntegralEstimate]:
 def _integrate_double_quadrature(kernel, plan, radius, dim):
     if dim != 1:
         raise ValueError("tensor quadrature for pair integrals is dim=1 only")
-    xg, wx = gauss_legendre(plan.x_nodes)
-    x, wx = radius * xg, radius * wx
+    x, wx = _panels(radius, (), plan.x_nodes)
     v, wv = gauss_legendre(plan.t_nodes, unit=True)
     # the full tensor batch (x_i, v_j): every radial node at every x node
     xx = np.repeat(x, v.size)[:, np.newaxis]
@@ -624,205 +603,3 @@ def _integrate_double_quadrature(kernel, plan, radius, dim):
                                                       "x_nodes": plan.x_nodes,
                                                       "t_nodes": plan.t_nodes})
             for total in totals]
-
-
-# ---------------------------------------------------------------------------
-# Integrals over a convex body
-# ---------------------------------------------------------------------------
-
-def tensor_grid(axes) -> tuple[Array, Array]:
-    """Tensor product of per-axis ``(nodes, weights)``: points (n, d) and weights (n,)."""
-    grids = np.meshgrid(*[nodes for nodes, _ in axes], indexing="ij")
-    weights = np.ones_like(grids[0])
-    for wgrid in np.meshgrid(*[w for _, w in axes], indexing="ij"):
-        weights = weights * wgrid
-    return np.stack([g.ravel() for g in grids], axis=-1), weights.ravel()
-
-
-def body_quadrature_nodes(body: ConvexBody, radial_nodes: int = 48,
-                          angular_nodes: int = 64) -> tuple[Array, Array]:
-    """Nodes and weights with sum w_i f(y_i) ~ integral_K f; ball/box/ellipsoid only."""
-    if body.kind not in TENSOR_QUADRATURE_KINDS:
-        raise ValueError(f"no tensor quadrature for body kind {body.kind!r}")
-    semi = np.asarray([body.params[0]] * body.dim if body.kind == "ball" else body.params)
-    xg, wg = gauss_legendre(radial_nodes)
-    if body.kind == "box" or body.dim == 1:
-        return tensor_grid([(a * xg, a * wg) for a in semi])
-    r, wr = gauss_legendre(radial_nodes, unit=True)
-    theta = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
-    wt = np.full(angular_nodes, 2.0 * math.pi / angular_nodes)
-    if body.dim == 2:
-        pts, w = tensor_grid([(r, wr), (theta, wt)])
-        rr, tt = pts.T
-        unit = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
-        return unit * semi, w * rr * float(np.prod(semi))
-    pts, w = tensor_grid([(r, wr), (xg, wg), (theta, wt)])
-    rr, cc, tt = pts.T
-    sphi = np.sqrt(np.maximum(0.0, 1.0 - cc ** 2))
-    unit = np.stack([rr * sphi * np.cos(tt), rr * sphi * np.sin(tt), rr * cc], axis=-1)
-    return unit * semi, w * rr ** 2 * float(np.prod(semi))
-
-
-# ---------------------------------------------------------------------------
-# The unit-sphere rule and the cone-measure (boundary) rule for homogeneous integrands
-# ---------------------------------------------------------------------------
-
-#: Gauss-Legendre nodes per quadrant (2-D) and per axis of an octant cell (3-D)
-_SPHERE_NODES = {2: 48, 3: 20}
-#: Gauss-Legendre nodes per facet edge (2-D) and per axis of a facet triangle (3-D)
-_FACET_NODES = {2: 16, 3: 10}
-
-
-def _graded_gauss(n: int) -> tuple[Array, Array]:
-    """n Gauss-Legendre nodes and weights on [0, 1], pulled through u -> 3u^2 - 2u^3.
-
-    The map flattens both ends, where the sphere rule meets a coordinate
-    plane.  There the gauge of an lp ball with a non-even exponent q has a
-    |angle|^q term, which the map turns into a smoother u^(2q+1) one.
-    """
-    u, w = gauss_legendre(n, unit=True)
-    return u * u * (3.0 - 2.0 * u), 6.0 * w * u * (1.0 - u)
-
-
-def sphere_quadrature(dim: int, body: ConvexBody | None = None) -> tuple[Array, Array]:
-    """Directions and weights with sum w_i g(sigma_i) ~ surface integral over the sphere.
-
-    The rule is split at the coordinate planes: graded Gauss-Legendre in the
-    angle per quadrant (2-D, 192 nodes), and in the cosine of the polar angle
-    times the azimuth per octant cell (3-D, 3200 nodes); the sphere's area
-    element is d(cos) d(azimuth).  In 1-D the sphere is {-1, 1}.  Given a 2-D
-    box or polytope ``body``, the circle is also split at its vertex
-    directions, where its gauge has kinks, and each arc gets the quadrant's
-    graded rule; without one, or for a smooth gauge, the rule is the plain one.
-    """
-    if dim == 1:
-        return np.array([[-1.0], [1.0]]), np.ones(2)
-    if dim not in _SPHERE_NODES:
-        raise ValueError("dim must be 1, 2 or 3")
-    t, wt = _graded_gauss(_SPHERE_NODES[dim])
-    # arc ends in quadrants: the axes, then any kink of the gauge
-    ends = np.arange(5.0)
-    if dim == 2 and body is not None and body.kind in ("box", "polytope"):
-        vertices = _facets(body)[2]
-        kinks = np.mod(np.arctan2(vertices[:, 1], vertices[:, 0]) / (0.5 * math.pi), 4.0)
-        ends = np.unique(np.concatenate([ends, kinks]))
-        ends = ends[np.concatenate([[True], np.diff(ends) > 1e-12])]
-        ends[-1] = 4.0
-    theta = 0.5 * math.pi * np.concatenate([a + (b - a) * t for a, b in zip(ends, ends[1:])])
-    wtheta = 0.5 * math.pi * np.concatenate([(b - a) * wt for a, b in zip(ends, ends[1:])])
-    if dim == 2:
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1), wtheta
-    pts, w = tensor_grid([(np.concatenate([t, -t]), np.tile(wt, 2)), (theta, wtheta)])
-    cos_polar, azimuth = pts.T
-    sphi = np.sqrt(np.maximum(0.0, 1.0 - cos_polar ** 2))
-    return np.stack([sphi * np.cos(azimuth), sphi * np.sin(azimuth), cos_polar], axis=-1), w
-
-
-def _facet_cells(on: Array, unit: Array) -> tuple[Array, Array]:
-    """Gauss points and area weights on the convex facet with vertices ``on``.
-
-    A point in 1-D, an edge in 2-D, and in 3-D a fan of triangles from the
-    vertex centroid, each with the collapsed (Duffy) tensor Gauss rule.
-    """
-    dim = on.shape[1]
-    if dim == 1:
-        return on[:1], np.ones(1)
-    s, ws = gauss_legendre(_FACET_NODES[dim], unit=True)
-    center = on.mean(axis=0)
-    rel = on - center
-    if dim == 2:
-        along = rel @ np.array([-unit[1], unit[0]])
-        a, b = on[np.argmin(along)], on[np.argmax(along)]
-        return a + s[:, np.newaxis] * (b - a), float(np.linalg.norm(b - a)) * ws
-    e1 = rel[np.argmax(np.linalg.norm(rel, axis=1))]
-    e2 = np.cross(unit, e1)
-    ring = on[np.argsort(np.arctan2(rel @ e2, rel @ e1))]
-    uv, wuv = tensor_grid([(s, ws), (s, ws)])
-    u, v = uv[:, :1], uv[:, 1:]
-    pts, wts = [], []
-    for p1, p2 in zip(ring, np.roll(ring, -1, axis=0)):
-        pts.append(center + u * ((1.0 - v) * (p1 - center) + v * (p2 - center)))
-        wts.append(float(np.linalg.norm(np.cross(p1 - center, p2 - center))) * u[:, 0] * wuv)
-    return np.concatenate(pts), np.concatenate(wts)
-
-
-def _facets(body: ConvexBody) -> tuple[Array, Array, Array]:
-    """Facet normals, offsets and vertices of a box or polytope."""
-    if body.kind == "box":
-        half = np.asarray(body.params)
-        normals = np.concatenate([np.eye(body.dim), -np.eye(body.dim)])
-        offsets = np.concatenate([half, half])
-        return normals, offsets, np.array(list(itertools.product(*[(-h, h) for h in half])))
-    normals, offsets = map(np.asarray, body.params)
-    return normals, offsets, _polytope_vertices(normals, offsets)
-
-
-def cone_nodes(body: ConvexBody) -> tuple[Array, Array]:
-    """Boundary points z_j and weights w_j of the cone-measure rule of K.
-
-    For every h positively homogeneous of degree d,
-
-        sum_j w_j h(z_j) = (dim + d) * integral_K h,
-
-    because integrating along each ray from 0 to the boundary of K is done in
-    closed form (Lasserre 1998); in particular sum_j w_j = dim * vol(K).
-    Ball, ellipsoid and lp ball are K = A B_q (B_q the unit lp ball, q = 2
-    for the first two): a sphere rule (omega, w_omega) maps to
-    z = A omega / |omega|_q with w = det(A) w_omega |omega|_q^-dim.  Boxes and
-    polytopes use their facets: facet F_i at distance b_i/|n_i| from the
-    origin contributes Gauss points on F_i with weight (b_i/|n_i|) dA.
-
-    The sphere rule is split at the axes only, so on an lp ball of large q
-    the gauge's near-kinks on the diagonals are under-resolved: the 2-D
-    ``nguyen_centered`` m = 1, p = 2 target of ``gaussian`` is off by -8.8e-5
-    relative at q = 20, -2.4e-3 at q = 100 and -2.9e-3 from q = 400 to 1000
-    against a 2000-node sphere rule, and in 3-D at q = 1000 by -1.6e-2
-    against the unit box's target; at q = 4 it agrees with the 2000-node rule
-    to 1e-13 (ROADMAP item 2).
-    """
-    dim = body.dim
-    if body.kind in ("ball", "ellipsoid", "lp_ball"):
-        omega, w = sphere_quadrature(dim)
-        q = body.params[0] if body.kind == "lp_ball" else 2.0
-        semi = (np.asarray(body.params) if body.kind == "ellipsoid"
-                else np.full(dim, body.params[-1]))
-        norm = np.sum(np.abs(omega) ** q, axis=1) ** (1.0 / q)
-        return semi * omega / norm[:, np.newaxis], float(np.prod(semi)) * w * norm ** (-dim)
-    normals, offsets, vertices = _facets(body)
-    pts, wts, seen = [], [], set()
-    for normal, offset in zip(normals, offsets):
-        scale = np.abs(vertices) @ np.abs(normal) + offset
-        on = tuple(np.flatnonzero(np.abs(vertices @ normal - offset) <= 1e-9 * scale))
-        # fewer than dim vertices: the inequality touches K in a lower-dimensional
-        # face; a vertex set seen before: the facet is listed twice
-        if len(on) < dim or on in seen:
-            continue
-        seen.add(on)
-        length = float(np.linalg.norm(normal))
-        z, area = _facet_cells(vertices[list(on)], normal / length)
-        pts.append(z)
-        wts.append(offset / length * area)
-    return np.concatenate(pts), np.concatenate(wts)
-
-
-# ---------------------------------------------------------------------------
-# The sphere-to-body reduction check
-# ---------------------------------------------------------------------------
-
-def sphere_body_identity_check(g, body: ConvexBody, m: int,
-                               p: float) -> tuple[float, float, float]:
-    """Check the sphere-to-body reduction for a positively m-homogeneous g.
-
-    lhs = surface integral of gauge(sigma)^-(dim + m p) |g(sigma)|^p,
-    rhs = (dim + m p) * integral_K |g(y)|^p dy, the latter by the tensor
-    volume rule.  Returns (lhs, rhs, relative gap), with gap defined as 0 when
-    both vanish.
-    """
-    dirs, w = sphere_quadrature(body.dim)
-    power = body.dim + m * p
-    lhs = float(np.dot(w, body.gauge(dirs) ** (-power) * np.abs(g(dirs)) ** p))
-    pts, wy = body_quadrature_nodes(body, 64, 128)
-    rhs = power * float(np.dot(wy, np.abs(g(pts)) ** p))
-    if rhs == 0.0 and lhs == 0.0:
-        return 0.0, 0.0, 0.0
-    return lhs, rhs, abs(lhs - rhs) / abs(rhs)

@@ -18,10 +18,10 @@ All four share the same local limit integral
     I = integral_x integral_K |diagonal m-form of f at x in direction y|^p dy dx
 
 and differ only in the constant in front of it.  The inner integrand is
-positively homogeneous of degree m p in y, so ``local_limit`` computes I by
-deterministic quadrature for every body: a tensor Gauss-Legendre grid in x
-times the cone-measure boundary rule ``engine.cone_nodes`` in y, divided by
-dim + m p.  For p = 2 the x and y sums factor through Gram matrices
+positively homogeneous of degree m p in y, so ``local_limit`` computes I with
+the deterministic rules of ``quadrature`` for every body: a tensor grid in x
+(``_outer_grid``) times the cone-measure boundary rule (``cone_nodes``) in y,
+over dim + m p.  For p = 2 the x and y sums factor through Gram matrices
 (``calculus.m_form_gram``); other p sum the N_x x N_z tableau of m-form values.
 No target depends on the seed or the worker count.
 
@@ -43,12 +43,12 @@ With p = 2 in dim <= 2 a Monte Carlo pass uses l as a control variate: the
 kernel computes b on every column and subtracts it from every row (exactly
 0 below t_c), and the pass adds back C, the integral of l over box x sphere,
 by Gram quadrature on an x grid split at the profiles' breakpoints and a
-circle rule split at the gauge's kinks.  C is the local limit itself, up to
+circle rule split at the body's breakpoints.  C is the local limit itself, up to
 the box tail, so the sampled part is the gap F_eps - limit, whose variance
 vanishes with eps; ``hit_fraction`` then counts the nonzero gaps, and each
 point reports C as ``lead_integral``.  For other p, |d^m f(x)[sigma]|^p has
 kinks or a high degree that no fixed rule for C resolves to the sampling
-error, and 3-D box and polytope gauges would need a kink-split sphere rule,
+error, and the 3-D sphere rule is not split at box and polytope kinks,
 so those passes, quadrature plans and level sets keep the plain payoff.
 
 A Monte Carlo pass is a randomized rank-1 lattice rule, which converges fast
@@ -81,11 +81,11 @@ import numpy as np
 from .bodies import ConvexBody
 from .calculus import (centered_remainder, direction_bound, directional_m_form, m_form_gram,
                        m_form_tableau, taylor_remainder)
-from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw, cone_nodes,
-                     gauss_legendre, integrate_double, sphere_measure, sphere_quadrature,
-                     tensor_grid)
+from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw,
+                     integrate_double, sphere_measure)
 from .functions import MAX_DIM, TestFunction
 from .mollifiers import KINDS, MollifierFamily, ensure_certified, make_mollifier
+from .quadrature import _outer_grid, _split_grid, cone_nodes, sphere_quadrature
 
 THEOREMS = ("nguyen_centered", "bbm_centered", "nguyen_taylor", "bbm_taylor")
 
@@ -344,7 +344,7 @@ def _lead_integral(f: TestFunction, body: ConvexBody, m: int, c_m: float,
     the target instead of repeating it.
     """
     xs, wx = _split_grid(f, box_radius)
-    sigma, ws = sphere_quadrature(body.dim, body)
+    sigma, ws = sphere_quadrature(body)
     wy = ws * body.gauge(sigma) ** (-2.0 * m - body.dim)
     return c_m ** 2 * m_form_gram(f, m, xs, wx, sigma, wy)
 
@@ -464,33 +464,6 @@ def evaluate(spec: FunctionalSpec, plan: IntegrationPlan) -> IntegralEstimate:
 # ---------------------------------------------------------------------------
 # Local limits
 # ---------------------------------------------------------------------------
-
-#: Gauss-Legendre nodes per axis of the target grid, and per panel of the split grid
-_OUTER_NODES = {1: 160, 2: 96, 3: 56}
-
-
-def _panels(half: float, cuts, n: int):
-    """n Gauss-Legendre nodes and weights on each panel of [-half, half] cut at ``cuts``."""
-    ends = [-half, *sorted(c for c in cuts if -half < c < half), half]
-    xg, wg = gauss_legendre(n)
-    pieces = [(0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg)
-              for a, b in zip(ends, ends[1:])]
-    return np.concatenate([x for x, _ in pieces]), np.concatenate([w for _, w in pieces])
-
-
-def _outer_grid(f: TestFunction):
-    """Tensor Gauss-Legendre grid on the support box of f."""
-    return tensor_grid([_panels(f.support_radius, (), _OUTER_NODES[f.dim])] * f.dim)
-
-
-def _split_grid(f: TestFunction, box_radius: float):
-    """Tensor grid on the box [-box_radius, box_radius]^N, each axis clipped to its
-    profile's support and cut at the profile's breakpoints, where it is not analytic."""
-    n = _OUTER_NODES[f.dim]
-    return tensor_grid([_panels(box_radius if prof.support is None
-                                else min(box_radius, prof.support), prof.breakpoints, n)
-                        for prof in f.profiles])
-
 
 @lru_cache(maxsize=None)
 def _shared_integral_quadrature(f: TestFunction, body: ConvexBody, m: int, p: float) -> float:

@@ -13,11 +13,11 @@ import pytest
 from nonlocal_limits import calculus, cli
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.convergence import Schedule, sweep
-from nonlocal_limits.engine import (IntegrationPlan, body_quadrature_nodes, cone_nodes,
-                                    sphere_body_identity_check)
+from nonlocal_limits.engine import IntegrationPlan
 from nonlocal_limits.functionals import FunctionalSpec, evaluate, local_limit
 from nonlocal_limits.functions import make_function, polynomial_function
 from nonlocal_limits.mollifiers import certify
+from nonlocal_limits.quadrature import body_quadrature_nodes, cone_nodes, sphere_body_identity_check
 
 INTERVAL = ConvexBody.box([1.0])
 GAUSS1 = make_function("gaussian", 1)

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from nonlocal_limits.bodies import MAX_LP_EXPONENT, ConvexBody, from_descriptor
 from nonlocal_limits.calculus import m_form
-from nonlocal_limits.engine import cone_nodes
 from nonlocal_limits.functionals import FunctionalSpec, local_limit
 from nonlocal_limits.functions import make_function
+from nonlocal_limits.quadrature import cone_nodes
 
 BODIES = [
     ConvexBody.ball(1.0, 2),

@@ -9,12 +9,13 @@ from nonlocal_limits import engine
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import monomial, multi_indices
 from nonlocal_limits.engine import (PROPOSAL_SHARE, SHIFTS, EngineError, IntegrationPlan,
-                                    MollifierRadial, PowerLaw, body_quadrature_nodes, cone_nodes,
-                                    gauss_legendre, integrate_double, lattice_sizes, outer_weights,
-                                    sphere_body_identity_check, sphere_quadrature)
+                                    MollifierRadial, PowerLaw, integrate_double, lattice_sizes,
+                                    outer_weights)
 from nonlocal_limits.functionals import FunctionalSpec, evaluate
 from nonlocal_limits.functions import make_function
 from nonlocal_limits.mollifiers import make_mollifier
+from nonlocal_limits.quadrature import (body_quadrature_nodes, cone_nodes, gauss_legendre,
+                                        sphere_body_identity_check, sphere_quadrature)
 
 GAUSS2_PROPOSAL = make_function("gaussian", 2).proposal
 
@@ -194,7 +195,7 @@ def test_integrate_body_quadrature_exact():
 
 def test_sphere_quadrature_measures():
     for dim, expected in ((1, 2.0), (2, 2 * math.pi), (3, 4 * math.pi)):
-        dirs, w = sphere_quadrature(dim)
+        dirs, w = sphere_quadrature(ConvexBody.ball(1.0, dim))
         assert w.sum() == pytest.approx(expected, rel=1e-9)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
@@ -203,9 +204,9 @@ def test_sphere_quadrature_measures():
 def test_sphere_quadrature_matches_closed_moments(p):
     # surface integral of |sigma_1|^p: 2 B((p+1)/2, 1/2) on the circle, 4 pi / (p+1) on S^2
     circle = 2.0 * math.sqrt(math.pi) * math.gamma((p + 1.0) / 2.0) / math.gamma(p / 2.0 + 1.0)
-    dirs, w = sphere_quadrature(2)
+    dirs, w = sphere_quadrature(ConvexBody.ball(1.0, 2))
     assert abs(w @ np.abs(dirs[:, 0]) ** p / circle - 1.0) <= 1e-13
-    dirs, w = sphere_quadrature(3)
+    dirs, w = sphere_quadrature(ConvexBody.ball(1.0, 3))
     assert abs(w @ np.abs(dirs[:, 0]) ** p / (4.0 * math.pi / (p + 1.0)) - 1.0) <= 1e-8
 
 
@@ -224,10 +225,10 @@ def test_sphere_rule_split_at_gauge_kinks(body, moment):
     def surface(dirs, w):
         return w @ (body.gauge(dirs) ** -4.0 * dirs[:, 0] ** 2)
 
-    assert surface(*sphere_quadrature(2, body)) == pytest.approx(4.0 * moment, rel=1e-13)
-    assert abs(surface(*sphere_quadrature(2)) / (4.0 * moment) - 1.0) > 1e-4
-    dirs, w = sphere_quadrature(2)
-    smooth = sphere_quadrature(2, ConvexBody.ellipsoid([2.0, 1.0]))
+    assert surface(*sphere_quadrature(body)) == pytest.approx(4.0 * moment, rel=1e-13)
+    assert abs(surface(*sphere_quadrature(ConvexBody.ball(1.0, 2))) / (4.0 * moment) - 1.0) > 1e-4
+    dirs, w = sphere_quadrature(ConvexBody.ball(1.0, 2))
+    smooth = sphere_quadrature(ConvexBody.ellipsoid([2.0, 1.0]))
     assert np.array_equal(smooth[0], dirs) and np.array_equal(smooth[1], w)
 
 
@@ -236,7 +237,7 @@ def test_sphere_constant_values():
     # int_0^2pi cos^2 = pi, then 4 pi / 3
     for dim, constant, rel in ((1, 2.0, 1e-12), (2, math.pi, 1e-10),
                                (3, 4.0 * math.pi / 3.0, 1e-10)):
-        dirs, w = sphere_quadrature(dim)
+        dirs, w = sphere_quadrature(ConvexBody.ball(1.0, dim))
         assert float(np.dot(w, np.abs(dirs[:, 0]) ** 2.0)) == pytest.approx(constant, rel=rel)
 
 

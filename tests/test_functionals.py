@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from conftest import libm_turns
 
-from nonlocal_limits import functionals
+from nonlocal_limits import functionals, quadrature
 from nonlocal_limits.bodies import ConvexBody
 from nonlocal_limits.calculus import centered_remainder, directional_m_form, m_form_tableau
-from nonlocal_limits.engine import (IntegralEstimate, IntegrationPlan, MollifierRadial,
-                                    cone_nodes, gauss_legendre, outer_weights)
+from nonlocal_limits.engine import IntegralEstimate, IntegrationPlan, MollifierRadial, outer_weights
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, evaluate, local_limit,
                                          theorem_constant)
 from nonlocal_limits.functions import list_functions, make_function, polynomial_function
+from nonlocal_limits.quadrature import cone_nodes, gauss_legendre
 
 
 INTERVAL = ConvexBody.box([1.0])
@@ -212,7 +212,7 @@ def test_lead_integral_matches_local_limit(body, m):
 
 def tableau_integral(f, body, m, p):
     # the reference: the N_x x N_z tableau of m-form values on the target's grids
-    xs, wx = functionals._outer_grid(f)
+    xs, wx = quadrature._outer_grid(f)
     zs, wz = cone_nodes(body)
     return float(wx @ np.abs(m_form_tableau(f, m, xs, zs)) ** p @ wz) / (body.dim + m * p)
 
@@ -230,7 +230,7 @@ def test_gram_targets_match_tableau(name, body):
 
 def test_gram_target_matches_tableau_on_3d_ball(monkeypatch):
     # a coarser outer grid keeps the 3-D tableau small; the identity does not depend on it
-    monkeypatch.setitem(functionals._OUTER_NODES, 3, 16)
+    monkeypatch.setitem(quadrature._OUTER_NODES, 3, 16)
     f, ball = make_function("gaussian", 3), ConvexBody.ball(1.0, 3)
     gram = functionals._shared_integral_quadrature.__wrapped__(f, ball, 2, 2.0)
     assert gram == pytest.approx(tableau_integral(f, ball, 2, 2.0), rel=1e-13)
@@ -240,7 +240,7 @@ def test_lead_integral_split_rule_is_converged(monkeypatch):
     # poly_bump's plateau is not analytic at +-0.8 and +-2: panels end there
     f, body = make_function("poly_bump", 2), ConvexBody.box([1.0, 0.5])
     lead = functionals._lead_integral(f, body, 2, 1.0, 4.0)
-    monkeypatch.setitem(functionals._OUTER_NODES, 2, 400)
+    monkeypatch.setitem(quadrature._OUTER_NODES, 2, 400)
     assert lead == pytest.approx(functionals._lead_integral(f, body, 2, 1.0, 4.0), rel=1e-12)
 
 
