@@ -53,6 +53,7 @@ class ConvexBody:
 
     @staticmethod
     def ball(radius: float, dim: int) -> "ConvexBody":
+        _check_dim(dim)
         if radius <= 0:
             raise ValueError("radius must be positive")
         return ConvexBody("ball", dim, (float(radius),), float(radius), float(radius))
@@ -60,6 +61,7 @@ class ConvexBody:
     @staticmethod
     def box(half_widths) -> "ConvexBody":
         hw = tuple(float(w) for w in half_widths)
+        _check_dim(len(hw))
         if any(w <= 0 for w in hw):
             raise ValueError("half-widths must be positive")
         return ConvexBody("box", len(hw), hw, min(hw), math.hypot(*hw))
@@ -67,12 +69,14 @@ class ConvexBody:
     @staticmethod
     def ellipsoid(semi_axes) -> "ConvexBody":
         ax = tuple(float(a) for a in semi_axes)
+        _check_dim(len(ax))
         if any(a <= 0 for a in ax):
             raise ValueError("semi-axes must be positive")
         return ConvexBody("ellipsoid", len(ax), ax, min(ax), max(ax))
 
     @staticmethod
     def lp_ball(exponent: float, radius: float, dim: int) -> "ConvexBody":
+        _check_dim(dim)
         if not 1.0 <= exponent <= MAX_LP_EXPONENT:
             raise ValueError(f"lp exponent must be in [1, {MAX_LP_EXPONENT:g}]; got {exponent}")
         if radius <= 0:
@@ -89,6 +93,7 @@ class ConvexBody:
         off = np.asarray(offsets, dtype=float)
         if nm.ndim != 2 or nm.shape[0] != off.shape[0]:
             raise ValueError("normals must be (facets, dim) matching offsets")
+        _check_dim(nm.shape[1])
         if np.any(off <= 0):
             raise ValueError("facet offsets must be positive")
         dim = nm.shape[1]
@@ -185,6 +190,12 @@ class ConvexBody:
                 "offsets": list(offsets)}
 
 
+def _check_dim(dim) -> None:
+    """A body's dimension is an integer in 1..MAX_DIM."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"body dimension must be an integer in 1..{MAX_DIM}; got {dim!r}")
+
+
 def _column_max(cols: Array, scales) -> Array:
     """max_i cols[..., i] / scales[i], one column at a time."""
     best = cols[..., 0] / scales[0]
@@ -201,8 +212,6 @@ def _polytope_vertices(normals: Array, offsets: Array) -> Array:
     and the point satisfies all facet inequalities.
     """
     facets, dim = normals.shape
-    if dim > MAX_DIM:
-        raise ValueError(f"polytope bodies supported for dim <= {MAX_DIM}")
     vertices: list[Array] = []
     for idx in itertools.combinations(range(facets), dim):
         a, b = normals[list(idx)], offsets[list(idx)]

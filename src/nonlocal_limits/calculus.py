@@ -54,12 +54,18 @@ def multinomial(m: int, alpha) -> float:
 
 
 def monomial(y: Array, alpha) -> Array:
-    """y^alpha over the last axis of a point batch."""
-    mono = np.ones(y.shape[:-1])
+    """y^alpha over the last axis of a point batch, a fresh array.
+
+    Bitwise the product started from 1: it starts from the first factor, and a
+    factor y_i^1 is y_i itself.
+    """
+    mono = None
     for i, a in enumerate(alpha):
-        if a:
-            mono = mono * y[..., i] ** a
-    return mono
+        if a == 1:
+            mono = y[..., i].copy() if mono is None else mono * y[..., i]
+        elif a:
+            mono = y[..., i] ** a if mono is None else mono * y[..., i] ** a
+    return np.ones(y.shape[:-1]) if mono is None else mono
 
 
 def m_form(coeffs, y: Array, m: int) -> Array:
@@ -117,6 +123,12 @@ def centered_remainder(f: TestFunction, x, y, m: int, fx=None) -> Array:
     difference with step (y - x)/m.  The end nodes are x and y themselves:
     bitwise the node formula for m in {1, 2, 4}, and free of its rounding
     otherwise (m = 3).  ``fx``, when given, is f(x), already evaluated.
+
+    This is the reference for every f: the kernels take it for all functions
+    but the Gaussian, whose centered passes use ``gaussian_centered_remainder``,
+    and the tests compare that closed form against it.  Its terms are of order
+    f(x) while R is of order |y - x|^m, so its relative rounding error grows
+    like eps / |y - x|^m as y approaches x.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -137,6 +149,41 @@ def centered_remainder(f: TestFunction, x, y, m: int, fx=None) -> Array:
     return out
 
 
+def gaussian_centered_remainder(fx: Array, twice_dot: Array, norm2: Array, t: Array,
+                                m: int) -> Array:
+    """``centered_remainder`` of f(x) = exp(-|x|^2) at y = x + t sigma, in closed form.
+
+    f(x + s sigma) = f(x) exp(-s (2 x.sigma + s |sigma|^2)) and the binomial
+    coefficients sum to 0, so
+
+        R(t) = f(x) sum_{j=1..m} (-1)^j C(m,j) expm1(-s_j (2 x.sigma + s_j |sigma|^2)),
+
+    s_j = j t / m: one expm1 per node, and no point y.  Each expm1 keeps its
+    relative accuracy as s_j -> 0 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, 1.14), so the terms are of order f(x) t, not f(x), and the
+    relative rounding error of R grows like eps t^(1-m), not eps t^-m: none for
+    m = 1.  ``fx``, ``twice_dot`` = 2 x.sigma,
+    ``norm2`` = |sigma|^2 and ``t`` broadcast together.  The caller keeps f(x) a
+    normal double: with f(x) = 0 the product would be 0 * inf where f at a node
+    is not small.
+    """
+    total = None
+    for j in range(1, m + 1):
+        s = t if j == m else t * (j / m)
+        arg = np.multiply(s, norm2)
+        arg += twice_dot
+        arg *= s
+        np.negative(arg, out=arg)
+        np.expm1(arg, out=arg)
+        arg *= (-1.0) ** j * math.comb(m, j)
+        if total is None:
+            total = arg
+        else:
+            total += arg
+    total *= fx
+    return total
+
+
 def taylor_polynomial(f: TestFunction, y, x, degree: int) -> Array:
     """Taylor polynomial of f of the given degree, expanded at y, evaluated at x."""
     if degree > f.smoothness_order:
@@ -145,9 +192,16 @@ def taylor_polynomial(f: TestFunction, y, x, degree: int) -> Array:
     y = as_points(y, f.dim)
     diff = x - y
     alphas = [alpha for order in range(degree + 1) for alpha in multi_indices(f.dim, order)]
-    out = 0.0
+    # the sum starts from its first term, and terms skip the factor 1 of the zero-order
+    # monomial and every division by 1: bitwise the sum of partial * y^a / a! from 0.0,
+    # but for the sign of an all-zero sum
+    out = None
     for alpha, partial in zip(alphas, f.partials(alphas, y)):
-        out = out + partial * monomial(diff, alpha) / multi_factorial(alpha)
+        term = partial * monomial(diff, alpha) if any(alpha) else partial
+        factorial = multi_factorial(alpha)
+        if factorial != 1:
+            term = term / factorial
+        out = term if out is None else out + term
     return out
 
 

@@ -35,6 +35,16 @@ is bitwise a pass of its own on that box; level-set points are the rungs of
 one ladder of strata of each ray (``engine.PowerLaw``), so a point shares the
 draws of the strata above it and lies within noise of its lone pass.
 
+Both kernels evaluate the remainder R(t) at y = x + t sigma along the rays
+of a block (``_rays``).  A centered pass of a function whose profiles are all
+``GaussianProfile`` computes 2 x.sigma and |sigma|^2 once per block and each
+row in closed form (``calculus.gaussian_centered_remainder``): one expm1 per
+node and no point y, and more accurate than the node formula as t -> 0.  It
+needs f(x) a normal double on the whole box, dim r^2 < 708; a larger box,
+Taylor forms and every other function take the node formula at the segment
+ends y, each row in the thread's own buffer.  f(x) is evaluated once per
+block for all points.
+
 A mollified pass hands one kernel to every plan.  Per block it computes the
 gauge g = gauge(sigma), the radii t and g^-(mp+N) once; each row pays
 |R / t^m|^p g^-(mp+N), and below t_c the leading term l = b g^-(mp+N),
@@ -79,11 +89,11 @@ from functools import lru_cache
 import numpy as np
 
 from .bodies import ConvexBody
-from .calculus import (centered_remainder, direction_bound, directional_m_form, m_form_gram,
-                       m_form_tableau, taylor_remainder)
+from .calculus import (centered_remainder, direction_bound, directional_m_form,
+                       gaussian_centered_remainder, m_form_gram, m_form_tableau, taylor_remainder)
 from .engine import (IntegralEstimate, IntegrationPlan, MollifierRadial, PowerLaw,
                      integrate_double, sphere_measure)
-from .functions import MAX_DIM, TestFunction
+from .functions import MAX_DIM, GaussianProfile, TestFunction
 from .mollifiers import KINDS, MollifierFamily, ensure_certified, make_mollifier
 from .quadrature import _outer_grid, _split_grid, cone_nodes, sphere_quadrature
 
@@ -235,6 +245,43 @@ def _segment_ends(workspace, x, t, sigma):
     return y
 
 
+#: f(x) = exp(-|x|^2) is a normal double while |x|^2 < 708 (the least is exp(-708.4))
+_NORMAL_EXPONENT = 708.0
+
+
+def _rays(spec: FunctionalSpec, box_radius: float):
+    """The remainder of a pass along its rays: ``along(x, sigma, fx)`` prepares a block of
+    rays from x in direction sigma, f(x) = fx, and returns R(t), the remainder at the
+    points y = x + t sigma for a row t of radii.
+
+    A centered form whose profiles are all ``GaussianProfile`` takes the closed form,
+    2 x.sigma and |sigma|^2 once per block, while f(x) is a normal double on the whole
+    box, dim r^2 < 708; a proposal point outside the box has |x|^2 at most
+    2 log(2^53) = 73.4 per Box-Muller pair, below 148 in 3-D, so f(x) is normal there
+    too.  Other passes build y in the thread's own buffer for the node formula.
+    """
+    f, m = spec.f, spec.m
+    if (spec.theorem.endswith("centered")
+            and all(type(profile) is GaussianProfile for profile in f.profiles)
+            and spec.body.dim * box_radius ** 2 < _NORMAL_EXPONENT):
+        def along(x, sigma, fx):
+            # column by column: a reduction over the short last axis is many times slower
+            twice_dot, norm2 = x[:, 0] * sigma[:, 0], sigma[:, 0] * sigma[:, 0]
+            for i in range(1, x.shape[1]):
+                twice_dot += x[:, i] * sigma[:, i]
+                norm2 += sigma[:, i] * sigma[:, i]
+            twice_dot *= 2.0
+            return lambda t: gaussian_centered_remainder(fx, twice_dot, norm2, t, m)
+        return along
+
+    remainder = _remainder(spec.theorem)
+    workspace = threading.local()
+
+    def along(x, sigma, fx):
+        return lambda t: remainder(f, x, _segment_ends(workspace, x, t, sigma), m, fx)
+    return along
+
+
 def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
                     box_radius: float) -> list[IntegralEstimate]:
     """One pass over the thresholds of ``specs``, its estimates in their order.
@@ -248,7 +295,7 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
     """
     spec = specs[0]
     f, body, m, p = spec.f, spec.body, spec.m, spec.p
-    remainder = _remainder(spec.theorem)
+    along = _rays(spec, box_radius)
     t_max = _level_set_box(spec)[1]
     order = sorted(range(len(specs)), key=lambda i: -specs[i].parameter)
     deltas = [specs[i].parameter for i in order]
@@ -261,11 +308,11 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
     # and grew again between blocks (a 2M-sample 2-D pass took 32k minor faults, not 2k)
     workspace = threading.local()
 
-    def first_points(x, sigma, tk, fx, k, columns):
+    def first_points(ray, tk, k, columns):
         """Where stratum k starts to pay in the flat histogram: row j of the first point
         j >= k with |R_k| > delta_j, or the spare row K if none fires, then the column.
         A function of its own, so that a stratum's arrays are freed before the next's."""
-        size = np.abs(remainder(f, x, _segment_ends(workspace, x, tk, sigma), m, fx))
+        size = np.abs(ray(tk))
         first = np.full(len(tk), len(deltas), dtype=np.min_scalar_type(len(deltas)))
         for delta in deltas[k:]:
             first -= size > delta
@@ -275,7 +322,7 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
 
     def kernel(x, sigma, v):
         # delta^p (t g)^-(N+mp) t^(N-1) over the density t^-(1+mp) / w_k of stratum k
-        fx, lo_s = f.eval(x), law.prepare(sigma)
+        ray, lo_s = along(x, sigma, f.eval(x)), law.prepare(sigma)
         t, mass = law.sample(v, lo_s), law.mass(lo_s)
         rows, n = t.shape
         paid = getattr(workspace, "paid", None)
@@ -288,7 +335,7 @@ def _level_set_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
         columns = np.arange(n)
         for k, tk in enumerate(t):
             stratum = mass[k] - mass[k - 1] if k else mass[0]
-            np.add.at(paid, first_points(x, sigma, tk, fx, k, columns), stratum)
+            np.add.at(paid, first_points(ray, tk, k, columns), stratum)
         paid = paid.reshape(-1, n)
         for j in range(1, rows):
             paid[j] += paid[j - 1]
@@ -359,7 +406,7 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
                     box_radius: float) -> list[IntegralEstimate]:
     spec = specs[0]
     f, body, m, p = spec.f, spec.body, spec.m, spec.p
-    remainder = _remainder(spec.theorem)
+    along = _rays(spec, box_radius)
     mp = m * p
     c_m = float(m) ** -m if spec.theorem.endswith("centered") else 1.0 / math.factorial(m)
     # relative errors: about eps / (c_m t^m) from rounding in R, about t in its leading term
@@ -368,14 +415,13 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
     lead = plan.method == "monte_carlo" and p == 2.0 and body.dim <= 2
     # a shell payoff is smooth in v but not periodic: on the lattice, fold v by the tent
     tent = plan.method == "monte_carlo" and spec.mollifier_kind == "shell"
-    workspace = threading.local()
     law = MollifierRadial([point.mollifier for point in specs], body.gauge)
 
     def kernel(x, sigma, v):
         # |R|^p (t g)^-mp rho t^(N-1) over the law's density (t g)^(N-1) rho g, per profile, is
         # |a|^p g^-(mp+N) with a = R / t^m; below t_c a row pays the t -> 0 limit b = |c_m D|^p
         g = law.prepare(sigma)
-        t, fx = law.sample(_tent(v) if tent else v, g), f.eval(x)
+        t, ray = law.sample(_tent(v) if tent else v, g), along(x, sigma, f.eval(x))
         small = t < t_c
         # the control variate subtracts b from every row; otherwise only small rows read it
         # (a view, not a mask, of all columns: gathering x doubled the cost of b)
@@ -385,8 +431,7 @@ def _mollified_pass(specs: list[FunctionalSpec], plan: IntegrationPlan,
             b[columns] = np.abs(c_m * directional_m_form(f, x[columns], sigma[columns], m)) ** p
         out = np.empty(t.shape)
         for j, tj in enumerate(t):
-            y = _segment_ends(workspace, x, tj, sigma)
-            out[j] = np.abs(remainder(f, x, y, m, fx) / np.maximum(tj, t_c) ** m) ** p
+            out[j] = np.abs(ray(tj) / np.maximum(tj, t_c) ** m) ** p
         np.copyto(out, b, where=small)
         if lead:
             out -= b

@@ -349,7 +349,8 @@ class TestFunction:
 
     def partials(self, alphas, x) -> list[Array]:
         """``partial(alpha, x)`` for each multi-index of ``alphas``, each axis's 1-D
-        derivatives evaluated once for all of them."""
+        derivatives evaluated once for all of them; in 1-D, equal multi-indices share an
+        array."""
         alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
         for alpha in alphas:
             if len(alpha) != self.dim:
@@ -362,9 +363,10 @@ class TestFunction:
                   for i, prof in enumerate(self.profiles)]
         out = []
         for alpha in alphas:
-            value = np.ones(pts.shape[:-1])
-            for i, table in enumerate(tables):
-                value = value * table[alpha[i]]
+            # bitwise the product started from 1, as in ``eval``
+            value = tables[0][alpha[0]]
+            for i in range(1, self.dim):
+                value = value * tables[i][alpha[i]]
             out.append(value)
         return out
 

@@ -85,6 +85,29 @@ def test_dimension_mismatch_raises():
         ConvexBody.box([1.0, 1.0]).gauge([0.1, 0.2, 0.3])
 
 
+def _cube(dim):
+    """The facets of [-1, 1]^dim: normals (2 dim, dim) and offsets."""
+    return np.concatenate([np.eye(dim), -np.eye(dim)]).reshape(2 * dim, dim), [1.0] * (2 * dim)
+
+
+# every constructor at a dimension outside 1..3: ball(1.0, 4) used to build and then raise
+# KeyError, lp_ball(2.0, 1.0, 0) to build a gauge that raised IndexError, box([]) to fail
+# inside min()
+BAD_DIMENSIONS = {
+    **{f"ball-{d}": lambda d=d: ConvexBody.ball(1.0, d) for d in (0, 4, -1, 2.5, True)},
+    **{f"lp_ball-{d}": lambda d=d: ConvexBody.lp_ball(2.0, 1.0, d) for d in (0, 4, -1, 2.5)},
+    **{f"box-{d}": lambda d=d: ConvexBody.box([1.0] * d) for d in (0, 4)},
+    **{f"ellipsoid-{d}": lambda d=d: ConvexBody.ellipsoid([1.0] * d) for d in (0, 4)},
+    **{f"polytope-{d}": lambda d=d: ConvexBody.polytope(*_cube(d)) for d in (0, 4)},
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DIMENSIONS))
+def test_every_constructor_rejects_a_dimension_outside_1_to_max_dim(case):
+    with pytest.raises(ValueError, match=r"body dimension must be an integer in 1\.\.3"):
+        BAD_DIMENSIONS[case]()
+
+
 def test_polytope_requires_symmetry():
     with pytest.raises(ValueError, match="negation"):
         ConvexBody.polytope([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])

@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonlocal_limits import calculus
+from nonlocal_limits import calculus, functionals
+from nonlocal_limits.bodies import ConvexBody
+from nonlocal_limits.engine import IntegralEstimate, IntegrationPlan
 from nonlocal_limits.functions import make_function, polynomial_function
 
 GAUSS1 = make_function("gaussian", 1)
@@ -257,3 +260,115 @@ def test_remainders_take_f_at_x_bitwise(rng, name, dim):
     for m in (1, 2, 3, 4):
         for remainder in (calculus.centered_remainder, calculus.taylor_remainder):
             np.testing.assert_array_equal(remainder(f, x, y, m, fx), remainder(f, x, y, m))
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian's centered remainder in closed form
+# ---------------------------------------------------------------------------
+
+def _gaussian_rays(dim, m, n, seed):
+    """n rays of a level-set pass on the Gaussian: |x| uniform in the box radius r = 8.5 of
+    its ball, a unit direction, and t log-uniform from the mollified kernels' t_c to the
+    level-set t_max = m (r + 6.5) + 2."""
+    rng = np.random.default_rng(seed)
+    radius, eps = 8.5, np.finfo(float).eps
+    x = rng.normal(size=(n, dim))
+    x *= radius * rng.random((n, 1)) ** (1.0 / dim) / np.linalg.norm(x, axis=1, keepdims=True)
+    sigma = rng.normal(size=(n, dim))
+    sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+    t_c, t_max = (eps * m ** m) ** (1.0 / (m + 1)), m * (radius + 6.5) + 2.0
+    return x, sigma, np.exp(rng.uniform(math.log(t_c), math.log(t_max), n))
+
+
+def _closed_form(f, x, sigma, t, m):
+    return calculus.gaussian_centered_remainder(f.eval(x), 2.0 * np.sum(x * sigma, axis=1),
+                                                np.sum(sigma * sigma, axis=1), t, m)
+
+
+def _rounding_scales(f, x, sigma, t, m):
+    """The forward-error scales of the two formulas at nodes y_j = x + s_j sigma, s_j = j t / m.
+
+    Closed form: (1 + |x|^2) sum_j C(m,j) (f(x) |expm1(-a_j)| + s_j (2|x| + s_j) f(y_j)),
+    a_j = s_j (2 x.sigma + s_j): f(x) is rounded in each exp(-x_i^2), each term in its
+    expm1 and its argument.  Node formula: sum_j C(m,j) f(y_j) (1 + |y_j|^2), a node being
+    rounded by eps |y_j| and f by a relative eps |y_j|^2."""
+    fx, norm = f.eval(x), np.linalg.norm(x, axis=1)
+    closed, node = np.zeros(len(t)), np.zeros(len(t))
+    for j in range(m + 1):
+        s = t * j / m
+        y = x + s[:, np.newaxis] * sigma
+        fy = f.eval(y)
+        node += math.comb(m, j) * fy * (1.0 + np.sum(y * y, axis=1))
+        a = s * (2.0 * np.sum(x * sigma, axis=1) + s)
+        closed += math.comb(m, j) * (fx * np.abs(np.expm1(-a)) + s * (2.0 * norm + s) * fy)
+    return closed * (1.0 + norm ** 2), node
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_closed_form_against_a_60_digit_remainder(dim, m):
+    # within 4 eps of its rounding scale on 300 rays (seen: at most 0.6 eps); the node
+    # formula's relative error on the same rays reaches 1e-5 to 15 at m = 2, 3
+    f = make_function("gaussian", dim)
+    x, sigma, t = _gaussian_rays(dim, m, 300, seed=100 * dim + m)
+    got = _closed_form(f, x, sigma, t, m)
+    exact = np.empty(len(t))
+    with mpmath.workdps(60):
+        for i, (xi, si, ti) in enumerate(zip(x, sigma, t)):
+            xi, si = [mpmath.mpf(float(c)) for c in xi], [mpmath.mpf(float(c)) for c in si]
+            exact[i] = float(sum((-1) ** j * math.comb(m, j)
+                                 * mpmath.exp(-sum((a + mpmath.mpf(float(ti)) * j / m * b) ** 2
+                                                   for a, b in zip(xi, si)))
+                                 for j in range(m + 1)))
+    scale = _rounding_scales(f, x, sigma, t, m)[0]
+    assert np.all(np.abs(got - exact) <= 4.0 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_closed_form_against_the_node_formula(dim, m):
+    # the two differ by at most 8 eps times the sum of their rounding scales (seen: 1.1 eps)
+    f = make_function("gaussian", dim)
+    x, sigma, t = _gaussian_rays(dim, m, 3000, seed=200 * dim + m)
+    closed, node = _rounding_scales(f, x, sigma, t, m)
+    reference = calculus.centered_remainder(f, x, x + t[:, np.newaxis] * sigma, m)
+    gap = np.abs(_closed_form(f, x, sigma, t, m) - reference)
+    assert np.all(gap <= 8.0 * np.finfo(float).eps * (closed + node))
+
+
+def test_gaussian_closed_form_broadcasts_and_ends_at_y():
+    # m = 1 is f(x) - f(y) with y = x + t sigma; a scalar t broadcasts over the rays
+    x, sigma = np.array([[0.3, -0.2], [1.0, 0.5]]), np.array([[0.6, 0.8], [-1.0, 0.0]])
+    got = _closed_form(GAUSS2, x, sigma, 0.25, 1)
+    np.testing.assert_allclose(got, GAUSS2.eval(x) - GAUSS2.eval(x + 0.25 * sigma),
+                               rtol=1e-15, atol=0.0)
+
+
+def test_pass_beyond_the_normal_range_of_f_takes_the_node_formula(monkeypatch):
+    # a shell of epsilon 0.4 on the ellipse [100, 1] has the box radius 6.5 + 40 + 0.5 = 47,
+    # so 2 r^2 > 708: at x = (-47, 0) f(x) is 0, and toward the origin the expm1 overflows,
+    # so the closed form would pay 0 * inf; the pass takes the node formula and stays finite
+    spec = functionals.FunctionalSpec("bbm_centered", GAUSS2, ConvexBody.ellipsoid([100.0, 1.0]),
+                                      1, 2.0, 0.4, "shell")
+    box = functionals._box_radius(spec)
+    assert box == 47.0 and spec.body.dim * box ** 2 > functionals._NORMAL_EXPONENT
+    calls, captured = [], {}
+    real = functionals.centered_remainder
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    def capture(kernel, plan, radius, dim, proposal):
+        captured["kernel"] = kernel
+        return [IntegralEstimate(0.0, 0.0)]
+
+    monkeypatch.setattr(functionals, "centered_remainder", counting)
+    monkeypatch.setattr(functionals, "integrate_double", capture)
+    functionals._mollified_pass([spec], IntegrationPlan("monte_carlo", samples=1), box)
+    # v = 1/2 folds to the shell's edge: t = 0.4 gauge(sigma)^-1 = 40 along the long axis
+    x = np.array([[-47.0, 0.0], [-47.0, 0.5], [-30.0, 0.0], [0.5, -0.25]])
+    sigma = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.6, 0.8]])
+    payoff = captured["kernel"](x, sigma, np.full(len(x), 0.5))
+    assert calls == [len(x)] and np.all(np.isfinite(payoff))
+    assert np.count_nonzero(payoff) == len(x)

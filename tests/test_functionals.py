@@ -8,7 +8,8 @@ from conftest import libm_turns
 
 from nonlocal_limits import functionals, quadrature
 from nonlocal_limits.bodies import ConvexBody
-from nonlocal_limits.calculus import centered_remainder, directional_m_form, m_form_tableau
+from nonlocal_limits.calculus import (directional_m_form, gaussian_centered_remainder,
+                                      m_form_tableau)
 from nonlocal_limits.engine import IntegralEstimate, IntegrationPlan, MollifierRadial, outer_weights
 from nonlocal_limits.functionals import (FunctionalSpec, SpecError, evaluate, local_limit,
                                          theorem_constant)
@@ -450,7 +451,11 @@ def test_payoff_matches_integrand_over_density(theorem, monkeypatch):
     t = law.sample(folded, aux)[0]  # one point: row 0
     payoff = kernel(x, sigma, v)[0]
 
-    remainder = centered_remainder(GAUSS2, x, x + t[:, np.newaxis] * sigma, m)
+    # the Gaussian's remainder in closed form, as the kernel takes it: on these rows the node
+    # formula is off a 40-digit remainder by up to 3.3e-8 relative (near the zeros of R),
+    # the closed form by 2.3e-10
+    remainder = gaussian_centered_remainder(GAUSS2.eval(x), 2.0 * np.sum(x * sigma, axis=1),
+                                            np.sum(sigma * sigma, axis=1), t, m)
     gauge = body.gauge(t[:, np.newaxis] * sigma)
     if spec.mollifier_kind is None:
         integrand = (np.abs(remainder) > par) * par ** p * gauge ** (-(2 + m * p))
@@ -636,3 +641,25 @@ def test_level_set_kernel_is_the_sum_over_strata(theorem, m, monkeypatch):
                           for j, delta in enumerate(grid)])
     assert np.count_nonzero(reference[-1]) > n // 4
     np.testing.assert_allclose(payoff, reference, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the node formula's passes, pinned
+# ---------------------------------------------------------------------------
+
+#: (value, stderr) of each shell point on the 2-D poly_bump, ellipse [2, 1], grid (0.2, 0.1),
+#: 8000 samples at seed 77, recorded before the Gaussian's closed form
+PINNED_NODE_PASSES = {
+    (2, 2.0): [(666.6978750097314, 29.556691440987652), (747.1302812630618, 16.183159450541325)],
+    (3, 3.0): [(38763.36754458299, 3876.9148558277775), (58218.03316011546, 7224.236759658871)],
+}
+
+
+@pytest.mark.parametrize("m, p", list(PINNED_NODE_PASSES), ids=["m2-control-variate", "m3-plain"])
+def test_poly_bump_centered_mollified_pass_is_pinned_bitwise(m, p):
+    # every function but the Gaussian keeps the node formula, bit for bit
+    f, grid = make_function("poly_bump", 2), (0.2, 0.1)
+    plan = mc_plan(samples=8000, seed=77)
+    got = [evaluate(FunctionalSpec("bbm_centered", f, ConvexBody.ellipsoid([2.0, 1.0]), m, p,
+                                   eps, "shell", grid), plan) for eps in grid]
+    assert [(est.value, est.stderr) for est in got] == PINNED_NODE_PASSES[(m, p)]

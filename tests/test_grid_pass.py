@@ -340,23 +340,50 @@ def test_kernel_of_the_wrong_shape_raises(plan, law):
         integrate_double(kernel, plan, 2.0, 1)
 
 
-@pytest.mark.parametrize("case", ["level-set-2d", "shell-2d"])
-def test_pass_evaluates_f_at_x_once_per_block(case, monkeypatch):
-    # m = 1 centered: per sample one f(x) shared by the K points, and one f(y) per point
-    plan = IntegrationPlan("monte_carlo", samples=3500, seed=23)
-    evaluate(grid_specs(case)[-1], replace(plan, seed=24))  # warm every cached bound
-    sizes = []
-    real = functions.TestFunction.eval
+def counting_evals(monkeypatch, case, f, plan):
+    """The points at which ``TestFunction.eval`` runs during the case's grid pass on f, and
+    the outer points x of the pass's blocks; every cached bound is warmed first."""
+    specs = [replace(spec, f=f) for spec in grid_specs(case)]
+    evaluate(specs[-1], replace(plan, seed=plan.seed + 1))
+    points, outer = [], []
+    real_eval, real_payoffs = functions.TestFunction.eval, engine._weighted_payoffs
 
     def counting(self, x):
-        out = real(self, x)
-        sizes.append(np.size(out))
-        return out
+        points.append(np.array(x))
+        return real_eval(self, x)
+
+    def payoffs(kernel, x, *args):
+        outer.append(x.copy())
+        return real_payoffs(kernel, x, *args)
 
     monkeypatch.setattr(functions.TestFunction, "eval", counting)
-    estimates = [evaluate(spec, plan) for spec in grid_specs(case)]
-    sampled = [est for est in estimates if "exact_zero" not in est.info]
-    assert sum(sizes) == sampled[0].info["samples"] * (1 + len(sampled))
+    monkeypatch.setattr(engine, "_weighted_payoffs", payoffs)
+    estimates = [evaluate(spec, plan) for spec in specs]
+    return points, outer, [est for est in estimates if "exact_zero" not in est.info]
+
+
+@pytest.mark.parametrize("case", ["level-set-2d", "shell-2d"])
+def test_pass_evaluates_f_at_x_once_per_block(case, monkeypatch):
+    # m = 1 centered on the Gaussian: the closed form evaluates f at the outer points only,
+    # once per block for all K points; a pass that fell back to the node formula would
+    # evaluate it at y too
+    plan = IntegrationPlan("monte_carlo", samples=3500, seed=23)
+    points, outer, sampled = counting_evals(monkeypatch, case, GAUSS2, plan)
+    assert len(sampled) > 1
+    assert sum(len(x) for x in points) == sampled[0].info["samples"]
+    assert len(points) == len(outer)
+    assert all(np.array_equal(x, o) for x, o in zip(points, outer))
+
+
+@pytest.mark.parametrize("case", ["level-set-2d", "shell-2d"])
+def test_node_formula_pass_evaluates_f_at_x_once_per_block(case, monkeypatch):
+    # m = 1 centered on another function: per sample one f(x) shared by the K points, and
+    # one f(y) per point
+    plan = IntegrationPlan("monte_carlo", samples=3500, seed=23)
+    points, outer, sampled = counting_evals(monkeypatch, case, make_function("poly_bump", 2),
+                                            plan)
+    assert sum(len(x) for x in points) == sampled[0].info["samples"] * (1 + len(sampled))
+    assert sum(len(x) for x in outer) == sampled[0].info["samples"]
 
 
 @pytest.mark.parametrize("plan", [IntegrationPlan("monte_carlo", samples=3500, seed=23),
